@@ -11,7 +11,8 @@ import (
 )
 
 // TestExchangeZeroAlloc asserts the acceptance bar for the zero-copy data
-// path: after warm-up, a halo exchange performs zero heap allocations.
+// path: after warm-up, a halo exchange performs zero heap allocations, also
+// when the element type changes from one exchange to the next.
 // testing.AllocsPerRun measures process-global mallocs, so the measurement
 // is collective — rank 0 measures while the remaining ranks run the same
 // number of exchanges concurrently, and an allocation on any rank fails the
@@ -39,10 +40,25 @@ func TestExchangeZeroAlloc(t *testing.T) {
 		for i := range state {
 			state[i] = float64(i)
 		}
+		// A retained halo serves float64 (PageRank), uint64 (SSSP, k-core)
+		// and uint32 (WCC) kernels in turn: one op is the alternating
+		// sequence, so a staging buffer keyed by element type would
+		// reallocate three times per op.
+		dist := make([]uint64, g.NTotal())
+		colors := make([]uint32, g.NTotal())
+		exchangeAll := func() error {
+			if err := Exchange(ctx, halo, state); err != nil {
+				return err
+			}
+			if err := Exchange(ctx, halo, dist); err != nil {
+				return err
+			}
+			return Exchange(ctx, halo, colors)
+		}
 		// Warm-up sizes the retained scratch on the halo and the byte
 		// buffers on the communicator.
 		for i := 0; i < 3; i++ {
-			if err := Exchange(ctx, halo, state); err != nil {
+			if err := exchangeAll(); err != nil {
 				return err
 			}
 		}
@@ -50,17 +66,17 @@ func TestExchangeZeroAlloc(t *testing.T) {
 			// AllocsPerRun invokes the body runs+1 times (one extra
 			// warm-up call before it starts counting).
 			avg := testing.AllocsPerRun(runs, func() {
-				if err := Exchange(ctx, halo, state); err != nil {
+				if err := exchangeAll(); err != nil {
 					t.Error(err)
 				}
 			})
 			if avg != 0 {
-				return fmt.Errorf("steady-state Exchange allocates %v times per op, want 0", avg)
+				return fmt.Errorf("steady-state alternating-type Exchange allocates %v times per op, want 0", avg)
 			}
 			return nil
 		}
 		for i := 0; i < runs+1; i++ {
-			if err := Exchange(ctx, halo, state); err != nil {
+			if err := exchangeAll(); err != nil {
 				return err
 			}
 		}

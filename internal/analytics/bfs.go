@@ -54,13 +54,6 @@ type BFSResult struct {
 // statistics. Levels are identical in every mode; the loop ends when the
 // global frontier empties.
 func BFS(ctx *core.Ctx, g *core.Graph, root uint32, dir Dir) (*BFSResult, error) {
-	return bfsWithHalo(ctx, g, root, dir, nil)
-}
-
-// bfsWithHalo is BFS with an optional caller-supplied DirsBoth halo, so
-// composite analytics (WCC) share one halo between their traversal and
-// coloring phases instead of building it twice.
-func bfsWithHalo(ctx *core.Ctx, g *core.Graph, root uint32, dir Dir, halo *Halo) (*BFSResult, error) {
 	if g.Is2D() {
 		return bfs2D(ctx, g, root, dir)
 	}
@@ -68,7 +61,7 @@ func bfsWithHalo(ctx *core.Ctx, g *core.Graph, root uint32, dir Dir, halo *Halo)
 		return nil, fmt.Errorf("analytics: BFS root %d outside %d vertices", root, g.NGlobal)
 	}
 	status := newStatus(g)
-	eng := newFrontierEngine(ctx, g, halo)
+	eng := newFrontierEngine(ctx, g)
 	muLocal := totalPullDeg(g, dir)
 	var queue []uint32
 	if lid := g.LocalID(root); lid != core.InvalidLocal && lid < g.NLoc {

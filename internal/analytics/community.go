@@ -26,7 +26,7 @@ func TopCommunities(ctx *core.Ctx, g *core.Graph, labels []uint32, k int) ([]Com
 	// Fresh ghost labels so edge classification sees both endpoints.
 	state := make([]uint32, g.NTotal())
 	copy(state, labels[:g.NLoc])
-	halo, err := BuildHalo(ctx, g, DirsBoth)
+	halo, _, err := haloFor(ctx, g, DirsBoth)
 	if err != nil {
 		return nil, err
 	}

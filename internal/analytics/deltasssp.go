@@ -102,7 +102,7 @@ func SSSPDelta(ctx *core.Ctx, g *core.Graph, root uint32, w WeightFunc, delta ui
 	if root >= g.NGlobal {
 		return nil, fmt.Errorf("analytics: SSSP root %d outside %d vertices", root, g.NGlobal)
 	}
-	eng := newFrontierEngine(ctx, g, nil)
+	eng := newFrontierEngine(ctx, g)
 
 	// One collective seeds everything rank-invariant: the mean edge weight
 	// (the default Δ) and the global halo width the engine's representation

@@ -39,37 +39,29 @@ type stepPlan struct {
 	dense bool // frontier exchange ships packed bits, not an ID list
 }
 
-// frontierEngine carries the retained state of one traversal: the shared
-// DirsBoth halo (built lazily, only if a dense step is ever chosen), the
-// frontier bitmap, packed-word scratch, and the per-step counters.
+// frontierEngine carries the state of one traversal: the DirsBoth halo and
+// its packed-segment geometry (looked up lazily, only if a dense step is
+// ever chosen — retained across traversals when ctx carries a plan cache),
+// the frontier bitmap, packed-word scratch, and the per-step counters.
 type frontierEngine struct {
 	g           *core.Graph
 	pol         core.Traversal
 	alpha, beta float64
 
-	halo       *Halo
-	haloShared bool // halo supplied by the caller (WCC); don't count its build
-
-	// Halo-derived geometry, built once with the halo.
-	sendWordOffs []int // per-dest word offsets of forward bit segments
-	sendWords    int
-	recvWordOffs []int // per-source word offsets of reverse bit segments
-	recvWords    int
-	recvLidOff   []int   // per-source element offsets into halo.recvLids
-	sendVertOff  []int   // per-dest element offsets into halo.sendVerts
-	ghostSlot    []int32 // ghost lid - NLoc -> slot index in halo.recvLids
+	halo      *Halo
+	*haloGeom // nil until ensureHalo
 
 	bits *par.Bitmap // frontier bitmap over NTotal (pull steps)
 
-	packScratch   []uint64 // packed words staging (both directions)
-	valScratch    []uint64 // bits+payload staging (reverse value exchange)
-	valCounts     []int    // per-dest word counts of the fused exchange
-	valRecv       []uint64 // retained receive staging of the fused exchange
-	valRecvCounts []int
-	destBits      []int    // per-dest claim counts of the fused exchange
+	packScratch    []uint64 // packed words staging (both directions)
+	valScratch     []uint64 // bits+payload staging (reverse value exchange)
+	valCounts      []int    // per-dest word counts of the fused exchange
+	valRecv        []uint64 // retained receive staging of the fused exchange
+	valRecvCounts  []int
+	destBits       []int    // per-dest claim counts of the fused exchange
 	arrivedScratch []uint32 // retained arrivals list of the dense claim exchange
-	bsc           comm.BitsScratch
-	fsc           frontierScratch
+	bsc            comm.BitsScratch
+	fsc            frontierScratch
 
 	// Globals every rank computed identically.
 	gGhosts uint64 // total halo width == global ghost slot count
@@ -78,13 +70,9 @@ type frontierEngine struct {
 	stats obs.TraversalStats
 }
 
-func newFrontierEngine(ctx *core.Ctx, g *core.Graph, halo *Halo) *frontierEngine {
+func newFrontierEngine(ctx *core.Ctx, g *core.Graph) *frontierEngine {
 	e := &frontierEngine{g: g, pol: ctx.Traverse, nGlobal: uint64(g.NGlobal)}
 	e.alpha, e.beta = e.pol.Params()
-	if halo != nil {
-		e.halo = halo
-		e.haloShared = true
-	}
 	return e
 }
 
@@ -124,46 +112,26 @@ func (e *frontierEngine) plan(prev stepPlan, gNf, gMf, gMu uint64) stepPlan {
 // planNeedsHalo reports whether executing pl requires the retained halo.
 func (e *frontierEngine) planNeedsHalo(pl stepPlan) bool { return pl.pull || pl.dense }
 
-// ensureHalo builds the shared DirsBoth halo and its packed-segment
-// geometry on first dense/pull use. Collective: the plan that triggers it
-// is identical on every rank.
+// ensureHalo fetches the DirsBoth halo and its packed-segment geometry on
+// first dense/pull use. Collective when the halo has to be built: the plan
+// that triggers it is identical on every rank, and so is the plan cache.
 func (e *frontierEngine) ensureHalo(ctx *core.Ctx) error {
-	if e.ghostSlot != nil {
+	if e.haloGeom != nil {
 		return nil
 	}
-	g := e.g
-	if e.halo == nil {
-		h, err := BuildHalo(ctx, g, DirsBoth)
-		if err != nil {
-			return err
-		}
-		e.halo = h
+	h, built, err := haloFor(ctx, e.g, DirsBoth)
+	if err != nil {
+		return err
+	}
+	if built {
 		e.stats.HaloBuilds++
 	}
-	h := e.halo
-	if len(h.recvLids) != int(g.NGst) {
-		return fmt.Errorf("analytics: frontier engine needs a DirsBoth halo covering all %d ghosts, got %d slots", g.NGst, len(h.recvLids))
+	gm, err := h.geometry()
+	if err != nil {
+		return err
 	}
-	e.sendWordOffs, e.sendWords = comm.BitSegmentOffsets(h.sendCounts)
-	e.recvWordOffs, e.recvWords = comm.BitSegmentOffsets(h.recvSegs)
-	p := ctx.Size()
-	e.recvLidOff = make([]int, p)
-	e.sendVertOff = make([]int, p)
-	off := 0
-	for r := 0; r < p; r++ {
-		e.recvLidOff[r] = off
-		off += h.recvSegs[r]
-	}
-	off = 0
-	for r := 0; r < p; r++ {
-		e.sendVertOff[r] = off
-		off += h.sendCounts[r]
-	}
-	e.ghostSlot = make([]int32, g.NGst)
-	for s, lid := range h.recvLids {
-		e.ghostSlot[lid-g.NLoc] = int32(s)
-	}
-	e.destBits = make([]int, p)
+	e.halo, e.haloGeom = h, gm
+	e.destBits = make([]int, ctx.Size())
 	return nil
 }
 

@@ -29,6 +29,9 @@ import (
 // with a single value-only Alltoallv — the paper's two queue optimizations
 // (halve traffic by resending only values; never rebuild the queues).
 type Halo struct {
+	// g is the shard the queues were derived from; a retained halo is only
+	// valid against exactly that graph.
+	g *core.Graph
 	// sendVerts lists the owned local ids whose value must be shipped,
 	// grouped by destination rank; sendCounts are the per-rank group
 	// sizes. A vertex appears once per rank that needs it.
@@ -44,14 +47,88 @@ type Halo struct {
 	// reverse (ghost-to-owner) exchange uses it as its send counts.
 	recvSegs []int
 
-	// Retained exchange scratch: the typed send/recv staging reused by
-	// every Exchange so the steady-state iteration allocates nothing.
-	// Stored as any because Halo itself is not generic; a halo is driven
-	// with one element type in practice, and a type change simply re-warms
-	// the scratch.
-	sendScratch any
-	recvScratch any
+	// Retained exchange scratch: the send/recv staging reused by every
+	// Exchange so the steady-state iteration allocates nothing. Halo is not
+	// generic and a retained halo is driven with float64 (PageRank) and
+	// uint64/uint32 (WCC, k-core, SSSP) in turn, so the staging is one
+	// word-aligned buffer per direction that comm.ScratchAs views as the
+	// element type of the call — a type change re-warms nothing.
+	sendScratch []uint64
+	recvScratch []uint64
 	recvCounts  []int
+
+	// geom is the frontier engine's packed-segment geometry over these
+	// queues, derived on first dense/pull use and retained with them.
+	geom *haloGeom
+}
+
+// haloGeom is the bit-segment geometry of a DirsBoth halo: where each
+// peer's packed segment starts in the forward (owner-to-ghost) and reverse
+// (ghost-to-owner) bitmap exchanges, and which halo slot each ghost
+// occupies.
+type haloGeom struct {
+	sendWordOffs []int // per-dest word offsets of forward bit segments
+	sendWords    int
+	recvWordOffs []int // per-source word offsets of reverse bit segments
+	recvWords    int
+	recvLidOff   []int   // per-source element offsets into recvLids
+	sendVertOff  []int   // per-dest element offsets into sendVerts
+	ghostSlot    []int32 // ghost lid - NLoc -> slot index in recvLids
+}
+
+// geometry returns the halo's packed-segment geometry, deriving it on
+// first use. Only a DirsBoth halo has one: every ghost must own a slot.
+func (h *Halo) geometry() (*haloGeom, error) {
+	if h.geom != nil {
+		return h.geom, nil
+	}
+	g := h.g
+	if len(h.recvLids) != int(g.NGst) {
+		return nil, fmt.Errorf("analytics: frontier engine needs a DirsBoth halo covering all %d ghosts, got %d slots", g.NGst, len(h.recvLids))
+	}
+	gm := &haloGeom{}
+	gm.sendWordOffs, gm.sendWords = comm.BitSegmentOffsets(h.sendCounts)
+	gm.recvWordOffs, gm.recvWords = comm.BitSegmentOffsets(h.recvSegs)
+	p := len(h.sendCounts)
+	gm.recvLidOff = make([]int, p)
+	gm.sendVertOff = make([]int, p)
+	recvOff, sendOff := 0, 0
+	for r := 0; r < p; r++ {
+		gm.recvLidOff[r] = recvOff
+		recvOff += h.recvSegs[r]
+		gm.sendVertOff[r] = sendOff
+		sendOff += h.sendCounts[r]
+	}
+	gm.ghostSlot = make([]int32, g.NGst)
+	for s, lid := range h.recvLids {
+		gm.ghostSlot[lid-g.NLoc] = int32(s)
+	}
+	h.geom = gm
+	return gm, nil
+}
+
+// haloFor returns the retained queues for (g, dirs): the plan ctx.Plans
+// holds when there is one, otherwise a fresh build, which is stored for
+// the next caller. built reports whether this call paid for the build.
+// With a nil ctx.Plans every call builds, as a one-shot program expects.
+// Collective whenever it builds — which, the cache being reset in lockstep,
+// is on every rank or on none. A failed build stores nothing.
+func haloFor(ctx *core.Ctx, g *core.Graph, dirs Dirs) (h *Halo, built bool, err error) {
+	if plan, ok := ctx.Plans.Lookup(dirs); ok {
+		h = plan.(*Halo)
+		if h.g != g {
+			// Rebuilding here would be a one-rank decision and hang the
+			// group; failing the job ends the generation, and the next one
+			// starts with an empty cache.
+			return nil, false, fmt.Errorf("analytics: retained halo belongs to another graph (plan cache not reset after the served shard changed)")
+		}
+		return h, false, nil
+	}
+	if h, err = BuildHalo(ctx, g, dirs); err != nil {
+		return nil, false, err
+	}
+	ctx.Plans.Store(dirs, h)
+	return h, true, nil
 }
 
 // Dirs selects which adjacency directions a halo covers: a vertex's value
@@ -174,6 +251,7 @@ func BuildHalo(ctx *core.Ctx, g *core.Graph, dirs Dirs) (*Halo, error) {
 		recvLids[i] = lid
 	}
 	return &Halo{
+		g:          g,
 		sendVerts:  sendVerts,
 		sendCounts: sendCounts,
 		recvLids:   recvLids,
@@ -198,15 +276,11 @@ const haloParMin = 1 << 13
 // owners: one value-only Alltoallv against the retained queues. Send and
 // receive staging is retained on the halo and the byte buffers on the
 // communicator, so after the first call an exchange performs zero heap
-// allocations; gather and scatter go parallel for large halos.
+// allocations, whatever sequence of element types drives the halo; gather
+// and scatter go parallel for large halos.
 func Exchange[T comm.Scalar](ctx *core.Ctx, h *Halo, state []T) error {
 	ns, nr := len(h.sendVerts), len(h.recvLids)
-	send, ok := h.sendScratch.([]T)
-	if !ok || cap(send) < ns {
-		send = make([]T, ns)
-		h.sendScratch = send
-	}
-	send = send[:ns]
+	send := comm.ScratchAs[T](&h.sendScratch, ns)
 	par := ctx.Pool.Threads() > 1
 	if par && ns >= haloParMin {
 		ctx.Pool.For(ns, func(lo, hi, _ int) {
@@ -220,12 +294,7 @@ func Exchange[T comm.Scalar](ctx *core.Ctx, h *Halo, state []T) error {
 		}
 	}
 
-	recv, ok := h.recvScratch.([]T)
-	if !ok || cap(recv) < nr {
-		recv = make([]T, nr)
-		h.recvScratch = recv
-	}
-	recv, _, err := comm.AlltoallvInto(ctx.Comm, send, h.sendCounts, recv[:nr], h.recvCounts)
+	recv, _, err := comm.AlltoallvInto(ctx.Comm, send, h.sendCounts, comm.ScratchAs[T](&h.recvScratch, nr), h.recvCounts)
 	if err != nil {
 		return err
 	}

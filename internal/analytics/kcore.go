@@ -28,7 +28,7 @@ func KCoreApprox(ctx *core.Ctx, g *core.Graph, levels int) (*KCoreResult, error)
 	if err := require1D(g, "k-core"); err != nil {
 		return nil, err
 	}
-	halo, err := BuildHalo(ctx, g, DirsBoth)
+	halo, _, err := haloFor(ctx, g, DirsBoth)
 	if err != nil {
 		return nil, err
 	}

@@ -41,7 +41,7 @@ func KCoreExact(ctx *core.Ctx, g *core.Graph) (*KCoreExactResult, error) {
 	if err := require1D(g, "exact k-core"); err != nil {
 		return nil, err
 	}
-	eng := newFrontierEngine(ctx, g, nil)
+	eng := newFrontierEngine(ctx, g)
 	red, err := comm.AllreduceSlice(ctx.Comm, []uint64{uint64(g.NGst)}, comm.OpSum)
 	if err != nil {
 		return nil, err

@@ -42,7 +42,7 @@ func LabelProp(ctx *core.Ctx, g *core.Graph, opts LabelPropOptions) (*LabelPropR
 	if err := require1D(g, "LabelProp"); err != nil {
 		return nil, err
 	}
-	halo, err := BuildHalo(ctx, g, DirsBoth)
+	halo, _, err := haloFor(ctx, g, DirsBoth)
 	if err != nil {
 		return nil, err
 	}

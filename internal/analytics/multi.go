@@ -98,9 +98,9 @@ func MultiBFS(ctx *core.Ctx, g *core.Graph, roots []uint32, dir Dir) (*MultiBFSR
 		depth[s] = -1
 	}
 
-	eng := newFrontierEngine(ctx, g, nil)
+	eng := newFrontierEngine(ctx, g)
 	mw := par.BitmapWords(k)
-	var claimMask []uint64    // NGst*mw source-mask accumulator (dense rounds)
+	var claimMask []uint64     // NGst*mw source-mask accumulator (dense rounds)
 	var claimedGhosts []uint32 // ghosts with a non-empty mask this level
 
 	var msc multiScratch
@@ -398,7 +398,7 @@ func MultiSSSP(ctx *core.Ctx, g *core.Graph, roots []uint32, w WeightFunc) (*Mul
 		}
 	}
 
-	eng := newFrontierEngine(ctx, g, nil)
+	eng := newFrontierEngine(ctx, g)
 
 	p := ctx.Size()
 	counts := make([]uint64, p)

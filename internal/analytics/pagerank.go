@@ -51,7 +51,7 @@ func PageRank(ctx *core.Ctx, g *core.Graph, opts PageRankOptions) (*PageRankResu
 	n := float64(g.NGlobal)
 	d := opts.Damping
 
-	halo, err := BuildHalo(ctx, g, DirsOut)
+	halo, _, err := haloFor(ctx, g, DirsOut)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,7 @@ func PageRankCompressed(ctx *core.Ctx, cg *core.Compressed, opts PageRankOptions
 	n := float64(g.NGlobal)
 	d := opts.Damping
 
-	halo, err := BuildHalo(ctx, g, DirsOut)
+	halo, _, err := haloFor(ctx, g, DirsOut)
 	if err != nil {
 		return nil, err
 	}

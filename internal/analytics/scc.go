@@ -355,7 +355,7 @@ func sweep(ctx *core.Ctx, g *core.Graph, comp []uint32, seeds []uint32, dir Dir,
 // root's id to everything reached — exactly the swept set is the root's
 // SCC.
 func colorDecompose(ctx *core.Ctx, g *core.Graph, comp []uint32) error {
-	halo, err := BuildHalo(ctx, g, DirsBoth)
+	halo, _, err := haloFor(ctx, g, DirsBoth)
 	if err != nil {
 		return err
 	}

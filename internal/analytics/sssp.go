@@ -107,7 +107,7 @@ func SSSPRounds(ctx *core.Ctx, g *core.Graph, root uint32, w WeightFunc) (*SSSPR
 		dist[lid] = 0
 		queue = append(queue, lid)
 	}
-	eng := newFrontierEngine(ctx, g, nil)
+	eng := newFrontierEngine(ctx, g)
 
 	// Round-retained exchange scratch: routing tables and the two aligned
 	// (gid, dist) message streams are reused every round, so steady-state

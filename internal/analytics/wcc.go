@@ -52,10 +52,16 @@ func wcc(ctx *core.Ctx, g *core.Graph, multistep bool) (*WCCResult, error) {
 	if g.Is2D() {
 		return wcc2D(ctx, g, multistep)
 	}
-	// The coloring phase always needs the DirsBoth halo; building it up
-	// front lets the BFS phase's adaptive engine reuse it for dense
-	// frontier exchanges instead of constructing its own.
-	halo, err := BuildHalo(ctx, g, DirsBoth)
+	// The coloring phase always needs the DirsBoth halo; fetching it up
+	// front lets the BFS phase's adaptive engine find it in the plan cache
+	// for dense frontier exchanges instead of constructing its own. A
+	// one-shot caller has no cache, so the job brings one of its own.
+	if ctx.Plans == nil {
+		scoped := *ctx
+		scoped.Plans = core.NewPlans(nil)
+		ctx = &scoped
+	}
+	halo, _, err := haloFor(ctx, g, DirsBoth)
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +74,7 @@ func wcc(ctx *core.Ctx, g *core.Graph, multistep bool) (*WCCResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		bfs, err = bfsWithHalo(ctx, g, root, Und, halo)
+		bfs, err = BFS(ctx, g, root, Und)
 		if err != nil {
 			return nil, err
 		}

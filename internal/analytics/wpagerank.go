@@ -22,13 +22,16 @@ func PageRankWeighted(ctx *core.Ctx, g *core.Graph, opts PageRankOptions, w Weig
 	n := float64(g.NGlobal)
 	d := opts.Damping
 
-	halo, err := BuildHalo(ctx, g, DirsOut)
+	halo, _, err := haloFor(ctx, g, DirsOut)
 	if err != nil {
 		return nil, err
 	}
 
-	// outW[u] = W(u) for owned u, computed once off the CSR.
+	// outW[u] = W(u) for owned u, and inW = every in-edge's weight in CSR
+	// order, both computed once off the CSR: the iteration loop reads the
+	// array instead of re-hashing each edge every iteration.
 	outW := make([]float64, g.NLoc)
+	inW := make([]float64, g.MIn())
 	ctx.Pool.For(int(g.NLoc), func(lo, hi, _ int) {
 		for v := lo; v < hi; v++ {
 			vGid := g.GlobalID(uint32(v))
@@ -37,6 +40,10 @@ func PageRankWeighted(ctx *core.Ctx, g *core.Graph, opts PageRankOptions, w Weig
 				s += w(vGid, g.GlobalID(u))
 			}
 			outW[v] = float64(s)
+			wts := inW[g.InIdx[v]:g.InIdx[v+1]]
+			for i, u := range g.InNeighbors(uint32(v)) {
+				wts[i] = float64(w(g.GlobalID(u), vGid))
+			}
 		}
 	})
 
@@ -71,10 +78,10 @@ func PageRankWeighted(ctx *core.Ctx, g *core.Graph, opts PageRankOptions, w Weig
 
 		ctx.Pool.For(int(g.NLoc), func(lo, hi, _ int) {
 			for v := lo; v < hi; v++ {
-				vGid := g.GlobalID(uint32(v))
+				wts := inW[g.InIdx[v]:g.InIdx[v+1]]
 				sum := 0.0
-				for _, u := range g.InNeighbors(uint32(v)) {
-					sum += val[u] * float64(w(g.GlobalID(u), vGid))
+				for i, u := range g.InNeighbors(uint32(v)) {
+					sum += val[u] * wts[i]
 				}
 				next[v] = base + d*sum
 			}

@@ -53,6 +53,22 @@ func asBytes[T Scalar](vals []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&vals[0])), len(vals)*sizeOf[T]())
 }
 
+// ScratchAs returns a length-n []T view over the retained word buffer
+// *words, growing it first when it is too small. Word alignment satisfies
+// every Scalar, so one buffer stages any sequence of element types without
+// reallocating; the view's contents are unspecified and it is valid until
+// the next call on the same buffer.
+func ScratchAs[T Scalar](words *[]uint64, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	need := (n*sizeOf[T]() + 7) / 8
+	if cap(*words) < need {
+		*words = make([]uint64, need)
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(*words))), n)
+}
+
 // encodeInto appends the little-endian encoding of vals to dst and returns
 // the extended slice.
 func encodeInto[T Scalar](dst []byte, vals []T) []byte {

@@ -92,6 +92,9 @@ type Ctx struct {
 	// Traverse is the frontier policy for BFS-like analytics; the zero
 	// value is the adaptive engine with default thresholds.
 	Traverse Traversal
+	// Plans retains kernel plans (halo queues and geometry) across calls on
+	// this Ctx. nil — the default — makes every kernel build per call.
+	Plans *Plans
 }
 
 // NewCtx returns a context with the given number of intra-rank threads

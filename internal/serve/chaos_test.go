@@ -264,6 +264,17 @@ func TestFailoverKillRankMidServe(t *testing.T) {
 	}
 	healthy := healthyBaseline(t, queries)
 	base := buildRounds(t, chaosClusterConfig())
+	// The same reads one at a time, past the scheduler (whose batching turns
+	// the single-source queries into multi-source jobs with their own round
+	// counts), on a healthy cluster.
+	hc, err := NewCluster(chaosClusterConfig())
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	direct := coldWarmAnswers(t, hc, queries)
+	if err := hc.Close(); err != nil {
+		t.Fatalf("healthy cluster close: %v", err)
+	}
 
 	run := func(t *testing.T, cfg ClusterConfig) {
 		cfg.WrapTransport = fatalAt(1, base+4)
@@ -274,6 +285,13 @@ func TestFailoverKillRankMidServe(t *testing.T) {
 			}
 		}()
 		assertIdentical(t, views, healthy)
+		// The degraded generation started with an empty plan cache on every
+		// slot; each read answers the same on its cold and its warm plans.
+		for i, cw := range coldWarmAnswers(t, cl, queries) {
+			if !bytes.Equal(cw, direct[i]) {
+				t.Fatalf("query %d: cold/warm plan on the degraded cluster answered %s, healthy %s", i, cw, direct[i])
+			}
+		}
 		fo := cl.FailoverStats()
 		if fo.Failovers < 1 || fo.HostsLost < 1 {
 			t.Fatalf("fault did not trigger failover: %+v", fo)

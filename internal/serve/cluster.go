@@ -189,6 +189,9 @@ type Cluster struct {
 
 	placement *partition.Placement
 	failover  *obs.FailoverCounters
+	// planStats[s] meters slot s's kernel-plan cache. The cache is rebuilt
+	// with every generation's Ctx; the counters are cumulative.
+	planStats []obs.PlanCounters
 
 	// Persistent shard store plumbing (snapshot.go). store and bootMan are
 	// fixed at construction; the snap* accumulator collects per-slot file
@@ -289,6 +292,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		start:       time.Now(),
 		placement:   pl,
 		failover:    &obs.FailoverCounters{},
+		planStats:   make([]obs.PlanCounters, cfg.Ranks),
 		submit:      make(chan *pending),
 		quit:        make(chan struct{}),
 		dead:        make(chan struct{}),
@@ -429,6 +433,15 @@ func (cl *Cluster) rankLoop(ctx *core.Ctx, sc *slotState) error {
 				p.resp <- outcome{err: runErr}
 			}
 			return runErr
+		}
+		if job.Mutating() {
+			// Lockstep invalidation: a mutating job may have changed the
+			// served graph on some shard, and rebuilding a plan is
+			// collective, so every slot drops its plans here — whether or
+			// not its own shard changed — and the next read rebuilds them
+			// group-wide. A slot deciding this from local state would leave
+			// its peers waiting in a build it never joins.
+			ctx.Plans.Reset()
 		}
 		// Group-wide wire volume for the job; runs after TakeStats so it
 		// is not charged to the job, and before the next job's ResetStats.
@@ -579,6 +592,11 @@ func (cl *Cluster) AliveHosts() int {
 
 // FailoverStats snapshots the failover counters.
 func (cl *Cluster) FailoverStats() obs.FailoverSnapshot { return cl.failover.Snapshot() }
+
+// PlanStats snapshots slot 0's kernel-plan cache counters. Within a live
+// generation every slot counts the same: plans are built and reset in
+// lockstep.
+func (cl *Cluster) PlanStats() obs.PlanSnapshot { return cl.planStats[0].Snapshot() }
 
 // Epoch returns the logical graph snapshot id used in cache keys. It
 // advances on every acknowledged mutation batch and every full compaction

@@ -263,6 +263,9 @@ func (cl *Cluster) slotMain(cfg ClusterConfig, gen uint64, viewBytes []byte, c *
 	// threads between them — the degraded group runs every kernel at the
 	// same group size on fewer cores.
 	ctx := core.NewCtx(c, splitThreads(cfg.Threads, view.Collocated(int32(host))))
+	// The slot's kernel plans live and die with this generation's Ctx: a
+	// re-formed group starts cold on every slot at once.
+	ctx.Plans = core.NewPlans(&cl.planStats[slot])
 
 	var st *shardState
 	if gen == 0 && cl.bootMan != nil {

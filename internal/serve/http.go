@@ -280,6 +280,7 @@ type statsResponse struct {
 	Scheduler SchedStats           `json:"scheduler"`
 	Ingest    IngestStats          `json:"ingest"`
 	Failover  obs.FailoverSnapshot `json:"failover"`
+	Plans     obs.PlanSnapshot     `json:"plans"`
 	Store     *StoreStats          `json:"store,omitempty"`
 	JobsRun   uint64               `json:"jobs_run"`
 	UptimeSec float64              `json:"uptime_seconds"`
@@ -315,6 +316,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Scheduler = s.sched.Stats()
 	resp.Ingest = cl.IngestStats()
 	resp.Failover = cl.FailoverStats()
+	resp.Plans = cl.PlanStats()
 	resp.Store = cl.StoreStats()
 	resp.JobsRun = cl.JobsRun()
 	resp.UptimeSec = time.Since(s.started).Seconds()

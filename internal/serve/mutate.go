@@ -117,11 +117,14 @@ func (st *shardState) materialize() error {
 	return nil
 }
 
-// trySwap promotes the cached materialization to be the new base iff it is
-// current for exactly the requested version: the overlay restarts empty
-// over the new base, keeping the replay watermark. version is broadcast in
-// the compact descriptor, so every slot takes the same branch.
-func (st *shardState) trySwap(version uint64) bool {
+// swapReady reports whether this replica can be compacted at exactly the
+// requested version: the overlay is at that version, it was not already
+// compacted there, and the materialization to promote exists. The version
+// alone does not decide it — a background merge that snapshotted this
+// shard just before an in-flight batch reached it stores nothing, while a
+// peer merged just after the same batch is ready — so the slots agree on
+// readiness before any of them swaps (runCompact).
+func (st *shardState) swapReady(version uint64) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if version == 0 || st.versionLocked() != version || st.compactV == version {
@@ -131,10 +134,17 @@ func (st *shardState) trySwap(version uint64) bool {
 	// overlay of empty frames: nothing to merge, compaction is just the
 	// overlay reset. Without this branch a sparse batch (records touching
 	// only some shards) could never complete a full swap.
+	return st.delta.Empty() || st.merged != nil
+}
+
+// swap promotes the cached materialization to be the new base: the overlay
+// restarts empty over it, keeping the replay watermark. Only called after
+// swapReady(version) held on every slot; nothing between the two can
+// un-ready a replica (only jobs clear merged, and this is the running job).
+func (st *shardState) swap(version uint64) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	if !st.delta.Empty() {
-		if st.merged == nil {
-			return false
-		}
 		st.base = st.merged
 	}
 	st.compactV = version
@@ -142,7 +152,6 @@ func (st *shardState) trySwap(version uint64) bool {
 	d := core.NewDelta(st.base)
 	d.FastForward(version)
 	st.delta = d
-	return true
 }
 
 // overlayStats snapshots the overlay counters.
@@ -249,21 +258,25 @@ func (cl *Cluster) runMutate(ctx *core.Ctx, sc *slotState, job *analytics.Job) (
 	}, nil
 }
 
-// runCompact is the rank-side epoch swap: each slot promotes its cached
-// materialization iff it is current for the broadcast version, and the
-// group agrees on how many swapped. The overlay version is uniform across
-// slots (batches are collective), so a compaction either swaps every shard
-// or — when a mutate raced the merge — none.
+// runCompact is the rank-side epoch swap: the group agrees on how many
+// slots hold a materialization current for the broadcast version, and only
+// if all do does each promote its own — a compaction swaps every shard or,
+// when a mutate raced the merge on any of them, none.
 func (cl *Cluster) runCompact(ctx *core.Ctx, sc *slotState, job *analytics.Job) (*analytics.JobResult, error) {
-	swapped := uint64(0)
-	if sc.state.trySwap(job.CompactVersion) {
-		swapped = 1
+	ready := uint64(0)
+	if sc.state.swapReady(job.CompactVersion) {
+		ready = 1
 	}
-	total, err := comm.Allreduce(ctx.Comm, swapped, comm.OpSum)
+	total, err := comm.Allreduce(ctx.Comm, ready, comm.OpSum)
 	if err != nil {
 		return nil, err
 	}
 	full := total == uint64(cl.size)
+	swapped := uint64(0)
+	if full {
+		sc.state.swap(job.CompactVersion)
+		swapped = total
+	}
 	ep := cl.epoch.Load()
 	if ctx.Rank() == 0 && full {
 		ep = cl.epoch.Add(1)
@@ -272,7 +285,7 @@ func (cl *Cluster) runCompact(ctx *core.Ctx, sc *slotState, job *analytics.Job) 
 	}
 	return &analytics.JobResult{
 		Analytic:  analytics.JobCompact,
-		Applied:   total,
+		Applied:   swapped,
 		Compacted: full,
 		Epoch:     ep,
 	}, nil
@@ -365,15 +378,25 @@ func (cl *Cluster) maybeAutoCompact() {
 	}
 }
 
-// compactManager is the auto-compaction loop: one Compact per nudge, with
-// the batch budget re-armed first so batches ingested during the merge
-// count toward the next cycle.
+// compactManager is the auto-compaction loop: one compaction cycle per
+// nudge, with the batch budget re-armed first so batches ingested during
+// the merge count toward the next cycle. A batch acknowledged between
+// Compact's version read and its swap job makes every slot skip the swap;
+// such a batch is always counted after the re-arm (its overlay version
+// bump precedes its count), so a skipped swap with a non-zero count means
+// the cycle was raced and is run again — otherwise the tail of an ingest
+// burst, too short to spend a fresh budget, would stay uncompacted.
 func (cl *Cluster) compactManager() {
 	for {
 		select {
 		case <-cl.compactReq:
-			cl.sinceCompact.Store(0)
-			_, _ = cl.Compact()
+			for {
+				cl.sinceCompact.Store(0)
+				res, err := cl.Compact()
+				if err != nil || res.Compacted || cl.sinceCompact.Load() == 0 {
+					break
+				}
+			}
 		case <-cl.dead:
 			return
 		}

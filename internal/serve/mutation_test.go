@@ -227,6 +227,13 @@ func TestServeDifferentialRebuildEquivalence(t *testing.T) {
 						queries[i].Analytic, got[i], want[i])
 				}
 			}
+			// The same reads over the merged overlays, each on a cold and
+			// then on a warm plan cache, past the scheduler's result cache.
+			for i, cw := range coldWarmAnswers(t, mut, queries) {
+				if !bytes.Equal(cw, want[i]) {
+					t.Fatalf("%s: cold/warm plan answered %s, rebuilt answered %s", queries[i].Analytic, cw, want[i])
+				}
+			}
 
 			// Compact: the merged overlays become the new bases. The logical
 			// graph is unchanged, so every answer must survive the swap
@@ -247,6 +254,11 @@ func TestServeDifferentialRebuildEquivalence(t *testing.T) {
 				if !bytes.Equal(after[i], got[i]) {
 					t.Fatalf("%s: answer changed across compaction: %s -> %s",
 						queries[i].Analytic, got[i], after[i])
+				}
+			}
+			for i, cw := range coldWarmAnswers(t, mut, queries) {
+				if !bytes.Equal(cw, got[i]) {
+					t.Fatalf("%s: cold/warm plan after compaction answered %s, want %s", queries[i].Analytic, cw, got[i])
 				}
 			}
 		})
@@ -379,6 +391,55 @@ func TestCompactIsSkippedWhenRaced(t *testing.T) {
 	}
 	if !res2.Compacted {
 		t.Fatalf("fresh compact did not swap: %+v", res2)
+	}
+}
+
+// TestCompactSwapsEveryShardOrNone pins the agreement step of the swap: the
+// overlay version alone does not make a shard swappable (a background merge
+// that snapshotted one shard just before an in-flight batch reached it
+// stores nothing there, while its peers merge just after the batch), so a
+// compact job at the right version with one materialization missing must
+// swap nothing — a partial swap could never be completed into a full one,
+// which is how auto-compaction used to "never run".
+func TestCompactSwapsEveryShardOrNone(t *testing.T) {
+	base := ingestBase(t)
+	cl := newIngestCluster(t, base, partition.Random, false, nil)
+
+	batches, _ := ingestSchedule(5, ingestSpec.NumVertices, base, 1, 40)
+	if _, _, err := cl.Run(&analytics.Job{Analytic: analytics.JobMutate, Mutations: batches[0]}); err != nil {
+		t.Fatalf("mutate: %v", err)
+	}
+	states, err := cl.servedStates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Materialize every shard but one whose overlay is non-empty.
+	skipped := false
+	for _, st := range states {
+		if ov := st.overlayStats(); !skipped && ov.TombOut+ov.TombIn+ov.ExtraOut+ov.ExtraIn > 0 {
+			skipped = true
+			continue
+		}
+		if err := st.materialize(); err != nil {
+			t.Fatalf("materialize: %v", err)
+		}
+	}
+	if !skipped {
+		t.Fatal("the batch left every overlay empty")
+	}
+	res, _, err := cl.Run(&analytics.Job{Analytic: analytics.JobCompact, CompactVersion: 1})
+	if err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	if res.Compacted || res.Applied != 0 {
+		t.Fatalf("compact with one merge missing swapped %d shards (compacted=%v), want none", res.Applied, res.Compacted)
+	}
+	res2, err := cl.Compact()
+	if err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	if !res2.Compacted || res2.Applied != uint64(cl.Size()) {
+		t.Fatalf("full compact after the skipped one: %+v", res2)
 	}
 }
 

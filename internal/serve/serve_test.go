@@ -47,14 +47,18 @@ func bfsJob(sources ...uint32) *analytics.Job {
 }
 
 // TestClusterIdenticalJobsIdenticalStats pins the ResetStats contract: two
-// identical jobs on the resident cluster report identical Sent-MiB and
-// identical per-collective counters, because each job's measurement window
-// starts from zero (comm stats AND obs metrics both reset).
+// identical jobs on the resident cluster report, in steady state, identical
+// Sent-MiB and identical per-collective counters, because each job's
+// measurement window starts from zero (comm stats AND obs metrics both
+// reset). Steady state means warm kernel plans: the first job to need a
+// halo after boot, failover or a mutation also ships its one-time gid
+// exchange.
 func TestClusterIdenticalJobsIdenticalStats(t *testing.T) {
 	cl := newTestCluster(t, 3, nil)
 
 	// A throwaway first job so the pinned pair doesn't also absorb any
-	// build-time leftovers (it must not, but the pair proves steady state).
+	// build-time leftovers (it must not, but the pair proves steady state);
+	// WCC also leaves the halo plan a BFS may ask for warm.
 	if _, _, err := cl.Run(&analytics.Job{Analytic: analytics.JobWCC}); err != nil {
 		t.Fatalf("warmup job: %v", err)
 	}
