@@ -78,10 +78,10 @@ func TestBucketStoreClampsToFloor(t *testing.T) {
 // ownership must not matter.
 func TestBucketDeterminismAcrossRanks(t *testing.T) {
 	const n = 96
-	prio := func(v uint32) uint64 { return rng.Mix64(0xDECAF ^ uint64(v)) % 40 }
+	prio := func(v uint32) uint64 { return rng.Mix64(0xDECAF^uint64(v)) % 40 }
 	// At settled bucket k == dropAt(u), u's priority falls to half (if that
 	// is a decrease).
-	dropAt := func(u uint32) uint64 { return rng.Mix64(0xBEEF ^ uint64(u)) % 20 }
+	dropAt := func(u uint32) uint64 { return rng.Mix64(0xBEEF^uint64(u)) % 20 }
 
 	run := func(p int) ([]uint64, error) {
 		out := make([]uint64, n) // extraction bucket per vertex; one writer each

@@ -2,6 +2,7 @@ package analytics
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/comm"
@@ -25,62 +26,113 @@ import (
 // materialized: each relaxation reads a contiguous (target, weight) pair
 // stream instead of re-hashing w per edge per sub-round. The split reuses
 // the CSR's own segment boundaries — vertex v's light edges occupy
-// to[OutIdx[v]:bound[v]], its heavy edges to[bound[v]:OutIdx[v+1]] — so it
-// builds in one pass with no counting or prefix-sum passes.
+// to[OutIdx[v]:bound[v]], its heavy edges to[bound[v]:OutIdx[v+1]].
 type splitCSR struct {
 	bound []uint64 // per-vertex light/heavy boundary inside the CSR segment
 	to    []uint32
 	w     []uint64
 }
 
-// materializeWeights evaluates w once per owned out-edge, in CSR order.
-// Everything downstream (mean-weight reduction, light/heavy split) reads
-// the array instead of re-hashing — the weight function costs one pass no
-// matter how many sub-rounds re-relax an edge.
-func materializeWeights(ctx *core.Ctx, g *core.Graph, w WeightFunc) []uint64 {
-	wts := make([]uint64, g.MOut())
+// weighOutEdges evaluates w once per owned out-edge, in CSR order, and
+// returns the weights with their sum: the weight function costs one pass
+// per job no matter how many rounds (or batched sources) re-relax an edge,
+// and the mean-weight reduction needs no second pass.
+func weighOutEdges(ctx *core.Ctx, g *core.Graph, w WeightFunc) (wts []uint64, sum uint64) {
+	wts = make([]uint64, g.MOut())
 	ctx.Pool.For(int(g.NLoc), func(lo, hi, _ int) {
+		var s uint64
 		for v := lo; v < hi; v++ {
 			vGid := g.GlobalID(uint32(v))
-			base := g.OutIdx[v]
+			seg := wts[g.OutIdx[v]:g.OutIdx[v+1]]
 			for i, u := range g.OutNeighbors(uint32(v)) {
-				wts[base+uint64(i)] = w(vGid, g.GlobalID(u))
+				wt := w(vGid, g.GlobalID(u))
+				seg[i] = wt
+				s += wt
 			}
 		}
+		atomic.AddUint64(&sum, s)
 	})
-	return wts
+	return wts, sum
 }
 
-// buildSplit partitions every owned out-edge by weight class under delta,
-// in one parallel pass (each vertex's segment is disjoint): light edges
-// pack forward from the segment start, heavy edges pack backward from its
-// end. Heavy edges are relaxed exactly once each, so their reversed
-// in-segment order is immaterial.
-func buildSplit(ctx *core.Ctx, g *core.Graph, wts []uint64, delta uint64) *splitCSR {
-	n := int(g.NLoc)
+// splitByWeight partitions every owned vertex's (target, weight) segment
+// by weight class under delta, in place over wts (which becomes the
+// split's w) and in one parallel pass (segments are disjoint).
+func splitByWeight(ctx *core.Ctx, g *core.Graph, wts []uint64, delta uint64) *splitCSR {
 	s := &splitCSR{
-		bound: make([]uint64, n),
-		to:    make([]uint32, g.MOut()),
-		w:     make([]uint64, g.MOut()),
+		bound: make([]uint64, g.NLoc),
+		to:    make([]uint32, len(wts)),
+		w:     wts,
 	}
-	ctx.Pool.For(n, func(lo, hi, _ int) {
+	ctx.Pool.For(int(g.NLoc), func(lo, hi, _ int) {
 		for v := lo; v < hi; v++ {
-			base := g.OutIdx[v]
-			li, hv := base, g.OutIdx[v+1]
-			for i, u := range g.OutNeighbors(uint32(v)) {
-				wt := wts[base+uint64(i)]
-				if wt <= delta {
-					s.to[li], s.w[li] = u, wt
-					li++
-				} else {
-					hv--
-					s.to[hv], s.w[hv] = u, wt
-				}
-			}
-			s.bound[v] = li
+			b, e := g.OutIdx[v], g.OutIdx[v+1]
+			s.bound[v] = b + uint64(lightFirst(g.OutEdges[b:e], s.to[b:e], wts[b:e], delta))
 		}
 	})
 	return s
+}
+
+// lightFirst partitions one segment — targets read from out, weights in
+// ws — so that the edges with w <= delta come first, writing the permuted
+// targets to to and permuting ws in place; it returns the light count. The
+// partition is the branch-free Lomuto form: edge j always swaps with the
+// boundary slot i, and i advances by the 0/1 outcome of w <= delta, because
+// the class of a hashed weight is a coin flip a branch would mispredict.
+// Light edges keep their CSR order (the relaxation schedule depends on
+// it); the heavy ones end up permuted, and are relaxed once each.
+func lightFirst(out, to []uint32, ws []uint64, delta uint64) int {
+	to, ws = to[:len(out)], ws[:len(out)]
+	i := 0
+	for j, u := range out {
+		wt := ws[j]
+		to[j], ws[j] = to[i], ws[i]
+		to[i], ws[i] = u, wt
+		_, heavy := bits.Sub64(delta, wt, 0)
+		i += int(1 - heavy)
+	}
+	return i
+}
+
+// relaxRange relaxes the edge class starts[v]..ends[v] of every v in src
+// against dist and returns the owned (loc) and ghost (clm) slots it was
+// first to improve since their inFlight flag last dropped, plus the edges
+// scanned. ~96% of relaxations lower nothing, so the test runs in
+// nextImproving — a leaf loop, which the compiler keeps in registers — and
+// only an improving edge comes back here for the locked min, the flag and
+// the append.
+func (s *splitCSR) relaxRange(src []uint32, starts, ends, dist []uint64, inFlight []int32, nLoc uint32) (loc, clm []uint32, edges uint64) {
+	for _, v := range src {
+		dv := atomic.LoadUint64(&dist[v])
+		b, e := starts[v], ends[v]
+		edges += e - b
+		to, ws := s.to[b:e], s.w[b:e]
+		for j := nextImproving(to, ws, dist, dv, 0); j < len(to); j = nextImproving(to, ws, dist, dv, j+1) {
+			u := to[j]
+			if atomicMinU64(&dist[u], dv+ws[j]) &&
+				atomic.CompareAndSwapInt32(&inFlight[u], 0, 1) {
+				if u < nLoc {
+					loc = append(loc, u)
+				} else {
+					clm = append(clm, u)
+				}
+			}
+		}
+	}
+	return loc, clm, edges
+}
+
+// nextImproving returns the first edge j >= from whose relaxation from a
+// source at distance dv would lower its target's distance, or len(to).
+func nextImproving(to []uint32, ws, dist []uint64, dv uint64, from int) int {
+	ws = ws[:len(to)]
+	for j := from; j < len(to); j++ {
+		// nd < dv is overflow beyond any real path length.
+		if nd := dv + ws[j]; nd >= dv && nd < atomic.LoadUint64(&dist[to[j]]) {
+			return j
+		}
+	}
+	return len(to)
 }
 
 // SSSPDelta computes shortest paths from the global vertex root along
@@ -107,8 +159,10 @@ func SSSPDelta(ctx *core.Ctx, g *core.Graph, root uint32, w WeightFunc, delta ui
 	// One collective seeds everything rank-invariant: the mean edge weight
 	// (the default Δ) and the global halo width the engine's representation
 	// choice needs.
-	wts := materializeWeights(ctx, g, w)
-	sumW := ctx.Pool.SumRangeU64(len(wts), func(i int) uint64 { return wts[i] })
+	tr := ctx.Comm.Tracer()
+	mark := tr.Now()
+	wts, sumW := weighOutEdges(ctx, g, w)
+	tr.Span(SpanSSSPWeigh, mark, int64(len(wts)))
 	red, err := comm.AllreduceSlice(ctx.Comm, []uint64{sumW, g.MOut(), uint64(g.NGst)}, comm.OpSum)
 	if err != nil {
 		return nil, err
@@ -120,7 +174,9 @@ func SSSPDelta(ctx *core.Ctx, g *core.Graph, root uint32, w WeightFunc, delta ui
 			delta = red[0] / red[1]
 		}
 	}
-	split := buildSplit(ctx, g, wts, delta)
+	mark = tr.Now()
+	split := splitByWeight(ctx, g, wts, delta)
+	tr.Span(SpanSSSPSplit, mark, int64(len(wts)))
 
 	dist := make([]uint64, g.NTotal())
 	for v := range dist {
@@ -150,29 +206,7 @@ func SSSPDelta(ctx *core.Ctx, g *core.Graph, root uint32, w WeightFunc, delta ui
 	// — and deduplicates improvements into combined locals/claims lists.
 	relax := func(src []uint32, starts, ends []uint64) (locals, claims []uint32, edges uint64) {
 		ctx.Pool.For(len(src), func(lo, hi, tid int) {
-			var loc, clm []uint32
-			var ne uint64
-			for i := lo; i < hi; i++ {
-				v := src[i]
-				dv := atomic.LoadUint64(&dist[v])
-				b, e := starts[v], ends[v]
-				ne += e - b
-				for j := b; j < e; j++ {
-					u := split.to[j]
-					nd := dv + split.w[j]
-					if nd < dv {
-						continue // overflow beyond any real path length
-					}
-					if atomicMinU64(&dist[u], nd) &&
-						atomic.CompareAndSwapInt32(&inFlight[u], 0, 1) {
-						if u < g.NLoc {
-							loc = append(loc, u)
-						} else {
-							clm = append(clm, u)
-						}
-					}
-				}
-			}
+			loc, clm, ne := split.relaxRange(src[lo:hi], starts, ends, dist, inFlight, g.NLoc)
 			localPer[tid], claimPer[tid] = loc, clm
 			atomic.AddUint64(&edges, ne)
 		})
@@ -200,7 +234,6 @@ func SSSPDelta(ctx *core.Ctx, g *core.Graph, root uint32, w WeightFunc, delta ui
 	}
 
 	rounds := 0
-	tr := ctx.Comm.Tracer()
 	var extracted, settled, allLocals, allClaims []uint32
 	for {
 		k, ok, err := bk.nextBucket(ctx)

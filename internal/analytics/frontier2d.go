@@ -91,14 +91,14 @@ type grid2DEngine struct {
 	gFoldBits uint64
 	nGlobal   uint64
 
-	colIDs  []uint32 // scratch: translated column frontier
-	words   []uint64 // scratch: packed bitmap staging
-	counts  []int    // scratch: per-peer element counts
-	offs    []int    // scratch: per-peer fill cursors
-	send32  []uint32
-	recv32  []uint32
-	recvCts []int
-	recv64  []uint64
+	colIDs   []uint32 // scratch: translated column frontier
+	words    []uint64 // scratch: packed bitmap staging
+	counts   []int    // scratch: per-peer element counts
+	offs     []int    // scratch: per-peer fill cursors
+	send32   []uint32
+	recv32   []uint32
+	recvCts  []int
+	recv64   []uint64
 	recvCts2 []int
 
 	stats obs.TraversalStats

@@ -217,16 +217,16 @@ func TestGrid2DRejectsUnsupportedAnalytics(t *testing.T) {
 			return err
 		}
 		calls := map[string]func() error{
-			"SSSP": func() error { _, err := SSSP(ctx, g, 0, UnitWeights); return err },
+			"SSSP":       func() error { _, err := SSSP(ctx, g, 0, UnitWeights); return err },
 			"SSSPRounds": func() error { _, err := SSSPRounds(ctx, g, 0, UnitWeights); return err },
-			"SSSPDelta": func() error { _, err := SSSPDelta(ctx, g, 0, UnitWeights, 4); return err },
-			"MultiSSSP": func() error { _, err := MultiSSSP(ctx, g, []uint32{0, 1}, UnitWeights); return err },
-			"PageRank": func() error { _, err := PageRank(ctx, g, DefaultPageRank()); return err },
+			"SSSPDelta":  func() error { _, err := SSSPDelta(ctx, g, 0, UnitWeights, 4); return err },
+			"MultiSSSP":  func() error { _, err := MultiSSSP(ctx, g, []uint32{0, 1}, UnitWeights); return err },
+			"PageRank":   func() error { _, err := PageRank(ctx, g, DefaultPageRank()); return err },
 			"PageRankWeighted": func() error {
 				_, err := PageRankWeighted(ctx, g, DefaultPageRank(), UnitWeights)
 				return err
 			},
-			"LabelProp": func() error { _, err := LabelProp(ctx, g, LabelPropOptions{Iterations: 3}); return err },
+			"LabelProp":   func() error { _, err := LabelProp(ctx, g, LabelPropOptions{Iterations: 3}); return err },
 			"KCoreApprox": func() error { _, err := KCoreApprox(ctx, g, 3); return err },
 			"KCoreExact":  func() error { _, err := KCoreExact(ctx, g); return err },
 			"SCC":         func() error { _, err := SCC(ctx, g); return err },

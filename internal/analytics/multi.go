@@ -399,6 +399,9 @@ func MultiSSSP(ctx *core.Ctx, g *core.Graph, roots []uint32, w WeightFunc) (*Mul
 	}
 
 	eng := newFrontierEngine(ctx, g)
+	// One weight pass per job: a k-source batch relaxes an edge up to
+	// k × rounds times, and every one of them reads the same array.
+	wts, _ := weighOutEdges(ctx, g, w)
 
 	p := ctx.Size()
 	counts := make([]uint64, p)
@@ -441,10 +444,9 @@ func MultiSSSP(ctx *core.Ctx, g *core.Graph, roots []uint32, w WeightFunc) (*Mul
 				v, s := unpack(queue[i])
 				ds := dist[s]
 				dv := atomic.LoadUint64(&ds[v])
-				vGid := g.GlobalID(v)
-				for _, u := range g.OutNeighbors(v) {
-					uGid := g.GlobalID(u)
-					nd := dv + w(vGid, uGid)
+				ws := wts[g.OutIdx[v]:g.OutIdx[v+1]]
+				for i, u := range g.OutNeighbors(v) {
+					nd := dv + ws[i]
 					if nd < dv {
 						continue // overflow past any real path length
 					}
@@ -454,7 +456,7 @@ func MultiSSSP(ctx *core.Ctx, g *core.Graph, roots []uint32, w WeightFunc) (*Mul
 							next = append(next, pack(u, s))
 						}
 					} else {
-						keys = append(keys, pack(uGid, s))
+						keys = append(keys, pack(g.GlobalID(u), s))
 						dists = append(dists, nd)
 					}
 				}

@@ -26,6 +26,13 @@ const (
 	// SpanSSSPRound wraps one Bellman-Ford relaxation round; arg is the
 	// local queue size entering the round.
 	SpanSSSPRound = "sssp/round"
+	// SpanSSSPWeigh wraps Δ-stepping's per-query weight pass (w evaluated
+	// once per owned out-edge, summed for the default Δ); arg is the local
+	// out-edge count.
+	SpanSSSPWeigh = "sssp/weigh"
+	// SpanSSSPSplit wraps the in-place light/heavy partition of the
+	// weighted out-edges under Δ; arg is the local out-edge count.
+	SpanSSSPSplit = "sssp/split"
 	// SpanSSSPBucket wraps one settled Δ-stepping bucket (all its light
 	// sub-rounds plus the heavy phase); arg is the local settled count.
 	SpanSSSPBucket = "sssp/bucket"

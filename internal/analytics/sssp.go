@@ -35,7 +35,11 @@ type WeightFunc func(srcGid, dstGid uint32) uint64
 func UnitWeights(srcGid, dstGid uint32) uint64 { return 1 }
 
 // HashWeights returns deterministic pseudo-random integer weights in
-// [1, maxW].
+// [1, maxW]. It is kept out of line on purpose: when the compiler inlines
+// it into a caller, the returned closure becomes a copy in which nothing is
+// inlined, and every edge's weight then pays a real call to rng.Mix64.
+//
+//go:noinline
 func HashWeights(seed uint64, maxW uint64) WeightFunc {
 	if maxW == 0 {
 		maxW = 1

@@ -26,10 +26,10 @@ import (
 // Scale2DEntry is one (layout, analytic) measurement: the JSON row of
 // BENCH_10.json.
 type Scale2DEntry struct {
-	Layout   string `json:"layout"` // "1d-mp" or "2d"
-	Grid     string `json:"grid"`   // "8x1"-style; the 1D layout is p×1
-	Analytic string `json:"analytic"`
-	Ranks    int    `json:"ranks"`
+	Layout   string  `json:"layout"` // "1d-mp" or "2d"
+	Grid     string  `json:"grid"`   // "8x1"-style; the 1D layout is p×1
+	Analytic string  `json:"analytic"`
+	Ranks    int     `json:"ranks"`
 	WallSecs float64 `json:"wall_seconds"`
 	// SentMiB is the off-rank wire volume summed over all ranks; MaxRankMiB
 	// is the busiest rank's share — the communication-avoiding pin compares

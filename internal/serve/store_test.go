@@ -506,16 +506,19 @@ func TestAutoSnapshotAfterCompaction(t *testing.T) {
 		cfg.AutoSnapshot = true
 	})
 	mutateSome(t, cl, 1)
+	// Open the reader's handle before the compaction nudges the background
+	// snapshot: Open sweeps *.tmp as crash debris, which would delete that
+	// snapshot's in-flight shard file from under its rename.
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := cl.Compact()
 	if err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
 	if !res.Compacted {
 		t.Fatalf("compaction did not swap")
-	}
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
 	}
 	deadline := time.Now().Add(20 * time.Second)
 	for {
