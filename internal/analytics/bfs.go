@@ -54,16 +54,58 @@ type BFSResult struct {
 // statistics. Levels are identical in every mode; the loop ends when the
 // global frontier empties.
 func BFS(ctx *core.Ctx, g *core.Graph, root uint32, dir Dir) (*BFSResult, error) {
+	return newBFSRunner(ctx, g, dir).run(root)
+}
+
+// bfsRunner is the part of a BFS that does not depend on the root: the
+// frontier engine (and through it the retained halo, the frontier bitmap
+// and every exchange staging buffer), the whole graph's pull edge mass,
+// and one status array and queue pair that run resets rather than
+// reallocates. BFS, Harmonic and WCC's traversal phase use it for one
+// root; a multi-source job (MultiBFS, HarmonicTopK, a coalesced serve
+// batch) runs its roots one after another on one runner, so a batch of k
+// costs at most k solo traversals and allocates little more than one.
+//
+// On a 2D shard the runner holds nothing: run hands each root to bfs2D,
+// whose engine is built per traversal.
+type bfsRunner struct {
+	ctx *core.Ctx
+	g   *core.Graph
+	dir Dir
+
+	eng         *frontierEngine
+	pullMass    uint64   // totalPullDeg: the unexplored pull edge mass before any root
+	status      []int32  // over owned and ghost vertices
+	queue, next []uint32 // current and next frontier, swapped per level
+}
+
+func newBFSRunner(ctx *core.Ctx, g *core.Graph, dir Dir) *bfsRunner {
+	r := &bfsRunner{ctx: ctx, g: g, dir: dir}
+	if !g.Is2D() {
+		r.eng = newFrontierEngine(ctx, g)
+		r.pullMass = totalPullDeg(g, dir)
+		r.status = make([]int32, g.NTotal())
+	}
+	return r
+}
+
+// run is one traversal from root. Collective; every rank passes the same
+// root. The result's Traversal counts this root's steps only.
+func (r *bfsRunner) run(root uint32) (*BFSResult, error) {
+	ctx, g, dir, eng := r.ctx, r.g, r.dir, r.eng
 	if g.Is2D() {
 		return bfs2D(ctx, g, root, dir)
 	}
 	if root >= g.NGlobal {
 		return nil, fmt.Errorf("analytics: BFS root %d outside %d vertices", root, g.NGlobal)
 	}
-	status := newStatus(g)
-	eng := newFrontierEngine(ctx, g)
-	muLocal := totalPullDeg(g, dir)
-	var queue []uint32
+	eng.stats = obs.TraversalStats{}
+	status := r.status
+	for i := range status {
+		status[i] = statusUnvisited
+	}
+	muLocal := r.pullMass
+	queue, next := r.queue[:0], r.next
 	if lid := g.LocalID(root); lid != core.InvalidLocal && lid < g.NLoc {
 		status[lid] = statusPending
 		queue = append(queue, lid)
@@ -88,19 +130,14 @@ func BFS(ctx *core.Ctx, g *core.Graph, root uint32, dir Dir) (*BFSResult, error)
 				return nil, err
 			}
 		}
-		var next []uint32
 		if pl.pull {
-			next, err = eng.pullStep(ctx, status, queue, level, dir)
+			next, err = eng.pullStep(ctx, status, queue, next[:0], level, dir)
 			if err != nil {
 				return nil, err
 			}
 		} else {
-			var send []uint32
-			next, send, err = expandFrontier(ctx, g, status, queue, level, dir)
-			if err != nil {
-				return nil, err
-			}
-			var arrived []uint32
+			var send, arrived []uint32
+			next, send = eng.expand(ctx, status, queue, next[:0], level, dir)
 			if pl.dense {
 				arrived, err = eng.exchangeDenseClaims(ctx, send)
 			} else {
@@ -123,8 +160,8 @@ func BFS(ctx *core.Ctx, g *core.Graph, root uint32, dir Dir) (*BFSResult, error)
 			depth = int(level)
 		}
 		reached += uint64(frontier)
-		muLocal -= ctx.Pool.SumRangeU64(len(next), func(i int) uint64 { return pullDeg(g, next[i], dir) })
-		queue = next
+		queue, next = next, queue
+		muLocal -= ctx.Pool.SumRangeU64(len(queue), func(i int) uint64 { return pullDeg(g, queue[i], dir) })
 		glob, err = eng.reduceStats(ctx, queue, muLocal, dir, false)
 		if err != nil {
 			return nil, err
@@ -135,6 +172,7 @@ func BFS(ctx *core.Ctx, g *core.Graph, root uint32, dir Dir) (*BFSResult, error)
 		prevExec, first = pl, false
 		pl = eng.plan(pl, glob[0], glob[1], glob[2])
 	}
+	r.queue, r.next = queue, next
 
 	levels := make([]int32, g.NLoc)
 	for v := range levels {
@@ -155,27 +193,17 @@ func BFS(ctx *core.Ctx, g *core.Graph, root uint32, dir Dir) (*BFSResult, error)
 	return &BFSResult{Levels: levels, Reached: total, Depth: int(maxDepth), Traversal: eng.stats}, nil
 }
 
-// newStatus allocates a status array over owned and ghost vertices,
-// initialized to unvisited.
-func newStatus(g *core.Graph) []int32 {
-	status := make([]int32, g.NTotal())
-	for i := range status {
-		status[i] = statusUnvisited
-	}
-	return status
-}
-
-// expandFrontier finalizes the current queue at the given level and expands
-// each member's selected adjacency, claiming unvisited neighbors with a
-// compare-and-swap: local claims join the returned next queue, ghost claims
-// join the send list. Thread-parallel with per-thread staging (the paper's
-// Algorithm 3 applied to the BFS queues).
-func expandFrontier(ctx *core.Ctx, g *core.Graph, status []int32, queue []uint32, level int32, dir Dir) (next, send []uint32, err error) {
-	nt := ctx.Pool.Threads()
-	nextPer := make([][]uint32, nt)
-	sendPer := make([][]uint32, nt)
+// expand finalizes the current queue at the given level and expands each
+// member's selected adjacency, claiming unvisited neighbors with a
+// compare-and-swap: local claims are appended to next, ghost claims form
+// the returned send list, which aliases the engine's staging and is valid
+// until the next expand. Thread-parallel with per-thread staging (the
+// paper's Algorithm 3 applied to the BFS queues).
+func (e *frontierEngine) expand(ctx *core.Ctx, status []int32, queue, next []uint32, level int32, dir Dir) (nextOut, send []uint32) {
+	g := e.g
+	nextPer, sendPer := e.staging(ctx.Pool.Threads())
 	ctx.Pool.For(len(queue), func(lo, hi, tid int) {
-		var nxt, snd []uint32
+		nxt, snd := nextPer[tid], sendPer[tid]
 		visit := func(u uint32) {
 			if atomic.CompareAndSwapInt32(&status[u], statusUnvisited, statusPending) {
 				if u < g.NLoc {
@@ -199,14 +227,16 @@ func expandFrontier(ctx *core.Ctx, g *core.Graph, status []int32, queue []uint32
 				}
 			}
 		}
-		nextPer[tid] = append(nextPer[tid], nxt...)
-		sendPer[tid] = append(sendPer[tid], snd...)
+		nextPer[tid], sendPer[tid] = nxt, snd
 	})
-	for t := 0; t < nt; t++ {
+	send = e.sendStage[:0]
+	for t := range nextPer {
 		next = append(next, nextPer[t]...)
 		send = append(send, sendPer[t]...)
+		nextPer[t], sendPer[t] = nextPer[t][:0], sendPer[t][:0]
 	}
-	return next, send, nil
+	e.sendStage = send
+	return next, send
 }
 
 // frontierScratch retains exchangeFrontier's staging buffers across the

@@ -53,10 +53,23 @@ func newBucketStore(n int, delta uint64, numOpen int) *bucketStore {
 	b := &bucketStore{delta: delta, numOpen: uint64(numOpen)}
 	b.open = make([][]uint32, numOpen)
 	b.bktOf = make([]uint64, n)
+	b.reset()
+	return b
+}
+
+// reset empties the structure — every vertex in no bucket, the settled
+// floor and the counters at zero — keeping the lists' capacity for the
+// next run over the same vertices.
+func (b *bucketStore) reset() {
+	b.cur = 0
+	for i := range b.open {
+		b.open[i] = b.open[i][:0]
+	}
+	b.overflow = b.overflow[:0]
 	for i := range b.bktOf {
 		b.bktOf[i] = infBucket
 	}
-	return b
+	b.stats = obs.BucketStats{}
 }
 
 // bucketOf maps a priority onto its bucket id, clamped to the settled
@@ -267,9 +280,7 @@ func (bc *bucketComm) exchange(ctx *core.Ctx, claims []uint32,
 		if err := eng.ensureHalo(ctx); err != nil {
 			return err
 		}
-		return eng.reverseValueExchange(ctx, claims, 1,
-			func(u uint32, dst []uint64) { dst[0] = val(u) },
-			func(v uint32, vals []uint64) error { return apply(v, vals[0]) })
+		return eng.reverseValueExchange(ctx, claims, val, apply)
 	}
 	eng.noteSparse(len(claims), 12)
 	p := ctx.Size()

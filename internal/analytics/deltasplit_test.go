@@ -58,11 +58,10 @@ func rmat4kGraph(t *testing.T) testGraph {
 	return testGraph{name: "rmat4k", n: spec.NumVertices, edges: el}
 }
 
-// buildBlockShard builds this rank's shard of tg under the vertex-block
-// partitioning.
-func buildBlockShard(ctx *core.Ctx, tg testGraph) (*core.Graph, error) {
+// buildShard builds this rank's shard of tg under the given partitioning.
+func buildShard(ctx *core.Ctx, tg testGraph, kind partition.Kind) (*core.Graph, error) {
 	src := core.ListSource{Edges: tg.edges}
-	pt, err := core.MakePartitioner(ctx, src, partition.VertexBlock, tg.n, 123)
+	pt, err := core.MakePartitioner(ctx, src, kind, tg.n, 123)
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +72,7 @@ func buildBlockShard(ctx *core.Ctx, tg testGraph) (*core.Graph, error) {
 // deltaScheduleOf runs auto-Δ SSSPDelta from vertex 0 on this rank's shard
 // of tg and records the rank's counts in per[rank].
 func deltaScheduleOf(ctx *core.Ctx, tg testGraph, w WeightFunc, per []deltaSchedule) error {
-	g, err := buildBlockShard(ctx, tg)
+	g, err := buildShard(ctx, tg, partition.VertexBlock)
 	if err != nil {
 		return err
 	}
@@ -238,7 +237,7 @@ func TestDeltaAllocationPin(t *testing.T) {
 	tg := rmat4kGraph(t)
 	err := comm.RunLocal(1, func(c *comm.Comm) error {
 		ctx := core.NewCtx(c, 1)
-		g, err := buildBlockShard(ctx, tg)
+		g, err := buildShard(ctx, tg, partition.VertexBlock)
 		if err != nil {
 			return err
 		}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // Δ-stepping SSSP (Meyer & Sanders) over the distributed bucket structure.
@@ -148,12 +149,67 @@ func nextImproving(to []uint32, ws, dist []uint64, dv uint64, from int) int {
 // bucket, one Allreduce + claim exchange per light sub-round, one claim
 // exchange for the heavy phase.
 func SSSPDelta(ctx *core.Ctx, g *core.Graph, root uint32, w WeightFunc, delta uint64) (*SSSPResult, error) {
+	runs, err := ssspRuns(ctx, g, []uint32{root}, w, delta)
+	if err != nil {
+		return nil, err
+	}
+	return runs[0], nil
+}
+
+// ssspRuns answers one SSSP job: a Δ-stepping run per root, in order, on
+// one runner — so the weight pass, the Δ reduction and the light/heavy
+// split are paid once per job, not once per root. Each result is what
+// SSSPDelta returns for that root alone, schedule counters included.
+func ssspRuns(ctx *core.Ctx, g *core.Graph, roots []uint32, w WeightFunc, delta uint64) ([]*SSSPResult, error) {
 	if err := require1D(g, "SSSP"); err != nil {
 		return nil, err
 	}
-	if root >= g.NGlobal {
-		return nil, fmt.Errorf("analytics: SSSP root %d outside %d vertices", root, g.NGlobal)
+	for _, root := range roots {
+		if root >= g.NGlobal {
+			return nil, fmt.Errorf("analytics: SSSP root %d outside %d vertices", root, g.NGlobal)
+		}
 	}
+	r, err := newSSSPRunner(ctx, g, w, delta)
+	if err != nil {
+		return nil, err
+	}
+	runs := make([]*SSSPResult, len(roots))
+	for s, root := range roots {
+		if runs[s], err = r.run(root); err != nil {
+			return nil, err
+		}
+	}
+	return runs, nil
+}
+
+// ssspRunner is the part of a Δ-stepping run that depends on the graph,
+// the weights and Δ but not on the root: the frontier engine, the weighed
+// and split out-CSR, the bucket store and its claim exchange, and the
+// per-vertex arrays, which run resets rather than reallocates.
+type ssspRunner struct {
+	ctx   *core.Ctx
+	g     *core.Graph
+	eng   *frontierEngine
+	delta uint64
+	split *splitCSR
+	bk    *bucketStore
+	bc    *bucketComm
+
+	dist []uint64 // over owned and ghost vertices
+	// inFlight dedups per-sub-round improvement lists across threads (owned
+	// slots -> bucket updates, ghost slots -> claims); within a run the
+	// flags are cleared via the lists themselves, never an NTotal sweep.
+	inFlight []int32
+	// settledAt[v] == k+1 marks v as already collected for bucket k's heavy
+	// phase (an in-bucket decrease-key re-extracts a vertex; it must relax
+	// its heavy edges only once).
+	settledAt []uint64
+
+	extracted, settled, allLocals, allClaims []uint32
+}
+
+// newSSSPRunner runs the per-job prologue. Collective.
+func newSSSPRunner(ctx *core.Ctx, g *core.Graph, w WeightFunc, delta uint64) (*ssspRunner, error) {
 	eng := newFrontierEngine(ctx, g)
 
 	// One collective seeds everything rank-invariant: the mean edge weight
@@ -178,25 +234,32 @@ func SSSPDelta(ctx *core.Ctx, g *core.Graph, root uint32, w WeightFunc, delta ui
 	split := splitByWeight(ctx, g, wts, delta)
 	tr.Span(SpanSSSPSplit, mark, int64(len(wts)))
 
-	dist := make([]uint64, g.NTotal())
+	return &ssspRunner{
+		ctx: ctx, g: g, eng: eng, delta: delta, split: split,
+		bk:        newBucketStore(int(g.NLoc), delta, bucketWindow),
+		bc:        newBucketComm(eng),
+		dist:      make([]uint64, g.NTotal()),
+		inFlight:  make([]int32, g.NTotal()),
+		settledAt: make([]uint64, g.NLoc),
+	}, nil
+}
+
+// run is one Δ-stepping traversal from root (already range-checked).
+// Collective; every rank passes the same root.
+func (r *ssspRunner) run(root uint32) (*SSSPResult, error) {
+	ctx, g, eng, split, bk, bc := r.ctx, r.g, r.eng, r.split, r.bk, r.bc
+	dist, inFlight, settledAt := r.dist, r.inFlight, r.settledAt
+	eng.stats = obs.TraversalStats{}
+	bk.reset()
 	for v := range dist {
 		dist[v] = InfDistance
 	}
-	bk := newBucketStore(int(g.NLoc), delta, bucketWindow)
-	bc := newBucketComm(eng)
+	clear(inFlight)
+	clear(settledAt)
 	if lid := g.LocalID(root); lid != core.InvalidLocal && lid < g.NLoc {
 		dist[lid] = 0
 		bk.update(lid, 0)
 	}
-
-	// inFlight dedups per-sub-round improvement lists across threads (owned
-	// slots -> bucket updates, ghost slots -> claims); flags are cleared via
-	// the lists themselves, never a wholesale NTotal sweep.
-	inFlight := make([]int32, g.NTotal())
-	// settledAt[v] == k+1 marks v as already collected for bucket k's heavy
-	// phase (an in-bucket decrease-key re-extracts a vertex; it must relax
-	// its heavy edges only once).
-	settledAt := make([]uint64, g.NLoc)
 
 	nt := ctx.Pool.Threads()
 	localPer := make([][]uint32, nt)
@@ -233,8 +296,9 @@ func SSSPDelta(ctx *core.Ctx, g *core.Graph, root uint32, w WeightFunc, delta ui
 		}
 	}
 
+	tr := ctx.Comm.Tracer()
 	rounds := 0
-	var extracted, settled, allLocals, allClaims []uint32
+	extracted, settled, allLocals, allClaims := r.extracted, r.settled, r.allLocals, r.allClaims
 	for {
 		k, ok, err := bk.nextBucket(ctx)
 		if err != nil {
@@ -313,9 +377,11 @@ func SSSPDelta(ctx *core.Ctx, g *core.Graph, root uint32, w WeightFunc, delta ui
 		clearFlags(locals, claims)
 		tr.Span(SpanSSSPBucket, mark, int64(len(settled)))
 	}
+	r.extracted, r.settled, r.allLocals, r.allClaims = extracted, settled, allLocals, allClaims
 
-	localReached := ctx.Pool.SumRangeU64(int(g.NLoc), func(i int) uint64 {
-		if dist[i] != InfDistance {
+	owned := dist[:g.NLoc]
+	localReached := ctx.Pool.SumRangeU64(len(owned), func(i int) uint64 {
+		if owned[i] != InfDistance {
 			return 1
 		}
 		return 0
@@ -325,10 +391,10 @@ func SSSPDelta(ctx *core.Ctx, g *core.Graph, root uint32, w WeightFunc, delta ui
 		return nil, err
 	}
 	return &SSSPResult{
-		Dist:      dist[:g.NLoc],
+		Dist:      append([]uint64(nil), owned...),
 		Rounds:    rounds,
 		Reached:   reached,
-		Delta:     delta,
+		Delta:     r.delta,
 		Traversal: eng.stats,
 		Buckets:   bk.stats,
 	}, nil

@@ -10,8 +10,9 @@ import (
 )
 
 // The adaptive frontier engine: direction-optimizing traversal (Beamer et
-// al.) with a hybrid sparse/dense frontier exchange, shared by BFS, SSSP,
-// WCC's traversal phase, and the batched multi-source kernels.
+// al.) with a hybrid sparse/dense frontier exchange, shared by BFS, SSSP
+// and the bucket structure; WCC's traversal phase and the multi-source
+// kernels reach it through the BFS and SSSP runners.
 //
 // Per step the driver loops reduce three local quantities with the same
 // Allreduce they already used for termination — frontier vertex count
@@ -62,6 +63,11 @@ type frontierEngine struct {
 	arrivedScratch []uint32 // retained arrivals list of the dense claim exchange
 	bsc            comm.BitsScratch
 	fsc            frontierScratch
+
+	// Per-thread discovery staging of one step and the combined ghost-claim
+	// list of a push step, retained across steps and traversals.
+	nextPer, sendPer [][]uint32
+	sendStage        []uint32
 
 	// Globals every rank computed identically.
 	gGhosts uint64 // total halo width == global ghost slot count
@@ -155,6 +161,15 @@ func (e *frontierEngine) words(n int) []uint64 {
 	return w
 }
 
+// staging returns the per-thread discovery buffers, empty, for nt threads.
+func (e *frontierEngine) staging(nt int) (nextPer, sendPer [][]uint32) {
+	if len(e.nextPer) < nt {
+		e.nextPer = make([][]uint32, nt)
+		e.sendPer = make([][]uint32, nt)
+	}
+	return e.nextPer[:nt], e.sendPer[:nt]
+}
+
 // pushDeg returns the edge mass a top-down step explores from v; pullDeg
 // the mass a bottom-up step examines into v (the reverse adjacency).
 func pushDeg(g *core.Graph, v uint32, dir Dir) uint64 {
@@ -245,10 +260,10 @@ func (e *frontierEngine) refreshGhostBits(ctx *core.Ctx) error {
 
 // pullStep runs one bottom-up level: finalize the frontier at level, set
 // its bits, refresh ghost bits, then scan every unexplored owned vertex's
-// reverse adjacency for an active neighbor. Discoveries are purely local
-// (each rank claims only its own vertices), so pull steps need no claim
-// exchange at all.
-func (e *frontierEngine) pullStep(ctx *core.Ctx, status []int32, queue []uint32, level int32, dir Dir) ([]uint32, error) {
+// reverse adjacency for an active neighbor, appending discoveries to next.
+// Discoveries are purely local (each rank claims only its own vertices),
+// so pull steps need no claim exchange at all.
+func (e *frontierEngine) pullStep(ctx *core.Ctx, status []int32, queue, next []uint32, level int32, dir Dir) ([]uint32, error) {
 	g := e.g
 	bits := e.ensureBits()
 	bits.ClearAll(ctx.Pool)
@@ -262,10 +277,9 @@ func (e *frontierEngine) pullStep(ctx *core.Ctx, status []int32, queue []uint32,
 	if err := e.refreshGhostBits(ctx); err != nil {
 		return nil, err
 	}
-	nt := ctx.Pool.Threads()
-	nextPer := make([][]uint32, nt)
+	nextPer, _ := e.staging(ctx.Pool.Threads())
 	ctx.Pool.For(int(g.NLoc), func(lo, hi, tid int) {
-		var nxt []uint32
+		nxt := nextPer[tid]
 		for v := uint32(lo); v < uint32(hi); v++ {
 			if status[v] != statusUnvisited {
 				continue
@@ -294,9 +308,9 @@ func (e *frontierEngine) pullStep(ctx *core.Ctx, status []int32, queue []uint32,
 		}
 		nextPer[tid] = nxt
 	})
-	var next []uint32
-	for t := 0; t < nt; t++ {
+	for t := range nextPer {
 		next = append(next, nextPer[t]...)
+		nextPer[t] = nextPer[t][:0]
 	}
 	return next, nil
 }
@@ -322,14 +336,14 @@ func (e *frontierEngine) note(prev, cur stepPlan, first bool) {
 }
 
 // reverseValueExchange is the fused bits+payload reverse exchange: claimed
-// ghost slots travel to their owners as a packed bitmap followed by
-// payloadWords 64-bit words per set bit (in ascending slot order), all in
-// one AlltoallvInto round. fill writes claim u's payload; arrive receives
-// each owned vertex's payload. Used by the dense SSSP round (payload = the
-// relaxed distance) and the dense multi-source claim exchange (payload =
-// the source mask).
-func (e *frontierEngine) reverseValueExchange(ctx *core.Ctx, claims []uint32, payloadWords int,
-	fill func(u uint32, dst []uint64), arrive func(v uint32, vals []uint64) error) error {
+// ghost slots travel to their owners as a packed bitmap followed by one
+// 64-bit word per set bit (in ascending slot order), all in one
+// AlltoallvInto round. val reads claim u's payload; arrive receives each
+// owned vertex's payload. Used by the dense SSSP round and the bucket
+// structure's dense claim exchange (payload = the relaxed distance, or the
+// peeling decrement).
+func (e *frontierEngine) reverseValueExchange(ctx *core.Ctx, claims []uint32,
+	val func(u uint32) uint64, arrive func(v uint32, x uint64) error) error {
 	g, h := e.g, e.halo
 	p := ctx.Size()
 
@@ -352,7 +366,7 @@ func (e *frontierEngine) reverseValueExchange(ctx *core.Ctx, claims []uint32, pa
 	// by the claimed slots' payloads, ascending) via the shared comm codec.
 	total := 0
 	for r := 0; r < p; r++ {
-		total += comm.MaskedSegmentWords(h.recvSegs[r], perDest[r], payloadWords)
+		total += comm.MaskedSegmentWords(h.recvSegs[r], perDest[r], 1)
 	}
 	if cap(e.valScratch) < total {
 		e.valScratch = make([]uint64, total)
@@ -367,8 +381,8 @@ func (e *frontierEngine) reverseValueExchange(ctx *core.Ctx, claims []uint32, pa
 		nw := par.BitmapWords(h.recvSegs[r])
 		seg := bitWords[e.recvWordOffs[r] : e.recvWordOffs[r]+nw]
 		base := e.recvLidOff[r]
-		n, err := comm.EncodeMaskedValues(send[off:], seg, h.recvSegs[r], payloadWords,
-			func(bit int, out []uint64) { fill(h.recvLids[base+bit], out) })
+		n, err := comm.EncodeMaskedValues(send[off:], seg, h.recvSegs[r], 1,
+			func(bit int, out []uint64) { out[0] = val(h.recvLids[base+bit]) })
 		if err != nil {
 			return fmt.Errorf("analytics: dense value exchange to rank %d: %w", r, err)
 		}
@@ -388,8 +402,8 @@ func (e *frontierEngine) reverseValueExchange(ctx *core.Ctx, claims []uint32, pa
 	off = 0
 	for r := 0; r < p; r++ {
 		base := e.sendVertOff[r]
-		err := comm.DecodeMaskedValues(recv[off:off+recvCounts[r]], h.sendCounts[r], payloadWords,
-			func(bit int, vals []uint64) error { return arrive(h.sendVerts[base+bit], vals) })
+		err := comm.DecodeMaskedValues(recv[off:off+recvCounts[r]], h.sendCounts[r], 1,
+			func(bit int, vals []uint64) error { return arrive(h.sendVerts[base+bit], vals[0]) })
 		if err != nil {
 			return fmt.Errorf("analytics: dense value exchange from rank %d: %w", r, err)
 		}
@@ -398,7 +412,7 @@ func (e *frontierEngine) reverseValueExchange(ctx *core.Ctx, claims []uint32, pa
 
 	e.stats.DenseExchanges++
 	dense := uint64(total) * 8
-	sparse := uint64(len(claims)) * uint64(4+8*payloadWords)
+	sparse := uint64(len(claims)) * 12
 	e.stats.DenseBytes += dense
 	if sparse > dense {
 		e.stats.BytesSaved += sparse - dense

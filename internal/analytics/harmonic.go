@@ -15,9 +15,16 @@ import (
 // an Allreduce. The paper reports the single-vertex time because all-vertex
 // HC is linear in m per vertex.
 func Harmonic(ctx *core.Ctx, g *core.Graph, v uint32) (float64, error) {
+	return newBFSRunner(ctx, g, Backward).harmonic(v)
+}
+
+// harmonic is Harmonic on a Backward runner; a multi-vertex job calls it
+// once per vertex on one runner.
+func (r *bfsRunner) harmonic(v uint32) (float64, error) {
+	ctx, g := r.ctx, r.g
 	tr := ctx.Comm.Tracer()
 	mark := tr.Now()
-	bfs, err := BFS(ctx, g, v, Backward)
+	bfs, err := r.run(v)
 	if err != nil {
 		return 0, err
 	}
@@ -141,8 +148,9 @@ func HarmonicTopKCheckpointed(ctx *core.Ctx, g *core.Graph, k int, cc Checkpoint
 		start = rcp.Iter
 		scores = append(scores, rcp.F64...)
 	}
+	r := newBFSRunner(ctx, g, Backward)
 	for i := start; i < len(tops); i++ {
-		hc, err := Harmonic(ctx, g, tops[i])
+		hc, err := r.harmonic(tops[i])
 		if err != nil {
 			return nil, err
 		}

@@ -18,8 +18,8 @@ type Job struct {
 	// Analytic selects the kernel: one of the Job* constants.
 	Analytic string `json:"analytic"`
 	// Sources are the query vertices for source-rooted analytics (BFS,
-	// SSSP, Harmonic). More than one source runs the batched multi-source
-	// kernel. Ignored by whole-graph analytics.
+	// SSSP, Harmonic). More than one source runs them one after another in
+	// one job (see multi.go). Ignored by whole-graph analytics.
 	Sources []uint32 `json:"sources,omitempty"`
 	// Dir selects BFS traversal direction: "out" (default), "in", "und".
 	Dir string `json:"dir,omitempty"`
@@ -241,9 +241,12 @@ type JobResult struct {
 	// the order of Job.Sources.
 	Sources []SourceSummary `json:"sources,omitempty"`
 	// Iterations / Rounds is the work the iterative or round-based kernel
-	// performed.
+	// performed; for a multi-source SSSP job, the sum over its sources.
 	Iterations int `json:"iterations,omitempty"`
 	Rounds     int `json:"rounds,omitempty"`
+	// sourceRounds[i] is Sources[i]'s own share of Rounds (SSSP only), so
+	// that ForSource can hand a batch member the Rounds of its solo run.
+	sourceRounds []int
 	// MaxScore is the global maximum PageRank score (plain or weighted).
 	MaxScore float64 `json:"max_score,omitempty"`
 	// MaxCoreness is the global maximum exact coreness (the degeneracy).
@@ -269,16 +272,20 @@ type JobResult struct {
 }
 
 // ForSource projects a batched result down to the single-source answer for
-// s, or nil if s is not among the result's sources. Whole-graph results
-// project to themselves.
+// s — byte for byte (Canonical) the result of running s alone — or nil if s
+// is not among the result's sources. Whole-graph results project to
+// themselves.
 func (r *JobResult) ForSource(s uint32) *JobResult {
 	if len(r.Sources) == 0 {
 		return r
 	}
-	for _, ss := range r.Sources {
+	for i, ss := range r.Sources {
 		if ss.Source == s {
-			return &JobResult{Analytic: r.Analytic, Sources: []SourceSummary{ss},
-				Iterations: r.Iterations, Rounds: r.Rounds}
+			m := &JobResult{Analytic: r.Analytic, Sources: []SourceSummary{ss}}
+			if r.sourceRounds != nil {
+				m.Rounds, m.sourceRounds = r.sourceRounds[i], r.sourceRounds[i:i+1]
+			}
+			return m
 		}
 	}
 	return nil
@@ -342,28 +349,20 @@ func Run(ctx *core.Ctx, g *core.Graph, job *Job) (*JobResult, error) {
 			}
 		}
 	case JobSSSP:
-		if len(job.Sources) == 1 {
-			ss, err := SSSPDelta(ctx, g, job.Sources[0], job.weights(), job.Delta)
-			if err != nil {
-				return nil, err
-			}
-			res.Rounds = ss.Rounds
-			res.Sources = []SourceSummary{{Source: job.Sources[0], Reached: ss.Reached}}
-		} else {
-			ms, err := MultiSSSP(ctx, g, job.Sources, job.weights())
-			if err != nil {
-				return nil, err
-			}
-			res.Rounds = ms.Rounds
-			for s, src := range job.Sources {
-				res.Sources = append(res.Sources, SourceSummary{Source: src, Reached: ms.Reached[s]})
-			}
+		runs, err := ssspRuns(ctx, g, job.Sources, job.weights(), job.Delta)
+		if err != nil {
+			return nil, err
+		}
+		for s, ss := range runs {
+			res.Rounds += ss.Rounds
+			res.sourceRounds = append(res.sourceRounds, ss.Rounds)
+			res.Sources = append(res.Sources, SourceSummary{Source: job.Sources[s], Reached: ss.Reached})
 		}
 	case JobHarmonic:
-		// Harmonic is one reverse BFS plus a scalar reduce per source;
-		// batch members simply share the SPMD job.
+		// One reverse BFS plus a scalar reduce per source, on one runner.
+		r := newBFSRunner(ctx, g, Backward)
 		for _, src := range job.Sources {
-			hc, err := Harmonic(ctx, g, src)
+			hc, err := r.harmonic(src)
 			if err != nil {
 				return nil, err
 			}

@@ -202,11 +202,11 @@ func SSSPRounds(ctx *core.Ctx, g *core.Graph, root uint32, w WeightFunc) (*SSSPR
 			if err := eng.ensureHalo(ctx); err != nil {
 				return nil, err
 			}
-			err = eng.reverseValueExchange(ctx, claims, 1,
-				func(u uint32, dst []uint64) { dst[0] = dist[u] },
-				func(v uint32, vals []uint64) error {
-					if vals[0] < dist[v] {
-						dist[v] = vals[0]
+			err = eng.reverseValueExchange(ctx, claims,
+				func(u uint32) uint64 { return dist[u] },
+				func(v uint32, x uint64) error {
+					if x < dist[v] {
+						dist[v] = x
 						if inQueue[v] == 0 {
 							inQueue[v] = 1
 							next = append(next, v)
@@ -287,12 +287,6 @@ func SSSPRounds(ctx *core.Ctx, g *core.Graph, root uint32, w WeightFunc) (*SSSPR
 		return nil, err
 	}
 	return &SSSPResult{Dist: dist[:g.NLoc], Rounds: rounds, Reached: reached, Traversal: eng.stats}, nil
-}
-
-// ownerOfGid resolves a ghost's owner through the graph's local id (all
-// staged targets are registered ghosts).
-func ownerOfGid(g *core.Graph, gid uint32) int {
-	return g.OwnerOf(g.MustLocalID(gid))
 }
 
 // atomicMinU64 lowers *addr to v if v is smaller; reports whether it did.

@@ -39,8 +39,12 @@ type SchedConfig struct {
 	// rejected with ErrQueueFull. <= 0 selects 64.
 	QueueCap int
 	// BatchMax caps how many pending same-analytic single-source requests
-	// coalesce into one multi-source SPMD run. <= 0 selects 8; 1 disables
-	// batching. Bounded above by analytics.MaxSources.
+	// coalesce into one multi-source SPMD job. The job still traverses once
+	// per source; what coalescing buys is one dispatch (broadcast, result
+	// reduction, plan-cache and stats bookkeeping), one kernel prologue (for
+	// SSSP the weight pass and light/heavy split) and one retained scratch
+	// for all members. <= 0 selects 8; 1 disables batching. Bounded above
+	// by analytics.MaxSources.
 	BatchMax int
 	// CacheCap bounds the LRU result cache in entries; 0 disables caching
 	// and < 0 is treated as 0. The default (unset = -1 sentinel not used;
@@ -196,7 +200,8 @@ type Scheduler struct {
 	mu       sync.Mutex
 	queue    []*request
 	jobs     map[string]*request
-	retained []string
+	retained []string // ids of terminal requests: a ring once retainMax long
+	oldest   int      // index of the oldest id in a full ring
 	nextID   uint64
 	closed   bool
 	started  bool
@@ -311,11 +316,13 @@ func (s *Scheduler) newRequestLocked(job *analytics.Job, deadline time.Time) *re
 
 // retainLocked enrolls a terminal request in the bounded retention window.
 func (s *Scheduler) retainLocked(r *request) {
-	s.retained = append(s.retained, r.id)
-	for len(s.retained) > retainMax {
-		delete(s.jobs, s.retained[0])
-		s.retained = s.retained[1:]
+	if len(s.retained) < retainMax {
+		s.retained = append(s.retained, r.id)
+		return
 	}
+	delete(s.jobs, s.retained[s.oldest])
+	s.retained[s.oldest] = r.id
+	s.oldest = (s.oldest + 1) % retainMax
 }
 
 // signal nudges the dispatcher without blocking.

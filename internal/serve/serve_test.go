@@ -473,3 +473,103 @@ func TestSchedulerDeadlineExpiresBeforeDispatch(t *testing.T) {
 		t.Fatalf("expired counter = %d", st.Expired)
 	}
 }
+
+// TestSchedulerBatchMembersGetSoloBytes runs coalesced BFS, SSSP and
+// Harmonic batches through the scheduler on both transports and checks the
+// answer each member receives is byte for byte its solo job's — Rounds
+// included, which a coalesced SSSP member used to inherit from the batch.
+// One thread per rank: the SSSP round count depends on the thread schedule
+// otherwise.
+func TestSchedulerBatchMembersGetSoloBytes(t *testing.T) {
+	kinds := []analytics.Job{
+		{Analytic: analytics.JobBFS, Dir: "und"},
+		{Analytic: analytics.JobSSSP, MaxWeight: 8, WeightSeed: 5},
+		{Analytic: analytics.JobSSSP, MaxWeight: 8, WeightSeed: 5, Delta: 3},
+		{Analytic: analytics.JobHarmonic},
+	}
+	sources := []uint32{5, 9, 42}
+	for _, tc := range []struct {
+		name       string
+		transports func(*testing.T) TransportFactory
+	}{
+		{"inproc", func(*testing.T) TransportFactory { return nil }},
+		{"tcp", tcpFactory},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, err := NewCluster(ClusterConfig{
+				Ranks: 2, Threads: 1, Source: core.SpecSource{Spec: testSpec},
+				Partition: partition.Random, Seed: 7, Epoch: 1, Transports: tc.transports(t),
+			})
+			if err != nil {
+				t.Fatalf("NewCluster: %v", err)
+			}
+			defer cl.Close()
+			for _, kind := range kinds {
+				s := NewScheduler(cl, SchedConfig{QueueCap: 16, BatchMax: 8, CacheCap: 0})
+				ids := make([]string, len(sources))
+				for i, src := range sources {
+					job := kind
+					job.Sources = []uint32{src}
+					if ids[i], err = s.Submit(&job, time.Now().Add(30*time.Second)); err != nil {
+						t.Fatalf("%s submit %d: %v", kind.Analytic, src, err)
+					}
+				}
+				s.Start()
+				for i, id := range ids {
+					v := waitDone(t, s, id)
+					if v.State != StateDone || v.Batch != len(sources) {
+						t.Fatalf("%s source %d: state %s batch %d err %q", kind.Analytic, sources[i], v.State, v.Batch, v.Err)
+					}
+					solo := kind
+					solo.Sources = []uint32{sources[i]}
+					solo.Normalize()
+					want, _, err := cl.Run(&solo)
+					if err != nil {
+						t.Fatalf("%s solo %d: %v", kind.Analytic, sources[i], err)
+					}
+					if got := v.Result.Canonical(); string(got) != string(want.Canonical()) {
+						t.Fatalf("%s Δ=%d source %d:\n batch member %s\n solo         %s",
+							kind.Analytic, kind.Delta, sources[i], got, want.Canonical())
+					}
+				}
+				s.Close()
+			}
+		})
+	}
+}
+
+// TestSchedulerRetentionIsBounded fills the terminal-request window past
+// retainMax with cache hits: the oldest requests are forgotten, the newest
+// stay queryable, and the window's storage stops growing.
+func TestSchedulerRetentionIsBounded(t *testing.T) {
+	cl := newTestCluster(t, 2, nil)
+	s := NewScheduler(cl, SchedConfig{QueueCap: 16, BatchMax: 1, CacheCap: 8})
+	defer s.Close()
+	s.Start()
+
+	deadline := time.Now().Add(30 * time.Second)
+	first, err := s.Submit(bfsJob(3), deadline)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	waitDone(t, s, first)
+	var last string
+	for i := 0; i < retainMax+100; i++ {
+		if last, err = s.Submit(bfsJob(3), deadline); err != nil {
+			t.Fatalf("cached submit %d: %v", i, err)
+		}
+	}
+	if _, ok := s.Lookup(first); ok {
+		t.Fatalf("request %s still retained after %d newer ones", first, retainMax+100)
+	}
+	if v, ok := s.Lookup(last); !ok || !v.Cached {
+		t.Fatalf("newest request %s: retained %v view %+v", last, ok, v)
+	}
+	s.mu.Lock()
+	jobs, ids, room := len(s.jobs), len(s.retained), cap(s.retained)
+	s.mu.Unlock()
+	if jobs != retainMax || ids != retainMax || room > 2*retainMax {
+		t.Fatalf("retention window: %d requests, %d ids in %d slots; want %d, %d, <= %d",
+			jobs, ids, room, retainMax, retainMax, 2*retainMax)
+	}
+}
