@@ -14,7 +14,10 @@ import (
 // keyed by priority/Δ plus one overflow list; decrease-key is lazy — a
 // moved vertex is simply appended to its new bucket, and the stale copies
 // it leaves behind are recognized (and dropped) by checking the
-// authoritative per-vertex bucket id at extract time. The group settles
+// authoritative per-vertex bucket id at extract time. The overflow list
+// holds at most one copy of a vertex for as long as the vertex stays beyond
+// the window: a move from one beyond-window bucket to another appends
+// nothing (see update). The group settles
 // buckets in ascending global order: one Allreduce(min) per bucket picks
 // the next non-empty bucket on any rank, and per-bucket ghost claims reuse
 // the frontier engine's hybrid sparse-stream / dense fused-bitmap exchange.
@@ -45,6 +48,9 @@ type bucketStore struct {
 	overflow []uint32   // entries with id >= cur+numOpen at insert time
 	bktOf    []uint64   // authoritative bucket id per owned vertex
 	stats    obs.BucketStats
+	// peakOverflow is the longest overflow has been since reset; tests bound
+	// it (one copy per vertex plus re-inserts after extraction).
+	peakOverflow int
 }
 
 // newBucketStore sizes the structure for n owned vertices with the given
@@ -70,6 +76,7 @@ func (b *bucketStore) reset() {
 		b.bktOf[i] = infBucket
 	}
 	b.stats = obs.BucketStats{}
+	b.peakOverflow = 0
 }
 
 // bucketOf maps a priority onto its bucket id, clamped to the settled
@@ -102,8 +109,19 @@ func (b *bucketStore) update(v uint32, d uint64) {
 		return
 	}
 	if id >= b.cur+b.numOpen {
-		b.overflow = append(b.overflow, v)
 		b.stats.OverflowSpills++
+		// A vertex whose old bucket was already beyond the window has a copy
+		// in overflow: it went there when it left the window (or first came
+		// in), and no scan since can have dropped it, because scans drop only
+		// removed vertices and those the window has reached. That one copy
+		// serves the new id too — entries carry no id, bktOf is read when
+		// they are scanned — so a second would only be rescanned with it.
+		if old == infBucket || old < b.cur+b.numOpen {
+			b.overflow = append(b.overflow, v)
+			if len(b.overflow) > b.peakOverflow {
+				b.peakOverflow = len(b.overflow)
+			}
+		}
 		return
 	}
 	s := id % b.numOpen

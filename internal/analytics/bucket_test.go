@@ -1,11 +1,14 @@
 package analytics
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/core"
+	"repro/internal/gen"
+	"repro/internal/partition"
 	"repro/internal/rng"
 )
 
@@ -223,5 +226,45 @@ func TestBucketStoreStress(t *testing.T) {
 	}
 	if b.stats.Extracted == 0 || b.stats.Tombstones == 0 {
 		t.Fatalf("stress left trivial stats: %+v", b.stats)
+	}
+}
+
+// TestBucketOverflowOneCopyPerVertex pins the overflow list's size with a
+// count: exact k-core peeling (Δ = 1, a 64-bucket window) on a hub-heavy
+// graph parks nearly every vertex beyond the window and then decrements it
+// many times over before the window reaches it. Every such move is an
+// overflow spill, but none needs a second physical copy, and a peeled
+// vertex never comes back — so the list never outgrows the owned vertices.
+func TestBucketOverflowOneCopyPerVertex(t *testing.T) {
+	spec := gen.Spec{Kind: gen.RMAT, NumVertices: 1 << 11, NumEdges: 80 << 11, Seed: 4}
+	list, err := spec.GenerateAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = comm.RunLocal(2, func(c *comm.Comm) error {
+		ctx := core.NewCtx(c, 1)
+		src := core.ListSource{Edges: list}
+		pt, err := core.MakePartitioner(ctx, src, partition.Random, spec.NumVertices, 7)
+		if err != nil {
+			return err
+		}
+		g, _, err := core.Build(ctx, src, pt)
+		if err != nil {
+			return err
+		}
+		res, bk, err := kcoreExact(ctx, g)
+		if err != nil {
+			return err
+		}
+		if res.Buckets.OverflowSpills <= 2*uint64(g.NLoc) {
+			return fmt.Errorf("rank %d: only %d overflow spills for %d vertices: the graph does not churn beyond the window", c.Rank(), res.Buckets.OverflowSpills, g.NLoc)
+		}
+		if bk.peakOverflow > int(g.NLoc) {
+			return fmt.Errorf("rank %d: overflow peaked at %d entries for %d owned vertices (%d spills)", c.Rank(), bk.peakOverflow, g.NLoc, res.Buckets.OverflowSpills)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

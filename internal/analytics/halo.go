@@ -17,6 +17,7 @@ package analytics
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/comm"
 	"repro/internal/core"
@@ -24,7 +25,7 @@ import (
 )
 
 // Halo is the paper's retained send/receive queues for PageRank-like
-// phases. Building it costs one counting pass over local edges plus one
+// phases. Building it costs one early-exit pass over local edges plus one
 // global-id exchange; afterwards every iteration refreshes all ghost copies
 // with a single value-only Alltoallv — the paper's two queue optimizations
 // (halve traffic by resending only values; never rebuild the queues).
@@ -146,63 +147,44 @@ var DirsOut = Dirs{Out: true}
 var DirsBoth = Dirs{Out: true, In: true}
 
 // BuildHalo constructs the retained queues for the given directions.
+//
+// One pass over the owned vertices finds each vertex's destination set —
+// the remote ranks owning any of its selected neighbors — as a bit mask of
+// ceil(p/64) words, and stops scanning a vertex's rows once every other
+// rank is in it (at p = 2, at the first ghost neighbor). The fill pass
+// reads the stored masks, not the edges. Each thread fills its own
+// pre-counted slice of every destination's group, so sendVerts is ascending
+// within a group whatever the thread count.
 func BuildHalo(ctx *core.Ctx, g *core.Graph, dirs Dirs) (*Halo, error) {
 	if err := require1D(g, "halo exchange"); err != nil {
 		return nil, err
 	}
 	p := ctx.Size()
 	nt := ctx.Pool.Threads()
+	nloc := int(g.NLoc)
 
-	// Counting pass (Algorithm 1 lines 4-11): for each owned vertex, find
-	// the distinct remote ranks among its selected neighbors.
+	// Mask pass (Algorithm 1 lines 4-11): masks[v*words:(v+1)*words] is
+	// owned vertex v's destination set, perThread[t][d] how many vertices
+	// of thread t's range ship to d.
+	words := (p + 63) / 64
+	masks := make([]uint64, nloc*words)
 	perThread := make([][]uint64, nt)
-	for t := range perThread {
-		perThread[t] = make([]uint64, p)
-	}
-	forEachDest := func(v uint32, tid int, emit func(dest int)) {
-		var seen [64]bool // fast path for p <= 64; falls back below
-		var seenBig []bool
-		if p > 64 {
-			seenBig = make([]bool, p)
-		}
-		mark := func(d int) bool {
-			if seenBig != nil {
-				if seenBig[d] {
-					return false
-				}
-				seenBig[d] = true
-				return true
-			}
-			if seen[d] {
-				return false
-			}
-			seen[d] = true
-			return true
-		}
-		scan := func(nbrs []uint32) {
-			for _, u := range nbrs {
-				if u < g.NLoc {
-					continue
-				}
-				d := int(g.GhostOwner[u-g.NLoc])
-				if mark(d) {
-					emit(d)
-				}
-			}
-		}
-		if dirs.Out {
-			scan(g.OutNeighbors(v))
-		}
-		if dirs.In {
-			scan(g.InNeighbors(v))
-		}
-	}
-	ctx.Pool.For(int(g.NLoc), func(lo, hi, tid int) {
-		counts := perThread[tid]
+	ctx.Pool.Run(func(tid int) {
+		counts := make([]uint64, p)
+		perThread[tid] = counts
+		lo, hi := par.ThreadRange(nloc, nt, tid)
 		for v := lo; v < hi; v++ {
-			forEachDest(uint32(v), tid, func(d int) { counts[d]++ })
+			mask := masks[v*words : (v+1)*words]
+			missing := p - 1
+			if dirs.Out {
+				missing = markDests(g, g.OutNeighbors(uint32(v)), mask, counts, missing)
+			}
+			if dirs.In {
+				markDests(g, g.InNeighbors(uint32(v)), mask, counts, missing)
+			}
 		}
 	})
+	// Group d of sendVerts holds thread 0's vertices, then thread 1's, ...
 	counts := make([]uint64, p)
 	for _, tc := range perThread {
 		for d, c := range tc {
@@ -211,19 +193,27 @@ func BuildHalo(ctx *core.Ctx, g *core.Graph, dirs Dirs) (*Halo, error) {
 	}
 	offsets, total := par.ExclusivePrefixSum(counts)
 
-	// Fill pass (Algorithm 3): thread-local queues drain into the grouped
-	// vertex list.
+	// Fill pass: every thread walks its masks and writes each vertex at its
+	// own cursor in each destination's group.
 	sendVerts := make([]uint32, total)
-	shared := par.NewShared(offsets, func(dest int, base uint64, items []uint32) {
-		copy(sendVerts[base:base+uint64(len(items))], items)
-	})
 	ctx.Pool.Run(func(tid int) {
-		lo, hi := par.ThreadRange(int(g.NLoc), nt, tid)
-		buf := shared.Buf(512)
-		for v := lo; v < hi; v++ {
-			forEachDest(uint32(v), tid, func(d int) { buf.Push(d, uint32(v)) })
+		cursor := make([]uint64, p)
+		for d := range cursor {
+			cursor[d] = offsets[d]
+			for _, tc := range perThread[:tid] {
+				cursor[d] += tc[d]
+			}
 		}
-		buf.Flush()
+		lo, hi := par.ThreadRange(nloc, nt, tid)
+		for v := lo; v < hi; v++ {
+			for w, word := range masks[v*words : (v+1)*words] {
+				for ; word != 0; word &= word - 1 {
+					d := w<<6 | bits.TrailingZeros64(word)
+					sendVerts[cursor[d]] = uint32(v)
+					cursor[d]++
+				}
+			}
+		}
 	})
 
 	sendCounts := make([]int, p)
@@ -258,6 +248,28 @@ func BuildHalo(ctx *core.Ctx, g *core.Graph, dirs Dirs) (*Halo, error) {
 		recvSegs:   recvSegs,
 		recvCounts: make([]int, p),
 	}, nil
+}
+
+// markDests adds the owners of the ghosts among nbrs to the destination set
+// mask, counting each rank it adds in counts. missing is how many remote
+// ranks the set still lacks; the scan stops when none is, and the new value
+// is returned.
+func markDests(g *core.Graph, nbrs []uint32, mask, counts []uint64, missing int) int {
+	for _, u := range nbrs {
+		if missing == 0 {
+			break
+		}
+		if u < g.NLoc {
+			continue
+		}
+		d := int(g.GhostOwner[u-g.NLoc])
+		if bit := uint64(1) << (d & 63); mask[d>>6]&bit == 0 {
+			mask[d>>6] |= bit
+			counts[d]++
+			missing--
+		}
+	}
+	return missing
 }
 
 // SendVolume returns the number of values shipped per exchange (the halo's

@@ -1,0 +1,129 @@
+package analytics
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"repro/internal/comm"
+	"repro/internal/core"
+	"repro/internal/gen"
+	"repro/internal/partition"
+)
+
+// buildHaloReference is BuildHalo as it stood before the destination masks:
+// a counting pass and a fill pass, each rescanning every selected edge of
+// every owned vertex with a per-vertex seen set, run on one thread. It is
+// the oracle the four retained slices are pinned to.
+func buildHaloReference(ctx *core.Ctx, g *core.Graph, dirs Dirs) (sendVerts []uint32, sendCounts []int, recvLids []uint32, recvSegs []int, err error) {
+	p := ctx.Size()
+	forEachDest := func(v uint32, emit func(dest int)) {
+		seen := make([]bool, p)
+		scan := func(nbrs []uint32) {
+			for _, u := range nbrs {
+				if u < g.NLoc {
+					continue
+				}
+				if d := int(g.GhostOwner[u-g.NLoc]); !seen[d] {
+					seen[d] = true
+					emit(d)
+				}
+			}
+		}
+		if dirs.Out {
+			scan(g.OutNeighbors(v))
+		}
+		if dirs.In {
+			scan(g.InNeighbors(v))
+		}
+	}
+	sendCounts = make([]int, p)
+	for v := uint32(0); v < g.NLoc; v++ {
+		forEachDest(v, func(d int) { sendCounts[d]++ })
+	}
+	cursor := make([]int, p)
+	total := 0
+	for d, c := range sendCounts {
+		cursor[d] = total
+		total += c
+	}
+	sendVerts = make([]uint32, total)
+	for v := uint32(0); v < g.NLoc; v++ {
+		forEachDest(v, func(d int) {
+			sendVerts[cursor[d]] = v
+			cursor[d]++
+		})
+	}
+	gids := make([]uint32, total)
+	for i, v := range sendVerts {
+		gids[i] = g.GlobalID(v)
+	}
+	recvGids, recvSegs, err := comm.Alltoallv(ctx.Comm, gids, sendCounts)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	recvLids = make([]uint32, len(recvGids))
+	for i, gid := range recvGids {
+		recvLids[i] = g.MustLocalID(gid)
+	}
+	return sendVerts, sendCounts, recvLids, recvSegs, nil
+}
+
+// TestBuildHaloMatchesReference pins the halo's four retained slices,
+// element for element, to the reference build: at 1 to 8 ranks and on a
+// 65-rank group (destination sets wider than one mask word), one and three
+// threads per rank, both direction sets, block and random partitionings.
+func TestBuildHaloMatchesReference(t *testing.T) {
+	spec := gen.Spec{Kind: gen.RMAT, NumVertices: 520, NumEdges: 6000, Seed: 9}
+	list, err := spec.GenerateAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 2, 3, 4, 8, 65} {
+		for _, kind := range []partition.Kind{partition.VertexBlock, partition.Random} {
+			for _, threads := range []int{1, 3} {
+				t.Run(fmt.Sprintf("p=%d/%v/threads=%d", p, kind, threads), func(t *testing.T) {
+					err := comm.RunLocal(p, func(c *comm.Comm) error {
+						ctx := core.NewCtx(c, threads)
+						src := core.ListSource{Edges: list}
+						pt, err := core.MakePartitioner(ctx, src, kind, spec.NumVertices, 123)
+						if err != nil {
+							return err
+						}
+						g, _, err := core.Build(ctx, src, pt)
+						if err != nil {
+							return err
+						}
+						for _, dirs := range []Dirs{DirsOut, DirsBoth} {
+							h, err := BuildHalo(ctx, g, dirs)
+							if err != nil {
+								return err
+							}
+							sendVerts, sendCounts, recvLids, recvSegs, err := buildHaloReference(ctx, g, dirs)
+							if err != nil {
+								return err
+							}
+							if !slices.Equal(h.sendVerts, sendVerts) || !slices.Equal(h.sendCounts, sendCounts) ||
+								!slices.Equal(h.recvLids, recvLids) || !slices.Equal(h.recvSegs, recvSegs) {
+								return fmt.Errorf("rank %d dirs %+v: halo differs from the reference build", c.Rank(), dirs)
+							}
+							if p > 64 {
+								toLast, err := comm.Allreduce(ctx.Comm, uint64(sendCounts[64]), comm.OpSum)
+								if err != nil {
+									return err
+								}
+								if toLast == 0 {
+									return fmt.Errorf("dirs %+v: nothing ships to rank 64, the second mask word is not exercised", dirs)
+								}
+							}
+						}
+						return nil
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+		}
+	}
+}

@@ -38,13 +38,20 @@ type KCoreExactResult struct {
 // Collective structure per bucket: one Allreduce picking the bucket, one
 // Allreduce + decrement exchange per peel sub-round.
 func KCoreExact(ctx *core.Ctx, g *core.Graph) (*KCoreExactResult, error) {
+	res, _, err := kcoreExact(ctx, g)
+	return res, err
+}
+
+// kcoreExact is KCoreExact; it also hands back the spent bucket structure,
+// whose high-water marks tests bound.
+func kcoreExact(ctx *core.Ctx, g *core.Graph) (*KCoreExactResult, *bucketStore, error) {
 	if err := require1D(g, "exact k-core"); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	eng := newFrontierEngine(ctx, g)
 	red, err := comm.AllreduceSlice(ctx.Comm, []uint64{uint64(g.NGst)}, comm.OpSum)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	eng.gGhosts = red[0]
 	bc := newBucketComm(eng)
@@ -68,7 +75,7 @@ func KCoreExact(ctx *core.Ctx, g *core.Graph) (*KCoreExactResult, error) {
 	for {
 		k, ok, err := bk.nextBucket(ctx)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if !ok {
 			break
@@ -81,7 +88,7 @@ func KCoreExact(ctx *core.Ctx, g *core.Graph) (*KCoreExactResult, error) {
 			extracted = bk.extract(k, extracted[:0])
 			gActive, err := comm.Allreduce(ctx.Comm, uint64(len(extracted)), comm.OpSum)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if gActive == 0 {
 				break
@@ -136,7 +143,7 @@ func KCoreExact(ctx *core.Ctx, g *core.Graph) (*KCoreExactResult, error) {
 					return nil
 				})
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			for _, u := range touched {
 				decCount[u-g.NLoc] = 0
@@ -153,7 +160,7 @@ func KCoreExact(ctx *core.Ctx, g *core.Graph) (*KCoreExactResult, error) {
 	}
 	gMax, err := comm.Allreduce(ctx.Comm, localMax, comm.OpMax)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	return &KCoreExactResult{
 		Coreness:  coreness,
@@ -161,5 +168,5 @@ func KCoreExact(ctx *core.Ctx, g *core.Graph) (*KCoreExactResult, error) {
 		Rounds:    rounds,
 		Buckets:   bk.stats,
 		Traversal: eng.stats,
-	}, nil
+	}, bk, nil
 }

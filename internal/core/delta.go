@@ -1,10 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/comm"
+	"repro/internal/par"
 	"repro/internal/vmap"
 )
 
@@ -254,6 +257,18 @@ func (d *Delta) applySide(out bool, rec comm.MutationRecord) error {
 	return nil
 }
 
+// checkSeqAscending rejects a routed record stream whose batch sequence
+// numbers do not strictly ascend.
+func checkSeqAscending(side string, recs []comm.MutationRecord) error {
+	for i := 1; i < len(recs); i++ {
+		if recs[i].Seq <= recs[i-1].Seq {
+			return fmt.Errorf("core: %s-side mutation seq %d after %d: misrouted exchange",
+				side, recs[i].Seq, recs[i-1].Seq)
+		}
+	}
+	return nil
+}
+
 // ApplyRouted applies one batch's routed records — out-side records whose
 // source this rank owns and in-side records whose destination it owns —
 // and appends them to the delta log. Records must arrive in ascending
@@ -265,13 +280,11 @@ func (d *Delta) ApplyRouted(id uint64, out, in []comm.MutationRecord) error {
 	if id <= d.lastID {
 		return nil
 	}
-	for name, recs := range map[string][]comm.MutationRecord{"out": out, "in": in} {
-		for i := 1; i < len(recs); i++ {
-			if recs[i].Seq <= recs[i-1].Seq {
-				return fmt.Errorf("core: %s-side mutation seq %d after %d: misrouted exchange",
-					name, recs[i].Seq, recs[i-1].Seq)
-			}
-		}
+	if err := checkSeqAscending("out", out); err != nil {
+		return err
+	}
+	if err := checkSeqAscending("in", in); err != nil {
+		return err
 	}
 	for _, rec := range out {
 		if err := d.applySide(true, rec); err != nil {
@@ -289,98 +302,241 @@ func (d *Delta) ApplyRouted(id uint64, out, in []comm.MutationRecord) error {
 	return nil
 }
 
-// MergeDelta packs the overlay into a fresh *Graph: per-vertex adjacency
-// is the live base row plus extras, sorted by neighbor global id (the
-// canonical adjacency order — see CanonicalizeAdjacency), ghosts are
-// rediscovered from the merged adjacency in deterministic vertex/sorted
-// order, and the vertex map is rebuilt. The output depends only on the
-// logical mutated graph, never on mutation arrival order or on how often
-// the overlay was compacted — replicas that compacted at different times
-// still materialize byte-identical shards. mGlobal is the global live
-// edge count (an Allreduce of LiveOut, done by the caller because merging
-// itself is deliberately communication-free).
+// MergeDelta packs the overlay into a fresh *Graph in canonical form:
+//
+//   - every owned vertex's row is its live base entries plus its extras,
+//     sorted by neighbor global id (see CanonicalizeAdjacency);
+//   - owned vertices keep [0, NLoc) in ascending global order, and ghosts
+//     take NLoc, NLoc+1, ... in order of first appearance in a scan of the
+//     merged out rows (vertex by vertex, each row in its sorted order)
+//     followed by the merged in rows — a ghost no live edge references any
+//     more gets no id.
+//
+// The output therefore depends only on the logical mutated graph, never on
+// mutation arrival order or on how often the overlay was compacted —
+// replicas that compacted at different times still materialize
+// byte-identical shards. mGlobal is the global live edge count (an
+// Allreduce of LiveOut, done by the caller because merging itself is
+// deliberately communication-free).
+//
+// The merge works in the base's local-id space rather than through global
+// ids: untouched rows are block-copied as base lids, inserted global ids
+// resolve through the base's map once per extra (a global id the base has
+// never seen gets a temporary id past NLoc+NGst), only rows the overlay
+// touched are re-sorted, and one array-indexed pass renumbers ghosts by the
+// rule above. When that renumbering is the identity the base's Unmap, Map
+// and GhostOwner are shared outright. A base whose rows are not known to
+// be in global-id order (fresh from Build or from a shard file) pays a
+// sortedness check of every row, and a sort of those that fail it, on each
+// merge until a compaction makes a merged shard the base.
 func MergeDelta(d *Delta, mGlobal uint64) (*Graph, error) {
+	g, _, err := mergeDelta(d, mGlobal)
+	return g, err
+}
+
+// mergeStats counts the work of one merge; tests pin the cheap path with
+// it (no behaviour reads it).
+type mergeStats struct {
+	rowsChecked int  // rows scanned for global-id order
+	rowsSorted  int  // rows that failed the scan and were sorted
+	mapLookups  int  // probes of the base's map (one per extra)
+	mapPuts     int  // entries put into a rebuilt map
+	freshGhosts int  // inserted neighbors the base had never seen
+	sharedMap   bool // the renumbering was the identity
+}
+
+// merger is the scratch state of one mergeDelta call.
+type merger struct {
+	b  *Graph
+	nb uint32 // b.NTotal(): temporary ids of fresh ghosts start here
+	// fresh lists the global ids the base has never seen, in order of
+	// resolution; fresh[k] has temporary id nb+k.
+	fresh   []uint32
+	freshID map[uint32]uint32
+	keys    []uint64 // row-sort scratch
+	stats   mergeStats
+}
+
+// lidOf resolves an inserted neighbor to a base local id, or to a
+// temporary id if the base holds neither the vertex nor a ghost of it.
+func (m *merger) lidOf(gid uint32) uint32 {
+	m.stats.mapLookups++
+	if lid := m.b.Map.GetOr(gid, InvalidLocal); lid != InvalidLocal {
+		return lid
+	}
+	if id, ok := m.freshID[gid]; ok {
+		return id
+	}
+	if m.freshID == nil {
+		m.freshID = make(map[uint32]uint32)
+	}
+	id := m.nb + uint32(len(m.fresh))
+	m.fresh = append(m.fresh, gid)
+	m.freshID[gid] = id
+	return id
+}
+
+// gidOf is lidOf's inverse over base and temporary ids.
+func (m *merger) gidOf(lid uint32) uint32 {
+	if lid < m.nb {
+		return m.b.Unmap[lid]
+	}
+	return m.fresh[lid-m.nb]
+}
+
+// sortRow puts one row (base or temporary ids) in ascending global-id
+// order. Copies of one neighbor carry the same id, so ties need no rule.
+func (m *merger) sortRow(row []uint32) {
+	m.stats.rowsChecked++
+	if slices.IsSortedFunc(row, func(a, b uint32) int { return cmp.Compare(m.gidOf(a), m.gidOf(b)) }) {
+		return
+	}
+	m.stats.rowsSorted++
+	m.keys = m.keys[:0]
+	for _, lid := range row {
+		m.keys = append(m.keys, uint64(m.gidOf(lid))<<32|uint64(lid))
+	}
+	slices.Sort(m.keys)
+	for i, k := range m.keys {
+		row[i] = uint32(k)
+	}
+}
+
+// touchedRows returns, ascending and without repeats, the owned vertices
+// whose row on one side the overlay changed: those with extras and those
+// holding a tombstoned base position.
+func touchedRows(idx []uint64, tombs []uint64, tombN uint64, extras map[uint32][]uint32) []uint32 {
+	rows := make([]uint32, 0, len(extras)+int(tombN))
+	for v := range extras {
+		rows = append(rows, v)
+	}
+	if tombN > 0 {
+		v := 0 // tombstone positions ascend, so their rows do too
+		par.ForEachSetBit(tombs, int(idx[len(idx)-1]), func(pos int) {
+			v += sort.Search(len(idx)-1-v, func(i int) bool { return idx[v+i+1] > uint64(pos) })
+			rows = append(rows, uint32(v))
+		})
+	}
+	slices.Sort(rows)
+	return slices.Compact(rows)
+}
+
+// side merges one CSR side in the base's id space: runs of untouched rows
+// are block copies with their index entries shifted, touched rows are the
+// live base entries plus resolved extras.
+func (m *merger) side(idx []uint64, edges []uint32, tombs []uint64, tombN uint64, extras map[uint32][]uint32, live uint64) ([]uint64, []uint32) {
+	b := m.b
+	newIdx := make([]uint64, b.NLoc+1)
+	out := make([]uint32, live)
+	pos := uint64(0)
+	copyRows := func(lo, hi uint32) {
+		shift := pos - idx[lo] // modular: pos may be below idx[lo]
+		pos += uint64(copy(out[pos:], edges[idx[lo]:idx[hi]]))
+		for v := lo; v < hi; v++ {
+			newIdx[v+1] = idx[v+1] + shift
+		}
+	}
+	next := uint32(0)
+	for _, v := range touchedRows(idx, tombs, tombN, extras) {
+		copyRows(next, v)
+		start := pos
+		for i := idx[v]; i < idx[v+1]; i++ {
+			if !bitGet(tombs, i) {
+				out[pos] = edges[i]
+				pos++
+			}
+		}
+		for _, gid := range extras[v] {
+			out[pos] = m.lidOf(gid)
+			pos++
+		}
+		newIdx[v+1] = pos
+		if b.rowsSorted {
+			m.sortRow(out[start:pos])
+		}
+		next = v + 1
+	}
+	copyRows(next, b.NLoc)
+	if !b.rowsSorted {
+		for v := uint32(0); v < b.NLoc; v++ {
+			m.sortRow(out[newIdx[v]:newIdx[v+1]])
+		}
+	}
+	return newIdx, out
+}
+
+func mergeDelta(d *Delta, mGlobal uint64) (*Graph, mergeStats, error) {
 	b := d.base
 	nloc := b.NLoc
+	m := &merger{b: b, nb: b.NTotal()}
+	outIdx, outEdges := m.side(b.OutIdx, b.OutEdges, d.tombOut, d.tombOutN, d.extraOut, d.LiveOut())
+	inIdx, inEdges := m.side(b.InIdx, b.InEdges, d.tombIn, d.tombInN, d.extraIn, d.LiveIn())
 
-	mergeSide := func(idx []uint64, edges []uint32, tombs []uint64, extras map[uint32][]uint32, hint uint64) ([]uint64, []uint32) {
-		newIdx := make([]uint64, nloc+1)
-		gids := make([]uint32, 0, hint)
-		for v := uint32(0); v < nloc; v++ {
-			start := len(gids)
-			for i := idx[v]; i < idx[v+1]; i++ {
-				if !bitGet(tombs, i) {
-					gids = append(gids, b.Unmap[edges[i]])
-				}
-			}
-			gids = append(gids, extras[v]...)
-			row := gids[start:]
-			sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
-			newIdx[v+1] = uint64(len(gids))
-		}
-		return newIdx, gids
+	// Renumber in place. newLid maps base and temporary ids to merged ids;
+	// seen lists the ghosts that got one, in merged-id order.
+	newLid := make([]uint32, int(m.nb)+len(m.fresh))
+	for i := range newLid {
+		newLid[i] = InvalidLocal
 	}
-	outIdx, outGids := mergeSide(b.OutIdx, b.OutEdges, d.tombOut, d.extraOut, d.LiveOut())
-	inIdx, inGids := mergeSide(b.InIdx, b.InEdges, d.tombIn, d.extraIn, d.LiveIn())
-
-	// Relabel: owned vertices keep [0, nloc) in ascending global order;
-	// ghosts are discovered from the merged adjacency (out side first,
-	// then in side — both already in deterministic order).
-	vm := vmap.New(int(nloc) * 2)
-	unmap := make([]uint32, nloc, nloc+b.NGst)
-	copy(unmap, b.Unmap[:nloc])
-	for i, gid := range unmap {
-		vm.Put(gid, uint32(i))
+	for v := uint32(0); v < nloc; v++ {
+		newLid[v] = v // owned ids map to themselves: no owned/ghost branch per edge
 	}
-	discover := func(gids []uint32) {
-		for _, gid := range gids {
-			if _, inserted := vm.PutIfAbsent(gid, uint32(len(unmap))); inserted {
-				unmap = append(unmap, gid)
+	seen := make([]uint32, 0, int(b.NGst)+len(m.fresh))
+	identity := true
+	for _, edges := range [2][]uint32{outEdges, inEdges} {
+		for i, l := range edges {
+			n := newLid[l]
+			if n == InvalidLocal {
+				n = nloc + uint32(len(seen))
+				newLid[l] = n
+				seen = append(seen, l)
+				identity = identity && n == l
 			}
+			edges[i] = n
 		}
 	}
-	discover(outGids)
-	discover(inGids)
-	ngst := uint32(len(unmap)) - nloc
+	ngst := uint32(len(seen))
+	m.stats.freshGhosts = len(m.fresh)
 
 	g := &Graph{
-		NGlobal: b.NGlobal,
-		MGlobal: mGlobal,
-		NLoc:    nloc,
-		NGst:    ngst,
-		OutIdx:  outIdx,
-		InIdx:   inIdx,
-		Unmap:   unmap,
-		Map:     vm,
-		Part:    b.Part,
-		rank:    b.rank,
+		NGlobal:    b.NGlobal,
+		MGlobal:    mGlobal,
+		NLoc:       nloc,
+		NGst:       ngst,
+		OutIdx:     outIdx,
+		OutEdges:   outEdges,
+		InIdx:      inIdx,
+		InEdges:    inEdges,
+		Part:       b.Part,
+		rank:       b.rank,
+		rowsSorted: true,
 	}
-	g.GhostOwner = make([]int32, ngst)
-	for i := uint32(0); i < ngst; i++ {
-		g.GhostOwner[i] = int32(b.Part.Owner(unmap[nloc+i]))
-	}
-	translate := func(gids []uint32) ([]uint32, error) {
-		lids := make([]uint32, len(gids))
-		for i, gid := range gids {
-			lid := vm.GetOr(gid, InvalidLocal)
-			if lid == InvalidLocal {
-				return nil, fmt.Errorf("core: merged neighbor %d missing from vertex map", gid)
+	if identity && ngst == b.NGst {
+		g.Unmap, g.Map, g.GhostOwner = b.Unmap, b.Map, b.GhostOwner
+		m.stats.sharedMap = true
+	} else {
+		g.Unmap = make([]uint32, nloc+ngst)
+		copy(g.Unmap, b.Unmap[:nloc])
+		g.GhostOwner = make([]int32, ngst)
+		for k, l := range seen {
+			gid := m.gidOf(l)
+			g.Unmap[nloc+uint32(k)] = gid
+			if l < m.nb {
+				g.GhostOwner[k] = b.GhostOwner[l-nloc]
+			} else {
+				g.GhostOwner[k] = int32(b.Part.Owner(gid))
 			}
-			lids[i] = lid
 		}
-		return lids, nil
-	}
-	var err error
-	if g.OutEdges, err = translate(outGids); err != nil {
-		return nil, err
-	}
-	if g.InEdges, err = translate(inGids); err != nil {
-		return nil, err
+		g.Map = vmap.New(len(g.Unmap))
+		for lid, gid := range g.Unmap {
+			g.Map.Put(gid, uint32(lid))
+		}
+		m.stats.mapPuts = len(g.Unmap)
 	}
 	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("core: merged shard invalid: %w", err)
+		return nil, m.stats, fmt.Errorf("core: merged shard invalid: %w", err)
 	}
-	return g, nil
+	return g, m.stats, nil
 }
 
 // CanonicalizeAdjacency sorts every owned vertex's out- and in-neighbor
@@ -389,14 +545,12 @@ func MergeDelta(d *Delta, mGlobal uint64) (*Graph, error) {
 // same logical graph expose bitwise-identical traversal order — the
 // property the differential rebuild-equivalence battery relies on for
 // analytics whose floating-point results are sensitive to within-row
-// summation order (PageRank variants).
+// summation order (PageRank variants). Ghost numbering is left as it is.
 func CanonicalizeAdjacency(g *Graph) {
-	sortRows := func(idx []uint64, edges []uint32) {
-		for v := uint32(0); v < g.NLoc; v++ {
-			row := edges[idx[v]:idx[v+1]]
-			sort.Slice(row, func(i, j int) bool { return g.Unmap[row[i]] < g.Unmap[row[j]] })
-		}
+	m := &merger{b: g, nb: g.NTotal()}
+	for v := uint32(0); v < g.NLoc; v++ {
+		m.sortRow(g.OutEdges[g.OutIdx[v]:g.OutIdx[v+1]])
+		m.sortRow(g.InEdges[g.InIdx[v]:g.InIdx[v+1]])
 	}
-	sortRows(g.OutIdx, g.OutEdges)
-	sortRows(g.InIdx, g.InEdges)
+	g.rowsSorted = true
 }

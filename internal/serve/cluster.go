@@ -183,6 +183,7 @@ type Cluster struct {
 	ingestBatches atomic.Uint64
 	ingestRecords atomic.Uint64
 	compactions   atomic.Uint64
+	merge         mergeMeter
 	sinceCompact  atomic.Uint64
 	autoCompact   int
 	compactReq    chan struct{}

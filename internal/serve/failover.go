@@ -428,10 +428,10 @@ func (cl *Cluster) storeShards(host int, primary *core.Graph, backups map[int]*c
 	cl.hostMu.Lock()
 	defer cl.hostMu.Unlock()
 	hs := cl.hosts[host]
-	st := newShardState(primary)
+	st := newShardState(primary, &cl.merge)
 	hs.shards[host] = st // slot index == shard index == gen-0 host
 	for s, g := range backups {
-		hs.shards[s] = newShardState(g)
+		hs.shards[s] = newShardState(g, &cl.merge)
 	}
 	return st
 }

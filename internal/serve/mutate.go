@@ -3,6 +3,8 @@ package serve
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/analytics"
 	"repro/internal/comm"
@@ -39,6 +41,8 @@ type shardState struct {
 	// mergeMu serializes materialization so a background compaction merge
 	// and a query-path merge never duplicate the work.
 	mergeMu sync.Mutex
+	// meter is the cluster's merge counter, shared by all its replicas.
+	meter *mergeMeter
 
 	// mu guards everything below.
 	mu       sync.Mutex
@@ -49,9 +53,17 @@ type shardState struct {
 	compactV uint64      // overlay version of the last completed swap
 }
 
+// mergeMeter counts the overlay merges whose result a replica kept, and
+// the time they took: what mutate→visible costs beyond the batch itself.
+type mergeMeter struct {
+	merges atomic.Uint64
+	nanos  atomic.Uint64
+}
+
 // newShardState wraps a freshly built or loaded shard.
-func newShardState(g *core.Graph) *shardState {
+func newShardState(g *core.Graph, meter *mergeMeter) *shardState {
 	return &shardState{
+		meter:   meter,
 		part:    g.Part,
 		nGlobal: g.NGlobal,
 		base:    g,
@@ -105,6 +117,7 @@ func (st *shardState) materialize() error {
 	m := st.mGlobal
 	st.mu.Unlock()
 
+	start := time.Now()
 	g, err := core.MergeDelta(snap, m)
 	if err != nil {
 		return err
@@ -112,6 +125,8 @@ func (st *shardState) materialize() error {
 	st.mu.Lock()
 	if st.versionLocked() == v && st.merged == nil {
 		st.merged = g
+		st.meter.merges.Add(1)
+		st.meter.nanos.Add(uint64(time.Since(start)))
 	}
 	st.mu.Unlock()
 	return nil
@@ -413,6 +428,11 @@ type IngestStats struct {
 	Compactions uint64 `json:"compactions"`
 	// LastMutationID is the highest assigned batch id.
 	LastMutationID uint64 `json:"last_mutation_id"`
+	// Merges counts overlay materializations a replica kept — on the query
+	// path (the first read after a batch) and ahead of a compaction alike,
+	// one per shard replica — and MergeMsTotal is their summed wall time.
+	Merges       uint64  `json:"merges"`
+	MergeMsTotal float64 `json:"merge_ms_total"`
 }
 
 // IngestStats snapshots the mutation counters.
@@ -422,6 +442,8 @@ func (cl *Cluster) IngestStats() IngestStats {
 		Records:        cl.ingestRecords.Load(),
 		Compactions:    cl.compactions.Load(),
 		LastMutationID: cl.nextMutID.Load(),
+		Merges:         cl.merge.merges.Load(),
+		MergeMsTotal:   float64(cl.merge.nanos.Load()) / 1e6,
 	}
 }
 
