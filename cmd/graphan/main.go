@@ -35,13 +35,11 @@ func main() {
 		kcLevels = flag.Int("kcore-levels", 27, "k-core threshold levels")
 		topk     = flag.Int("hc-topk", 1, "harmonic centrality: number of top-degree vertices")
 	)
-	// The shared ParseKind-driven partitioning spec; -part stays as an
-	// alias. Under 2d, analytics that are 1d-only (pr, lp, kcore, scc)
-	// fail per-analytic with the layout error instead of computing on the
-	// wrong decomposition.
+	// The shared ParseKind-driven partitioning spec. Under 2d, analytics
+	// that are 1d-only (pr, lp, kcore, scc) fail per-analytic with the
+	// layout error instead of computing on the wrong decomposition.
 	partFlag := &partition.Flag{Kind: partition.VertexBlock}
 	flag.Var(partFlag, "partition", partition.KindUsage)
-	flag.Var(partFlag, "part", "alias for -partition")
 	flag.Parse()
 	if *file == "" {
 		fmt.Fprintln(os.Stderr, "graphan: -file is required")

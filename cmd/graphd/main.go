@@ -78,10 +78,9 @@ func main() {
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060)")
 	)
 	// The shared ParseKind-driven partitioning spec (same spellings and
-	// fail-fast error as repro/tcprank); -part stays as an alias.
+	// fail-fast error as repro/tcprank).
 	partFlag := &partition.Flag{Kind: partition.Random}
 	flag.Var(partFlag, "partition", partition.KindUsage)
-	flag.Var(partFlag, "part", "alias for -partition")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fatal(fmt.Errorf("unexpected arguments: %s", strings.Join(flag.Args(), " ")))

@@ -41,10 +41,7 @@ func main() {
 		retries   = flag.Int("retries", 1, "max attempts per exchange on transient comm faults (1 = no retry)")
 		retryBase = flag.Duration("retry-base", time.Millisecond, "base backoff delay between retry attempts (with -retries > 1)")
 		hybrid    = flag.String("hybrid", "adaptive", "traversal policy for BFS-like analytics: adaptive, push (always-sparse baseline), dense")
-		alpha     = flag.Float64("alpha", core.DefaultAlpha, "push->pull switch threshold (enter bottom-up when frontier edge mass > unexplored/alpha)")
-		beta      = flag.Float64("beta", core.DefaultBeta, "pull->push switch threshold (return to top-down when frontier < vertices/beta)")
-		bench     = flag.String("bench", "", "write the hybrid/delta experiment's measurements as JSON (e.g. BENCH_5.json) to this path")
-		delta     = flag.Uint64("delta", 0, "extra fixed Δ-stepping bucket width for the delta experiment's sweep (0 = sweep only 1, mean, 2*mean)")
+		delta     = flag.Uint64("delta", 0, "extra fixed Δ-stepping bucket width for the delta experiment's sweep (0 = sweep only one fat bucket, 1, mean, 2*mean)")
 		part      = flag.String("partition", "", "override the single-graph experiments' partitioning ("+partition.KindUsage+"; empty = per-experiment default; partition-sweep experiments ignore it)")
 	)
 	flag.Parse()
@@ -57,10 +54,6 @@ func main() {
 	mode, err := core.ParseTraversalMode(*hybrid)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
-		os.Exit(2)
-	}
-	if *alpha <= 0 || *beta <= 0 {
-		fmt.Fprintln(os.Stderr, "repro: -alpha and -beta must be > 0")
 		os.Exit(2)
 	}
 	// Same ParseKind spec as tcprank/graphd/graphan: bad spellings fail
@@ -90,8 +83,7 @@ func main() {
 	cfg.Threads = *threads
 	cfg.Seed = *seed
 	cfg.TmpDir = *tmp
-	cfg.Traverse = core.Traversal{Mode: mode, Alpha: *alpha, Beta: *beta}
-	cfg.BenchPath = *bench
+	cfg.Traverse = core.Traversal{Mode: mode}
 	cfg.Delta = *delta
 	cfg.Partition = partOverride
 	if *retries > 1 {

@@ -53,15 +53,12 @@ func main() {
 		resume    = flag.Bool("resume", false, "resume PageRank from this rank's checkpoint in -ckpt-dir")
 		kcore     = flag.Bool("kcore", false, "also run exact k-core peeling and report the degeneracy")
 		hybrid    = flag.String("hybrid", "adaptive", "traversal policy for BFS-like analytics: adaptive, push (always-sparse baseline), dense; must agree across ranks")
-		alpha     = flag.Float64("alpha", core.DefaultAlpha, "push->pull switch threshold; must agree across ranks")
-		beta      = flag.Float64("beta", core.DefaultBeta, "pull->push switch threshold; must agree across ranks")
 	)
 	// The partitioning flag is the shared ParseKind-driven spec: every
 	// binary accepts the same spellings and fails fast with the same list
-	// of valid kinds. -part is kept as an alias for older scripts.
+	// of valid kinds.
 	partFlag := &partition.Flag{Kind: partition.Random}
 	flag.Var(partFlag, "partition", partition.KindUsage)
-	flag.Var(partFlag, "part", "alias for -partition")
 	flag.Parse()
 	addrList := strings.Split(*addrs, ",")
 	if *rank < 0 || *rank >= len(addrList) || *addrs == "" {
@@ -86,10 +83,6 @@ func main() {
 	mode, err := core.ParseTraversalMode(*hybrid)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tcprank: %v\n", err)
-		os.Exit(2)
-	}
-	if *alpha <= 0 || *beta <= 0 {
-		fmt.Fprintln(os.Stderr, "tcprank: -alpha and -beta must be > 0")
 		os.Exit(2)
 	}
 	kind := partFlag.Kind
@@ -163,7 +156,7 @@ func main() {
 		c.SetMetrics(met)
 	}
 	ctx := core.NewCtx(c, *threads)
-	ctx.Traverse = core.Traversal{Mode: mode, Alpha: *alpha, Beta: *beta}
+	ctx.Traverse = core.Traversal{Mode: mode}
 
 	n, err := core.ScanNumVertices(ctx, src)
 	if err != nil {

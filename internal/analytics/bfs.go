@@ -58,25 +58,25 @@ func BFS(ctx *core.Ctx, g *core.Graph, root uint32, dir Dir) (*BFSResult, error)
 }
 
 // bfsRunner is the part of a BFS that does not depend on the root: the
-// frontier engine (and through it the retained halo, the frontier bitmap
-// and every exchange staging buffer), the whole graph's pull edge mass,
-// and one status array and queue pair that run resets rather than
-// reallocates. BFS, Harmonic and WCC's traversal phase use it for one
-// root; a multi-source job (MultiBFS, HarmonicTopK, a coalesced serve
-// batch) runs its roots one after another on one runner, so a batch of k
-// costs at most k solo traversals and allocates little more than one.
-//
-// On a 2D shard the runner holds nothing: run hands each root to bfs2D,
-// whose engine is built per traversal.
+// traversal engine with everything it retains — on a 1D shard the frontier
+// engine (halo, frontier bitmap, exchange staging) and the whole graph's
+// pull edge mass, on a 2D shard the grid engine (row-span claim bitmap,
+// dense-fold width, scan and exchange staging) — and one status array and
+// queue pair that run resets rather than reallocates. BFS, Harmonic and
+// WCC's traversal phase use it for one root; a multi-source job (MultiBFS,
+// HarmonicTopK, a coalesced serve batch) runs its roots one after another
+// on one runner, so a batch of k costs at most k solo traversals and
+// allocates little more than one.
 type bfsRunner struct {
 	ctx *core.Ctx
 	g   *core.Graph
 	dir Dir
 
-	eng         *frontierEngine
-	pullMass    uint64   // totalPullDeg: the unexplored pull edge mass before any root
-	status      []int32  // over owned and ghost vertices
-	queue, next []uint32 // current and next frontier, swapped per level
+	eng         *frontierEngine // 1D shards
+	grid        *grid2DEngine   // 2D shards, built by the first run2D
+	pullMass    uint64          // totalPullDeg: the unexplored pull edge mass before any root
+	status      []int32         // over owned and (1D) ghost vertices
+	queue, next []uint32        // current and next frontier, swapped per level
 }
 
 func newBFSRunner(ctx *core.Ctx, g *core.Graph, dir Dir) *bfsRunner {
@@ -93,11 +93,11 @@ func newBFSRunner(ctx *core.Ctx, g *core.Graph, dir Dir) *bfsRunner {
 // root. The result's Traversal counts this root's steps only.
 func (r *bfsRunner) run(root uint32) (*BFSResult, error) {
 	ctx, g, dir, eng := r.ctx, r.g, r.dir, r.eng
-	if g.Is2D() {
-		return bfs2D(ctx, g, root, dir)
-	}
 	if root >= g.NGlobal {
 		return nil, fmt.Errorf("analytics: BFS root %d outside %d vertices", root, g.NGlobal)
+	}
+	if g.Is2D() {
+		return r.run2D(root)
 	}
 	eng.stats = obs.TraversalStats{}
 	status := r.status
@@ -173,24 +173,29 @@ func (r *bfsRunner) run(root uint32) (*BFSResult, error) {
 		pl = eng.plan(pl, glob[0], glob[1], glob[2])
 	}
 	r.queue, r.next = queue, next
+	return r.finish(reached, depth, eng.stats)
+}
 
-	levels := make([]int32, g.NLoc)
+// finish turns the runner's status array and this rank's reach and depth
+// into the result every rank agrees on. Collective.
+func (r *bfsRunner) finish(reached uint64, depth int, stats obs.TraversalStats) (*BFSResult, error) {
+	levels := make([]int32, r.g.NLoc)
 	for v := range levels {
-		if s := status[v]; s >= 0 {
+		if s := r.status[v]; s >= 0 {
 			levels[v] = s
 		} else {
 			levels[v] = -1
 		}
 	}
-	total, err := comm.Allreduce(ctx.Comm, reached, comm.OpSum)
+	total, err := comm.Allreduce(r.ctx.Comm, reached, comm.OpSum)
 	if err != nil {
 		return nil, err
 	}
-	maxDepth, err := comm.Allreduce(ctx.Comm, int64(depth), comm.OpMax)
+	maxDepth, err := comm.Allreduce(r.ctx.Comm, int64(depth), comm.OpMax)
 	if err != nil {
 		return nil, err
 	}
-	return &BFSResult{Levels: levels, Reached: total, Depth: int(maxDepth), Traversal: eng.stats}, nil
+	return &BFSResult{Levels: levels, Reached: total, Depth: int(maxDepth), Traversal: stats}, nil
 }
 
 // expand finalizes the current queue at the given level and expands each

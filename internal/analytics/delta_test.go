@@ -3,6 +3,7 @@ package analytics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -49,34 +50,42 @@ func TestDeltaSSSPMatchesDijkstra(t *testing.T) {
 	}
 }
 
-// TestDeltaMatchesRounds pins the two SSSP implementations against each
-// other (bit-identical distances and Reached) and checks the Δ-stepping
-// run actually reports bucket work.
-func TestDeltaMatchesRounds(t *testing.T) {
+// TestDeltaOneFatBucketIsBellmanFord pins the round-based baseline the
+// harness's delta experiment measures against: at Δ = 1<<40 every finite
+// distance files in bucket 0, so the run is Bellman-Ford rounds — one
+// bucket, every edge light, no heavy phase work — and still lands on
+// Dijkstra's distances.
+func TestDeltaOneFatBucketIsBellmanFord(t *testing.T) {
 	tg := makeTestGraphs(t)[4] // rmat
 	w := HashWeights(7, 8)
+	want := seq.Dijkstra(tg.ref, 0, func(u, v uint32) uint64 { return w(u, v) })
+	var wantReached uint64
+	for _, d := range want {
+		if d != InfDistance {
+			wantReached++
+		}
+	}
 	runConfigs(t, tg, func(ctx *core.Ctx, g *core.Graph) error {
-		dl, err := SSSPDelta(ctx, g, 0, w, 0)
+		res, err := SSSPDelta(ctx, g, 0, w, 1<<40)
 		if err != nil {
 			return err
 		}
-		rd, err := SSSPRounds(ctx, g, 0, w)
+		if res.Buckets.Buckets != 1 || res.Buckets.HeavyRelaxations != 0 {
+			return fmt.Errorf("Δ=1<<40 ran %d buckets with %d heavy relaxations, want 1 and 0",
+				res.Buckets.Buckets, res.Buckets.HeavyRelaxations)
+		}
+		if res.Buckets.InnerRounds == 0 || res.Buckets.LightRelaxations == 0 {
+			return fmt.Errorf("Δ=1<<40 reports no light work: %+v", res.Buckets)
+		}
+		if res.Reached != wantReached {
+			return fmt.Errorf("Reached = %d, want %d", res.Reached, wantReached)
+		}
+		global, err := core.Gather(ctx, g, res.Dist)
 		if err != nil {
 			return err
 		}
-		for v := range dl.Dist {
-			if dl.Dist[v] != rd.Dist[v] {
-				return fmt.Errorf("dist[%d]: delta %d vs rounds %d", v, dl.Dist[v], rd.Dist[v])
-			}
-		}
-		if dl.Reached != rd.Reached {
-			return fmt.Errorf("Reached: delta %d vs rounds %d", dl.Reached, rd.Reached)
-		}
-		if dl.Buckets.Buckets == 0 || dl.Buckets.Extracted == 0 {
-			return fmt.Errorf("delta run reports no bucket work: %+v", dl.Buckets)
-		}
-		if rd.Buckets.Buckets != 0 {
-			return fmt.Errorf("rounds run reports bucket work: %+v", rd.Buckets)
+		if !slices.Equal(global, want) {
+			return fmt.Errorf("Δ=1<<40 distances differ from Dijkstra's")
 		}
 		return nil
 	})

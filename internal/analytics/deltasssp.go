@@ -139,8 +139,8 @@ func nextImproving(to []uint32, ws, dist []uint64, dv uint64, from int) int {
 // SSSPDelta computes shortest paths from the global vertex root along
 // directed edges under w by Δ-stepping with bucket width delta (0 picks the
 // globally reduced mean edge weight, the classic heuristic). Distances are
-// bit-identical to SSSPRounds for every delta: both compute the fixed point
-// of the same monotone min relaxations.
+// bit-identical for every delta: each computes the fixed point of the same
+// monotone min relaxations.
 //
 // Ghost slots cache the best distance ever shipped (atomic min), so each
 // sub-round forwards each ghost's improvement at most once; per-sub-round

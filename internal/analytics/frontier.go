@@ -21,7 +21,8 @@ import (
 //
 //   - direction: top-down push over the traversal CSR while the frontier
 //     is small; bottom-up pull over the reverse CSR (with a bitmap
-//     frontier) once mf > mu/alpha; back to push when nf < n/beta.
+//     frontier) once mf > mu/switchAlpha; back to push when
+//     nf < n/switchBeta.
 //   - representation: push claims travel as the sparse Alltoallv of vertex
 //     ids while few, and as a dense 1-bit-per-halo-slot packed bitmap
 //     (comm.AlltoallvBits) once ids would cost more than the fixed-width
@@ -34,6 +35,17 @@ import (
 // kernels have no tie-dependent outputs (no parent arrays), so no
 // tie-break policy is needed.
 
+// Direction-switch thresholds (Beamer et al.): enter bottom-up when the
+// frontier's edge mass exceeds 1/switchAlpha of the unexplored mass, return
+// to top-down when the frontier shrinks below 1/switchBeta of the vertex
+// set. Fixed rather than configurable: a rank holding different values
+// would silently break the group's lockstep, and no workload has needed
+// others.
+const (
+	switchAlpha = 14.0
+	switchBeta  = 24.0
+)
+
 // stepPlan is the strategy of one frontier step.
 type stepPlan struct {
 	pull  bool // bottom-up over the reverse CSR with a bitmap frontier
@@ -45,9 +57,8 @@ type stepPlan struct {
 // ever chosen — retained across traversals when ctx carries a plan cache),
 // the frontier bitmap, packed-word scratch, and the per-step counters.
 type frontierEngine struct {
-	g           *core.Graph
-	pol         core.Traversal
-	alpha, beta float64
+	g   *core.Graph
+	pol core.Traversal
 
 	halo      *Halo
 	*haloGeom // nil until ensureHalo
@@ -77,9 +88,7 @@ type frontierEngine struct {
 }
 
 func newFrontierEngine(ctx *core.Ctx, g *core.Graph) *frontierEngine {
-	e := &frontierEngine{g: g, pol: ctx.Traverse, nGlobal: uint64(g.NGlobal)}
-	e.alpha, e.beta = e.pol.Params()
-	return e
+	return &frontierEngine{g: g, pol: ctx.Traverse, nGlobal: uint64(g.NGlobal)}
 }
 
 // plan derives the next step's strategy from the globally reduced frontier
@@ -94,10 +103,10 @@ func (e *frontierEngine) plan(prev stepPlan, gNf, gMf, gMu uint64) stepPlan {
 	}
 	pl := prev
 	if prev.pull {
-		if float64(gNf) < float64(e.nGlobal)/e.beta {
+		if float64(gNf) < float64(e.nGlobal)/switchBeta {
 			pl.pull = false
 		}
-	} else if gMu > 0 && float64(gMf) > float64(gMu)/e.alpha {
+	} else if gMu > 0 && float64(gMf) > float64(gMu)/switchAlpha {
 		pl.pull = true
 	}
 	if pl.pull {

@@ -74,9 +74,10 @@ func atomicMinU32(addr *uint32, v uint32) {
 	}
 }
 
-// grid2DEngine carries the retained state of one 2D traversal: the claim
-// dedup bitmap over the row span, the globally agreed width of a dense fold,
-// exchange staging, and the step counters.
+// grid2DEngine carries a bfsRunner's retained 2D state: the claim dedup
+// bitmap over the row span, the globally agreed width of a dense fold,
+// scan and exchange staging, and the step counters. Built once per runner;
+// reset clears what one root leaves behind.
 type grid2DEngine struct {
 	g   *core.Graph
 	l   *core.GridLayout
@@ -91,10 +92,12 @@ type grid2DEngine struct {
 	gFoldBits uint64
 	nGlobal   uint64
 
-	colIDs   []uint32 // scratch: translated column frontier
-	words    []uint64 // scratch: packed bitmap staging
-	counts   []int    // scratch: per-peer element counts
-	offs     []int    // scratch: per-peer fill cursors
+	claimPer [][]uint32 // scratch: per-thread claims of one scan
+	claims   []uint32   // scratch: the scan's combined claims
+	colIDs   []uint32   // scratch: translated column frontier
+	words    []uint64   // scratch: packed bitmap staging
+	counts   []int      // scratch: per-peer element counts
+	offs     []int      // scratch: per-peer fill cursors
 	send32   []uint32
 	recv32   []uint32
 	recvCts  []int
@@ -108,10 +111,11 @@ func newGrid2DEngine(ctx *core.Ctx, g *core.Graph) (*grid2DEngine, error) {
 	l := g.Grid
 	e := &grid2DEngine{g: g, l: l, pol: ctx.Traverse, nGlobal: uint64(g.NGlobal)}
 	e.rowSeen = make([]uint64, par.BitmapWords(int(l.RowSpan)))
+	e.claimPer = make([][]uint32, ctx.Pool.Threads())
 	if e.pol.Mode == core.TraverseAdaptive {
-		// One collective fixes the dense-fold width for the whole run; the
-		// forced modes never consult it (pol is identical group-wide, so
-		// skipping the reduction stays in lockstep).
+		// One collective fixes the dense-fold width for every run of the
+		// engine; the forced modes never consult it (pol is identical
+		// group-wide, so skipping the reduction stays in lockstep).
 		local := uint64(l.RowSpan) - uint64(g.NLoc)
 		gBits, err := comm.Allreduce(ctx.Comm, local, comm.OpSum)
 		if err != nil {
@@ -120,6 +124,13 @@ func newGrid2DEngine(ctx *core.Ctx, g *core.Graph) (*grid2DEngine, error) {
 		e.gFoldBits = gBits
 	}
 	return e, nil
+}
+
+// reset readies the engine for the next root: no destination claimed, no
+// steps counted.
+func (e *grid2DEngine) reset() {
+	clear(e.rowSeen)
+	e.stats = obs.TraversalStats{}
 }
 
 // denseExpand decides — from the globally reduced frontier size every rank
@@ -232,13 +243,13 @@ func (e *grid2DEngine) expandColumn(ctx *core.Ctx, queue []uint32, dense bool) (
 
 // scanClaims walks the selected grid CSRs from every column frontier vertex
 // and returns the destinations (global ids) this rank newly claims, each at
-// most once per run.
+// most once per run. The returned list aliases the engine's staging and is
+// valid until the next scan.
 func (e *grid2DEngine) scanClaims(ctx *core.Ctx, colIDs []uint32, dir Dir) []uint32 {
 	l := e.l
-	nt := ctx.Pool.Threads()
-	per := make([][]uint32, nt)
+	per := e.claimPer
 	ctx.Pool.For(len(colIDs), func(lo, hi, tid int) {
-		var cl []uint32
+		cl := per[tid]
 		visit := func(gid uint32) {
 			if testAndSet(e.rowSeen, uint64(l.RowIndexOf(gid))) {
 				cl = append(cl, gid)
@@ -259,10 +270,12 @@ func (e *grid2DEngine) scanClaims(ctx *core.Ctx, colIDs []uint32, dir Dir) []uin
 		}
 		per[tid] = cl
 	})
-	var claims []uint32
-	for t := 0; t < nt; t++ {
+	claims := e.claims[:0]
+	for t := range per {
 		claims = append(claims, per[t]...)
+		per[t] = per[t][:0]
 	}
+	e.claims = claims
 	return claims
 }
 
@@ -345,23 +358,28 @@ func (e *grid2DEngine) foldRow(ctx *core.Ctx, claims []uint32, dense bool) ([]ui
 	return recv, nil
 }
 
-// bfs2D is the level-synchronous BFS over a 2D checkerboard shard: expand
-// along the column, scan the grid block, fold along the row. Levels are
-// bit-identical to the 1D engine's in every traversal mode.
-func bfs2D(ctx *core.Ctx, g *core.Graph, root uint32, dir Dir) (*BFSResult, error) {
-	if root >= g.NGlobal {
-		return nil, fmt.Errorf("analytics: BFS root %d outside %d vertices", root, g.NGlobal)
-	}
+// run2D is run (root already range-checked) on a 2D checkerboard shard: per
+// level, expand along the column, scan the grid block, fold along the row.
+// The engine — and with it the one dense-fold width reduction — is built on
+// the runner's first root. Levels are bit-identical to the 1D engine's in
+// every traversal mode.
+func (r *bfsRunner) run2D(root uint32) (*BFSResult, error) {
+	ctx, g, dir := r.ctx, r.g, r.dir
 	l := g.Grid
-	eng, err := newGrid2DEngine(ctx, g)
-	if err != nil {
-		return nil, err
+	eng := r.grid
+	if eng == nil {
+		var err error
+		if eng, err = newGrid2DEngine(ctx, g); err != nil {
+			return nil, err
+		}
+		r.grid, r.status = eng, make([]int32, g.NLoc)
 	}
-	status := make([]int32, g.NLoc)
+	eng.reset()
+	status := r.status
 	for i := range status {
 		status[i] = statusUnvisited
 	}
-	var queue []uint32
+	queue, next := r.queue[:0], r.next
 	if root >= l.OwnLo && root < l.OwnHi {
 		status[root-l.OwnLo] = statusPending
 		queue = append(queue, root-l.OwnLo)
@@ -398,7 +416,7 @@ func bfs2D(ctx *core.Ctx, g *core.Graph, root uint32, dir Dir) (*BFSResult, erro
 		if err != nil {
 			return nil, err
 		}
-		var next []uint32
+		next = next[:0]
 		for _, lid := range arrived {
 			// Owner-side dedup: several row peers may claim the same vertex
 			// in one level (and a rank may re-claim a finalized one).
@@ -407,7 +425,7 @@ func bfs2D(ctx *core.Ctx, g *core.Graph, root uint32, dir Dir) (*BFSResult, erro
 				next = append(next, lid)
 			}
 		}
-		queue = next
+		queue, next = next, queue
 		eng.stats.PushSteps++
 		gNf, err = comm.Allreduce(ctx.Comm, uint64(len(queue)), comm.OpSum)
 		if err != nil {
@@ -416,24 +434,8 @@ func bfs2D(ctx *core.Ctx, g *core.Graph, root uint32, dir Dir) (*BFSResult, erro
 		tr.Span(SpanFrontierPush, mark, int64(frontier))
 		tr.Span(SpanBFSLevel, mark, int64(frontier))
 	}
-
-	levels := make([]int32, g.NLoc)
-	for v := range levels {
-		if s := status[v]; s >= 0 {
-			levels[v] = s
-		} else {
-			levels[v] = -1
-		}
-	}
-	total, err := comm.Allreduce(ctx.Comm, reached, comm.OpSum)
-	if err != nil {
-		return nil, err
-	}
-	maxDepth, err := comm.Allreduce(ctx.Comm, int64(depth), comm.OpMax)
-	if err != nil {
-		return nil, err
-	}
-	return &BFSResult{Levels: levels, Reached: total, Depth: int(maxDepth), Traversal: eng.stats}, nil
+	r.queue, r.next = queue, next
+	return r.finish(reached, depth, eng.stats)
 }
 
 // wcc2D computes weakly connected components on a 2D shard: the same
@@ -453,7 +455,7 @@ func wcc2D(ctx *core.Ctx, g *core.Graph, multistep bool) (*WCCResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		bfs, err = bfs2D(ctx, g, root, Und)
+		bfs, err = BFS(ctx, g, root, Und)
 		if err != nil {
 			return nil, err
 		}
@@ -638,191 +640,4 @@ func wcc2D(ctx *core.Ctx, g *core.Graph, multistep bool) (*WCCResult, error) {
 		BFSReached:    bfs.Reached,
 		Traversal:     bfs.Traversal,
 	}, nil
-}
-
-// multiBFS2D is the batched multi-source BFS over a 2D shard. Always
-// sparse: each frontier and claim word already carries a packed source
-// index, so a bitmap representation would need a per-slot source mask and
-// save nothing at the batch sizes MaxSources allows.
-func multiBFS2D(ctx *core.Ctx, g *core.Graph, roots []uint32, dir Dir) (*MultiBFSResult, error) {
-	l := g.Grid
-	k := len(roots)
-	mw := par.BitmapWords(k)
-	status := make([][]int32, k)
-	for s := range status {
-		st := make([]int32, g.NLoc)
-		for i := range st {
-			st[i] = statusUnvisited
-		}
-		status[s] = st
-	}
-	var queue []uint64
-	for s, root := range roots {
-		if root >= l.OwnLo && root < l.OwnHi {
-			lid := root - l.OwnLo
-			status[s][lid] = statusPending
-			queue = append(queue, pack(lid, s))
-		}
-	}
-	reached := make([]uint64, k)
-	depth := make([]int64, k)
-	for s := range depth {
-		depth[s] = -1
-	}
-
-	eng, err := newGrid2DEngine(ctx, g)
-	if err != nil {
-		return nil, err
-	}
-	// One claim bit per (row-span slot, source).
-	rowSeenMask := make([]uint64, int(l.RowSpan)*mw)
-
-	col, row := l.Group.Col, l.Group.Row
-	counts := make([]int, row.Size())
-	offs := make([]int, row.Size())
-	var send, recvScratch []uint64
-	var recvCounts []int
-	var colPairs []uint64
-
-	tr := ctx.Comm.Tracer()
-	globalSize := uint64(1)
-	for level := int32(0); globalSize != 0; level++ {
-		mark := tr.Now()
-		frontier := len(queue)
-		for _, w := range queue {
-			lid, s := unpack(w)
-			status[s][lid] = level
-			reached[s]++
-			depth[s] = int64(level)
-		}
-
-		// Expand the packed frontier along the column.
-		all, gcounts, err := comm.Allgatherv(col, queue)
-		if err != nil {
-			return nil, err
-		}
-		eng.stats.SparseExchanges++
-		eng.stats.SparseBytes += uint64(len(queue)) * 8
-		colPairs = colPairs[:0]
-		off := 0
-		for kk := 0; kk < col.Size(); kk++ {
-			size := l.ColPeerBounds[kk+1] - l.ColPeerBounds[kk]
-			base := l.ColPeerBounds[kk] - l.ColLo
-			for _, w := range all[off : off+gcounts[kk]] {
-				lid, s := unpack(w)
-				if lid >= size {
-					return nil, fmt.Errorf("analytics: 2d multi expand vertex %d outside column rank %d's %d-vertex chunk", lid, kk, size)
-				}
-				colPairs = append(colPairs, pack(base+lid, s))
-			}
-			off += gcounts[kk]
-		}
-
-		// Scan, claiming (destination, source) pairs once per rank per run.
-		nt := ctx.Pool.Threads()
-		per := make([][]uint64, nt)
-		ctx.Pool.For(len(colPairs), func(lo, hi, tid int) {
-			var cl []uint64
-			for i := lo; i < hi; i++ {
-				u, s := unpack(colPairs[i])
-				visit := func(gid uint32) {
-					bit := uint64(l.RowIndexOf(gid))*uint64(mw)*64 + uint64(s)
-					if testAndSet(rowSeenMask, bit) {
-						cl = append(cl, pack(gid, s))
-					}
-				}
-				if dir == Forward || dir == Und {
-					for _, v := range l.FwdEdges[l.FwdIdx[u]:l.FwdIdx[u+1]] {
-						visit(v)
-					}
-				}
-				if dir == Backward || dir == Und {
-					for _, v := range l.RevEdges[l.RevIdx[u]:l.RevIdx[u+1]] {
-						visit(v)
-					}
-				}
-			}
-			per[tid] = cl
-		})
-		var claims []uint64
-		for t := 0; t < nt; t++ {
-			claims = append(claims, per[t]...)
-		}
-
-		// Fold along the row as packed (owner chunk offset, source) words.
-		for i := range counts {
-			counts[i] = 0
-		}
-		for _, w := range claims {
-			gid, _ := unpack(w)
-			counts[l.RowPeerOf(gid)]++
-		}
-		at := 0
-		for kk := range counts {
-			offs[kk] = at
-			at += counts[kk]
-		}
-		if cap(send) < at {
-			send = make([]uint64, at)
-		}
-		send = send[:at]
-		for _, w := range claims {
-			gid, s := unpack(w)
-			kk := l.RowPeerOf(gid)
-			send[offs[kk]] = pack(gid-l.RowPeerLo[kk], s)
-			offs[kk]++
-		}
-		eng.stats.SparseExchanges++
-		eng.stats.SparseBytes += uint64(len(claims)) * 8
-		recv, rc, err := comm.AlltoallvInto(row, send, counts, recvScratch, recvCounts)
-		if err != nil {
-			return nil, err
-		}
-		recvScratch, recvCounts = recv, rc
-
-		var next []uint64
-		for _, w := range recv {
-			lid, s := unpack(w)
-			if lid >= g.NLoc {
-				return nil, fmt.Errorf("analytics: 2d multi fold vertex %d outside %d owned vertices", lid, g.NLoc)
-			}
-			if status[s][lid] == statusUnvisited {
-				status[s][lid] = statusPending
-				next = append(next, pack(lid, s))
-			}
-		}
-		queue = next
-		eng.stats.PushSteps++
-		globalSize, err = comm.Allreduce(ctx.Comm, uint64(len(queue)), comm.OpSum)
-		if err != nil {
-			return nil, err
-		}
-		tr.Span(SpanBFSLevel, mark, int64(frontier))
-	}
-
-	levels := make([][]int32, k)
-	for s := range levels {
-		ls := make([]int32, g.NLoc)
-		for v := range ls {
-			if st := status[s][v]; st >= 0 {
-				ls[v] = st
-			} else {
-				ls[v] = -1
-			}
-		}
-		levels[s] = ls
-	}
-	totals, err := comm.AllreduceSlice(ctx.Comm, reached, comm.OpSum)
-	if err != nil {
-		return nil, err
-	}
-	maxDepths, err := comm.AllreduceSlice(ctx.Comm, depth, comm.OpMax)
-	if err != nil {
-		return nil, err
-	}
-	depths := make([]int, k)
-	for s := range depths {
-		depths[s] = int(maxDepths[s])
-	}
-	return &MultiBFSResult{Levels: levels, Reached: totals, Depth: depths, Traversal: eng.stats}, nil
 }

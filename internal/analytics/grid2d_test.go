@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/seq"
 )
@@ -141,30 +143,140 @@ func TestGrid2DWCCMatches1D(t *testing.T) {
 	}
 }
 
+// diffMultiBFSvsSolo pins a k-root MultiBFS on both layouts against solo BFS
+// calls: every source's gathered level array is byte-identical to its solo
+// run's on the 1D shard, and so are Reached and Depth.
+func diffMultiBFSvsSolo(ctx *core.Ctx, g1, g2 *core.Graph, roots []uint32) error {
+	for _, dir := range []Dir{Forward, Und} {
+		m1, err := MultiBFS(ctx, g1, roots, dir)
+		if err != nil {
+			return fmt.Errorf("1d multibfs: %w", err)
+		}
+		m2, err := MultiBFS(ctx, g2, roots, dir)
+		if err != nil {
+			return fmt.Errorf("2d multibfs: %w", err)
+		}
+		for s, root := range roots {
+			solo, err := BFS(ctx, g1, root, dir)
+			if err != nil {
+				return fmt.Errorf("solo bfs: %w", err)
+			}
+			want, err := core.Gather(ctx, g1, solo.Levels)
+			if err != nil {
+				return err
+			}
+			for _, got := range []struct {
+				layout string
+				g      *core.Graph
+				m      *MultiBFSResult
+			}{{"1d", g1, m1}, {"2d", g2, m2}} {
+				if got.m.Reached[s] != solo.Reached || got.m.Depth[s] != solo.Depth {
+					return fmt.Errorf("dir=%v source %d: %s batch (reached=%d depth=%d) vs solo (reached=%d depth=%d)",
+						dir, root, got.layout, got.m.Reached[s], got.m.Depth[s], solo.Reached, solo.Depth)
+				}
+				levels, err := core.Gather(ctx, got.g, got.m.Levels[s])
+				if err != nil {
+					return err
+				}
+				if !slices.Equal(levels, want) {
+					return fmt.Errorf("dir=%v source %d: %s batch levels differ from the solo run's", dir, root, got.layout)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 func TestGrid2DMultiBFSMatches1D(t *testing.T) {
 	gs := makeTestGraphs(t)
 	for _, tg := range []testGraph{gs[4], gs[6]} { // rmat, multi
 		roots := []uint32{0, tg.n - 1, tg.n / 2, 1}
 		runGrid2DConfigs(t, tg, func(ctx *core.Ctx, g1, g2 *core.Graph) error {
-			for _, dir := range []Dir{Forward, Und} {
-				r1, err := MultiBFS(ctx, g1, roots, dir)
-				if err != nil {
-					return fmt.Errorf("1d multibfs: %w", err)
-				}
-				r2, err := MultiBFS(ctx, g2, roots, dir)
-				if err != nil {
-					return fmt.Errorf("2d multibfs: %w", err)
-				}
-				for s := range roots {
-					if r1.Reached[s] != r2.Reached[s] || r1.Depth[s] != r2.Depth[s] {
-						return fmt.Errorf("dir=%v source %d: 2d (reached=%d depth=%d) vs 1d (reached=%d depth=%d)",
-							dir, roots[s], r2.Reached[s], r2.Depth[s], r1.Reached[s], r1.Depth[s])
-					}
-				}
-			}
-			return nil
+			return diffMultiBFSvsSolo(ctx, g1, g2, roots)
 		})
 	}
+}
+
+// TestGrid2DMultiBFSMatches1DTCP reruns the batch-equals-solo pin over a
+// real TCP mesh in every traversal mode.
+func TestGrid2DMultiBFSMatches1DTCP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("TCP mesh in -short mode")
+	}
+	tg := makeTestGraphs(t)[4] // rmat
+	roots := []uint32{0, tg.n - 1, tg.n / 2, 1}
+	for _, m := range grid2DModes {
+		errs, _ := runScheduledTCPRanks(t, 4, comm.FaultSchedule{}, comm.RetryPolicy{}, func(ctx *core.Ctx) error {
+			ctx.Traverse.Mode = m.mode
+			g1, g2, err := build1Dand2D(ctx, tg)
+			if err != nil {
+				return err
+			}
+			return diffMultiBFSvsSolo(ctx, g1, g2, roots)
+		})
+		for r, err := range errs {
+			if err != nil {
+				t.Fatalf("%s rank %d: %v", m.name, r, err)
+			}
+		}
+	}
+}
+
+// TestGrid2DRunnerSharesEngine pins what k roots on one 2D runner cost:
+// the dense-fold width is reduced once (adaptive mode; the forced modes
+// never reduce it), so every root after the first runs one Allreduce and
+// that Allreduce's bytes under its solo BFS, and each root's step counters
+// are its solo run's.
+func TestGrid2DRunnerSharesEngine(t *testing.T) {
+	tg := makeTestGraphs(t)[4] // rmat
+	roots := []uint32{0, tg.n - 1, tg.n / 2, 1}
+	runGrid2DConfigs(t, tg, func(ctx *core.Ctx, _, g *core.Graph) error {
+		if !g.Is2D() {
+			return nil // p=1 has no grid
+		}
+		m := obs.NewMetrics()
+		g.Grid.Group.SetMetrics(m)
+		defer g.Grid.Group.SetMetrics(nil)
+		measure := func(run func() (*BFSResult, error)) (*BFSResult, uint64, uint64, error) {
+			m.Reset()
+			b, err := run()
+			return b, m.Collective(obs.CAllreduce).Calls, m.Total().WireBytesOut, err
+		}
+		_, _, widthBytes, err := measure(func() (*BFSResult, error) {
+			_, err := comm.Allreduce(ctx.Comm, uint64(1), comm.OpSum)
+			return nil, err
+		})
+		if err != nil {
+			return err
+		}
+		shared := uint64(0) // Allreduces a later root saves
+		if ctx.Traverse.Mode == core.TraverseAdaptive {
+			shared = 1
+		}
+		r := newBFSRunner(ctx, g, Und)
+		for s, root := range roots {
+			solo, soloCalls, soloBytes, err := measure(func() (*BFSResult, error) { return BFS(ctx, g, root, Und) })
+			if err != nil {
+				return err
+			}
+			got, calls, bytes, err := measure(func() (*BFSResult, error) { return r.run(root) })
+			if err != nil {
+				return err
+			}
+			if got.Traversal != solo.Traversal {
+				return fmt.Errorf("root %d: runner stats %+v, solo %+v", root, got.Traversal, solo.Traversal)
+			}
+			saved := shared
+			if s == 0 {
+				saved = 0 // the first root pays for the engine
+			}
+			if calls+saved != soloCalls || bytes+saved*widthBytes != soloBytes {
+				return fmt.Errorf("root %d (#%d on the runner): %d Allreduces and %d bytes, solo %d and %d, want %d Allreduce(s) of %d bytes fewer",
+					root, s, calls, bytes, soloCalls, soloBytes, saved, widthBytes)
+			}
+		}
+		return nil
+	})
 }
 
 // TestGrid2DJobCanonicalMatches1D is the acceptance pin: the byte encoding
@@ -217,11 +329,10 @@ func TestGrid2DRejectsUnsupportedAnalytics(t *testing.T) {
 			return err
 		}
 		calls := map[string]func() error{
-			"SSSP":       func() error { _, err := SSSP(ctx, g, 0, UnitWeights); return err },
-			"SSSPRounds": func() error { _, err := SSSPRounds(ctx, g, 0, UnitWeights); return err },
-			"SSSPDelta":  func() error { _, err := SSSPDelta(ctx, g, 0, UnitWeights, 4); return err },
-			"MultiSSSP":  func() error { _, err := MultiSSSP(ctx, g, []uint32{0, 1}, UnitWeights); return err },
-			"PageRank":   func() error { _, err := PageRank(ctx, g, DefaultPageRank()); return err },
+			"SSSP":      func() error { _, err := SSSP(ctx, g, 0, UnitWeights); return err },
+			"SSSPDelta": func() error { _, err := SSSPDelta(ctx, g, 0, UnitWeights, 4); return err },
+			"MultiSSSP": func() error { _, err := MultiSSSP(ctx, g, []uint32{0, 1}, UnitWeights); return err },
+			"PageRank":  func() error { _, err := PageRank(ctx, g, DefaultPageRank()); return err },
 			"PageRankWeighted": func() error {
 				_, err := PageRankWeighted(ctx, g, DefaultPageRank(), UnitWeights)
 				return err

@@ -245,7 +245,7 @@ func TestJobHybridKnob(t *testing.T) {
 	spec := gen.Spec{Kind: gen.RMAT, NumVertices: 128, NumEdges: 1024, Seed: 3}
 	err := comm.RunLocal(1, func(c *comm.Comm) error {
 		ctx := core.NewCtx(c, 1)
-		ctx.Traverse = core.Traversal{Mode: core.TraversePush, Alpha: 5, Beta: 7}
+		ctx.Traverse = core.Traversal{Mode: core.TraversePush}
 		src := core.SpecSource{Spec: spec}
 		pt, err := core.MakePartitioner(ctx, src, partition.VertexBlock, spec.NumVertices, 123)
 		if err != nil {
@@ -260,7 +260,7 @@ func TestJobHybridKnob(t *testing.T) {
 		if _, err := Run(ctx, g, job); err != nil {
 			return err
 		}
-		if ctx.Traverse != (core.Traversal{Mode: core.TraversePush, Alpha: 5, Beta: 7}) {
+		if ctx.Traverse != (core.Traversal{Mode: core.TraversePush}) {
 			return fmt.Errorf("job override leaked into the context policy: %+v", ctx.Traverse)
 		}
 		// An empty policy keeps the process default rather than forcing

@@ -9,28 +9,18 @@ import (
 
 // Multi-source variants of the two Graph500-style traversals. The serve
 // layer coalesces pending single-source queries into one of these runs.
-// On a 1D shard a batch is the solo kernel once per source on one runner
-// (bfsRunner, ssspRunner), so what a batch buys is one dispatch, one
-// prologue — engine, halo lookup, pull edge mass; for SSSP the weight
-// pass, the Δ reduction and the light/heavy split — and one retained
-// scratch, and every source's answer, schedule and wire volume are those
-// of its solo run. The graph is still swept once per source: sharing the
-// sweep as well (a bit-parallel MS-BFS) pays only at batch sizes the
-// service does not see (DESIGN.md §5f).
-//
-// The 2D engine (multiBFS2D) does carry (vertex, source) pairs, packed into
-// one uint64 stream with the source index in the low 8 bits, which bounds a
-// batch at MaxSources and keeps a packed global id in 40 bits.
+// A batch is the solo kernel once per source on one runner (bfsRunner on
+// either layout, ssspRunner), so what a batch buys is one dispatch, one
+// prologue — engine, halo lookup, pull edge mass, on a 2D shard the
+// dense-fold width reduction; for SSSP the weight pass, the Δ reduction and
+// the light/heavy split — and one retained scratch, and every source's
+// answer, schedule and wire volume are those of its solo run. The graph is
+// still swept once per source: sharing the sweep as well (a bit-parallel
+// MS-BFS) pays only at batch sizes the service does not see (DESIGN.md §5f).
 
-// MaxSources is the largest batch a multi-source traversal accepts.
+// MaxSources bounds the sources of one multi-source request: Job.Validate,
+// checkRoots and the scheduler's batch cap all enforce it.
 const MaxSources = 256
-
-// pack combines a vertex id (local or global, depending on the stream) with
-// a source index into one exchange word.
-func pack(v uint32, s int) uint64 { return uint64(v)<<8 | uint64(s) }
-
-// unpack splits an exchange word back into (vertex, source index).
-func unpack(w uint64) (uint32, int) { return uint32(w >> 8), int(w & 0xff) }
 
 // checkRoots validates a multi-source root set against the graph.
 func checkRoots(g *core.Graph, roots []uint32, what string) error {
@@ -59,20 +49,17 @@ type MultiBFSResult struct {
 	// is level 0, so never negative).
 	Depth []int
 	// Traversal sums the per-source traversals' step choices and wire
-	// volume: on a 1D shard exactly what the sources' solo BFS runs record,
-	// pull steps included; on a 2D shard the shared pair frontier's.
+	// volume: exactly what the sources' solo BFS runs record, pull steps
+	// included.
 	Traversal obs.TraversalStats
 }
 
 // MultiBFS runs BFS from every root. Each source's answer is bit-identical
-// to a solo BFS call with the same root and direction — on a 1D shard it is
-// that call, on one bfsRunner.
+// to a solo BFS call with the same root and direction — it is that call, on
+// one bfsRunner.
 func MultiBFS(ctx *core.Ctx, g *core.Graph, roots []uint32, dir Dir) (*MultiBFSResult, error) {
 	if err := checkRoots(g, roots, "MultiBFS"); err != nil {
 		return nil, err
-	}
-	if g.Is2D() {
-		return multiBFS2D(ctx, g, roots, dir)
 	}
 	k := len(roots)
 	res := &MultiBFSResult{Levels: make([][]int32, k), Reached: make([]uint64, k), Depth: make([]int, k)}

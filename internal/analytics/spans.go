@@ -23,9 +23,6 @@ const (
 	// SpanKCoreLevel wraps one 2^i threshold level of the approximate
 	// k-core peel; arg is the level number i.
 	SpanKCoreLevel = "kcore/level"
-	// SpanSSSPRound wraps one Bellman-Ford relaxation round; arg is the
-	// local queue size entering the round.
-	SpanSSSPRound = "sssp/round"
 	// SpanSSSPWeigh wraps Δ-stepping's per-query weight pass (w evaluated
 	// once per owned out-edge, summed for the default Δ); arg is the local
 	// out-edge count.

@@ -37,37 +37,12 @@ const (
 	TraverseDense
 )
 
-// Default direction-switch thresholds (Beamer et al.): enter bottom-up when
-// the frontier's unexplored-edge mass exceeds 1/alpha of the remaining
-// mass, return to top-down when the frontier shrinks below 1/beta of the
-// vertex set.
-const (
-	DefaultAlpha = 14.0
-	DefaultBeta  = 24.0
-)
-
 // Traversal is the per-rank traversal policy. Every rank of a group must
 // hold an identical policy (like any other collective argument); the
 // engine's per-step decisions then derive from globally reduced values, so
 // all ranks switch direction and representation in lockstep.
 type Traversal struct {
 	Mode TraversalMode
-	// Alpha and Beta are the direction-switch thresholds; non-positive
-	// values select the defaults.
-	Alpha float64
-	Beta  float64
-}
-
-// Params returns the effective thresholds with defaults applied.
-func (t Traversal) Params() (alpha, beta float64) {
-	alpha, beta = t.Alpha, t.Beta
-	if alpha <= 0 {
-		alpha = DefaultAlpha
-	}
-	if beta <= 0 {
-		beta = DefaultBeta
-	}
-	return alpha, beta
 }
 
 // ParseTraversalMode maps the user-facing mode names onto the enum.
@@ -90,7 +65,7 @@ type Ctx struct {
 	Comm *comm.Comm
 	Pool *par.Pool
 	// Traverse is the frontier policy for BFS-like analytics; the zero
-	// value is the adaptive engine with default thresholds.
+	// value is the adaptive engine.
 	Traverse Traversal
 	// Plans retains kernel plans (halo queues and geometry) across calls on
 	// this Ctx. nil — the default — makes every kernel build per call.

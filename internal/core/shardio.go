@@ -21,8 +21,9 @@ import (
 // same packed little-endian arrays the in-memory CSR holds — so loading is
 // one bulk read plus checksum passes, with no per-record decode, and a
 // single flipped bit anywhere in the file is caught by the section
-// checksums before a graph is built from it. Version 1 streams (the
-// pre-store format) still load through the legacy path.
+// checksums before a graph is built from it. Version 1 (the pre-store
+// stream format, which nothing has written since the store landed) is
+// rejected like any other unknown version.
 //
 // v2 layout (all little-endian):
 //
@@ -143,8 +144,7 @@ func LoadShard(r io.Reader) (*Graph, error) {
 	return g, err
 }
 
-// LoadShardState reads a shard plus its delta-log watermark (0 for v1
-// streams, which predate watermarks).
+// LoadShardState reads a shard plus its delta-log watermark.
 func LoadShardState(r io.Reader) (*Graph, uint64, error) {
 	b, err := io.ReadAll(r)
 	if err != nil {
@@ -171,15 +171,10 @@ func LoadShardStateBytes(b []byte) (*Graph, uint64, error) {
 	if magic := binary.LittleEndian.Uint32(b[0:4]); magic != shardMagic {
 		return nil, 0, fmt.Errorf("core: bad shard magic %#x", magic)
 	}
-	switch version := binary.LittleEndian.Uint32(b[4:8]); version {
-	case 1:
-		g, err := loadShardV1(b[8:])
-		return g, 0, err
-	case 2:
-		return loadShardV2(b[8:])
-	default:
+	if version := binary.LittleEndian.Uint32(b[4:8]); version != shardVersion {
 		return nil, 0, fmt.Errorf("core: unsupported shard version %d", version)
 	}
+	return loadShardV2(b[8:])
 }
 
 // loadShardV2 decodes the sectioned body after the magic+version words.
@@ -283,103 +278,15 @@ func loadShardV2(body []byte) (*Graph, uint64, error) {
 		g.GhostOwner[i] = int32(v)
 	}
 
-	if err := finishShard(g); err != nil {
-		return nil, 0, err
-	}
-	return g, watermark, nil
-}
-
-// loadShardV1 decodes the pre-superblock stream format (no checksums; the
-// arrays follow a scalar header back to back). Kept so shard sets written
-// before the store existed still load; every count is validated against
-// the remaining input before allocation.
-func loadShardV1(b []byte) (*Graph, error) {
-	take := func(n uint64, what string) ([]byte, error) {
-		if uint64(len(b)) < n {
-			return nil, fmt.Errorf("core: v1 shard %s wants %d bytes, %d remain", what, n, len(b))
-		}
-		p := b[:n]
-		b = b[n:]
-		return p, nil
-	}
-	hdr, err := take(8, "partitioner header")
-	if err != nil {
-		return nil, err
-	}
-	plen := binary.LittleEndian.Uint64(hdr)
-	pb, err := take(plen, "partitioner blob")
-	if err != nil {
-		return nil, err
-	}
-	pt, err := partition.Decode(pb)
-	if err != nil {
-		return nil, err
-	}
-	scalars, err := take(24, "scalar header")
-	if err != nil {
-		return nil, err
-	}
-	g := &Graph{Part: pt}
-	g.rank = int(binary.LittleEndian.Uint32(scalars[0:4]))
-	g.NGlobal = binary.LittleEndian.Uint32(scalars[4:8])
-	g.MGlobal = binary.LittleEndian.Uint64(scalars[8:16])
-	g.NLoc = binary.LittleEndian.Uint32(scalars[16:20])
-	g.NGst = binary.LittleEndian.Uint32(scalars[20:24])
-	counts, err := take(16, "edge counts")
-	if err != nil {
-		return nil, err
-	}
-	mOut := binary.LittleEndian.Uint64(counts[0:8])
-	mIn := binary.LittleEndian.Uint64(counts[8:16])
-	if mOut > g.MGlobal || mIn > g.MGlobal {
-		return nil, fmt.Errorf("core: shard edge counts exceed global count")
-	}
-
-	var sec []byte
-	if sec, err = take(8*(uint64(g.NLoc)+1), "out index"); err != nil {
-		return nil, err
-	}
-	g.OutIdx = decodeU64s(sec)
-	if sec, err = take(4*mOut, "out edges"); err != nil {
-		return nil, err
-	}
-	g.OutEdges = decodeU32s(sec)
-	if sec, err = take(8*(uint64(g.NLoc)+1), "in index"); err != nil {
-		return nil, err
-	}
-	g.InIdx = decodeU64s(sec)
-	if sec, err = take(4*mIn, "in edges"); err != nil {
-		return nil, err
-	}
-	g.InEdges = decodeU32s(sec)
-	if sec, err = take(4*(uint64(g.NLoc)+uint64(g.NGst)), "unmap"); err != nil {
-		return nil, err
-	}
-	g.Unmap = decodeU32s(sec)
-	if sec, err = take(4*uint64(g.NGst), "ghost owners"); err != nil {
-		return nil, err
-	}
-	ghost := decodeU32s(sec)
-	g.GhostOwner = make([]int32, g.NGst)
-	for i, v := range ghost {
-		g.GhostOwner[i] = int32(v)
-	}
-	if err := finishShard(g); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// finishShard rebuilds the global→local map and validates the shard.
-func finishShard(g *Graph) error {
+	// The global→local map is rebuilt from Unmap rather than stored.
 	g.Map = vmap.New(int(g.NTotal()))
 	for lid, gid := range g.Unmap {
 		g.Map.Put(gid, uint32(lid))
 	}
 	if err := g.Validate(); err != nil {
-		return fmt.Errorf("core: loaded shard invalid: %w", err)
+		return nil, 0, fmt.Errorf("core: loaded shard invalid: %w", err)
 	}
-	return nil
+	return g, watermark, nil
 }
 
 func encodeU32s(vals []uint32) []byte {

@@ -51,7 +51,7 @@ func FuzzShardSuperblock(f *testing.F) {
 	lie := bytes.Clone(valid)
 	binary.LittleEndian.PutUint64(lie[shardSuperblock+8:], 1<<40)
 	f.Add(lie)
-	// A v1-framed input reaches the legacy path through the same entry.
+	// A v1-framed input (the retired pre-store format) is a reject case.
 	v1 := []byte{0x44, 0x52, 0x53, 0x47, 1, 0, 0, 0, 12, 0, 0, 0, 0, 0, 0, 0}
 	f.Add(v1)
 

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -12,59 +12,36 @@ import (
 	"repro/internal/partition"
 )
 
-// goldenSpec is the graph both golden v1 shard files were built from (the
-// bytes in testdata were written by the v1 encoder before the superblock
-// format landed and must stay loadable forever).
+// goldenSpec is the small graph the shard codec tests build.
 var goldenSpec = gen.Spec{Kind: gen.RMAT, NumVertices: 128, NumEdges: 1024, Seed: 99}
 
-// TestLoadShardV1Golden pins backward compatibility: the committed v1
-// streams (one single-rank shard, one rank-1-of-3 shard with ghosts) still
-// load and match a freshly built graph structurally.
-func TestLoadShardV1Golden(t *testing.T) {
-	cases := []struct {
-		file  string
-		ranks int
-		rank  int
-		pt    func() partition.Partitioner
-	}{
-		{"testdata/shard_v1.bin", 1, 0, func() partition.Partitioner { return partition.NewVertexBlock(128, 1) }},
-		{"testdata/shard_v1_r1of3.bin", 3, 1, func() partition.Partitioner { return partition.NewRandom(128, 3, 41) }},
+// TestLoadShardRejectsV1 pins the retired pre-store format: a version-1
+// superblock is refused with the unsupported-version error before anything
+// behind it is read, so a v1 body claiming absurd counts costs no more than
+// the error value.
+func TestLoadShardRejectsV1(t *testing.T) {
+	v1 := binary.LittleEndian.AppendUint32(nil, shardMagic)
+	v1 = binary.LittleEndian.AppendUint32(v1, 1)
+	v1 = binary.LittleEndian.AppendUint64(v1, 1<<40)   // v1 partitioner length
+	v1 = append(v1, bytes.Repeat([]byte{0xff}, 64)...) // v1 scalar header: every count maximal
+	check := func(b []byte) error {
+		_, _, err := LoadShardState(bytes.NewReader(b))
+		if err == nil || !strings.Contains(err.Error(), "unsupported shard version 1") {
+			return fmt.Errorf("version-1 stream: got %v, want the unsupported-version error", err)
+		}
+		return nil
 	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.file, func(t *testing.T) {
-			raw, err := os.ReadFile(tc.file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v := binary.LittleEndian.Uint32(raw[4:8]); v != 1 {
-				t.Fatalf("golden file claims version %d, want 1", v)
-			}
-			got, watermark, err := LoadShardStateBytes(raw)
-			if err != nil {
-				t.Fatalf("loading golden v1 shard: %v", err)
-			}
-			if watermark != 0 {
-				t.Fatalf("v1 stream loaded with watermark %d, want 0", watermark)
-			}
-			err = comm.RunLocal(tc.ranks, func(c *comm.Comm) error {
-				ctx := NewCtx(c, 1)
-				want, _, err := Build(ctx, SpecSource{Spec: goldenSpec}, tc.pt())
-				if err != nil {
-					return err
-				}
-				if c.Rank() != tc.rank {
-					return nil
-				}
-				return sameShard(got, want)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.ranks > 1 && got.NGst == 0 {
-				t.Fatal("multi-rank golden shard has no ghosts; compat test lost its teeth")
-			}
-		})
+	if err := check(v1); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { _, _, _ = LoadShardStateBytes(v1) }); allocs > 4 {
+		t.Fatalf("rejecting a version-1 stream made %.0f allocations; the body must not be decoded", allocs)
+	}
+	// A current stream relabelled as version 1 is refused the same way.
+	relabelled := bytes.Clone(fuzzShardBytes(t))
+	binary.LittleEndian.PutUint32(relabelled[4:8], 1)
+	if err := check(relabelled); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -113,32 +90,11 @@ func sameShard(got, want *Graph) error {
 	return nil
 }
 
-// TestLoadShardRejectsLyingCounts pins the OOM fix: headers claiming
-// absurd element counts against a short buffer are rejected with an error
-// before any allocation sized by the header, in both format versions.
+// TestLoadShardRejectsLyingCounts pins the OOM fix: a section header
+// claiming more payload than the buffer holds is rejected with an error
+// before any allocation sized by the header.
 func TestLoadShardRejectsLyingCounts(t *testing.T) {
-	// v1 stream whose scalar header claims a gigantic NLoc.
-	raw, err := os.ReadFile("testdata/shard_v1.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lie := bytes.Clone(raw)
-	plen := binary.LittleEndian.Uint64(lie[8:16])
-	scalarOff := 16 + int(plen)
-	binary.LittleEndian.PutUint32(lie[scalarOff+16:], ^uint32(0)) // NLoc = 4B vertices
-	if _, err := LoadShardBytes(lie); err == nil {
-		t.Fatal("v1 stream with lying NLoc accepted")
-	}
-
-	// v1 partitioner blob claiming more bytes than the stream holds.
-	lie = bytes.Clone(raw)
-	binary.LittleEndian.PutUint64(lie[8:16], 1<<40)
-	if _, err := LoadShardBytes(lie); err == nil {
-		t.Fatal("v1 stream with lying partitioner length accepted")
-	}
-
-	// v2 section claiming more payload than remains.
-	err = comm.RunLocal(1, func(c *comm.Comm) error {
+	err := comm.RunLocal(1, func(c *comm.Comm) error {
 		ctx := NewCtx(c, 1)
 		g, _, err := Build(ctx, SpecSource{Spec: goldenSpec}, partition.NewVertexBlock(128, 1))
 		if err != nil {

@@ -1,9 +1,7 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -14,70 +12,64 @@ import (
 	"repro/internal/partition"
 )
 
-// Delta benchmarks Δ-stepping SSSP against the round-based (Bellman-Ford
-// style) baseline on the WC-sim RMAT graph: the bucket width is swept over
-// Δ=1 (Dijkstra-like, many buckets, little wasted work), the auto width
-// (global mean edge weight), and twice the mean, at two rank counts. Wall
-// time, off-rank wire volume, and the bucket structure's own churn counters
-// go into the table; with Config.BenchPath set the same measurements are
-// written as BENCH_6.json so the perf trajectory is tracked across PRs.
+// Delta sweeps Δ-stepping SSSP's bucket width on the WC-sim RMAT graph, at
+// two rank counts: one fat bucket (a Δ past every path length, which makes
+// the run Bellman-Ford rounds — the baseline), Δ=1 (Dijkstra-like, many
+// buckets, little wasted work), the auto width (global mean edge weight),
+// and twice the mean. Wall time, off-rank wire volume, and the bucket
+// structure's own churn counters go into the table.
 
-// DeltaEntry is one (variant, ranks) measurement: the JSON row of
-// BENCH_6.json and the raw material of the rendered table.
+// DeltaEntry is one (variant, ranks) measurement: the raw material of the
+// rendered table and of the count pin.
 type DeltaEntry struct {
-	Graph   string `json:"graph"`
-	Variant string `json:"variant"`
-	Ranks   int    `json:"ranks"`
+	Graph   string
+	Variant string
+	Ranks   int
 	// Delta is the bucket width the run actually used (the auto variant
-	// records the width it derived); 0 for the round-based baseline.
-	Delta    uint64  `json:"delta"`
-	WallSecs float64 `json:"wall_seconds"`
+	// records the width it derived).
+	Delta    uint64
+	WallSecs float64
 	// SentMiB is the off-rank wire volume of the whole run (all
 	// collectives, all ranks summed), from the obs per-collective counters.
-	SentMiB float64 `json:"sent_mib"`
-	// Rounds is the kernel's own round count (bucket relaxation sub-rounds
-	// plus heavy phases for Δ-stepping; frontier rounds for the baseline).
-	Rounds int `json:"rounds"`
+	SentMiB float64
+	// Rounds is the kernel's own round count: bucket relaxation sub-rounds
+	// plus heavy phases.
+	Rounds int
 	// Reached is the number of vertices settled — identical across variants
-	// (the answer is Δ-invariant); recorded so the artifact is self-checking.
-	Reached uint64 `json:"reached"`
+	// (the answer is Δ-invariant), which DeltaRaw checks.
+	Reached uint64
 	// Buckets are the bucket structure's counters: Buckets and InnerRounds
 	// from rank 0 (global, identical everywhere), churn counters summed
-	// over ranks. All-zero for the round-based baseline.
-	Buckets obs.BucketStats `json:"buckets"`
+	// over ranks.
+	Buckets obs.BucketStats
 }
 
-// DeltaBench is the BENCH_6.json document.
-type DeltaBench struct {
-	Experiment string       `json:"experiment"`
-	Scale      float64      `json:"scale"`
-	Seed       uint64       `json:"seed"`
-	Entries    []DeltaEntry `json:"entries"`
-}
+// deltaFatBucket is the baseline's Δ: wider than any path, so every finite
+// distance files in bucket 0 and every edge is light.
+const deltaFatBucket = 1 << 40
 
 // deltaWeightMax matches the hybrid experiment's SSSP weighting so the two
 // benchmarks describe the same workload.
 const deltaWeightMax = 32
 
 // DeltaRaw runs the full variant sweep on p ranks over one resident graph
-// build and returns the measurements. The sweep is: round-based baseline,
-// Δ=1, Δ=auto (recording the derived width), Δ=2·mean, plus Δ=cfg.Delta
-// when set. Every variant must settle the same vertex count — a mismatch
-// is an error, not a row.
+// build and returns the measurements. The sweep is: the fat-bucket
+// baseline, Δ=1, Δ=auto (recording the derived width), Δ=2·mean, plus
+// Δ=cfg.Delta when set. Every variant must settle the same vertex count —
+// a mismatch is an error, not a row.
 func DeltaRaw(cfg Config, p int, graphName string, spec gen.Spec) ([]DeltaEntry, error) {
 	type variant struct {
 		name  string
-		delta uint64 // meaningful when kind=="delta" (0 = auto)
-		kind  string // "rounds" or "delta"
+		delta uint64 // 0 = auto
 	}
 	variants := []variant{
-		{"rounds", 0, "rounds"},
-		{"delta=1", 1, "delta"},
-		{"auto", 0, "delta"},
-		{"2xmean", 0, "delta"}, // width filled from the auto run's record
+		{"fat-bucket", deltaFatBucket},
+		{"delta=1", 1},
+		{"auto", 0},
+		{"2xmean", 0}, // width filled from the auto run's record
 	}
 	if cfg.Delta != 0 {
-		variants = append(variants, variant{fmt.Sprintf("delta=%d", cfg.Delta), cfg.Delta, "delta"})
+		variants = append(variants, variant{fmt.Sprintf("delta=%d", cfg.Delta), cfg.Delta})
 	}
 	type meas struct {
 		wall    time.Duration
@@ -108,13 +100,7 @@ func DeltaRaw(cfg Config, p int, graphName string, spec gen.Spec) ([]DeltaEntry,
 				m := obs.NewMetrics()
 				ctx.Comm.SetMetrics(m)
 				start := time.Now()
-				var res *analytics.SSSPResult
-				var err error
-				if v.kind == "rounds" {
-					res, err = analytics.SSSPRounds(ctx, g, 0, w)
-				} else {
-					res, err = analytics.SSSPDelta(ctx, g, 0, w, width)
-				}
+				res, err := analytics.SSSPDelta(ctx, g, 0, w, width)
 				if err != nil {
 					return err
 				}
@@ -199,13 +185,11 @@ func deltaRanks(cfg Config) []int {
 	return []int{hi}
 }
 
-// Delta is the registry entry point: the rendered Δ-sweep table, plus the
-// BENCH_6.json artifact when cfg.BenchPath is set.
+// Delta is the registry entry point: the rendered Δ-sweep table.
 func Delta(cfg Config) (*Report, error) {
-	bench := &DeltaBench{Experiment: "delta", Scale: cfg.Scale, Seed: cfg.Seed}
 	r := &Report{
 		ID:     "Delta",
-		Title:  "Δ-stepping SSSP vs round-based baseline (bucket-width sweep)",
+		Title:  "Δ-stepping SSSP bucket-width sweep (one fat bucket = Bellman-Ford baseline)",
 		Header: []string{"Graph", "Variant", "Ranks", "Δ", "Time (s)", "Sent MiB", "Rounds", "Buckets", "Relax light/heavy", "Tombstones"},
 	}
 	spec := cfg.wcSim()
@@ -214,7 +198,6 @@ func Delta(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		bench.Entries = append(bench.Entries, entries...)
 		for _, e := range entries {
 			r.Rows = append(r.Rows, []string{
 				e.Graph, e.Variant, fmt.Sprintf("%d", e.Ranks),
@@ -229,23 +212,8 @@ func Delta(cfg Config) (*Report, error) {
 		}
 	}
 	r.Notes = append(r.Notes,
-		"the auto variant must not exceed the round-based baseline's Sent MiB (CI-pinned): Bellman-Ford re-ships every improvement, Δ-stepping settles vertices in near-distance order",
-		"distances are bit-identical across every variant and the baseline (pinned by the analytics cross-Δ equivalence suite); only schedule and wire volume differ",
-		"Δ=1 approximates Dijkstra order (most buckets, least wasted relaxation); wider buckets trade re-relaxation for fewer synchronized bucket steps")
-	if cfg.BenchPath != "" {
-		if err := writeDeltaBench(cfg.BenchPath, bench); err != nil {
-			return nil, err
-		}
-		r.Notes = append(r.Notes, fmt.Sprintf("benchmark JSON written to %s", cfg.BenchPath))
-	}
+		"the auto variant must relax fewer edges than the fat-bucket baseline and ship no more than Δ=1 (CI-pinned): one fat bucket re-relaxes every improved vertex's whole adjacency, Δ=1 pays a synchronized step per distance value",
+		"auto and the fat bucket ship within a few percent of each other: both cascade light chains locally and forward each ghost's best distance once per sub-round, so bucket order buys work, not bytes",
+		"distances are bit-identical across every variant (pinned by the analytics cross-Δ equivalence suite); only schedule and wire volume differ")
 	return r, nil
-}
-
-// writeDeltaBench writes the JSON artifact.
-func writeDeltaBench(path string, b *DeltaBench) error {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

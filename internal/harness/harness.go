@@ -42,15 +42,10 @@ type Config struct {
 	// experiments spin up; the zero value disables retries (a MaxAttempts
 	// of 1 or less means a single attempt per exchange).
 	Retry comm.RetryPolicy
-	// Traverse is the frontier policy armed on every rank (mode plus
-	// alpha/beta switch thresholds); the zero value is the adaptive engine
-	// with default thresholds. The hybrid experiment overrides the mode
-	// per measurement cell but keeps the thresholds.
+	// Traverse is the frontier policy armed on every rank; the zero value
+	// is the adaptive engine. The hybrid experiment overrides the mode per
+	// measurement cell.
 	Traverse core.Traversal
-	// BenchPath, when non-empty, makes the hybrid and delta experiments
-	// write their measurements as machine-readable JSON (BENCH_5.json /
-	// BENCH_6.json) to this path.
-	BenchPath string
 	// Delta, when non-zero, adds a fixed bucket-width variant to the delta
 	// experiment's Δ sweep (the sweep always runs Δ=1, auto, and 2·mean).
 	Delta uint64

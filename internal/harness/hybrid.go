@@ -1,9 +1,7 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -18,34 +16,23 @@ import (
 // under the always-push/always-sparse baseline, the adaptive policy, and
 // the forced dense/pull policy, on the RMAT (WC-sim) and Erdős–Rényi
 // companion graphs. Wall time, off-rank wire volume, and the engine's own
-// step/representation counters go into the table; with Config.BenchPath
-// set, the same measurements are written as machine-readable JSON
-// (BENCH_5.json) so the perf trajectory is tracked across PRs.
+// step/representation counters go into the table.
 
 // HybridEntry is one (graph, analytic, mode) measurement of the hybrid
-// benchmark: the JSON row of BENCH_5.json and the raw material of the
-// rendered table.
+// benchmark: the raw material of the rendered table and of the count pin.
 type HybridEntry struct {
-	Graph    string  `json:"graph"`
-	Analytic string  `json:"analytic"`
-	Mode     string  `json:"mode"`
-	Ranks    int     `json:"ranks"`
-	WallSecs float64 `json:"wall_seconds"`
+	Graph    string
+	Analytic string
+	Mode     string
+	Ranks    int
+	WallSecs float64
 	// SentMiB is the off-rank wire volume of the whole analytic (all
 	// collectives, all ranks summed), from the obs per-collective counters.
-	SentMiB float64 `json:"sent_mib"`
+	SentMiB float64
 	// Stats are the engine's per-step counters: steps by direction,
 	// direction switches, exchanges and payload bytes by representation
 	// (byte fields summed over ranks; step fields identical on every rank).
-	Stats obs.TraversalStats `json:"traversal"`
-}
-
-// HybridBench is the BENCH_5.json document.
-type HybridBench struct {
-	Experiment string        `json:"experiment"`
-	Scale      float64       `json:"scale"`
-	Seed       uint64        `json:"seed"`
-	Entries    []HybridEntry `json:"entries"`
+	Stats obs.TraversalStats
 }
 
 // hybridModes are the policies under comparison; "push" is the
@@ -146,8 +133,7 @@ func HybridRaw(cfg Config, p int, graphName string, spec gen.Spec, modeName stri
 	return entries, nil
 }
 
-// Hybrid is the registry entry point: the rendered comparison table, plus
-// the BENCH_5.json artifact when cfg.BenchPath is set.
+// Hybrid is the registry entry point: the rendered comparison table.
 func Hybrid(cfg Config) (*Report, error) {
 	p := cfg.maxRanks()
 	if p < 2 {
@@ -160,7 +146,6 @@ func Hybrid(cfg Config) (*Report, error) {
 		{"wc-rmat", cfg.wcSim()},
 		{"er", cfg.erSim()},
 	}
-	bench := &HybridBench{Experiment: "hybrid", Scale: cfg.Scale, Seed: cfg.Seed}
 	r := &Report{
 		ID:     "Hybrid",
 		Title:  fmt.Sprintf("direction-optimizing traversal vs always-push baseline (%d ranks)", p),
@@ -172,7 +157,6 @@ func Hybrid(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			bench.Entries = append(bench.Entries, entries...)
 			for _, e := range entries {
 				r.Rows = append(r.Rows, []string{
 					e.Graph, e.Analytic, e.Mode,
@@ -190,21 +174,5 @@ func Hybrid(cfg Config) (*Report, error) {
 		"adaptive must not exceed the push baseline's Sent MiB summed over the analytics on the RMAT graph (CI-pinned); the dense row shows the forced bottom-up/bitmap extreme",
 		"results are bit-identical across modes (pinned by the analytics cross-mode equivalence suite); only wire format and work order differ",
 		"sssp and wcc's coloring phase stay push-direction; sssp adapts only the claim representation, wcc's numbers cover its BFS phase")
-	if cfg.BenchPath != "" {
-		if err := writeHybridBench(cfg.BenchPath, bench); err != nil {
-			return nil, err
-		}
-		r.Notes = append(r.Notes, fmt.Sprintf("benchmark JSON written to %s", cfg.BenchPath))
-	}
 	return r, nil
-}
-
-// writeHybridBench writes the JSON artifact atomically enough for a
-// single-writer harness run.
-func writeHybridBench(path string, b *HybridBench) error {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

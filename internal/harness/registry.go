@@ -33,11 +33,8 @@ func Experiments() []Experiment {
 		{"degrees", Degrees},
 		{"ablations", Ablations},
 		{"endtoend", EndToEnd},
-		{"serve", Serve},
 		{"hybrid", Hybrid},
 		{"delta", Delta},
-		{"ingest", Ingest},
-		{"coldstart", Coldstart},
 		{"scale2d", Scale2D},
 	}
 }

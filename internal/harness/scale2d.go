@@ -1,9 +1,7 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -20,33 +18,23 @@ import (
 // rank's wire volume must not exceed the 1D layout's. BFS and WCC run under
 // both layouts on the RMAT (WC-sim) graph; per-rank and summed wire volume
 // go into the table, and answers are cross-checked byte-identical between
-// layouts. With Config.BenchPath set the measurements are written as
-// BENCH_10.json so the perf trajectory is tracked across PRs.
+// layouts.
 
-// Scale2DEntry is one (layout, analytic) measurement: the JSON row of
-// BENCH_10.json.
+// Scale2DEntry is one (layout, analytic) measurement.
 type Scale2DEntry struct {
-	Layout   string  `json:"layout"` // "1d-mp" or "2d"
-	Grid     string  `json:"grid"`   // "8x1"-style; the 1D layout is p×1
-	Analytic string  `json:"analytic"`
-	Ranks    int     `json:"ranks"`
-	WallSecs float64 `json:"wall_seconds"`
+	Layout   string // "1d-mp" or "2d"
+	Grid     string // "8x1"-style; the 1D layout is p×1
+	Analytic string
+	Ranks    int
+	WallSecs float64
 	// SentMiB is the off-rank wire volume summed over all ranks; MaxRankMiB
 	// is the busiest rank's share — the communication-avoiding pin compares
 	// the latter across layouts.
-	SentMiB    float64 `json:"sent_mib"`
-	MaxRankMiB float64 `json:"max_rank_mib"`
-	// Canonical is the job result's canonical byte encoding, recorded so
-	// the artifact itself witnesses cross-layout answer equality.
-	Canonical string `json:"canonical"`
-}
-
-// Scale2DBench is the BENCH_10.json document.
-type Scale2DBench struct {
-	Experiment string         `json:"experiment"`
-	Scale      float64        `json:"scale"`
-	Seed       uint64         `json:"seed"`
-	Entries    []Scale2DEntry `json:"entries"`
+	SentMiB    float64
+	MaxRankMiB float64
+	// Canonical is the job result's canonical byte encoding, compared
+	// across layouts.
+	Canonical string
 }
 
 // scale2DJobs are the 2D-capable analytics under comparison, as job
@@ -156,15 +144,13 @@ var scale2DLayouts = []struct {
 	{"2d", partition.Grid2D},
 }
 
-// Scale2D is the registry entry point: the layout comparison table, the
-// cross-layout answer equality check, and the BENCH_10.json artifact when
-// cfg.BenchPath is set.
+// Scale2D is the registry entry point: the layout comparison table and the
+// cross-layout answer equality check.
 func Scale2D(cfg Config) (*Report, error) {
 	p := cfg.maxRanks()
 	if p < 8 {
 		p = 8 // row/column factorizations below 4x2 degenerate to near-1D
 	}
-	bench := &Scale2DBench{Experiment: "scale2d", Scale: cfg.Scale, Seed: cfg.Seed}
 	r := &Report{
 		ID:     "Scale2D",
 		Title:  fmt.Sprintf("2d checkerboard vs 1d edge-block frontier traffic (%d ranks)", p),
@@ -176,7 +162,6 @@ func Scale2D(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		bench.Entries = append(bench.Entries, entries...)
 		for _, e := range entries {
 			if byAnalytic[e.Analytic] == nil {
 				byAnalytic[e.Analytic] = make(map[string]Scale2DEntry)
@@ -199,19 +184,5 @@ func Scale2D(cfg Config) (*Report, error) {
 	r.Notes = append(r.Notes,
 		"the busiest rank's wire volume under 2d must not exceed the 1d edge-block baseline for either analytic (CI-pinned): column expands and row folds touch √p-sized sub-groups instead of all p peers",
 		"answers are byte-identical across layouts (checked here per run and pinned by the analytics 1d-vs-2d equivalence battery)")
-	if cfg.BenchPath != "" {
-		if err := writeScale2DBench(cfg.BenchPath, bench); err != nil {
-			return nil, err
-		}
-		r.Notes = append(r.Notes, fmt.Sprintf("benchmark JSON written to %s", cfg.BenchPath))
-	}
 	return r, nil
-}
-
-func writeScale2DBench(path string, b *Scale2DBench) error {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

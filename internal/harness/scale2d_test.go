@@ -1,9 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/partition"
@@ -34,7 +31,10 @@ func TestScale2DReducesTraffic(t *testing.T) {
 		if a.Analytic != b.Analytic {
 			t.Fatalf("entry order diverges: %s vs %s", a.Analytic, b.Analytic)
 		}
-		if a.Canonical != b.Canonical {
+		if a.Grid != "8x1" || b.Grid != "4x2" {
+			t.Fatalf("%s: grids %q and %q, want 8x1 and 4x2 at 8 ranks", a.Analytic, a.Grid, b.Grid)
+		}
+		if a.Canonical == "" || a.Canonical != b.Canonical {
 			t.Fatalf("%s answers diverge across layouts:\n  1d: %s\n  2d: %s", a.Analytic, a.Canonical, b.Canonical)
 		}
 		if b.MaxRankMiB > a.MaxRankMiB {
@@ -46,51 +46,5 @@ func TestScale2DReducesTraffic(t *testing.T) {
 		}
 		t.Logf("%s: max rank MiB 1d=%.4f 2d=%.4f (saved %.1f%%), total 1d=%.4f 2d=%.4f",
 			a.Analytic, a.MaxRankMiB, b.MaxRankMiB, 100*(1-b.MaxRankMiB/a.MaxRankMiB), a.SentMiB, b.SentMiB)
-	}
-}
-
-// TestScale2DBenchArtifact pins the BENCH_10.json plumbing: the experiment
-// writes a parseable document covering every (layout, analytic) cell with a
-// 2D grid geometry recorded.
-func TestScale2DBenchArtifact(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full layout grid")
-	}
-	cfg := tinyConfig()
-	cfg.BenchPath = filepath.Join(t.TempDir(), "BENCH_10.json")
-	rep, err := Scale2D(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != len(scale2DLayouts)*len(scale2DJobs) {
-		t.Fatalf("%d rows, want %d", len(rep.Rows), len(scale2DLayouts)*len(scale2DJobs))
-	}
-	data, err := os.ReadFile(cfg.BenchPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b Scale2DBench
-	if err := json.Unmarshal(data, &b); err != nil {
-		t.Fatal(err)
-	}
-	if b.Experiment != "scale2d" || len(b.Entries) != len(rep.Rows) {
-		t.Fatalf("artifact experiment %q with %d entries, want scale2d with %d", b.Experiment, len(b.Entries), len(rep.Rows))
-	}
-	seen := make(map[string]bool)
-	for _, e := range b.Entries {
-		seen[e.Layout+"/"+e.Analytic] = true
-		if e.WallSecs <= 0 || e.Canonical == "" {
-			t.Fatalf("entry %s/%s incomplete: %+v", e.Layout, e.Analytic, e)
-		}
-		if e.Layout == "2d" && e.Grid != "4x2" {
-			t.Fatalf("2d entry records grid %q, want 4x2 at 8 ranks", e.Grid)
-		}
-	}
-	for _, l := range scale2DLayouts {
-		for _, j := range scale2DJobs {
-			if !seen[l.name+"/"+j.name] {
-				t.Fatalf("artifact missing cell %s/%s", l.name, j.name)
-			}
-		}
 	}
 }

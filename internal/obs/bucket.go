@@ -5,7 +5,7 @@ package obs
 // they took, and how much churn the lazy decrease-key caused (tombstones
 // skipped, vertices moved between buckets, inserts spilling past the open
 // window). One value is produced per run and carried on the analytic's
-// result; the harness sums the per-rank values into BENCH_6.json. The
+// result; the harness sums the per-rank values into its delta table. The
 // relaxation counters split edge work into the Δ-stepping classes (light =
 // weight <= Δ, relaxed to a fixed point inside the bucket; heavy = relaxed
 // once when the bucket settles); exact k-core peeling reports all its

@@ -6,7 +6,7 @@ package obs
 // bitmap exchange beat the sparse ID list, and how many bytes the switch
 // saved against the always-sparse baseline). One value is produced per
 // traversal and carried on the analytic's result; the harness sums them
-// into the hybrid benchmark table and BENCH_5.json.
+// into the hybrid benchmark table.
 type TraversalStats struct {
 	// PushSteps and PullSteps count frontier steps by direction.
 	PushSteps uint64 `json:"push_steps"`

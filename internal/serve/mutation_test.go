@@ -208,6 +208,11 @@ func TestServeDifferentialRebuildEquivalence(t *testing.T) {
 			ms.Start()
 			defer ms.Close()
 			mutateAll(t, mut, ms, batches, oracles)
+			// Epoch arithmetic without auto-compaction: the seed epoch plus
+			// one bump per acknowledged batch (and one per swap, below).
+			if want := uint64(1 + len(batches)); mut.Epoch() != want {
+				t.Fatalf("epoch %d after %d batches from seed epoch 1, want %d", mut.Epoch(), len(batches), want)
+			}
 			got := answersOn(t, ms, queries)
 
 			reb := newIngestCluster(t, final, tc.kind, true, rebTF)
@@ -237,7 +242,7 @@ func TestServeDifferentialRebuildEquivalence(t *testing.T) {
 
 			// Compact: the merged overlays become the new bases. The logical
 			// graph is unchanged, so every answer must survive the swap
-			// byte-for-byte, while the epoch advances.
+			// byte-for-byte, while the swap bumps the epoch once.
 			epochBefore := mut.Epoch()
 			res, err := mut.Compact()
 			if err != nil {
@@ -246,8 +251,8 @@ func TestServeDifferentialRebuildEquivalence(t *testing.T) {
 			if !res.Compacted || res.Applied != uint64(mut.Size()) {
 				t.Fatalf("compact result %+v, want full swap of %d shards", res, mut.Size())
 			}
-			if mut.Epoch() <= epochBefore {
-				t.Fatalf("epoch %d did not advance past %d on compaction", mut.Epoch(), epochBefore)
+			if mut.Epoch() != epochBefore+1 {
+				t.Fatalf("epoch %d after compaction, want %d (one bump for the swap)", mut.Epoch(), epochBefore+1)
 			}
 			after := answersOn(t, ms, queries)
 			for i := range queries {

@@ -46,9 +46,8 @@ type SchedConfig struct {
 	// for all members. <= 0 selects 8; 1 disables batching. Bounded above
 	// by analytics.MaxSources.
 	BatchMax int
-	// CacheCap bounds the LRU result cache in entries; 0 disables caching
-	// and < 0 is treated as 0. The default (unset = -1 sentinel not used;
-	// callers pass explicitly) — DefaultSchedConfig uses 256.
+	// CacheCap bounds the LRU result cache in entries; <= 0 disables
+	// caching. There is no implied default: DefaultSchedConfig sets 256.
 	CacheCap int
 	// Tracer, when non-nil, receives one SpanServeJob span per SPMD job
 	// from the dispatcher goroutine.
