@@ -237,8 +237,8 @@ func main() {
 			fatal(err)
 		}
 		if *rank == 0 {
-			fmt.Printf("rank 0: exact k-core in %.3fs: degeneracy %d (%d buckets, %d peels)\n",
-				time.Since(start).Seconds(), kc.MaxCore, kc.Buckets.Buckets, kc.Buckets.Extracted)
+			fmt.Printf("rank 0: exact k-core in %.3fs: degeneracy %d (%d levels, %d sub-rounds, %d peels here)\n",
+				time.Since(start).Seconds(), kc.MaxCore, kc.Levels, kc.Rounds, kc.Peeled)
 		}
 	}
 	finish(c, tracer, met, *trace, *rank)

@@ -250,13 +250,35 @@ func (e *frontierEngine) expand(ctx *core.Ctx, status []int32, queue, next []uin
 // returned by exchangeFrontier aliases the scratch and is valid until the
 // next call with the same scratch.
 type frontierScratch struct {
-	counts     []uint64
-	cur        []uint64
 	sendCounts []int
+	cur        []int
 	vsend      []uint32
 	recv       []uint32
 	recvCounts []int
 	lids       []uint32
+}
+
+// ownerSegments lays a send buffer out by owning rank for the p ranks of the
+// group: counts[d] is the length of rank d's segment — lead words, then one
+// per ghost in ghosts that d owns — cur[d] is where its first ghost goes, and
+// total the length of the whole buffer. counts and cur are reused when they
+// are large enough.
+func ownerSegments(g *core.Graph, p int, ghosts []uint32, lead int, counts, cur []int) (_, _ []int, total int) {
+	if cap(counts) < p {
+		counts, cur = make([]int, p), make([]int, p)
+	}
+	counts, cur = counts[:p], cur[:p]
+	for d := range counts {
+		counts[d] = lead
+	}
+	for _, u := range ghosts {
+		counts[g.GhostOwner[u-g.NLoc]]++
+	}
+	for d, c := range counts {
+		cur[d] = total + lead
+		total += c
+	}
+	return counts, cur, total
 }
 
 // exchangeFrontier routes ghost local ids to their owning ranks (as global
@@ -264,26 +286,9 @@ type frontierScratch struct {
 // arrived here, multiplicity preserved. Callers deduplicate (or count)
 // against their own state arrays.
 func exchangeFrontier(ctx *core.Ctx, g *core.Graph, ghostLids []uint32, sc *frontierScratch) ([]uint32, error) {
-	p := ctx.Size()
-	if cap(sc.counts) < p {
-		sc.counts = make([]uint64, p)
-		sc.cur = make([]uint64, p)
-		sc.sendCounts = make([]int, p)
-	}
-	counts, cur, sendCounts := sc.counts[:p], sc.cur[:p], sc.sendCounts[:p]
-	for i := range counts {
-		counts[i] = 0
-	}
-	for _, u := range ghostLids {
-		counts[g.GhostOwner[u-g.NLoc]]++
-	}
-	var total uint64
-	for d, c := range counts {
-		cur[d] = total
-		sendCounts[d] = int(c)
-		total += c
-	}
-	if uint64(cap(sc.vsend)) < total {
+	sendCounts, cur, total := ownerSegments(g, ctx.Size(), ghostLids, 0, sc.sendCounts, sc.cur)
+	sc.sendCounts, sc.cur = sendCounts, cur
+	if cap(sc.vsend) < total {
 		sc.vsend = make([]uint32, total)
 	}
 	vsend := sc.vsend[:total]

@@ -8,22 +8,21 @@ import (
 	"repro/internal/obs"
 )
 
-// The distributed bucket structure (in the style of Julienne/GBBS): the
-// shared machinery under Δ-stepping SSSP and exact k-core peeling. Each
-// rank keeps its owned vertices in an open-addressed window of buckets
-// keyed by priority/Δ plus one overflow list; decrease-key is lazy — a
-// moved vertex is simply appended to its new bucket, and the stale copies
-// it leaves behind are recognized (and dropped) by checking the
+// The distributed bucket structure (in the style of Julienne/GBBS) under
+// Δ-stepping SSSP. Each rank keeps its owned vertices in an open-addressed
+// window of buckets keyed by priority/Δ plus one overflow list; decrease-key
+// is lazy — a moved vertex is simply appended to its new bucket, and the
+// stale copies it leaves behind are recognized (and dropped) by checking the
 // authoritative per-vertex bucket id at extract time. The overflow list
 // holds at most one copy of a vertex for as long as the vertex stays beyond
 // the window: a move from one beyond-window bucket to another appends
-// nothing (see update). The group settles
-// buckets in ascending global order: one Allreduce(min) per bucket picks
-// the next non-empty bucket on any rank, and per-bucket ghost claims reuse
-// the frontier engine's hybrid sparse-stream / dense fused-bitmap exchange.
+// nothing (see update). The group settles buckets in ascending global order:
+// one Allreduce(min) per bucket picks the next non-empty bucket on any rank,
+// and per-bucket ghost claims reuse the frontier engine's hybrid
+// sparse-stream / dense fused-bitmap exchange.
 
-// infBucket marks a vertex that is in no bucket (never inserted, removed,
-// or currently extracted).
+// infBucket marks a vertex that is in no bucket (never inserted, or
+// currently extracted).
 const infBucket = ^uint64(0)
 
 // bucketWindow is the open-addressed window width: the number of bucket
@@ -40,17 +39,14 @@ type bucketStore struct {
 	delta   uint64
 	numOpen uint64
 	// cur is the settled floor: the bucket id the last nextBucket returned.
-	// Every bucket below cur is globally empty, and inserts are clamped up
-	// to cur (k-core decrements can drive a degree below the bucket being
-	// peeled; such vertices belong to the current bucket).
+	// Every bucket below cur is globally empty, and nothing files below it:
+	// weights are non-negative, so a relaxation out of bucket cur lands in
+	// cur or later.
 	cur      uint64
 	open     [][]uint32 // open[id%numOpen] holds entries for in-window id
 	overflow []uint32   // entries with id >= cur+numOpen at insert time
 	bktOf    []uint64   // authoritative bucket id per owned vertex
 	stats    obs.BucketStats
-	// peakOverflow is the longest overflow has been since reset; tests bound
-	// it (one copy per vertex plus re-inserts after extraction).
-	peakOverflow int
 }
 
 // newBucketStore sizes the structure for n owned vertices with the given
@@ -76,20 +72,14 @@ func (b *bucketStore) reset() {
 		b.bktOf[i] = infBucket
 	}
 	b.stats = obs.BucketStats{}
-	b.peakOverflow = 0
 }
 
-// bucketOf maps a priority onto its bucket id, clamped to the settled
-// floor (see cur).
+// bucketOf maps a priority onto its bucket id.
 func (b *bucketStore) bucketOf(d uint64) uint64 {
 	if d == InfDistance {
 		return infBucket
 	}
-	id := d / b.delta
-	if id < b.cur {
-		id = b.cur
-	}
-	return id
+	return d / b.delta
 }
 
 // update is the lazy decrease-key (and first insert): v moves to the
@@ -113,25 +103,16 @@ func (b *bucketStore) update(v uint32, d uint64) {
 		// A vertex whose old bucket was already beyond the window has a copy
 		// in overflow: it went there when it left the window (or first came
 		// in), and no scan since can have dropped it, because scans drop only
-		// removed vertices and those the window has reached. That one copy
+		// extracted vertices and those the window has reached. That one copy
 		// serves the new id too — entries carry no id, bktOf is read when
 		// they are scanned — so a second would only be rescanned with it.
 		if old == infBucket || old < b.cur+b.numOpen {
 			b.overflow = append(b.overflow, v)
-			if len(b.overflow) > b.peakOverflow {
-				b.peakOverflow = len(b.overflow)
-			}
 		}
 		return
 	}
 	s := id % b.numOpen
 	b.open[s] = append(b.open[s], v)
-}
-
-// remove takes v out of every bucket (a peeled vertex); its stale copies
-// are dropped as tombstones when their lists are next scanned.
-func (b *bucketStore) remove(v uint32) {
-	b.bktOf[v] = infBucket
 }
 
 // compact drops tombstones from bucket id's open slot and returns the
@@ -173,7 +154,7 @@ func (b *bucketStore) localMin() uint64 {
 	for _, v := range b.overflow {
 		bv := b.bktOf[v]
 		if bv == infBucket || bv < b.cur+b.numOpen {
-			// Stale: removed, or moved into the (just proven empty) window —
+			// Stale: in no bucket, or moved into the (just proven empty) window —
 			// in the latter case the live copy sits in an open list already.
 			b.stats.Tombstones++
 			continue
@@ -189,7 +170,7 @@ func (b *bucketStore) localMin() uint64 {
 
 // advance moves the settled floor (and with it the open window) to the
 // globally agreed bucket k and pulls newly in-window overflow entries into
-// their open slots. k never decreases: inserts are clamped to cur, so the
+// their open slots. k never decreases: nothing files below cur, so the
 // global minimum is at least the previous k.
 func (b *bucketStore) advance(k uint64) {
 	if k == b.cur {
@@ -257,16 +238,15 @@ func (b *bucketStore) extract(k uint64, dst []uint32) []uint32 {
 }
 
 // bucketComm bundles the frontier engine with retained sparse-stream
-// scratch for the per-bucket ghost claim exchange Δ-stepping and exact
-// peeling share. Claims travel either as aligned (gid, value) streams or
-// as the engine's fused bitmap+payload dense exchange, chosen per round by
-// the same globally reduced byte estimate as PR 5's frontier exchange
-// (sparse for thin buckets, dense for fat ones). Collective: every rank
-// calls exchange once per relaxation sub-round, claims or not.
+// scratch for Δ-stepping's per-bucket ghost claim exchange. Claims travel
+// either as aligned (gid, value) streams or as the engine's fused
+// bitmap+payload dense exchange, chosen per round by the same globally
+// reduced byte estimate as PR 5's frontier exchange (sparse for thin
+// buckets, dense for fat ones). Collective: every rank calls exchange once
+// per relaxation sub-round, claims or not.
 type bucketComm struct {
 	eng       *frontierEngine
-	counts    []uint64
-	cur       []uint64
+	cur       []int
 	intCounts []int
 	sendGid   []uint32
 	recvGid   []uint32
@@ -282,12 +262,11 @@ func newBucketComm(eng *frontierEngine) *bucketComm {
 }
 
 // exchange routes one sub-round of ghost claims (unique ghost lids — the
-// callers dedup via CAS flags) to their owners: val reads claim u's
+// callers dedup via CAS flags) to their owners: vals[u] is claim u's
 // payload, apply receives each owned vertex's arriving payload. Both
 // representations deliver the same (vertex, payload) multiset, so the
 // fixed point is representation-independent.
-func (bc *bucketComm) exchange(ctx *core.Ctx, claims []uint32,
-	val func(u uint32) uint64, apply func(v uint32, x uint64) error) error {
+func (bc *bucketComm) exchange(ctx *core.Ctx, claims []uint32, vals []uint64, apply func(v uint32, x uint64)) error {
 	eng := bc.eng
 	g := eng.g
 	dense, err := eng.denseClaimRound(ctx, len(claims), 8)
@@ -298,29 +277,12 @@ func (bc *bucketComm) exchange(ctx *core.Ctx, claims []uint32,
 		if err := eng.ensureHalo(ctx); err != nil {
 			return err
 		}
-		return eng.reverseValueExchange(ctx, claims, val, apply)
+		return eng.reverseValueExchange(ctx, claims, vals, apply)
 	}
 	eng.noteSparse(len(claims), 12)
-	p := ctx.Size()
-	if cap(bc.counts) < p {
-		bc.counts = make([]uint64, p)
-		bc.cur = make([]uint64, p)
-		bc.intCounts = make([]int, p)
-	}
-	counts, cur, intCounts := bc.counts[:p], bc.cur[:p], bc.intCounts[:p]
-	for i := range counts {
-		counts[i] = 0
-	}
-	for _, u := range claims {
-		counts[g.GhostOwner[u-g.NLoc]]++
-	}
-	var total uint64
-	for d, c := range counts {
-		cur[d] = total
-		intCounts[d] = int(c)
-		total += c
-	}
-	if uint64(cap(bc.sendGid)) < total {
+	intCounts, cur, total := ownerSegments(g, ctx.Size(), claims, 0, bc.intCounts, bc.cur)
+	bc.intCounts, bc.cur = intCounts, cur
+	if cap(bc.sendGid) < total {
 		bc.sendGid = make([]uint32, total)
 		bc.sendVal = make([]uint64, total)
 	}
@@ -328,7 +290,7 @@ func (bc *bucketComm) exchange(ctx *core.Ctx, claims []uint32,
 	for _, u := range claims {
 		d := g.GhostOwner[u-g.NLoc]
 		sendGid[cur[d]] = g.GlobalID(u)
-		sendVal[cur[d]] = val(u)
+		sendVal[cur[d]] = vals[u]
 		cur[d]++
 	}
 	bc.recvGid, bc.recvGidCounts, err = comm.AlltoallvInto(ctx.Comm, sendGid, intCounts, bc.recvGid, bc.recvGidCounts)
@@ -343,13 +305,13 @@ func (bc *bucketComm) exchange(ctx *core.Ctx, claims []uint32,
 		return fmt.Errorf("analytics: bucket claim streams misaligned")
 	}
 	for i, gid := range bc.recvGid {
-		lid := g.MustLocalID(gid)
+		// The id came off the wire: a forged or misrouted one must fail the
+		// job, not panic the rank.
+		lid := g.LocalID(gid)
 		if lid >= g.NLoc {
 			return fmt.Errorf("analytics: bucket claim for unowned vertex %d", gid)
 		}
-		if err := apply(lid, bc.recvVal[i]); err != nil {
-			return err
-		}
+		apply(lid, bc.recvVal[i])
 	}
 	return nil
 }

@@ -2,19 +2,21 @@ package analytics
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/gen"
+	"repro/internal/edge"
 	"repro/internal/partition"
 	"repro/internal/rng"
 )
 
 // TestBucketStoreLocalSemantics walks one store through the full lifecycle:
 // insert, in-window and overflow filing, decrease-key (with tombstoned
-// stale copies), remove, window advance, and extraction order.
+// stale copies), a vertex leaving every bucket, window advance, and
+// extraction order.
 func TestBucketStoreLocalSemantics(t *testing.T) {
 	b := newBucketStore(10, 5, 4) // Δ=5, window of 4 buckets
 	b.update(0, 0)                // bucket 0
@@ -36,9 +38,9 @@ func TestBucketStoreLocalSemantics(t *testing.T) {
 	if len(got) != 2 || got[0] != 0 || got[1] != 3 {
 		t.Fatalf("extract(0) = %v, want [0 3]", got)
 	}
-	b.remove(1) // peel vertex 1; its bucket-1 copy becomes a tombstone
+	b.update(1, InfDistance) // vertex 1 leaves; its bucket-1 copy becomes a tombstone
 	if got := b.localMin(); got != 5 {
-		t.Fatalf("localMin after remove = %d, want 5 (overflow)", got)
+		t.Fatalf("localMin after vertex 1 left = %d, want 5 (overflow)", got)
 	}
 	b.advance(5) // overflow entry slides into the open window
 	got = b.extract(5, got[:0])
@@ -53,23 +55,6 @@ func TestBucketStoreLocalSemantics(t *testing.T) {
 	}
 	if b.stats.Tombstones == 0 {
 		t.Fatal("lazy decrease-key left no tombstones")
-	}
-}
-
-// TestBucketStoreClampsToFloor pins the k-core-critical clamp: a priority
-// below the settled floor files into the floor bucket, never behind it.
-func TestBucketStoreClampsToFloor(t *testing.T) {
-	b := newBucketStore(4, 1, 4)
-	b.update(0, 3)
-	b.update(1, 5)
-	b.advance(3)
-	b.update(1, 0) // degree dropped below the bucket being peeled
-	if got := b.bktOf[1]; got != 3 {
-		t.Fatalf("clamped bucket = %d, want 3", got)
-	}
-	got := b.extract(3, nil)
-	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("extract(3) = %v, want [0 1]", got)
 	}
 }
 
@@ -158,7 +143,7 @@ func TestBucketDeterminismAcrossRanks(t *testing.T) {
 }
 
 // TestBucketStoreStress churns a store against a map-based reference model
-// with random interleaved updates/removes/extractions.
+// with random interleaved updates, departures and extractions.
 func TestBucketStoreStress(t *testing.T) {
 	const n = 200
 	seed := uint64(0x5EED)
@@ -170,7 +155,7 @@ func TestBucketStoreStress(t *testing.T) {
 		v := uint32(seed % n)
 		seed = rng.Mix64(seed)
 		switch seed % 3 {
-		case 0, 1: // update (clamped to the floor like real callers)
+		case 0, 1: // update, at or above the floor like real callers
 			seed = rng.Mix64(seed)
 			d := b.cur*3 + seed%60
 			if old, ok := model[v]; !ok || d < old {
@@ -181,7 +166,7 @@ func TestBucketStoreStress(t *testing.T) {
 		case 2:
 			if inserted[v] {
 				delete(model, v)
-				b.remove(v)
+				b.update(v, InfDistance)
 			}
 		}
 		if step%97 == 0 {
@@ -191,9 +176,6 @@ func TestBucketStoreStress(t *testing.T) {
 				if id := d / 3; id < wantMin {
 					wantMin = id
 				}
-			}
-			if wantMin < b.cur {
-				wantMin = b.cur
 			}
 			if k != wantMin {
 				t.Fatalf("step %d: localMin = %d, model %d", step, k, wantMin)
@@ -205,11 +187,7 @@ func TestBucketStoreStress(t *testing.T) {
 			got := b.extract(k, nil)
 			want := map[uint32]bool{}
 			for u, d := range model {
-				id := d / 3
-				if id < b.cur {
-					id = b.cur
-				}
-				if id == k {
+				if d/3 == k {
 					want[u] = true
 				}
 			}
@@ -230,41 +208,109 @@ func TestBucketStoreStress(t *testing.T) {
 }
 
 // TestBucketOverflowOneCopyPerVertex pins the overflow list's size with a
-// count: exact k-core peeling (Δ = 1, a 64-bucket window) on a hub-heavy
-// graph parks nearly every vertex beyond the window and then decrements it
-// many times over before the window reaches it. Every such move is an
-// overflow spill, but none needs a second physical copy, and a peeled
-// vertex never comes back — so the list never outgrows the owned vertices.
+// count, driving the store the way a Δ=1 schedule over a wide priority range
+// does: every vertex starts far beyond the 64-bucket window and has its key
+// decreased many times over before the window reaches it. Every such move
+// is an overflow spill, but none needs a second physical copy, and an
+// extracted vertex never comes back — so the list never outgrows the
+// vertices, and each one is still extracted exactly once, in bucket order.
 func TestBucketOverflowOneCopyPerVertex(t *testing.T) {
-	spec := gen.Spec{Kind: gen.RMAT, NumVertices: 1 << 11, NumEdges: 80 << 11, Seed: 4}
-	list, err := spec.GenerateAll()
-	if err != nil {
-		t.Fatal(err)
+	const n, moves = 2048, 12
+	b := newBucketStore(n, 1, bucketWindow)
+	prio := make([]uint64, n)
+	// The list only grows inside update, so its peak shows right after one.
+	file := func(v int, d uint64) {
+		prio[v] = d
+		b.update(uint32(v), d)
+		if len(b.overflow) > n {
+			t.Fatalf("overflow holds %d entries for %d vertices (%d spills)", len(b.overflow), n, b.stats.OverflowSpills)
+		}
 	}
-	err = comm.RunLocal(2, func(c *comm.Comm) error {
-		ctx := core.NewCtx(c, 1)
-		src := core.ListSource{Edges: list}
-		pt, err := core.MakePartitioner(ctx, src, partition.Random, spec.NumVertices, 7)
+	for v := range prio {
+		file(v, 4*bucketWindow+rng.Mix64(0xF00D^uint64(v))%(1<<14))
+	}
+	floor := uint64(0)
+	lower := func(step uint64) {
+		for v := range prio {
+			if d := prio[v] - rng.Mix64(step<<32|uint64(v))%bucketWindow; prio[v] != InfDistance && d >= floor+2*bucketWindow {
+				file(v, d)
+			}
+		}
+	}
+	for m := uint64(0); m < moves; m++ {
+		lower(m)
+	}
+	var ext []uint32
+	extracted := 0
+	for step := uint64(moves); ; step++ {
+		k := b.localMin()
+		if k == infBucket {
+			break
+		}
+		if k < floor {
+			t.Fatalf("bucket %d settled after %d", k, floor)
+		}
+		floor = k
+		b.advance(k)
+		ext = b.extract(k, ext[:0])
+		for _, v := range ext {
+			if prio[v] != k {
+				t.Fatalf("vertex %d extracted from bucket %d, filed at %d", v, k, prio[v])
+			}
+			prio[v] = InfDistance
+		}
+		extracted += len(ext)
+		if step%16 == 0 {
+			lower(step)
+		}
+	}
+	if extracted != n {
+		t.Fatalf("extracted %d of %d vertices", extracted, n)
+	}
+	if b.stats.OverflowSpills <= 2*n {
+		t.Fatalf("only %d overflow spills for %d vertices: the schedule does not churn beyond the window", b.stats.OverflowSpills, n)
+	}
+}
+
+// TestBucketClaimRejectsForgedVertex drives the sparse claim exchange's
+// receive path with a forged stream: rank 1 plays the two aligned rounds by
+// hand and names a vertex rank 0 has never heard of, then one rank 0 only
+// holds as a ghost. Both must fail the exchange with an error; the unknown
+// id used to reach MustLocalID and panic the rank.
+func TestBucketClaimRejectsForgedVertex(t *testing.T) {
+	// Vertex-block over 64 vertices: rank 0 owns 0..31 and ghosts 32 through
+	// the 31-32 edge; 63 is isolated, so rank 0 has no local id for it.
+	var path edge.List
+	for v := uint32(0); v < 40; v++ {
+		path.Push(v, v+1)
+	}
+	tg := testGraph{name: "path", n: 64, edges: path}
+	for _, forged := range []uint32{63, 32} {
+		err := comm.RunLocal(2, func(c *comm.Comm) error {
+			ctx := core.NewCtx(c, 1)
+			ctx.Traverse.Mode = core.TraversePush // sparse stream, no representation reduce
+			g, err := buildShard(ctx, tg, partition.VertexBlock)
+			if err != nil {
+				return err
+			}
+			if c.Rank() == 1 {
+				if _, _, err := comm.Alltoallv(c, []uint32{forged}, []int{1, 0}); err != nil {
+					return err
+				}
+				_, _, err := comm.Alltoallv(c, []uint64{7}, []int{1, 0})
+				return err
+			}
+			bc := newBucketComm(newFrontierEngine(ctx, g))
+			err = bc.exchange(ctx, nil, nil, func(v uint32, x uint64) {
+				t.Errorf("forged claim reached vertex %d with payload %d", v, x)
+			})
+			if err == nil || !strings.Contains(err.Error(), "unowned vertex") {
+				return fmt.Errorf("exchange returned %v, want the unowned-vertex error", err)
+			}
+			return nil
+		})
 		if err != nil {
-			return err
+			t.Fatalf("forged vertex %d: %v", forged, err)
 		}
-		g, _, err := core.Build(ctx, src, pt)
-		if err != nil {
-			return err
-		}
-		res, bk, err := kcoreExact(ctx, g)
-		if err != nil {
-			return err
-		}
-		if res.Buckets.OverflowSpills <= 2*uint64(g.NLoc) {
-			return fmt.Errorf("rank %d: only %d overflow spills for %d vertices: the graph does not churn beyond the window", c.Rank(), res.Buckets.OverflowSpills, g.NLoc)
-		}
-		if bk.peakOverflow > int(g.NLoc) {
-			return fmt.Errorf("rank %d: overflow peaked at %d entries for %d owned vertices (%d spills)", c.Rank(), bk.peakOverflow, g.NLoc, res.Buckets.OverflowSpills)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

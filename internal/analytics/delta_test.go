@@ -166,7 +166,7 @@ func TestDeltaUnitWeightsEqualsBFSTCP(t *testing.T) {
 	}
 }
 
-// TestKCoreExactMatchesSequential compares the bucketed peel against the
+// TestKCoreExactMatchesSequential compares the exact peel against the
 // quadratic oracle on every test graph and rank count.
 func TestKCoreExactMatchesSequential(t *testing.T) {
 	for _, tg := range makeTestGraphs(t) {

@@ -281,12 +281,11 @@ func (r *ssspRunner) run(root uint32) (*SSSPResult, error) {
 		return locals, claims, edges
 	}
 	// arrive merges one claimed distance into an owned vertex (serial).
-	arrive := func(v uint32, x uint64) error {
+	arrive := func(v uint32, x uint64) {
 		if x < dist[v] {
 			dist[v] = x
 			bk.update(v, x)
 		}
-		return nil
 	}
 	clearFlags := func(lists ...[]uint32) {
 		for _, l := range lists {
@@ -354,7 +353,7 @@ func (r *ssspRunner) run(root uint32) (*SSSPResult, error) {
 				}
 				frontier = cascade
 			}
-			if err := bc.exchange(ctx, allClaims, func(u uint32) uint64 { return dist[u] }, arrive); err != nil {
+			if err := bc.exchange(ctx, allClaims, dist, arrive); err != nil {
 				return nil, err
 			}
 			for _, u := range allLocals {
@@ -368,7 +367,7 @@ func (r *ssspRunner) run(root uint32) (*SSSPResult, error) {
 		rounds++
 		locals, claims, edges := relax(settled, split.bound, g.OutIdx[1:])
 		bk.stats.HeavyRelaxations += edges
-		if err := bc.exchange(ctx, claims, func(u uint32) uint64 { return dist[u] }, arrive); err != nil {
+		if err := bc.exchange(ctx, claims, dist, arrive); err != nil {
 			return nil, err
 		}
 		for _, u := range locals {

@@ -212,7 +212,7 @@ func (e *frontierEngine) exchangeDenseClaims(ctx *core.Ctx, claims []uint32) ([]
 	for _, u := range claims {
 		gi := u - g.NLoc
 		r := int(g.GhostOwner[gi])
-		bit := int(e.ghostSlot[gi]) - e.recvLidOff[r]
+		bit := int(e.ghostSlot[gi])
 		seg := words[e.recvWordOffs[r]:]
 		seg[bit>>6] |= 1 << (bit & 63)
 	}
@@ -347,12 +347,10 @@ func (e *frontierEngine) note(prev, cur stepPlan, first bool) {
 // reverseValueExchange is the fused bits+payload reverse exchange: claimed
 // ghost slots travel to their owners as a packed bitmap followed by one
 // 64-bit word per set bit (in ascending slot order), all in one
-// AlltoallvInto round. val reads claim u's payload; arrive receives each
-// owned vertex's payload. Used by the dense SSSP round and the bucket
-// structure's dense claim exchange (payload = the relaxed distance, or the
-// peeling decrement).
-func (e *frontierEngine) reverseValueExchange(ctx *core.Ctx, claims []uint32,
-	val func(u uint32) uint64, arrive func(v uint32, x uint64) error) error {
+// AlltoallvInto round. vals[u] is claim u's payload (Δ-stepping's relaxed
+// distance); arrive receives each owned vertex's payload. It is the dense
+// half of the bucket structure's claim exchange.
+func (e *frontierEngine) reverseValueExchange(ctx *core.Ctx, claims []uint32, vals []uint64, arrive func(v uint32, x uint64)) error {
 	g, h := e.g, e.halo
 	p := ctx.Size()
 
@@ -365,7 +363,7 @@ func (e *frontierEngine) reverseValueExchange(ctx *core.Ctx, claims []uint32,
 	for _, u := range claims {
 		gi := u - g.NLoc
 		r := int(g.GhostOwner[gi])
-		bit := int(e.ghostSlot[gi]) - e.recvLidOff[r]
+		bit := int(e.ghostSlot[gi])
 		seg := bitWords[e.recvWordOffs[r]:]
 		seg[bit>>6] |= 1 << (bit & 63)
 		perDest[r]++
@@ -391,7 +389,7 @@ func (e *frontierEngine) reverseValueExchange(ctx *core.Ctx, claims []uint32,
 		seg := bitWords[e.recvWordOffs[r] : e.recvWordOffs[r]+nw]
 		base := e.recvLidOff[r]
 		n, err := comm.EncodeMaskedValues(send[off:], seg, h.recvSegs[r], 1,
-			func(bit int, out []uint64) { out[0] = val(h.recvLids[base+bit]) })
+			func(bit int, out []uint64) { out[0] = vals[h.recvLids[base+bit]] })
 		if err != nil {
 			return fmt.Errorf("analytics: dense value exchange to rank %d: %w", r, err)
 		}
@@ -412,7 +410,7 @@ func (e *frontierEngine) reverseValueExchange(ctx *core.Ctx, claims []uint32,
 	for r := 0; r < p; r++ {
 		base := e.sendVertOff[r]
 		err := comm.DecodeMaskedValues(recv[off:off+recvCounts[r]], h.sendCounts[r], 1,
-			func(bit int, vals []uint64) error { return arrive(h.sendVerts[base+bit], vals[0]) })
+			func(bit int, got []uint64) error { arrive(h.sendVerts[base+bit], got[0]); return nil })
 		if err != nil {
 			return fmt.Errorf("analytics: dense value exchange from rank %d: %w", r, err)
 		}

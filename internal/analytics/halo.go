@@ -74,7 +74,7 @@ type haloGeom struct {
 	recvWords    int
 	recvLidOff   []int   // per-source element offsets into recvLids
 	sendVertOff  []int   // per-dest element offsets into sendVerts
-	ghostSlot    []int32 // ghost lid - NLoc -> slot index in recvLids
+	ghostSlot    []int32 // ghost lid - NLoc -> slot in its owner's segment of recvLids
 }
 
 // geometry returns the halo's packed-segment geometry, deriving it on
@@ -93,16 +93,16 @@ func (h *Halo) geometry() (*haloGeom, error) {
 	p := len(h.sendCounts)
 	gm.recvLidOff = make([]int, p)
 	gm.sendVertOff = make([]int, p)
+	gm.ghostSlot = make([]int32, g.NGst)
 	recvOff, sendOff := 0, 0
 	for r := 0; r < p; r++ {
 		gm.recvLidOff[r] = recvOff
+		for s, lid := range h.recvLids[recvOff : recvOff+h.recvSegs[r]] {
+			gm.ghostSlot[lid-g.NLoc] = int32(s)
+		}
 		recvOff += h.recvSegs[r]
 		gm.sendVertOff[r] = sendOff
 		sendOff += h.sendCounts[r]
-	}
-	gm.ghostSlot = make([]int32, g.NGst)
-	for s, lid := range h.recvLids {
-		gm.ghostSlot[lid-g.NLoc] = int32(s)
 	}
 	h.geom = gm
 	return gm, nil

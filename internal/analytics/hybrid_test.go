@@ -30,13 +30,17 @@ var hybridModes = []struct {
 
 // hybridRunAll runs the BFS-like kernels under one mode and gathers their
 // global outputs (plus the scalar summaries folded in as extra elements,
-// so one comparison covers everything).
+// so one comparison covers everything). Exact k-core rides along as the
+// kernel the policy must not reach: its claims travel as one packed stream
+// whatever the mode, so its answer, its schedule and its bytes on the wire
+// are all pinned equal.
 type hybridOutputs struct {
 	bfsFwd  []int32
 	bfsBwd  []int32
 	dist    []uint64
 	labels  []uint32
 	multi   []int32
+	core    []uint32
 	scalars []uint64
 }
 
@@ -84,6 +88,15 @@ func hybridRun(ctx *core.Ctx, g *core.Graph, mode core.TraversalMode) (*hybridOu
 		}
 		out.multi = append(out.multi, lv...)
 	}
+	ctx.Comm.ResetStats()
+	kc, err := KCoreExact(ctx, g)
+	if err != nil {
+		return nil, err
+	}
+	kcSent := ctx.Comm.TakeStats().BytesSent
+	if out.core, err = core.Gather(ctx, g, kc.Coreness); err != nil {
+		return nil, err
+	}
 	// ss.Rounds is deliberately absent: the round count is thread-schedule
 	// dependent (a vertex relaxed with a stale distance mid-round simply
 	// re-relaxes a round later), so it may vary between any two runs — the
@@ -94,6 +107,7 @@ func hybridRun(ctx *core.Ctx, g *core.Graph, mode core.TraversalMode) (*hybridOu
 		ss.Reached,
 		wc.NumComponents, wc.LargestSize, uint64(wc.LargestLabel),
 		mb.Reached[0], mb.Reached[1], mb.Reached[2],
+		uint64(kc.MaxCore), uint64(kc.Levels), uint64(kc.Rounds), kcSent,
 	}
 	return out, nil
 }
@@ -151,6 +165,9 @@ func diffHybrid(mode string, ref, got *hybridOutputs) error {
 		return err
 	}
 	if err := cmp("multibfs levels", eqI32(ref.multi, got.multi)); err != nil {
+		return err
+	}
+	if err := cmp("exact k-core coreness", eqU32(ref.core, got.core)); err != nil {
 		return err
 	}
 	return cmp("scalar summaries", eqU64(ref.scalars, got.scalars))

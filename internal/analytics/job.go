@@ -41,11 +41,13 @@ type Job struct {
 	// RandomTies and TieSeed configure LabelProp tie-breaking.
 	RandomTies bool   `json:"random_ties,omitempty"`
 	TieSeed    uint64 `json:"tie_seed,omitempty"`
-	// Hybrid selects the traversal engine policy for BFS-like analytics:
-	// "adaptive" (default; also "" or "hybrid"), "push" (always top-down,
-	// always-sparse exchange; also "sparse", "off"), or "dense" (always
-	// bottom-up / dense exchange; also "pull"). Results are bit-identical
-	// across policies; only wire format and work order change.
+	// Hybrid selects the traversal engine policy for BFS-like analytics
+	// (bfs, sssp, harmonic, wcc): "adaptive" (default; also "" or "hybrid"),
+	// "push" (always top-down, always-sparse exchange; also "sparse", "off"),
+	// or "dense" (always bottom-up / dense exchange; also "pull"). Results
+	// are bit-identical across policies; only wire format and work order
+	// change. pagerank, wpagerank, labelprop and kcore have one wire format
+	// and ignore it.
 	Hybrid string `json:"hybrid,omitempty"`
 	// Mutations is the ingest batch of a JobMutate descriptor: the ordered
 	// edge inserts/deletes to route and apply. Ignored by analytics.

@@ -33,8 +33,8 @@ const (
 	// SpanSSSPBucket wraps one settled Δ-stepping bucket (all its light
 	// sub-rounds plus the heavy phase); arg is the local settled count.
 	SpanSSSPBucket = "sssp/bucket"
-	// SpanKCorePeel wraps one settled bucket of the exact k-core peel; arg
-	// is the coreness value k being peeled.
+	// SpanKCorePeel wraps one level of the exact k-core peel (all its
+	// sub-rounds); arg is the coreness value k being peeled.
 	SpanKCorePeel = "kcore/peel"
 	// SpanSCCTrimRound wraps one trim round of SCC preprocessing; arg is
 	// the local death count of the round.

@@ -8,8 +8,7 @@ package obs
 // result; the harness sums the per-rank values into its delta table. The
 // relaxation counters split edge work into the Δ-stepping classes (light =
 // weight <= Δ, relaxed to a fixed point inside the bucket; heavy = relaxed
-// once when the bucket settles); exact k-core peeling reports all its
-// decrements as light work.
+// once when the bucket settles).
 type BucketStats struct {
 	// Buckets is the number of distinct global buckets processed.
 	Buckets uint64 `json:"buckets"`

@@ -539,9 +539,9 @@ func (g *Graph) KCore(levels int) ([]uint32, error) {
 	})
 }
 
-// KCoreExact runs the exact k-core peel over the bucket structure and
-// returns global coreness values (not upper bounds — see KCore for the
-// cheaper approximation).
+// KCoreExact runs the exact level-by-level k-core peel and returns global
+// coreness values (not upper bounds — see KCore for the paper's
+// approximation).
 func (g *Graph) KCoreExact() ([]uint32, error) {
 	return gatherResult(g, func(ctx *core.Ctx, shard *core.Graph) ([]uint32, error) {
 		res, err := analytics.KCoreExact(ctx, shard)
