@@ -23,7 +23,7 @@ import (
 // (dangling mass, pulled values) is recomputed from the owned state.
 type Checkpoint struct {
 	// Analytic names the algorithm the state belongs to ("pagerank",
-	// "labelprop", "harmonic-topk"); resume validates it.
+	// "wpagerank", "labelprop", "harmonic-topk"); resume validates it.
 	Analytic string
 	// Iter is the number of iterations fully completed at snapshot time;
 	// a resumed run continues with iteration Iter.

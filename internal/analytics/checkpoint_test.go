@@ -155,10 +155,23 @@ func runRanks(t *testing.T, p int, body func(ctx *core.Ctx) error) {
 	}
 }
 
+// prKinds are the PageRank kinds the checkpoint tests resume: plain, and
+// weighted, which snapshots under its own analytic name.
+var prKinds = []struct {
+	name string
+	run  func(ctx *core.Ctx, g *core.Graph, opts PageRankOptions) (*PageRankResult, error)
+}{
+	{"pagerank", PageRank},
+	{"wpagerank", func(ctx *core.Ctx, g *core.Graph, opts PageRankOptions) (*PageRankResult, error) {
+		return PageRankWeighted(ctx, g, opts, HashWeights(5, 8))
+	}},
+}
+
 // TestPageRankCheckpointResumeProperty pins resume(checkpoint(run, k)) ==
 // uninterrupted run: one instrumented run captures a snapshot after every
 // iteration, then fresh groups resume from a spread of kill points and must
-// finish with bitwise-identical scores, across seeds and rank counts.
+// finish with bitwise-identical scores, across seeds, rank counts and the
+// plain and weighted kinds.
 func TestPageRankCheckpointResumeProperty(t *testing.T) {
 	const iters = 10
 	for _, tc := range []struct {
@@ -167,59 +180,61 @@ func TestPageRankCheckpointResumeProperty(t *testing.T) {
 	}{{1, 11}, {2, 12}, {3, 13}, {4, 14}} {
 		tc := tc
 		t.Run(fmt.Sprintf("p=%d/seed=%d", tc.p, tc.seed), func(t *testing.T) {
-			golden := make(map[int][]float64)
-			store := newSnapStore()
-			var mu sync.Mutex
-			runRanks(t, tc.p, func(ctx *core.Ctx) error {
-				g, err := buildCkptGraph(ctx, tc.seed)
-				if err != nil {
-					return err
-				}
-				opts := DefaultPageRank()
-				opts.Iterations = iters
-				opts.Checkpoint = CheckpointConfig{Every: 1, Sink: store.sink}
-				res, err := PageRank(ctx, g, opts)
-				if err != nil {
-					return err
-				}
-				mu.Lock()
-				golden[ctx.Rank()] = res.Scores
-				mu.Unlock()
-				return nil
-			})
-
-			for _, kill := range []int{1, iters / 2, iters - 1} {
-				kill := kill
-				resumed := make(map[int][]float64)
+			for _, kind := range prKinds {
+				golden := make(map[int][]float64)
+				store := newSnapStore()
+				var mu sync.Mutex
 				runRanks(t, tc.p, func(ctx *core.Ctx) error {
 					g, err := buildCkptGraph(ctx, tc.seed)
 					if err != nil {
 						return err
 					}
-					rcp := store.latest(ctx.Rank(), kill)
-					if rcp == nil || rcp.Iter != kill {
-						return fmt.Errorf("rank %d: no snapshot at iteration %d", ctx.Rank(), kill)
-					}
 					opts := DefaultPageRank()
 					opts.Iterations = iters
-					opts.Checkpoint = CheckpointConfig{Resume: rcp}
-					res, err := PageRank(ctx, g, opts)
+					opts.Checkpoint = CheckpointConfig{Every: 1, Sink: store.sink}
+					res, err := kind.run(ctx, g, opts)
 					if err != nil {
 						return err
 					}
 					mu.Lock()
-					resumed[ctx.Rank()] = res.Scores
+					golden[ctx.Rank()] = res.Scores
 					mu.Unlock()
 					return nil
 				})
-				for r := 0; r < tc.p; r++ {
-					if len(golden[r]) != len(resumed[r]) {
-						t.Fatalf("kill=%d rank %d: %d vs %d scores", kill, r, len(golden[r]), len(resumed[r]))
-					}
-					for v := range golden[r] {
-						if math.Float64bits(golden[r][v]) != math.Float64bits(resumed[r][v]) {
-							t.Fatalf("kill=%d rank %d vertex %d: resumed %v != golden %v",
-								kill, r, v, resumed[r][v], golden[r][v])
+
+				for _, kill := range []int{1, iters / 2, iters - 1} {
+					kill := kill
+					resumed := make(map[int][]float64)
+					runRanks(t, tc.p, func(ctx *core.Ctx) error {
+						g, err := buildCkptGraph(ctx, tc.seed)
+						if err != nil {
+							return err
+						}
+						rcp := store.latest(ctx.Rank(), kill)
+						if rcp == nil || rcp.Iter != kill || rcp.Analytic != kind.name {
+							return fmt.Errorf("rank %d: no %s snapshot at iteration %d", ctx.Rank(), kind.name, kill)
+						}
+						opts := DefaultPageRank()
+						opts.Iterations = iters
+						opts.Checkpoint = CheckpointConfig{Resume: rcp}
+						res, err := kind.run(ctx, g, opts)
+						if err != nil {
+							return err
+						}
+						mu.Lock()
+						resumed[ctx.Rank()] = res.Scores
+						mu.Unlock()
+						return nil
+					})
+					for r := 0; r < tc.p; r++ {
+						if len(golden[r]) != len(resumed[r]) {
+							t.Fatalf("%s kill=%d rank %d: %d vs %d scores", kind.name, kill, r, len(golden[r]), len(resumed[r]))
+						}
+						for v := range golden[r] {
+							if math.Float64bits(golden[r][v]) != math.Float64bits(resumed[r][v]) {
+								t.Fatalf("%s kill=%d rank %d vertex %d: resumed %v != golden %v",
+									kind.name, kill, r, v, resumed[r][v], golden[r][v])
+							}
 						}
 					}
 				}
@@ -381,6 +396,16 @@ func TestCheckpointResumeValidation(t *testing.T) {
 		opts.Checkpoint = mk(func(cp *Checkpoint) { cp.Analytic = "labelprop" })
 		if _, err := PageRank(ctx, g, opts); err == nil {
 			return errors.New("wrong-analytic checkpoint accepted")
+		}
+		// Plain and weighted PageRank do not resume from each other's
+		// snapshots: the scores mean different things.
+		opts.Checkpoint = mk(func(cp *Checkpoint) {})
+		if _, err := PageRankWeighted(ctx, g, opts, HashWeights(5, 8)); err == nil {
+			return errors.New("weighted run accepted a plain checkpoint")
+		}
+		opts.Checkpoint = mk(func(cp *Checkpoint) { cp.Analytic = "wpagerank" })
+		if _, err := PageRank(ctx, g, opts); err == nil {
+			return errors.New("plain run accepted a weighted checkpoint")
 		}
 		opts.Checkpoint = mk(func(cp *Checkpoint) { cp.Rank = cp.Rank + 1 })
 		if _, err := PageRank(ctx, g, opts); err == nil {

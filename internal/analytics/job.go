@@ -370,28 +370,15 @@ func Run(ctx *core.Ctx, g *core.Graph, job *Job) (*JobResult, error) {
 			}
 			res.Sources = append(res.Sources, SourceSummary{Source: src, Score: hc})
 		}
-	case JobPageRank:
-		pr, err := PageRank(ctx, g, PageRankOptions{
+	case JobPageRank, JobPageRankWeighted:
+		// Plain PageRank, and weighted at max_weight 0, take the unit path.
+		var w WeightFunc
+		if job.Analytic == JobPageRankWeighted && job.MaxWeight != 0 {
+			w = job.weights()
+		}
+		pr, err := pageRank(ctx, g, PageRankOptions{
 			Iterations: job.Iterations, Damping: job.Damping, Tolerance: job.Tolerance,
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.Iterations = pr.Iterations
-		var localMax float64
-		for _, s := range pr.Scores {
-			if s > localMax {
-				localMax = s
-			}
-		}
-		res.MaxScore, err = comm.Allreduce(ctx.Comm, localMax, comm.OpMax)
-		if err != nil {
-			return nil, err
-		}
-	case JobPageRankWeighted:
-		pr, err := PageRankWeighted(ctx, g, PageRankOptions{
-			Iterations: job.Iterations, Damping: job.Damping, Tolerance: job.Tolerance,
-		}, job.weights())
+		}, w, nil)
 		if err != nil {
 			return nil, err
 		}

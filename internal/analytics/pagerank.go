@@ -1,6 +1,8 @@
 package analytics
 
 import (
+	"math"
+
 	"repro/internal/comm"
 	"repro/internal/core"
 )
@@ -33,8 +35,7 @@ func DefaultPageRank() PageRankOptions {
 
 // PageRankResult carries the per-owned-vertex scores and run metadata.
 type PageRankResult struct {
-	// Scores[v] is the PageRank of owned local vertex v; global scores sum
-	// to 1.
+	// Scores[v] is owned local vertex v's PageRank; global scores sum to 1.
 	Scores []float64
 	// Iterations is the number of iterations executed.
 	Iterations int
@@ -45,54 +46,104 @@ type PageRankResult struct {
 // ghost values refreshed through the retained-queue halo each iteration,
 // dangling mass redistributed uniformly.
 func PageRank(ctx *core.Ctx, g *core.Graph, opts PageRankOptions) (*PageRankResult, error) {
+	return pageRank(ctx, g, opts, nil, nil)
+}
+
+// PageRankWeighted runs weighted PageRank: out-edge (u, v) carries share
+// w(u, v)/W(u) of u's rank, W(u) being u's total out-weight (0: dangling).
+// Weights come from SSSP's deterministic WeightFunc, so every rank weighs an
+// edge from its two global ids and no weight crosses the wire. A nil w is
+// PageRank, bit for bit.
+func PageRankWeighted(ctx *core.Ctx, g *core.Graph, opts PageRankOptions, w WeightFunc) (*PageRankResult, error) {
+	return pageRank(ctx, g, opts, w, nil)
+}
+
+// PageRankCompressed is PageRank over the varint-compressed adjacency view
+// (the paper's future-work compression direction), decoding in-neighbor
+// lists into per-thread scratch: it prices the decode cost the smaller
+// footprint buys (BenchmarkAblationCompression).
+func PageRankCompressed(ctx *core.Ctx, cg *core.Compressed, opts PageRankOptions) (*PageRankResult, error) {
+	return pageRank(ctx, cg.G, opts, nil, cg)
+}
+
+// pageRank is the one power iteration behind the three entry points: a
+// non-nil w weighs the pull, a non-nil cg decodes in-neighbors from cg.
+func pageRank(ctx *core.Ctx, g *core.Graph, opts PageRankOptions, w WeightFunc, cg *core.Compressed) (*PageRankResult, error) {
 	if err := require1D(g, "PageRank"); err != nil {
 		return nil, err
 	}
-	n := float64(g.NGlobal)
-	d := opts.Damping
-
+	n, d, nloc := float64(g.NGlobal), opts.Damping, int(g.NLoc)
+	analytic := "pagerank"
+	if w != nil {
+		analytic = "wpagerank"
+	}
 	halo, _, err := haloFor(ctx, g, DirsOut)
 	if err != nil {
 		return nil, err
 	}
-
-	pr := make([]float64, g.NLoc)
-	next := make([]float64, g.NLoc)
-	// val[u] = pr[u]/outdeg[u] for owned and ghost u: the quantity pulled
-	// across in-edges. Shipping the pre-divided value keeps ghost storage
-	// to one float and the exchange to one value per edge-cut vertex.
+	// One pass seeds pr and fills div[u] (out-degree, or W(u) if weighted)
+	// and inW (in-edge weights in CSR order): no iteration re-hashes an edge.
+	pr, next := make([]float64, nloc), make([]float64, nloc)
+	div := make([]float64, nloc)
+	var inW []float64
+	if w != nil {
+		inW = make([]float64, g.MIn())
+	}
+	ctx.Pool.For(nloc, func(lo, hi, _ int) {
+		for v := lo; v < hi; v++ {
+			pr[v] = 1 / n
+			if w == nil {
+				div[v] = float64(g.OutDegree(uint32(v)))
+				continue
+			}
+			vGid := g.GlobalID(uint32(v))
+			var s uint64
+			for _, u := range g.OutNeighbors(uint32(v)) {
+				s += w(vGid, g.GlobalID(u))
+			}
+			div[v] = float64(s)
+			wts := inW[g.InIdx[v]:g.InIdx[v+1]]
+			for i, u := range g.InNeighbors(uint32(v)) {
+				wts[i] = float64(w(g.GlobalID(u), vGid))
+			}
+		}
+	})
+	var scratch []uint32 // one MaxDegree decode buffer per pool thread
+	if cg != nil {
+		scratch = make([]uint32, ctx.Pool.Threads()*cg.MaxDegree())
+	}
+	// val[u] = pr[u]/div[u] for owned and ghost u, the value pulled across
+	// in-edges: one float per ghost and per edge-cut vertex on the wire.
 	val := make([]float64, g.NTotal())
-	startIter := 0
+	refresh := func() error {
+		ctx.Pool.For(nloc, func(lo, hi, _ int) {
+			for v := lo; v < hi; v++ {
+				if div[v] > 0 {
+					val[v] = pr[v] / div[v]
+				}
+			}
+		})
+		return Exchange(ctx, halo, val)
+	}
+	iters := 0
 	if rcp := opts.Checkpoint.Resume; rcp != nil {
-		// Resume: owned scores come from the snapshot; ghost values are
-		// re-derived by the pre-loop exchange below, exactly as the
-		// uninterrupted run left them at this iteration boundary.
-		if err := opts.Checkpoint.validateResumeCollective(ctx, "pagerank", g.NLoc); err != nil {
+		// Owned scores come from the snapshot; the exchange below re-derives
+		// the ghost values the uninterrupted run held at this boundary.
+		if err := opts.Checkpoint.validateResumeCollective(ctx, analytic, g.NLoc); err != nil {
 			return nil, err
 		}
 		copy(pr, rcp.F64)
-		startIter = rcp.Iter
-	} else {
-		for v := uint32(0); v < g.NLoc; v++ {
-			pr[v] = 1 / n
-		}
+		iters = rcp.Iter
 	}
-	for v := uint32(0); v < g.NLoc; v++ {
-		if od := g.OutDegree(v); od > 0 {
-			val[v] = pr[v] / float64(od)
-		}
-	}
-	if err := Exchange(ctx, halo, val); err != nil {
+	if err := refresh(); err != nil {
 		return nil, err
 	}
-
-	iters := startIter
 	tr := ctx.Comm.Tracer()
-	for it := startIter; it < opts.Iterations; it++ {
+	for it := iters; it < opts.Iterations; it++ {
 		mark := tr.Now()
 		// Global dangling mass (vertices with no out-edges leak rank).
-		localDangling := ctx.Pool.SumRangeF64(int(g.NLoc), func(i int) float64 {
-			if g.OutDegree(uint32(i)) == 0 {
+		localDangling := ctx.Pool.SumRangeF64(nloc, func(i int) float64 {
+			if div[i] == 0 {
 				return pr[i]
 			}
 			return 0
@@ -103,62 +154,63 @@ func PageRank(ctx *core.Ctx, g *core.Graph, opts PageRankOptions) (*PageRankResu
 		}
 		base := (1-d)/n + d*dangling/n
 
-		ctx.Pool.For(int(g.NLoc), func(lo, hi, tid int) {
-			for v := lo; v < hi; v++ {
-				sum := 0.0
-				for _, u := range g.InNeighbors(uint32(v)) {
-					sum += val[u]
+		// The gather: one direct loop per variant, chosen once per chunk.
+		ctx.Pool.For(nloc, func(lo, hi, tid int) {
+			switch {
+			case cg != nil:
+				buf := scratch[tid*cg.MaxDegree() : (tid+1)*cg.MaxDegree()]
+				for v := lo; v < hi; v++ {
+					sum := 0.0
+					for _, u := range cg.InNeighbors(uint32(v), buf) {
+						sum += val[u]
+					}
+					next[v] = base + d*sum
 				}
-				next[v] = base + d*sum
+			case w != nil:
+				for v := lo; v < hi; v++ {
+					sum, wts := 0.0, inW[g.InIdx[v]:g.InIdx[v+1]]
+					for i, u := range g.InNeighbors(uint32(v)) {
+						sum += val[u] * wts[i]
+					}
+					next[v] = base + d*sum
+				}
+			default:
+				for v := lo; v < hi; v++ {
+					sum := 0.0
+					for _, u := range g.InNeighbors(uint32(v)) {
+						sum += val[u]
+					}
+					next[v] = base + d*sum
+				}
 			}
 		})
-
-		// Convergence check on the global L1 delta.
+		// Convergence check on the global L1 delta (never met at Tolerance 0).
+		delta := math.Inf(1)
 		if opts.Tolerance > 0 {
-			localDelta := ctx.Pool.SumRangeF64(int(g.NLoc), func(i int) float64 {
-				dv := next[i] - pr[i]
-				if dv < 0 {
-					return -dv
-				}
-				return dv
-			})
-			delta, err := comm.Allreduce(ctx.Comm, localDelta, comm.OpSum)
-			if err != nil {
-				return nil, err
-			}
-			pr, next = next, pr
-			iters = it + 1
-			if delta < opts.Tolerance {
-				tr.Span(SpanPageRankIter, mark, int64(it))
-				break
-			}
-		} else {
-			pr, next = next, pr
-			iters = it + 1
-		}
-
-		ctx.Pool.For(int(g.NLoc), func(lo, hi, tid int) {
-			for v := lo; v < hi; v++ {
-				if od := g.OutDegree(uint32(v)); od > 0 {
-					val[v] = pr[v] / float64(od)
-				}
-			}
-		})
-		if opts.RebuildQueues {
-			if halo, err = BuildHalo(ctx, g, DirsOut); err != nil {
+			localDelta := ctx.Pool.SumRangeF64(nloc, func(i int) float64 { return math.Abs(next[i] - pr[i]) })
+			if delta, err = comm.Allreduce(ctx.Comm, localDelta, comm.OpSum); err != nil {
 				return nil, err
 			}
 		}
-		if err := Exchange(ctx, halo, val); err != nil {
+		pr, next = next, pr
+		iters = it + 1
+		if delta < opts.Tolerance {
+			tr.Span(SpanPageRankIter, mark, int64(it))
+			break
+		}
+		if opts.RebuildQueues { // a plan-less context makes haloFor build afresh
+			solo := *ctx
+			solo.Plans = nil
+			if halo, _, err = haloFor(&solo, g, DirsOut); err != nil {
+				return nil, err
+			}
+		}
+		if err := refresh(); err != nil {
 			return nil, err
 		}
 		if opts.Checkpoint.due(it + 1) {
-			cp := &Checkpoint{
-				Analytic: "pagerank", Iter: it + 1,
-				Rank: ctx.Rank(), Size: ctx.Size(), NLoc: g.NLoc,
-				F64: append([]float64(nil), pr...),
-			}
-			if err := opts.Checkpoint.Sink(cp); err != nil {
+			if err := opts.Checkpoint.Sink(&Checkpoint{Analytic: analytic, Iter: it + 1, Rank: ctx.Rank(),
+				Size: ctx.Size(), NLoc: g.NLoc, F64: append([]float64(nil), pr...)}); err != nil {
 				return nil, err
 			}
 		}

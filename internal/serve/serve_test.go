@@ -349,6 +349,17 @@ func TestClusterRunsBucketAnalytics(t *testing.T) {
 	if wres.MaxScore == pres.MaxScore {
 		t.Fatalf("weighted and unweighted PageRank share MaxScore %g", wres.MaxScore)
 	}
+	// At max_weight 0 the weighted kind takes the unit path: plain PageRank.
+	up := &analytics.Job{Analytic: analytics.JobPageRankWeighted}
+	up.Normalize()
+	ures, _, err := cl.Run(up)
+	if err != nil {
+		t.Fatalf("wpagerank max_weight 0 job: %v", err)
+	}
+	if ures.MaxScore != pres.MaxScore || ures.Iterations != pres.Iterations {
+		t.Fatalf("wpagerank at max_weight 0 = (%g, %d iterations), pagerank = (%g, %d)",
+			ures.MaxScore, ures.Iterations, pres.MaxScore, pres.Iterations)
+	}
 
 	// Δ changes schedule only: the per-source answers are identical.
 	r1, _, err := cl.Run(ssspJob(3, 1))
