@@ -73,7 +73,7 @@ func main() {
 		batchMax = flag.Int("batch-max", 8, "max single-source queries coalesced into one multi-source run (1 = no batching)")
 		cacheCap = flag.Int("cache-cap", 256, "result cache entries (0 = no caching)")
 		timeout  = flag.Duration("default-timeout", 30*time.Second, "per-request deadline when the client sends no timeout_ms")
-		delta    = flag.Uint64("delta", 0, "default Δ-stepping bucket width for SSSP queries that send no delta (0 = auto: mean edge weight)")
+		delta    = flag.Uint64("delta", 0, "default Δ-stepping bucket width for SSSP queries that send no delta (0 = auto: ⌈4·mean weight / mean out-degree⌉, a thin bucket)")
 
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060)")
 	)

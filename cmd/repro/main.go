@@ -41,7 +41,7 @@ func main() {
 		retries   = flag.Int("retries", 1, "max attempts per exchange on transient comm faults (1 = no retry)")
 		retryBase = flag.Duration("retry-base", time.Millisecond, "base backoff delay between retry attempts (with -retries > 1)")
 		hybrid    = flag.String("hybrid", "adaptive", "traversal policy for BFS-like analytics: adaptive, push (always-sparse baseline), dense")
-		delta     = flag.Uint64("delta", 0, "extra fixed Δ-stepping bucket width for the delta experiment's sweep (0 = sweep only one fat bucket, 1, mean, 2*mean)")
+		delta     = flag.Uint64("delta", 0, "extra fixed Δ-stepping bucket width for the delta experiment's sweep (0 = sweep only one fat bucket, 1, auto, mean weight)")
 		part      = flag.String("partition", "", "override the single-graph experiments' partitioning ("+partition.KindUsage+"; empty = per-experiment default; partition-sweep experiments ignore it)")
 	)
 	flag.Parse()

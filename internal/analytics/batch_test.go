@@ -16,9 +16,10 @@ import (
 // A multi-source job is its sources' solo runs on one runner. These tests
 // pin that from both sides: the answers are the solo answers byte for byte,
 // and the cost — in counts, which repeat exactly, not in time — is the sum
-// of the solo costs less the shared prologue. Threads = 1 throughout (the
-// SSSP round count depends on the thread schedule otherwise) and random
-// partitioning (every rank holds ghosts of every other).
+// of the solo costs less the shared prologue. Threads = 1 throughout (how
+// often SSSP re-relaxes a light edge depends on the thread schedule
+// otherwise) and random partitioning (every rank holds ghosts of every
+// other).
 
 // batchRoots returns k distinct roots spread over n vertices.
 func batchRoots(n uint32, k int) []uint32 {
@@ -183,7 +184,7 @@ func TestBatchSSSPSharesPrologue(t *testing.T) {
 						return err
 					}
 					tr.Reset()
-					runs, err := ssspRuns(ctx, g, roots, w, delta)
+					runs, err := ssspRuns(ctx, g, roots, edgeWeights{fn: w}, delta)
 					if err != nil {
 						return err
 					}

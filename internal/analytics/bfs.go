@@ -259,11 +259,11 @@ type frontierScratch struct {
 }
 
 // ownerSegments lays a send buffer out by owning rank for the p ranks of the
-// group: counts[d] is the length of rank d's segment — lead words, then one
+// group: counts[d] is the length of rank d's segment — lead words, then width
 // per ghost in ghosts that d owns — cur[d] is where its first ghost goes, and
 // total the length of the whole buffer. counts and cur are reused when they
 // are large enough.
-func ownerSegments(g *core.Graph, p int, ghosts []uint32, lead int, counts, cur []int) (_, _ []int, total int) {
+func ownerSegments(g *core.Graph, p int, ghosts []uint32, lead, width int, counts, cur []int) (_, _ []int, total int) {
 	if cap(counts) < p {
 		counts, cur = make([]int, p), make([]int, p)
 	}
@@ -272,7 +272,7 @@ func ownerSegments(g *core.Graph, p int, ghosts []uint32, lead int, counts, cur 
 		counts[d] = lead
 	}
 	for _, u := range ghosts {
-		counts[g.GhostOwner[u-g.NLoc]]++
+		counts[g.GhostOwner[u-g.NLoc]] += width
 	}
 	for d, c := range counts {
 		cur[d] = total + lead
@@ -286,7 +286,7 @@ func ownerSegments(g *core.Graph, p int, ghosts []uint32, lead int, counts, cur 
 // arrived here, multiplicity preserved. Callers deduplicate (or count)
 // against their own state arrays.
 func exchangeFrontier(ctx *core.Ctx, g *core.Graph, ghostLids []uint32, sc *frontierScratch) ([]uint32, error) {
-	sendCounts, cur, total := ownerSegments(g, ctx.Size(), ghostLids, 0, sc.sendCounts, sc.cur)
+	sendCounts, cur, total := ownerSegments(g, ctx.Size(), ghostLids, 0, 1, sc.sendCounts, sc.cur)
 	sc.sendCounts, sc.cur = sendCounts, cur
 	if cap(sc.vsend) < total {
 		sc.vsend = make([]uint32, total)

@@ -16,10 +16,9 @@ import (
 // authoritative per-vertex bucket id at extract time. The overflow list
 // holds at most one copy of a vertex for as long as the vertex stays beyond
 // the window: a move from one beyond-window bucket to another appends
-// nothing (see update). The group settles buckets in ascending global order:
-// one Allreduce(min) per bucket picks the next non-empty bucket on any rank,
-// and per-bucket ghost claims reuse the frontier engine's hybrid
-// sparse-stream / dense fused-bitmap exchange.
+// nothing (see update). The group settles buckets in ascending global order,
+// the next one folded from the control words of the claim round below, which
+// Δ-stepping shares with exact k-core.
 
 // infBucket marks a vertex that is in no bucket (never inserted, or
 // currently extracted).
@@ -33,12 +32,11 @@ const bucketWindow = 64
 
 // bucketStore is the per-rank half of the distributed bucket structure.
 // It is not thread-safe: the parallel relaxation loops collect improved
-// vertices per thread and apply updates serially, the same discipline the
-// round-based SSSP uses for its queue.
+// vertices per thread and apply updates serially.
 type bucketStore struct {
 	delta   uint64
 	numOpen uint64
-	// cur is the settled floor: the bucket id the last nextBucket returned.
+	// cur is the settled floor: the bucket id the last advance moved to.
 	// Every bucket below cur is globally empty, and nothing files below it:
 	// weights are non-negative, so a relaxation out of bucket cur lands in
 	// cur or later.
@@ -193,26 +191,9 @@ func (b *bucketStore) advance(k uint64) {
 	b.overflow = live
 }
 
-// nextBucket advances to the globally smallest non-empty bucket: one
-// Allreduce(min) over every rank's local minimum. ok is false when every
-// bucket on every rank is empty. Collective.
-func (b *bucketStore) nextBucket(ctx *core.Ctx) (k uint64, ok bool, err error) {
-	local := b.localMin()
-	k, err = comm.Allreduce(ctx.Comm, local, comm.OpMin)
-	if err != nil {
-		return 0, false, err
-	}
-	if k == infBucket {
-		return 0, false, nil
-	}
-	b.advance(k)
-	b.stats.Buckets++
-	return k, true, nil
-}
-
 // extract appends bucket k's live members to dst and takes them out of the
 // structure (a later update re-inserts them — the in-bucket decrease-key
-// path of Δ-stepping). k must be the id the last nextBucket returned.
+// path of Δ-stepping). k must be the id the last advance moved to.
 func (b *bucketStore) extract(k uint64, dst []uint32) []uint32 {
 	s := k % b.numOpen
 	lst := b.open[s]
@@ -237,81 +218,174 @@ func (b *bucketStore) extract(k uint64, dst []uint32) []uint32 {
 	return dst
 }
 
-// bucketComm bundles the frontier engine with retained sparse-stream
-// scratch for Δ-stepping's per-bucket ghost claim exchange. Claims travel
-// either as aligned (gid, value) streams or as the engine's fused
-// bitmap+payload dense exchange, chosen per round by the same globally
-// reduced byte estimate as PR 5's frontier exchange (sparse for thin
-// buckets, dense for fat ones). Collective: every rank calls exchange once
-// per relaxation sub-round, claims or not.
-type bucketComm struct {
-	eng       *frontierEngine
-	cur       []int
-	intCounts []int
-	sendGid   []uint32
-	recvGid   []uint32
-	sendVal   []uint64
-	recvVal   []uint64
+// claimRound is the one wire round of the bucketed kernels, exact k-core's
+// peel and Δ-stepping's light and heavy phases. A round is one AlltoallvInto
+// of 64-bit words: each peer's segment opens with a control word and goes on
+// with claims, each naming its ghost by the slot in the owner's DirsBoth halo
+// queue for the sender, so the owner indexes the queue instead of hashing a
+// global id. What the kernels need to agree on after a round — is anyone
+// still working, which level or bucket is next — is a fold of the control
+// words, so they run no other collective per round.
+//
+// A control word: bit 63 says the segment's claims are wide — two words, the
+// slot in the high half of the first and the payload in the second — instead
+// of one word carrying the payload's offset from the round's base in its low
+// half; bits 32-62 count the vertices the sender relaxed this round (a sender
+// that relaxed none has nothing to claim); the low half is a value the group
+// folds by minimum, ctlNone for none. A sender goes wide for a round when
+// some payload is 2^32 or more past the base.
+type claimRound struct {
+	kernel string // names the kernel in a corrupt-message error
+	g      *core.Graph
+	h      *Halo
+	slot   []int32 // the halo's owner-relative ghostSlot
+	base   uint64  // the round's base for packed payloads
+	wide   bool    // the round being laid out ships two words per claim
 
-	recvGidCounts []int
-	recvValCounts []int
+	send, recv              []uint64
+	counts, cur, recvCounts []int
+	offs                    []int // where each peer's received segment starts
 }
 
-func newBucketComm(eng *frontierEngine) *bucketComm {
-	return &bucketComm{eng: eng}
+const (
+	ctlWide   = uint64(1) << 63
+	ctlActive = 1<<31 - 1 // the active count saturates here
+	ctlNone   = ^uint32(0)
+)
+
+// ctlWord packs a control word's active count and folded value; open adds
+// the wide bit.
+func ctlWord(active int, least uint32) uint64 {
+	return uint64(min(active, ctlActive))<<32 | uint64(least)
 }
 
-// exchange routes one sub-round of ghost claims (unique ghost lids — the
-// callers dedup via CAS flags) to their owners: vals[u] is claim u's
-// payload, apply receives each owned vertex's arriving payload. Both
-// representations deliver the same (vertex, payload) multiset, so the
-// fixed point is representation-independent.
-func (bc *bucketComm) exchange(ctx *core.Ctx, claims []uint32, vals []uint64, apply func(v uint32, x uint64)) error {
-	eng := bc.eng
-	g := eng.g
-	dense, err := eng.denseClaimRound(ctx, len(claims), 8)
+// newClaimRound fetches the DirsBoth halo and its geometry and sizes the
+// staging for one packed claim per ghost and per queue slot, so no round
+// allocates unless it goes wide. Collective when the halo is built.
+func newClaimRound(ctx *core.Ctx, g *core.Graph, kernel string) (*claimRound, error) {
+	h, _, err := haloFor(ctx, g, DirsBoth)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if dense {
-		if err := eng.ensureHalo(ctx); err != nil {
-			return err
+	gm, err := h.geometry()
+	if err != nil {
+		return nil, err
+	}
+	p := ctx.Size()
+	return &claimRound{
+		kernel: kernel, g: g, h: h, slot: gm.ghostSlot,
+		send: make([]uint64, p+int(g.NGst)),
+		recv: make([]uint64, 0, p+len(h.sendVerts)),
+		offs: make([]int, p),
+	}, nil
+}
+
+// open lays out a round: every owner's segment starts with ctl and has room
+// for one claim per ghost of ghosts it owns, which put then fills — payloads
+// at or above base, packed unless wide.
+func (c *claimRound) open(ctx *core.Ctx, ctl uint64, ghosts []uint32, base uint64, wide bool) {
+	width := 1
+	if wide {
+		width, ctl = 2, ctl|ctlWide
+	}
+	var total int
+	c.counts, c.cur, total = ownerSegments(c.g, ctx.Size(), ghosts, 1, width, c.counts, c.cur)
+	if cap(c.send) < total {
+		c.send = make([]uint64, total)
+	}
+	c.send = c.send[:total]
+	for _, i := range c.cur {
+		c.send[i-1] = ctl
+	}
+	c.base, c.wide = base, wide
+}
+
+// put adds ghost u's claim with payload x to its owner's segment.
+func (c *claimRound) put(u uint32, x uint64) {
+	gi := u - c.g.NLoc
+	d := c.g.GhostOwner[gi]
+	i, w := c.cur[d], uint64(c.slot[gi])<<32
+	if c.wide {
+		c.send[i], c.send[i+1] = w, x
+		c.cur[d] = i + 2
+		return
+	}
+	c.send[i] = w | (x - c.base)
+	c.cur[d] = i + 1
+}
+
+// exchange ships the round laid out since open and checks every field that
+// came off the wire — a peer that runs the kernel on this graph cannot have
+// sent a segment that fails — before folding the control words into the
+// group's active count and least value.
+func (c *claimRound) exchange(ctx *core.Ctx) (active uint64, least uint32, err error) {
+	c.recv, c.recvCounts, err = comm.AlltoallvInto(ctx.Comm, c.send, c.counts, c.recv, c.recvCounts)
+	if err != nil {
+		return 0, 0, err
+	}
+	least = ctlNone
+	off := 0
+	for r, n := range c.recvCounts {
+		if n == 0 {
+			return 0, 0, c.corrupt(ctx, r, "segment without a control word")
 		}
-		return eng.reverseValueExchange(ctx, claims, vals, apply)
-	}
-	eng.noteSparse(len(claims), 12)
-	intCounts, cur, total := ownerSegments(g, ctx.Size(), claims, 0, bc.intCounts, bc.cur)
-	bc.intCounts, bc.cur = intCounts, cur
-	if cap(bc.sendGid) < total {
-		bc.sendGid = make([]uint32, total)
-		bc.sendVal = make([]uint64, total)
-	}
-	sendGid, sendVal := bc.sendGid[:total], bc.sendVal[:total]
-	for _, u := range claims {
-		d := g.GhostOwner[u-g.NLoc]
-		sendGid[cur[d]] = g.GlobalID(u)
-		sendVal[cur[d]] = vals[u]
-		cur[d]++
-	}
-	bc.recvGid, bc.recvGidCounts, err = comm.AlltoallvInto(ctx.Comm, sendGid, intCounts, bc.recvGid, bc.recvGidCounts)
-	if err != nil {
-		return err
-	}
-	bc.recvVal, bc.recvValCounts, err = comm.AlltoallvInto(ctx.Comm, sendVal, intCounts, bc.recvVal, bc.recvValCounts)
-	if err != nil {
-		return err
-	}
-	if len(bc.recvGid) != len(bc.recvVal) {
-		return fmt.Errorf("analytics: bucket claim streams misaligned")
-	}
-	for i, gid := range bc.recvGid {
-		// The id came off the wire: a forged or misrouted one must fail the
-		// job, not panic the rank.
-		lid := g.LocalID(gid)
-		if lid >= g.NLoc {
-			return fmt.Errorf("analytics: bucket claim for unowned vertex %d", gid)
+		seg := c.recv[off : off+n]
+		c.offs[r], off = off, off+n
+		a, width := seg[0]>>32&ctlActive, 1
+		if seg[0]&ctlWide != 0 {
+			width = 2
 		}
-		apply(lid, bc.recvVal[i])
+		switch {
+		case a == 0 && n > 1:
+			return 0, 0, c.corrupt(ctx, r, "claims from a rank that relaxed nothing (%d words)", n-1)
+		case (n-1)%width != 0:
+			return 0, 0, c.corrupt(ctx, r, "%d claim words, not whole %d-word claims", n-1, width)
+		}
+		queue := uint64(c.h.sendCounts[r])
+		for i := 1; i < n; i += width {
+			if s := seg[i] >> 32; s >= queue {
+				return 0, 0, c.corrupt(ctx, r, "claim on slot %d of a %d-vertex queue", s, queue)
+			}
+		}
+		active += a
+		least = min(least, uint32(seg[0]))
 	}
-	return nil
+	return active, least, nil
+}
+
+// claimSeg is one peer's claims from the last exchange: at(i) is the
+// claimed owned vertex and its payload.
+type claimSeg struct {
+	words []uint64
+	verts []uint32 // this rank's queue for the peer
+	base  uint64
+	wide  bool
+}
+
+func (c *claimRound) claims(r int) claimSeg {
+	seg := c.recv[c.offs[r]:][:c.recvCounts[r]]
+	verts := c.h.sendVerts[c.h.geom.sendVertOff[r]:][:c.h.sendCounts[r]]
+	return claimSeg{words: seg[1:], verts: verts, base: c.base, wide: seg[0]&ctlWide != 0}
+}
+
+func (s claimSeg) len() int {
+	if s.wide {
+		return len(s.words) / 2
+	}
+	return len(s.words)
+}
+
+func (s claimSeg) at(i int) (v uint32, x uint64) {
+	if s.wide {
+		return s.verts[s.words[2*i]>>32], s.words[2*i+1]
+	}
+	w := s.words[i]
+	return s.verts[w>>32], s.base + w&(1<<32-1)
+}
+
+// corrupt fails the query on a segment from peer that no rank running the
+// kernel could have sent.
+func (c *claimRound) corrupt(ctx *core.Ctx, peer int, format string, args ...any) error {
+	return &comm.CommError{Rank: ctx.Rank(), Peer: peer, Kind: comm.KindCorrupt, Attempt: 1,
+		Err: fmt.Errorf("analytics: "+c.kernel+": "+format, args...)}
 }

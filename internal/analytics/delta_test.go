@@ -1,6 +1,7 @@
 package analytics
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/core"
+	"repro/internal/edge"
 	"repro/internal/gen"
 	"repro/internal/partition"
 	"repro/internal/seq"
@@ -163,6 +165,85 @@ func TestDeltaUnitWeightsEqualsBFSTCP(t *testing.T) {
 	}
 	for r, f := range failures {
 		t.Errorf("rank %d equivalence: %s", r, f)
+	}
+}
+
+// TestDeltaRejectsForgedRounds drives Δ-stepping's receive path with a
+// forged stream: rank 1 builds the halo with rank 0 and joins the prologue's
+// reduce, then plays claim rounds by hand. Rank 0 roots the query at
+// isolated vertex 0, so its first light sub-round settles the root alone,
+// and a forger that names bucket 5 as the one it holds walks the group there
+// through the heavy phase. Each forgery must fail rank 0's query with a
+// corrupt-message CommError naming rank 1.
+func TestDeltaRejectsForgedRounds(t *testing.T) {
+	// Vertex-block over 64 vertices: rank 0 owns 0..31, rank 1 ghosts 31
+	// through the 31-32 edge, so rank 0's queue for rank 1 is one slot.
+	var path edge.List
+	for v := uint32(1); v < 40; v++ {
+		path.Push(v, v+1)
+	}
+	tg := testGraph{name: "path", n: 64, edges: path}
+	const delta = 4
+	idle := ctlWord(0, ctlNone)
+	toBucket5 := ctlWord(0, 5)
+	forgeries := []struct {
+		name string
+		// rounds are rank 1's segments for rank 0, one per claim round.
+		rounds [][]uint64
+	}{
+		{"slot out of range", [][]uint64{{ctlWord(1, 0), 1 << 32}}},
+		{"no control word", [][]uint64{nil}},
+		{"claims from a rank that relaxed nothing", [][]uint64{{idle, 0}}},
+		{"wide claims cut short", [][]uint64{{ctlWord(1, 0) | ctlWide, 0}}},
+		{"distance below the bucket's floor", [][]uint64{{toBucket5}, {toBucket5}, {ctlWord(1, 0) | ctlWide, 0, 5*delta - 1}}},
+	}
+	for _, f := range forgeries {
+		t.Run(f.name, func(t *testing.T) {
+			trs := comm.NewLocalGroup(2)
+			comms := []*comm.Comm{comm.New(trs[0]), comm.New(trs[1])}
+			errs := comm.RunOnAll(comms, func(c *comm.Comm) error {
+				ctx := core.NewCtx(c, 1)
+				g, err := buildShard(ctx, tg, partition.VertexBlock)
+				if err != nil {
+					return err
+				}
+				if c.Rank() == 0 {
+					_, err := SSSPDelta(ctx, g, 0, UnitWeights, delta)
+					return err
+				}
+				if _, _, err := haloFor(ctx, g, DirsBoth); err != nil {
+					return err
+				}
+				if _, err := comm.AllreduceSlice(c, []uint64{0, 0}, comm.OpSum); err != nil {
+					return err
+				}
+				// Rank 0 fails on the forged round and aborts the group, which
+				// catches this rank leaving that round or entering the next; a
+				// next round that completes means rank 0 swallowed the forgery.
+				for _, seg := range f.rounds {
+					if _, _, err = comm.Alltoallv(c, append(seg, idle), []int{len(seg), 1}); err != nil {
+						break
+					}
+				}
+				if err == nil {
+					if _, _, err = comm.Alltoallv(c, []uint64{idle, idle}, []int{1, 1}); err == nil {
+						return errors.New("rank 0 accepted the forged round")
+					}
+				}
+				if comm.Classify(err) != comm.KindAborted {
+					return err
+				}
+				return nil
+			})
+			if errs[1] != nil {
+				t.Fatalf("forging rank: %v", errs[1])
+			}
+			var ce *comm.CommError
+			if !errors.As(errs[0], &ce) || ce.Kind != comm.KindCorrupt || ce.Peer != 1 {
+				t.Fatalf("rank 0 returned %v, want a corrupt-message CommError for peer 1", errs[0])
+			}
+			t.Log(errs[0])
+		})
 	}
 }
 

@@ -1,8 +1,6 @@
 package analytics
 
 import (
-	"fmt"
-
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -10,9 +8,9 @@ import (
 )
 
 // The adaptive frontier engine: direction-optimizing traversal (Beamer et
-// al.) with a hybrid sparse/dense frontier exchange, shared by BFS, SSSP
-// and the bucket structure; WCC's traversal phase and the multi-source
-// kernels reach it through the BFS and SSSP runners.
+// al.) with a hybrid sparse/dense frontier exchange, behind BFS; WCC's
+// traversal phase and the multi-source kernels reach it through the BFS
+// runner.
 //
 // Per step the driver loops reduce three local quantities with the same
 // Allreduce they already used for termination — frontier vertex count
@@ -66,11 +64,6 @@ type frontierEngine struct {
 	bits *par.Bitmap // frontier bitmap over NTotal (pull steps)
 
 	packScratch    []uint64 // packed words staging (both directions)
-	valScratch     []uint64 // bits+payload staging (reverse value exchange)
-	valCounts      []int    // per-dest word counts of the fused exchange
-	valRecv        []uint64 // retained receive staging of the fused exchange
-	valRecvCounts  []int
-	destBits       []int    // per-dest claim counts of the fused exchange
 	arrivedScratch []uint32 // retained arrivals list of the dense claim exchange
 	bsc            comm.BitsScratch
 	fsc            frontierScratch
@@ -146,7 +139,6 @@ func (e *frontierEngine) ensureHalo(ctx *core.Ctx) error {
 		return err
 	}
 	e.halo, e.haloGeom = h, gm
-	e.destBits = make([]int, ctx.Size())
 	return nil
 }
 
@@ -344,89 +336,6 @@ func (e *frontierEngine) note(prev, cur stepPlan, first bool) {
 	}
 }
 
-// reverseValueExchange is the fused bits+payload reverse exchange: claimed
-// ghost slots travel to their owners as a packed bitmap followed by one
-// 64-bit word per set bit (in ascending slot order), all in one
-// AlltoallvInto round. vals[u] is claim u's payload (Δ-stepping's relaxed
-// distance); arrive receives each owned vertex's payload. It is the dense
-// half of the bucket structure's claim exchange.
-func (e *frontierEngine) reverseValueExchange(ctx *core.Ctx, claims []uint32, vals []uint64, arrive func(v uint32, x uint64)) error {
-	g, h := e.g, e.halo
-	p := ctx.Size()
-
-	// Pass 1: claim bits per destination segment (reverse layout).
-	bitWords := e.words(e.recvWords)
-	perDest := e.destBits[:p]
-	for i := range perDest {
-		perDest[i] = 0
-	}
-	for _, u := range claims {
-		gi := u - g.NLoc
-		r := int(g.GhostOwner[gi])
-		bit := int(e.ghostSlot[gi])
-		seg := bitWords[e.recvWordOffs[r]:]
-		seg[bit>>6] |= 1 << (bit & 63)
-		perDest[r]++
-	}
-
-	// Pass 2: encode each destination's fused segment (claim bitmap followed
-	// by the claimed slots' payloads, ascending) via the shared comm codec.
-	total := 0
-	for r := 0; r < p; r++ {
-		total += comm.MaskedSegmentWords(h.recvSegs[r], perDest[r], 1)
-	}
-	if cap(e.valScratch) < total {
-		e.valScratch = make([]uint64, total)
-	}
-	send := e.valScratch[:total]
-	if cap(e.valCounts) < p {
-		e.valCounts = make([]int, p)
-	}
-	counts := e.valCounts[:p]
-	off := 0
-	for r := 0; r < p; r++ {
-		nw := par.BitmapWords(h.recvSegs[r])
-		seg := bitWords[e.recvWordOffs[r] : e.recvWordOffs[r]+nw]
-		base := e.recvLidOff[r]
-		n, err := comm.EncodeMaskedValues(send[off:], seg, h.recvSegs[r], 1,
-			func(bit int, out []uint64) { out[0] = vals[h.recvLids[base+bit]] })
-		if err != nil {
-			return fmt.Errorf("analytics: dense value exchange to rank %d: %w", r, err)
-		}
-		counts[r] = n
-		off += n
-	}
-
-	recv, recvCounts, err := comm.AlltoallvInto(ctx.Comm, send, counts, e.valRecv, e.valRecvCounts)
-	if err != nil {
-		return err
-	}
-	e.valRecv, e.valRecvCounts = recv, recvCounts
-
-	// Parse: each source's segment is a fused bitmap+payload block aligned
-	// with this rank's sendVerts geometry; the codec validates the popcount
-	// arithmetic so a spliced or mode-mismatched segment fails loudly.
-	off = 0
-	for r := 0; r < p; r++ {
-		base := e.sendVertOff[r]
-		err := comm.DecodeMaskedValues(recv[off:off+recvCounts[r]], h.sendCounts[r], 1,
-			func(bit int, got []uint64) error { arrive(h.sendVerts[base+bit], got[0]); return nil })
-		if err != nil {
-			return fmt.Errorf("analytics: dense value exchange from rank %d: %w", r, err)
-		}
-		off += recvCounts[r]
-	}
-
-	e.stats.DenseExchanges++
-	dense := uint64(total) * 8
-	sparse := uint64(len(claims)) * 12
-	e.stats.DenseBytes += dense
-	if sparse > dense {
-		e.stats.BytesSaved += sparse - dense
-	}
-	return nil
-}
-
 // reduceStats globally sums the step statistics every rank's plan derives
 // from: [frontier vertices, frontier push edge mass, unexplored pull edge
 // mass]. The first call of a traversal piggybacks the global halo width
@@ -462,30 +371,6 @@ func totalPullDeg(g *core.Graph, dir Dir) uint64 {
 		return g.MOut()
 	}
 	return g.MOut() + g.MIn()
-}
-
-// denseClaimRound decides — collectively, from one small Allreduce of the
-// round's claim count — whether ghost claims travel densely this round.
-// payloadBytes is the per-claim payload the sparse representation ships
-// alongside its 4-byte vertex id; the dense representation ships one bit
-// per halo slot plus the same payload for claimed slots only.
-func (e *frontierEngine) denseClaimRound(ctx *core.Ctx, localClaims, payloadBytes int) (bool, error) {
-	if e.pol.Mode == core.TraversePush {
-		return false, nil
-	}
-	gc, err := comm.Allreduce(ctx.Comm, uint64(localClaims), comm.OpSum)
-	if err != nil {
-		return false, err
-	}
-	if e.gGhosts == 0 {
-		return false, nil
-	}
-	if e.pol.Mode == core.TraverseDense {
-		return true, nil
-	}
-	sparse := gc * uint64(4+payloadBytes)
-	dense := e.gGhosts/8 + gc*uint64(payloadBytes)
-	return sparse > dense, nil
 }
 
 // noteSparse records one sparse exchange of n elements of elemBytes each.

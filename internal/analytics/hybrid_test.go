@@ -30,10 +30,10 @@ var hybridModes = []struct {
 
 // hybridRunAll runs the BFS-like kernels under one mode and gathers their
 // global outputs (plus the scalar summaries folded in as extra elements,
-// so one comparison covers everything). Exact k-core rides along as the
-// kernel the policy must not reach: its claims travel as one packed stream
-// whatever the mode, so its answer, its schedule and its bytes on the wire
-// are all pinned equal.
+// so one comparison covers everything). Exact k-core and SSSP ride along as
+// the kernels the policy must not reach: their claims travel as one packed
+// stream whatever the mode, so k-core's answer, schedule and bytes on the
+// wire and SSSP's rounds are pinned equal.
 type hybridOutputs struct {
 	bfsFwd  []int32
 	bfsBwd  []int32
@@ -97,14 +97,13 @@ func hybridRun(ctx *core.Ctx, g *core.Graph, mode core.TraversalMode) (*hybridOu
 	if out.core, err = core.Gather(ctx, g, kc.Coreness); err != nil {
 		return nil, err
 	}
-	// ss.Rounds is deliberately absent: the round count is thread-schedule
-	// dependent (a vertex relaxed with a stale distance mid-round simply
-	// re-relaxes a round later), so it may vary between any two runs — the
-	// distances are the pinned result.
+	// SSSP, like exact k-core, has one wire format whatever the mode, and its
+	// light sub-rounds end at a local fixed point, so its rounds do not
+	// depend on the thread schedule either: they are pinned with the rest.
 	out.scalars = []uint64{
 		bf.Reached, uint64(int64(bf.Depth)),
 		bb.Reached, uint64(int64(bb.Depth)),
-		ss.Reached,
+		ss.Reached, uint64(ss.Rounds),
 		wc.NumComponents, wc.LargestSize, uint64(wc.LargestLabel),
 		mb.Reached[0], mb.Reached[1], mb.Reached[2],
 		uint64(kc.MaxCore), uint64(kc.Levels), uint64(kc.Rounds), kcSent,

@@ -34,20 +34,21 @@ type Job struct {
 	// [1, MaxWeight] seeded by WeightSeed.
 	MaxWeight  uint64 `json:"max_weight,omitempty"`
 	WeightSeed uint64 `json:"weight_seed,omitempty"`
-	// Delta is the Δ-stepping bucket width for SSSP (0 = auto: the global
-	// mean edge weight). Like Hybrid, it changes schedule and wire format
-	// but never the answer.
+	// Delta is the Δ-stepping bucket width for SSSP (0 = auto: Meyer and
+	// Sanders' ⌈4·W̄/d̄⌉ for mean weight W̄ and mean out-degree d̄, a thin
+	// bucket). It changes the schedule and the bytes on the wire but never
+	// the answer.
 	Delta uint64 `json:"delta,omitempty"`
 	// RandomTies and TieSeed configure LabelProp tie-breaking.
 	RandomTies bool   `json:"random_ties,omitempty"`
 	TieSeed    uint64 `json:"tie_seed,omitempty"`
 	// Hybrid selects the traversal engine policy for BFS-like analytics
-	// (bfs, sssp, harmonic, wcc): "adaptive" (default; also "" or "hybrid"),
+	// (bfs, harmonic, wcc): "adaptive" (default; also "" or "hybrid"),
 	// "push" (always top-down, always-sparse exchange; also "sparse", "off"),
 	// or "dense" (always bottom-up / dense exchange; also "pull"). Results
 	// are bit-identical across policies; only wire format and work order
-	// change. pagerank, wpagerank, labelprop and kcore have one wire format
-	// and ignore it.
+	// change. sssp, pagerank, wpagerank, labelprop and kcore have one wire
+	// format and ignore it.
 	Hybrid string `json:"hybrid,omitempty"`
 	// Mutations is the ingest batch of a JobMutate descriptor: the ordered
 	// edge inserts/deletes to route and apply. Ignored by analytics.
@@ -202,12 +203,10 @@ func (j *Job) dir() Dir {
 	return Forward
 }
 
-// weights builds the SSSP weight function the descriptor names.
-func (j *Job) weights() WeightFunc {
-	if j.MaxWeight == 0 {
-		return UnitWeights
-	}
-	return HashWeights(j.WeightSeed, j.MaxWeight)
+// weights is the descriptor's edge weights as data: HashWeights(WeightSeed,
+// MaxWeight), which is unit weights at MaxWeight 0.
+func (j *Job) weights() edgeWeights {
+	return edgeWeights{seed: j.WeightSeed, max: j.MaxWeight}
 }
 
 // EncodeJob serializes a descriptor for the rank-side command broadcast.
@@ -372,9 +371,10 @@ func Run(ctx *core.Ctx, g *core.Graph, job *Job) (*JobResult, error) {
 		}
 	case JobPageRank, JobPageRankWeighted:
 		// Plain PageRank, and weighted at max_weight 0, take the unit path.
-		var w WeightFunc
+		var w *edgeWeights
 		if job.Analytic == JobPageRankWeighted && job.MaxWeight != 0 {
-			w = job.weights()
+			wt := job.weights()
+			w = &wt
 		}
 		pr, err := pageRank(ctx, g, PageRankOptions{
 			Iterations: job.Iterations, Damping: job.Damping, Tolerance: job.Tolerance,

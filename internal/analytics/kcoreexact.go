@@ -3,7 +3,6 @@ package analytics
 import (
 	"fmt"
 
-	"repro/internal/comm"
 	"repro/internal/core"
 )
 
@@ -17,14 +16,14 @@ import (
 // crossings cost a round. Unlike KCoreApprox's powers-of-two upper bounds,
 // this yields the exact coreness of every vertex.
 //
-// Every round is one AlltoallvInto. A peer's segment opens with a control
-// word — how many vertices the sender peeled this round, and, when it had
-// none to peel and scanned instead, its smallest remaining degree — followed
-// by its claims: (slot in the owner's DirsBoth halo queue for the sender,
-// decrements), one word per ghost touched in the sub-round. A round in which
-// no rank peeled carries no claims, so every rank's scan is current and the
-// minimum of the control words is the next level: a level costs one round, a
-// sub-round one round, and there is no other collective.
+// Every round is one claimRound (bucket.go). A peer's control word counts
+// the vertices the sender peeled this round and, when it had none to peel
+// and scanned instead, carries its smallest remaining degree; its claims are
+// one packed word per ghost touched in the sub-round, the payload the
+// decrements. A round in which no rank peeled carries no claims, so every
+// rank's scan is current and the minimum of the control words is the next
+// level: a level costs one round, a sub-round one round, and there is no
+// other collective.
 
 // KCoreExactResult carries exact per-vertex coreness and run metadata.
 type KCoreExactResult struct {
@@ -59,17 +58,15 @@ const kcoreRest = ^uint32(0)
 // seen peeled yet. The last scan's minimum and the seeds vertices that have
 // it (parked at order[tail:]) stay current until scanned drops.
 type kcorePeel struct {
-	g                       *core.Graph
-	h                       *Halo // DirsBoth, geometry derived
-	rem, order, live        []uint32
-	head, tail              int
-	scanMin                 uint32
-	seeds                   int
-	scanned                 bool
-	touched                 []uint32
-	edges                   uint64
-	send, recv              []uint64
-	counts, cur, recvCounts []int
+	g                *core.Graph
+	rd               *claimRound
+	rem, order, live []uint32
+	head, tail       int
+	scanMin          uint32
+	seeds            int
+	scanned          bool
+	touched          []uint32
+	edges            uint64
 }
 
 // KCoreExact computes the exact coreness of every owned vertex. Collective.
@@ -80,23 +77,17 @@ func KCoreExact(ctx *core.Ctx, g *core.Graph) (*KCoreExactResult, error) {
 	if g.MOut()+g.MIn() >= 1<<31 {
 		return nil, fmt.Errorf("analytics: exact k-core counts in 32 bits; rank %d holds %d edge endpoints", ctx.Rank(), g.MOut()+g.MIn())
 	}
-	h, _, err := haloFor(ctx, g, DirsBoth)
+	rd, err := newClaimRound(ctx, g, "exact k-core")
 	if err != nil {
 		return nil, err
 	}
-	if _, err := h.geometry(); err != nil {
-		return nil, err
-	}
-	// One slot of slack on order and touched: see kcoreRelax. recv can hold
-	// the fullest round there is, so no sub-round allocates.
+	// One slot of slack on order and touched: see kcoreRelax.
 	s := &kcorePeel{
-		g: g, h: h,
+		g: g, rd: rd,
 		rem:     make([]uint32, g.NTotal()),
 		order:   make([]uint32, g.NLoc+1),
 		live:    make([]uint32, g.NLoc),
 		touched: make([]uint32, 0, g.NGst+1),
-		send:    make([]uint64, ctx.Size()+int(g.NGst)),
-		recv:    make([]uint64, 0, ctx.Size()+len(h.sendVerts)),
 	}
 	for v := uint32(0); v < g.NLoc; v++ {
 		s.rem[v] = uint32(g.OutDegree(v) + g.InDegree(v))
@@ -111,14 +102,14 @@ func KCoreExact(ctx *core.Ctx, g *core.Graph) (*KCoreExactResult, error) {
 	var k, floor uint32 // the open level, and the least degree not yet peeled
 	var mark int64
 	for {
-		ctl := uint64(kcoreRest)
+		least := kcoreRest
 		if s.head == s.tail {
 			s.scan(floor)
-			ctl = uint64(s.scanMin)
+			least = s.scanMin
 		}
 		from := s.head
 		s.peel(k)
-		gPeeled, gMin, err := s.round(ctx, ctl|uint64(s.head-from)<<32, k)
+		gPeeled, gMin, err := s.round(ctx, ctlWord(s.head-from, least), k)
 		if err != nil {
 			return nil, err
 		}
@@ -220,61 +211,32 @@ func kcoreRelax(nbrs, rem []uint32, k uint32, drop, first []uint32) (nd, nf int)
 // at k was peeled in the same sub-round as the claimant, and the two ignore
 // each other.
 func (s *kcorePeel) round(ctx *core.Ctx, ctl uint64, k uint32) (gPeeled uint64, gMin uint32, err error) {
-	g, h, rem := s.g, s.h, s.rem
-	var total int
-	s.counts, s.cur, total = ownerSegments(g, ctx.Size(), s.touched, 1, s.counts, s.cur)
-	for _, c := range s.cur {
-		s.send[c-1] = ctl // the segment's one lead word
-	}
+	g, rd, rem := s.g, s.rd, s.rem
+	rd.open(ctx, ctl, s.touched, 0, false)
 	for _, u := range s.touched {
-		gi := u - g.NLoc
-		d := g.GhostOwner[gi]
-		s.send[s.cur[d]] = uint64(h.geom.ghostSlot[gi])<<32 | uint64(kcoreRest-rem[u])
-		s.cur[d]++
+		rd.put(u, uint64(kcoreRest-rem[u]))
 		rem[u] = kcoreRest
 	}
 	s.touched = s.touched[:0]
-	s.recv, s.recvCounts, err = comm.AlltoallvInto(ctx.Comm, s.send[:total], s.counts, s.recv, s.recvCounts)
-	if err != nil {
+	if gPeeled, gMin, err = rd.exchange(ctx); err != nil {
 		return 0, 0, err
 	}
-	// What follows came off the wire: anything a peer running this kernel on
-	// this graph cannot have sent fails the query as a corrupt message.
-	corrupt := func(peer int, format string, args ...any) (uint64, uint32, error) {
-		return 0, 0, &comm.CommError{Rank: ctx.Rank(), Peer: peer, Kind: comm.KindCorrupt, Attempt: 1,
-			Err: fmt.Errorf("analytics: exact k-core: "+format, args...)}
-	}
-	gMin = kcoreRest
-	off := 0
-	for r, n := range s.recvCounts {
-		if n == 0 {
-			return corrupt(r, "segment without a control word")
+	for r := range ctx.Size() {
+		seg := rd.claims(r)
+		if seg.wide {
+			return 0, 0, rd.corrupt(ctx, r, "wide claims")
 		}
-		seg := s.recv[off : off+n]
-		off += n
-		if seg[0]>>32 == 0 && n > 1 {
-			return corrupt(r, "%d claims from a rank that peeled nothing", n-1)
-		}
-		gPeeled += seg[0] >> 32
-		if m := uint32(seg[0]); m < gMin {
-			gMin = m
-		}
-		verts := h.sendVerts[h.geom.sendVertOff[r]:][:h.sendCounts[r]]
-		for _, w := range seg[1:] {
-			slot, c := w>>32, uint32(w)
-			if slot >= uint64(len(verts)) {
-				return corrupt(r, "claim on slot %d of a %d-vertex queue", slot, len(verts))
-			}
-			v := verts[slot]
+		for _, w := range seg.words {
+			v, c := seg.verts[w>>32], w&(1<<32-1)
 			x := rem[v]
 			if x <= k {
 				continue
 			}
 			// Exact accounting: a count is a number of v's live endpoints.
-			if c == 0 || c > x {
-				return corrupt(r, "claim of %d on vertex %d with %d endpoints left", c, g.GlobalID(v), x)
+			if c == 0 || c > uint64(x) {
+				return 0, 0, rd.corrupt(ctx, r, "claim of %d on vertex %d with %d endpoints left", c, g.GlobalID(v), x)
 			}
-			if x -= c; x <= k {
+			if x -= uint32(c); x <= k {
 				x = k
 				s.order[s.tail] = v
 				s.tail++

@@ -86,8 +86,7 @@ type MultiSSSPResult struct {
 	Rounds int
 	// Reached[s] is the global number of vertices reachable from source s.
 	Reached []uint64
-	// Traversal sums the per-source runs' exchange counts and wire volume
-	// (push-direction; the claim representation adapts per sub-round).
+	// Traversal sums the per-source runs' claim rounds and claim bytes.
 	Traversal obs.TraversalStats
 }
 
@@ -98,7 +97,7 @@ func MultiSSSP(ctx *core.Ctx, g *core.Graph, roots []uint32, w WeightFunc) (*Mul
 	if err := checkRoots(g, roots, "MultiSSSP"); err != nil {
 		return nil, err
 	}
-	runs, err := ssspRuns(ctx, g, roots, w, 0)
+	runs, err := ssspRuns(ctx, g, roots, edgeWeights{fn: w}, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package analytics
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/core"
@@ -55,7 +56,10 @@ func PageRank(ctx *core.Ctx, g *core.Graph, opts PageRankOptions) (*PageRankResu
 // edge from its two global ids and no weight crosses the wire. A nil w is
 // PageRank, bit for bit.
 func PageRankWeighted(ctx *core.Ctx, g *core.Graph, opts PageRankOptions, w WeightFunc) (*PageRankResult, error) {
-	return pageRank(ctx, g, opts, w, nil)
+	if w == nil {
+		return pageRank(ctx, g, opts, nil, nil)
+	}
+	return pageRank(ctx, g, opts, &edgeWeights{fn: w}, nil)
 }
 
 // PageRankCompressed is PageRank over the varint-compressed adjacency view
@@ -68,7 +72,7 @@ func PageRankCompressed(ctx *core.Ctx, cg *core.Compressed, opts PageRankOptions
 
 // pageRank is the one power iteration behind the three entry points: a
 // non-nil w weighs the pull, a non-nil cg decodes in-neighbors from cg.
-func pageRank(ctx *core.Ctx, g *core.Graph, opts PageRankOptions, w WeightFunc, cg *core.Compressed) (*PageRankResult, error) {
+func pageRank(ctx *core.Ctx, g *core.Graph, opts PageRankOptions, w *edgeWeights, cg *core.Compressed) (*PageRankResult, error) {
 	if err := require1D(g, "PageRank"); err != nil {
 		return nil, err
 	}
@@ -90,22 +94,17 @@ func pageRank(ctx *core.Ctx, g *core.Graph, opts PageRankOptions, w WeightFunc, 
 		inW = make([]float64, g.MIn())
 	}
 	ctx.Pool.For(nloc, func(lo, hi, _ int) {
+		var outW []uint64 // the out-weights only feed W(u)
 		for v := lo; v < hi; v++ {
 			pr[v] = 1 / n
+			out := g.OutNeighbors(uint32(v))
 			if w == nil {
-				div[v] = float64(g.OutDegree(uint32(v)))
+				div[v] = float64(len(out))
 				continue
 			}
-			vGid := g.GlobalID(uint32(v))
-			var s uint64
-			for _, u := range g.OutNeighbors(uint32(v)) {
-				s += w(vGid, g.GlobalID(u))
-			}
-			div[v] = float64(s)
-			wts := inW[g.InIdx[v]:g.InIdx[v+1]]
-			for i, u := range g.InNeighbors(uint32(v)) {
-				wts[i] = float64(w(g.GlobalID(u), vGid))
-			}
+			outW = slices.Grow(outW[:0], len(out))
+			div[v] = float64(weighRow(*w, g, uint32(v), out, true, outW))
+			weighRow(*w, g, uint32(v), g.InNeighbors(uint32(v)), false, inW[g.InIdx[v]:g.InIdx[v+1]])
 		}
 	})
 	var scratch []uint32 // one MaxDegree decode buffer per pool thread

@@ -47,29 +47,75 @@ func HashWeights(seed uint64, maxW uint64) WeightFunc {
 	}
 }
 
+// edgeWeights is a job's edge weights as data: the WeightFunc of an exported
+// entry point, or (fn nil) a Job's hash parameters, which weighRow evaluates
+// in line — HashWeights(seed, max), edge for edge, without a call per edge.
+type edgeWeights struct {
+	fn        WeightFunc
+	seed, max uint64
+}
+
+// weighRow writes into dst the weight of the edge between v and each of
+// nbrs — v → u when out, u → v otherwise — and returns their sum. It is the
+// one place the two weight sources meet; hashed weights take a mask when max
+// is a power of two and a divide otherwise.
+func weighRow[T uint64 | float64](w edgeWeights, g *core.Graph, v uint32, nbrs []uint32, out bool, dst []T) (sum uint64) {
+	dst = dst[:len(nbrs)]
+	vg := g.GlobalID(v)
+	if w.fn != nil {
+		for i, u := range nbrs {
+			a, b := g.GlobalID(u), vg
+			if out {
+				a, b = b, a
+			}
+			x := w.fn(a, b)
+			dst[i], sum = T(x), sum+x
+		}
+		return sum
+	}
+	// HashWeights hashes seed ^ src<<32 ^ dst: v's half of the key is fixed.
+	key, shift := w.seed^uint64(vg), 32
+	if out {
+		key, shift = w.seed^uint64(vg)<<32, 0
+	}
+	m := max(w.max, 1)
+	if m&(m-1) == 0 {
+		for i, u := range nbrs {
+			x := 1 + rng.Mix64(key^uint64(g.GlobalID(u))<<shift)&(m-1)
+			dst[i], sum = T(x), sum+x
+		}
+		return sum
+	}
+	for i, u := range nbrs {
+		x := 1 + rng.Mix64(key^uint64(g.GlobalID(u))<<shift)%m
+		dst[i], sum = T(x), sum+x
+	}
+	return sum
+}
+
 // SSSPResult carries per-owned-vertex distances and run metadata.
 type SSSPResult struct {
 	// Dist[v] is the shortest-path distance from the root to owned local
 	// vertex v, or InfDistance if unreachable.
 	Dist []uint64
 	// Rounds is the number of relaxation rounds executed: Δ-stepping's light
-	// sub-rounds plus one heavy phase per bucket.
+	// sub-rounds in which some rank relaxed, plus one heavy phase per bucket.
 	Rounds int
 	// Reached is the global number of reachable vertices (root included).
 	Reached uint64
 	// Delta is the bucket width the run used.
 	Delta uint64
-	// Traversal records the engine's per-round representation choices and
-	// wire volume (SSSP rounds are always push-direction; only the claim
-	// representation adapts).
+	// Traversal counts the claim rounds (SparseExchanges: Rounds plus any
+	// light sub-round that found its bucket empty everywhere) and the claim
+	// bytes they carried; SSSP has one wire format, whatever ctx.Traverse.
 	Traversal obs.TraversalStats
 	// Buckets records the bucket structure's work.
 	Buckets obs.BucketStats
 }
 
 // SSSP computes shortest paths from the global vertex root along directed
-// edges under w. It is Δ-stepping with an automatically chosen Δ (the mean
-// edge weight); see SSSPDelta for a tunable Δ. Every Δ produces bit-identical
+// edges under w. It is Δ-stepping with an automatically chosen Δ (autoDelta's
+// thin buckets); see SSSPDelta for a tunable Δ. Every Δ produces bit-identical
 // distances: they are the fixed point of monotone min relaxations,
 // independent of relaxation order.
 func SSSP(ctx *core.Ctx, g *core.Graph, root uint32, w WeightFunc) (*SSSPResult, error) {

@@ -112,3 +112,51 @@ func TestHashWeightsProperties(t *testing.T) {
 		t.Fatalf("maxW=0 weight = %d", got)
 	}
 }
+
+// TestWeighRowMatchesHashWeights: the row filler's in-line hash equals the
+// HashWeights closure edge for edge, out-rows (v → u) and in-rows (u → v),
+// on both of its paths (mask for a power-of-two max, divide otherwise) and
+// on the closure path, with the sum of the row.
+func TestWeighRowMatchesHashWeights(t *testing.T) {
+	tg := makeTestGraphs(t)[4] // rmat
+	err := comm.RunLocal(2, func(c *comm.Comm) error {
+		g, err := buildShard(core.NewCtx(c, 1), tg, partition.Random)
+		if err != nil {
+			return err
+		}
+		for _, seed := range []uint64{0, 7, 0x9e3779b97f4a7c15} {
+			for _, maxW := range []uint64{0, 1, 7, 8, 64, 1 << 33} {
+				want := HashWeights(seed, maxW)
+				for _, w := range []edgeWeights{{seed: seed, max: maxW}, {fn: want}} {
+					for v := uint32(0); v < g.NLoc; v++ {
+						out, in := g.OutNeighbors(v), g.InNeighbors(v)
+						ow, iw := make([]uint64, len(out)), make([]float64, len(in))
+						osum, isum := weighRow(w, g, v, out, true, ow), weighRow(w, g, v, in, false, iw)
+						var wantO, wantI uint64
+						for i, u := range out {
+							x := want(g.GlobalID(v), g.GlobalID(u))
+							if ow[i] != x {
+								return fmt.Errorf("seed %d max %d: w(%d→%d) = %d, HashWeights %d", seed, maxW, g.GlobalID(v), g.GlobalID(u), ow[i], x)
+							}
+							wantO += x
+						}
+						for i, u := range in {
+							x := want(g.GlobalID(u), g.GlobalID(v))
+							if iw[i] != float64(x) {
+								return fmt.Errorf("seed %d max %d: w(%d→%d) = %v, HashWeights %d", seed, maxW, g.GlobalID(u), g.GlobalID(v), iw[i], x)
+							}
+							wantI += x
+						}
+						if osum != wantO || isum != wantI {
+							return fmt.Errorf("seed %d max %d: row sums %d/%d, want %d/%d", seed, maxW, osum, isum, wantO, wantI)
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

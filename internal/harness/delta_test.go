@@ -6,12 +6,12 @@ import "testing"
 // in-memory entries, on the harness RMAT graph. The baseline is the same
 // kernel at one fat bucket (Bellman-Ford rounds), so it shares Δ-stepping's
 // local light-chain cascade and once-per-sub-round ghost forwarding, and
-// its wire volume ties the auto width's to within a few percent either way
-// (DESIGN.md §5h records both baselines side by side). What the auto width
-// must keep buying is therefore pinned per extreme: fewer relaxed edges
-// than the fat bucket, which re-relaxes every improved vertex's whole
-// adjacency, and no more bytes than Δ=1, which pays a synchronized step —
-// and a claim exchange — per distance value.
+// ships no more than the thin auto width, whose extra rounds each carry a
+// control word (DESIGN.md §5h). What the auto width must keep buying is
+// therefore pinned per extreme: fewer relaxed edges than the fat bucket,
+// which re-relaxes every improved vertex's whole adjacency, and no more
+// bytes than Δ=1, which pays a round — and a claim exchange — per distance
+// value.
 func TestDeltaReducesTraffic(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Delta = 7 // the sweep's optional fixed-width variant
@@ -42,7 +42,7 @@ func TestDeltaReducesTraffic(t *testing.T) {
 			relaxed(auto), relaxed(base))
 	}
 	if auto.SentMiB > one.SentMiB {
-		t.Fatalf("auto delta shipped %.3f MiB, Δ=1 %.3f MiB: the mean-weight width must not exceed the per-distance extreme",
+		t.Fatalf("auto delta shipped %.3f MiB, Δ=1 %.3f MiB: the auto width must not exceed the per-distance extreme",
 			auto.SentMiB, one.SentMiB)
 	}
 	t.Logf("auto(Δ=%d): %d relaxations vs fat bucket %d (saved %.1f%%); sent MiB auto=%.4f fat=%.4f Δ=1=%.4f",

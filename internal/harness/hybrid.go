@@ -173,6 +173,6 @@ func Hybrid(cfg Config) (*Report, error) {
 	r.Notes = append(r.Notes,
 		"adaptive must not exceed the push baseline's Sent MiB summed over the analytics on the RMAT graph (CI-pinned); the dense row shows the forced bottom-up/bitmap extreme",
 		"results are bit-identical across modes (pinned by the analytics cross-mode equivalence suite); only wire format and work order differ",
-		"sssp and wcc's coloring phase stay push-direction; sssp adapts only the claim representation, wcc's numbers cover its BFS phase")
+		"sssp ships one packed claim stream in every mode, so its rows must agree; wcc's coloring phase stays push-direction and its numbers cover its BFS phase")
 	return r, nil
 }

@@ -23,7 +23,7 @@ type ServerConfig struct {
 	MaxTimeout time.Duration
 	// DefaultDelta is the Δ-stepping bucket width applied to SSSP queries
 	// that do not pass delta themselves. 0 keeps per-run auto selection
-	// (the global mean edge weight).
+	// (⌈4·mean weight / mean out-degree⌉).
 	DefaultDelta uint64
 }
 

@@ -489,8 +489,7 @@ func TestSchedulerDeadlineExpiresBeforeDispatch(t *testing.T) {
 // Harmonic batches through the scheduler on both transports and checks the
 // answer each member receives is byte for byte its solo job's — Rounds
 // included, which a coalesced SSSP member used to inherit from the batch.
-// One thread per rank: the SSSP round count depends on the thread schedule
-// otherwise.
+// One thread per rank.
 func TestSchedulerBatchMembersGetSoloBytes(t *testing.T) {
 	kinds := []analytics.Job{
 		{Analytic: analytics.JobBFS, Dir: "und"},

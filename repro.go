@@ -594,8 +594,8 @@ func (g *Graph) SSSP(root uint32, w WeightFunc) ([]uint64, error) {
 	})
 }
 
-// SSSPDelta is SSSP with an explicit Δ-stepping bucket width (0 picks the
-// mean-edge-weight heuristic, exactly what SSSP does). Distances are
+// SSSPDelta is SSSP with an explicit Δ-stepping bucket width (0 picks
+// ⌈4·mean weight / mean out-degree⌉, exactly what SSSP does). Distances are
 // identical for every delta; only the schedule changes.
 func (g *Graph) SSSPDelta(root uint32, w WeightFunc, delta uint64) ([]uint64, error) {
 	if w == nil {
