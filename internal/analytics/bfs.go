@@ -104,27 +104,28 @@ func (r *bfsRunner) run(root uint32) (*BFSResult, error) {
 	for i := range status {
 		status[i] = statusUnvisited
 	}
-	muLocal := r.pullMass
 	queue, next := r.queue[:0], r.next
 	if lid := g.LocalID(root); lid != core.InvalidLocal && lid < g.NLoc {
 		status[lid] = statusPending
 		queue = append(queue, lid)
-		muLocal -= pullDeg(g, lid, dir)
 	}
+	mf, mq := eng.queueMass(ctx, queue, dir)
+	muLocal := r.pullMass - mq
 	reached := uint64(0)
-	depth := -1
+	level := int32(0)
 
 	tr := ctx.Comm.Tracer()
-	glob, err := eng.reduceStats(ctx, queue, muLocal, dir, true)
+	glob, err := eng.reduceStats(ctx, len(queue), mf, muLocal, true)
 	if err != nil {
 		return nil, err
 	}
 	pl := eng.plan(stepPlan{}, glob[0], glob[1], glob[2])
 	first := true
 	var prevExec stepPlan
-	for level := int32(0); glob[0] != 0; level++ {
+	for ; glob[0] != 0; level++ {
 		mark := tr.Now()
 		frontier := len(queue)
+		reached += glob[0]
 		if eng.planNeedsHalo(pl) {
 			if err := eng.ensureHalo(ctx); err != nil {
 				return nil, err
@@ -156,13 +157,10 @@ func (r *bfsRunner) run(root uint32) (*BFSResult, error) {
 				}
 			}
 		}
-		if frontier > 0 {
-			depth = int(level)
-		}
-		reached += uint64(frontier)
 		queue, next = next, queue
-		muLocal -= ctx.Pool.SumRangeU64(len(queue), func(i int) uint64 { return pullDeg(g, queue[i], dir) })
-		glob, err = eng.reduceStats(ctx, queue, muLocal, dir, false)
+		mf, mq = eng.queueMass(ctx, queue, dir)
+		muLocal -= mq
+		glob, err = eng.reduceStats(ctx, len(queue), mf, muLocal, false)
 		if err != nil {
 			return nil, err
 		}
@@ -173,29 +171,19 @@ func (r *bfsRunner) run(root uint32) (*BFSResult, error) {
 		pl = eng.plan(pl, glob[0], glob[1], glob[2])
 	}
 	r.queue, r.next = queue, next
-	return r.finish(reached, depth, eng.stats)
+	return r.finish(reached, level, eng.stats), nil
 }
 
-// finish turns the runner's status array and this rank's reach and depth
-// into the result every rank agrees on. Collective.
-func (r *bfsRunner) finish(reached uint64, depth int, stats obs.TraversalStats) (*BFSResult, error) {
-	levels := make([]int32, r.g.NLoc)
-	for v := range levels {
-		if s := r.status[v]; s >= 0 {
-			levels[v] = s
-		} else {
-			levels[v] = -1
-		}
+// finish turns the runner's status array into the result. reached is the
+// sum of the levels' global frontier sizes and levels the number of levels
+// run, both identical on every rank, so finishing needs no collective: the
+// last level is the depth.
+func (r *bfsRunner) finish(reached uint64, levels int32, stats obs.TraversalStats) *BFSResult {
+	lv := make([]int32, r.g.NLoc)
+	for v := range lv {
+		lv[v] = max(r.status[v], -1)
 	}
-	total, err := comm.Allreduce(r.ctx.Comm, reached, comm.OpSum)
-	if err != nil {
-		return nil, err
-	}
-	maxDepth, err := comm.Allreduce(r.ctx.Comm, int64(depth), comm.OpMax)
-	if err != nil {
-		return nil, err
-	}
-	return &BFSResult{Levels: levels, Reached: total, Depth: int(maxDepth), Traversal: stats}, nil
+	return &BFSResult{Levels: lv, Reached: reached, Depth: int(levels) - 1, Traversal: stats}
 }
 
 // expand finalizes the current queue at the given level and expands each
@@ -210,7 +198,10 @@ func (e *frontierEngine) expand(ctx *core.Ctx, status []int32, queue, next []uin
 	ctx.Pool.For(len(queue), func(lo, hi, tid int) {
 		nxt, snd := nextPer[tid], sendPer[tid]
 		visit := func(u uint32) {
-			if atomic.CompareAndSwapInt32(&status[u], statusUnvisited, statusPending) {
+			// Most neighbors are already claimed: a plain load skips the
+			// locked instruction for them.
+			if atomic.LoadInt32(&status[u]) == statusUnvisited &&
+				atomic.CompareAndSwapInt32(&status[u], statusUnvisited, statusPending) {
 				if u < g.NLoc {
 					nxt = append(nxt, u)
 				} else {
@@ -305,13 +296,15 @@ func exchangeFrontier(ctx *core.Ctx, g *core.Graph, ghostLids []uint32, sc *fron
 	if cap(sc.lids) < len(recv) {
 		sc.lids = make([]uint32, len(recv))
 	}
-	lids := sc.lids[:len(recv)]
-	for i, gid := range recv {
-		lid := g.LocalID(gid)
-		if lid == core.InvalidLocal || lid >= g.NLoc {
-			return nil, fmt.Errorf("analytics: frontier vertex %d arrived at non-owner", gid)
+	lids := sc.lids[:0]
+	for r, n := range recvCounts {
+		for _, gid := range recv[len(lids):][:n] {
+			lid := g.LocalID(gid)
+			if lid == core.InvalidLocal || lid >= g.NLoc {
+				return nil, corruptFrom(ctx, r, "frontier vertex %d arrived at a rank that does not own it", gid)
+			}
+			lids = append(lids, lid)
 		}
-		lids[i] = lid
 	}
 	return lids, nil
 }

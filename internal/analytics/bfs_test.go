@@ -1,0 +1,268 @@
+package analytics
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/comm"
+	"repro/internal/core"
+	"repro/internal/edge"
+	"repro/internal/partition"
+	"repro/internal/seq"
+)
+
+// TestBFSCollectivesPerRoot pins a BFS root's communication structure as an
+// equality on both layouts, from the transport-round counter.
+//
+// 1D: one stats reduce before level 0, then per level one frontier exchange
+// (sparse ids, dense claims or the ghost refresh) and one stats reduce, so
+// 1 + 2·levels; a traversal that needs the halo when the plan cache lacks it
+// adds the one gid round that builds it. The reach and depth come from the
+// reduces every rank already holds, so nothing closes the traversal.
+//
+// 2D: one frontier reduce before level 0, then per level the column expand,
+// the row fold and the frontier reduce, plus in adaptive mode the fold
+// width's reduce per level and the engine's one width reduce per runner.
+func TestBFSCollectivesPerRoot(t *testing.T) {
+	for _, tg := range []testGraph{makeTestGraphs(t)[4], rmat4kGraph(t)} {
+		runGrid2DConfigs(t, tg, func(ctx *core.Ctx, g1, g2 *core.Graph) error {
+			ctx.Plans = core.NewPlans(nil)
+			for _, dir := range []Dir{Forward, Backward, Und} {
+				for i, root := range []uint32{0, tg.n / 2, 0} {
+					ctx.Comm.ResetStats()
+					b, err := BFS(ctx, g1, root, dir)
+					if err != nil {
+						return err
+					}
+					levels := uint64(b.Depth + 1)
+					if i == 2 && b.Traversal.HaloBuilds != 0 {
+						return fmt.Errorf("dir=%d root %d: a warm plan rebuilt the halo", dir, root)
+					}
+					if steps := b.Traversal.PushSteps + b.Traversal.PullSteps; steps != levels {
+						return fmt.Errorf("dir=%d root %d: %d steps for %d levels", dir, root, steps, levels)
+					}
+					want := 1 + 2*levels + b.Traversal.HaloBuilds
+					if got := ctx.Comm.TakeStats().Exchanges; got != want {
+						return fmt.Errorf("1d dir=%d root %d: %d collectives for %d levels (%d halo builds), want %d",
+							dir, root, got, levels, b.Traversal.HaloBuilds, want)
+					}
+				}
+				if !g2.Is2D() {
+					continue // p=1 has no grid
+				}
+				grp := g2.Grid.Group
+				grp.ResetStats()
+				b, err := BFS(ctx, g2, tg.n/2, dir)
+				if err != nil {
+					return err
+				}
+				levels := uint64(b.Depth + 1)
+				want := 1 + 3*levels
+				if ctx.Traverse.Mode == core.TraverseAdaptive {
+					want += 1 + levels
+				}
+				if got := grp.TakeStats().Exchanges; got != want {
+					return fmt.Errorf("2d dir=%d: %d collectives for %d levels, want %d", dir, got, levels, want)
+				}
+			}
+			return nil
+		})
+	}
+}
+
+// forgingTransport lets one rank run a kernel honestly through the real
+// collectives while rewriting what it sends rank 0: forge sees each
+// transport round's message for rank 0 by round number and returns a
+// replacement, or nil to send the honest one.
+type forgingTransport struct {
+	comm.Transport
+	round  int
+	forged int
+	forge  func(round int, msg []byte) []byte
+}
+
+func (f *forgingTransport) Exchange(out [][]byte) ([][]byte, time.Duration, error) {
+	if f.forge == nil {
+		return f.Transport.Exchange(out)
+	}
+	if m := f.forge(f.round, out[0]); m != nil {
+		out[0] = m
+		f.forged++
+	}
+	f.round++
+	return f.Transport.Exchange(out)
+}
+
+func (f *forgingTransport) Abort() { f.Transport.(interface{ Abort() }).Abort() }
+
+// runForged runs body on two in-process ranks over the vertex-block shards
+// of tg, rank 1 forging through forge, and returns each rank's error and
+// how many messages rank 1 forged.
+func runForged(tg testGraph, forge func(round int, msg []byte) []byte, body func(ctx *core.Ctx, g *core.Graph) error) ([]error, int) {
+	trs := comm.NewLocalGroup(2)
+	ft := &forgingTransport{Transport: trs[1]}
+	comms := []*comm.Comm{comm.New(trs[0]), comm.New(ft)}
+	errs := comm.RunOnAll(comms, func(c *comm.Comm) error {
+		ctx := core.NewCtx(c, 1)
+		g, _, err := core.Build(ctx, core.ListSource{Edges: tg.edges}, partition.NewVertexBlock(tg.n, 2))
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 1 {
+			ft.forge = forge // the kernel's rounds, not the build's
+		}
+		return body(ctx, g)
+	})
+	return errs, ft.forged
+}
+
+// forgedPath is a 64-vertex graph whose vertex-block halves meet in one
+// edge, 31 -> 32: rank 0 owns 0..31 and ghosts 32, rank 1 owns 32..63 and
+// ghosts 31, so every halo segment between them is a single slot and a
+// forged pad bit lands past it.
+func forgedPath() testGraph {
+	var path edge.List
+	for v := uint32(1); v < 40; v++ {
+		path.Push(v, v+1)
+	}
+	return testGraph{name: "path", n: 64, edges: path, ref: seq.FromEdges(64, path)}
+}
+
+// wantCorruptFrom1 checks that rank 0 failed with a corrupt-message
+// CommError naming rank 1 and that rank 1 only saw the group abort.
+func wantCorruptFrom1(t *testing.T, errs []error) {
+	t.Helper()
+	var ce *comm.CommError
+	if !errors.As(errs[0], &ce) || ce.Kind != comm.KindCorrupt || ce.Peer != 1 {
+		t.Fatalf("rank 0 returned %v, want a corrupt-message CommError for peer 1", errs[0])
+	}
+	if errs[1] != nil && comm.Classify(errs[1]) != comm.KindAborted {
+		t.Fatalf("forging rank: %v", errs[1])
+	}
+	t.Log(errs[0])
+}
+
+// TestBFSRejectsForgedRounds forges each field of BFS's receive paths on
+// the wire. A sparse frontier round that names a vertex the receiver does
+// not own — unknown to it, or only its ghost — fails the query with a
+// corrupt-message CommError naming the forger. Pad bits past a dense
+// segment's slot count, in claims or in the ghost refresh, carry nothing:
+// the receiver ignores them and every rank gets the honest levels. A
+// forger that sends well-formed but wrong claims is out of scope.
+func TestBFSRejectsForgedRounds(t *testing.T) {
+	tg := forgedPath()
+	want := seq.BFS(tg.ref, 1, seq.Forward)
+	wantReached, wantDepth := 0, int64(0)
+	for _, l := range want {
+		if l >= 0 {
+			wantReached, wantDepth = wantReached+1, max(wantDepth, l)
+		}
+	}
+	gid := func(v uint32) func(int, []byte) []byte {
+		return func(round int, _ []byte) []byte {
+			if round != 1 { // the level-0 frontier exchange
+				return nil
+			}
+			return binary.LittleEndian.AppendUint32(nil, v)
+		}
+	}
+	// Every one-word message after the halo build is a dense segment for
+	// rank 0 (the stats reduces are three words, sparse claims at most one
+	// 32-bit id); keep its one real bit and set all the others.
+	padBits := func(round int, msg []byte) []byte {
+		if round < 2 || len(msg) != 8 {
+			return nil
+		}
+		return binary.LittleEndian.AppendUint64(nil, binary.LittleEndian.Uint64(msg)|^uint64(1))
+	}
+	forgeries := []struct {
+		name   string
+		mode   core.TraversalMode
+		forge  func(int, []byte) []byte
+		honest bool
+	}{
+		{"unknown vertex", core.TraversePush, gid(50), false},
+		{"vertex past the graph", core.TraversePush, gid(1 << 20), false},
+		{"ghost vertex", core.TraversePush, gid(32), false},
+		{"pad bits in dense claims", core.TraverseAdaptive, padBits, true},
+		{"pad bits in the ghost refresh", core.TraverseDense, padBits, true},
+	}
+	for _, f := range forgeries {
+		t.Run(f.name, func(t *testing.T) {
+			var dense [2]uint64
+			errs, forged := runForged(tg, f.forge, func(ctx *core.Ctx, g *core.Graph) error {
+				ctx.Traverse.Mode = f.mode
+				b, err := BFS(ctx, g, 1, Forward)
+				if err != nil {
+					return err
+				}
+				dense[ctx.Rank()] = b.Traversal.DenseExchanges
+				global, err := core.Gather(ctx, g, b.Levels)
+				if err != nil {
+					return err
+				}
+				for v := range want {
+					if int64(global[v]) != want[v] {
+						return fmt.Errorf("level[%d] = %d, want %d", v, global[v], want[v])
+					}
+				}
+				if b.Reached != uint64(wantReached) || int64(b.Depth) != wantDepth {
+					return fmt.Errorf("reached %d at depth %d, want %d at depth %d", b.Reached, b.Depth, wantReached, wantDepth)
+				}
+				return nil
+			})
+			if forged == 0 {
+				t.Fatal("the forger never sent its forgery")
+			}
+			if !f.honest {
+				wantCorruptFrom1(t, errs)
+				return
+			}
+			for r, err := range errs {
+				if err != nil {
+					t.Fatalf("rank %d: %v", r, err)
+				}
+			}
+			if dense[0] == 0 {
+				t.Fatal("no dense round ran; the forgery tested nothing")
+			}
+			t.Logf("%d forged dense segments ignored", forged)
+		})
+	}
+}
+
+// TestSCCTrimRejectsForgedDecrements forges trim's first decrement round:
+// a degree decrement for a vertex the receiver does not own — unknown to
+// it, only its ghost, or a gid wider than 32 bits that truncates to one of
+// its own — fails the query with a corrupt-message CommError naming the
+// forger instead of panicking the rank.
+func TestSCCTrimRejectsForgedDecrements(t *testing.T) {
+	tg := forgedPath()
+	for _, f := range []struct {
+		name string
+		msg  uint64
+	}{
+		{"unknown vertex", 50 << 1},
+		{"ghost vertex", 32<<1 | 1},
+		{"gid past 32 bits", (1<<32 | 5) << 1},
+	} {
+		t.Run(f.name, func(t *testing.T) {
+			errs, forged := runForged(tg, func(round int, _ []byte) []byte {
+				if round != 1 { // after the first round's death count
+					return nil
+				}
+				return binary.LittleEndian.AppendUint64(nil, f.msg)
+			}, func(ctx *core.Ctx, g *core.Graph) error {
+				_, err := LargestSCC(ctx, g)
+				return err
+			})
+			if forged == 0 {
+				t.Fatal("the forger never sent its forgery")
+			}
+			wantCorruptFrom1(t, errs)
+		})
+	}
+}

@@ -386,6 +386,12 @@ func (s claimSeg) at(i int) (v uint32, x uint64) {
 // corrupt fails the query on a segment from peer that no rank running the
 // kernel could have sent.
 func (c *claimRound) corrupt(ctx *core.Ctx, peer int, format string, args ...any) error {
+	return corruptFrom(ctx, peer, c.kernel+": "+format, args...)
+}
+
+// corruptFrom is the typed failure of a receive path that read from peer's
+// segment what no rank running the same kernel on this graph sends.
+func corruptFrom(ctx *core.Ctx, peer int, format string, args ...any) error {
 	return &comm.CommError{Rank: ctx.Rank(), Peer: peer, Kind: comm.KindCorrupt, Attempt: 1,
-		Err: fmt.Errorf("analytics: "+c.kernel+": "+format, args...)}
+		Err: fmt.Errorf("analytics: "+format, args...)}
 }

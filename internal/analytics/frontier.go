@@ -68,10 +68,12 @@ type frontierEngine struct {
 	bsc            comm.BitsScratch
 	fsc            frontierScratch
 
-	// Per-thread discovery staging of one step and the combined ghost-claim
-	// list of a push step, retained across steps and traversals.
+	// Per-thread discovery staging of one step, the combined ghost-claim
+	// list of a push step and per-thread queue mass partials, retained
+	// across steps and traversals.
 	nextPer, sendPer [][]uint32
 	sendStage        []uint32
+	massPer          [][2]uint64
 
 	// Globals every rank computed identically.
 	gGhosts uint64 // total halo width == global ghost slot count
@@ -171,26 +173,35 @@ func (e *frontierEngine) staging(nt int) (nextPer, sendPer [][]uint32) {
 	return e.nextPer[:nt], e.sendPer[:nt]
 }
 
-// pushDeg returns the edge mass a top-down step explores from v; pullDeg
-// the mass a bottom-up step examines into v (the reverse adjacency).
-func pushDeg(g *core.Graph, v uint32, dir Dir) uint64 {
+// queueMass returns, from one degree pass over queue, the edge mass a
+// top-down step explores from it (push) and the mass a bottom-up step
+// examines into it over the reverse adjacency (pull).
+func (e *frontierEngine) queueMass(ctx *core.Ctx, queue []uint32, dir Dir) (push, pull uint64) {
+	g, nt := e.g, ctx.Pool.Threads()
+	if len(e.massPer) < nt {
+		e.massPer = make([][2]uint64, nt)
+	}
+	part := e.massPer[:nt]
+	clear(part)
+	ctx.Pool.For(len(queue), func(lo, hi, tid int) {
+		var out, in uint64
+		for _, v := range queue[lo:hi] {
+			out += g.OutDegree(v)
+			in += g.InDegree(v)
+		}
+		part[tid] = [2]uint64{out, in}
+	})
+	var out, in uint64
+	for _, m := range part {
+		out, in = out+m[0], in+m[1]
+	}
 	switch dir {
 	case Forward:
-		return g.OutDegree(v)
+		return out, in
 	case Backward:
-		return g.InDegree(v)
+		return in, out
 	}
-	return g.OutDegree(v) + g.InDegree(v)
-}
-
-func pullDeg(g *core.Graph, v uint32, dir Dir) uint64 {
-	switch dir {
-	case Forward:
-		return g.InDegree(v)
-	case Backward:
-		return g.OutDegree(v)
-	}
-	return g.OutDegree(v) + g.InDegree(v)
+	return out + in, out + in
 }
 
 // exchangeDenseClaims is the dense counterpart of exchangeFrontier: the
@@ -213,11 +224,8 @@ func (e *frontierEngine) exchangeDenseClaims(ctx *core.Ctx, claims []uint32) ([]
 		return nil, err
 	}
 	arrived := e.arrivedScratch[:0]
-	for r := range h.sendCounts {
-		base := e.sendVertOff[r]
-		par.ForEachSetBit(recv[offs[r]:], h.sendCounts[r], func(i int) {
-			arrived = append(arrived, h.sendVerts[base+i])
-		})
+	for r, n := range h.sendCounts {
+		arrived = par.AppendSetBits(arrived, recv[offs[r]:], h.sendVerts[e.sendVertOff[r]:][:n])
 	}
 	e.arrivedScratch = arrived
 	e.stats.DenseExchanges++
@@ -232,27 +240,20 @@ func (e *frontierEngine) exchangeDenseClaims(ctx *core.Ctx, claims []uint32) ([]
 
 // refreshGhostBits ships the owned frontier bits to every rank holding a
 // ghost copy (the forward direction of the halo) and sets the arriving
-// ghost bits — the per-step input of a bottom-up pull.
+// ghost bits — the per-step input of a bottom-up pull. The ghost bits must
+// be clear on entry.
 func (e *frontierEngine) refreshGhostBits(ctx *core.Ctx) error {
-	h, bits := e.halo, e.bits
+	h, bits := e.halo, e.bits.Words()
 	words := e.words(e.sendWords)
-	verts := h.sendVerts
-	for r := range h.sendCounts {
-		seg := words[e.sendWordOffs[r]:]
-		base := e.sendVertOff[r]
-		par.PackBits(ctx.Pool, seg[:par.BitmapWords(h.sendCounts[r])], h.sendCounts[r], func(i int) bool {
-			return bits.Get(verts[base+i])
-		})
+	for r, n := range h.sendCounts {
+		par.GatherBits(ctx.Pool, words[e.sendWordOffs[r]:], bits, h.sendVerts[e.sendVertOff[r]:][:n])
 	}
 	recv, offs, err := comm.AlltoallvBits(ctx.Comm, words, h.sendCounts, h.recvSegs, &e.bsc)
 	if err != nil {
 		return err
 	}
-	for r := range h.recvSegs {
-		base := e.recvLidOff[r]
-		par.ForEachSetBit(recv[offs[r]:], h.recvSegs[r], func(i int) {
-			bits.Set(h.recvLids[base+i])
-		})
+	for r, n := range h.recvSegs {
+		par.ScatterBits(bits, recv[offs[r]:], h.recvLids[e.recvLidOff[r]:][:n])
 	}
 	e.stats.DenseExchanges++
 	e.stats.DenseBytes += uint64(e.sendWords) * 8
@@ -267,14 +268,26 @@ func (e *frontierEngine) refreshGhostBits(ctx *core.Ctx) error {
 func (e *frontierEngine) pullStep(ctx *core.Ctx, status []int32, queue, next []uint32, level int32, dir Dir) ([]uint32, error) {
 	g := e.g
 	bits := e.ensureBits()
-	bits.ClearAll(ctx.Pool)
 	ctx.Pool.For(len(queue), func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			v := queue[i]
+		for _, v := range queue[lo:hi] {
 			status[v] = level
-			bits.SetAtomic(v)
 		}
 	})
+	// The frontier bits are status == level over the owned vertices, packed
+	// a whole word per write; a ghost never holds a level, and its words
+	// are cleared for the refresh.
+	words, nw := bits.Words(), par.BitmapWords(int(g.NLoc))
+	ctx.Pool.For(nw, func(lo, hi, _ int) {
+		for wi := lo; wi < hi; wi++ {
+			var w uint64
+			seg := status[wi*64 : min(wi*64+64, len(status))]
+			for _, s := range seg {
+				w = w>>1 | (uint64(uint32(s^level))-1)&(1<<63)
+			}
+			words[wi] = w >> (64 - len(seg))
+		}
+	})
+	clear(words[nw:])
 	if err := e.refreshGhostBits(ctx); err != nil {
 		return nil, err
 	}
@@ -341,11 +354,10 @@ func (e *frontierEngine) note(prev, cur stepPlan, first bool) {
 // mass]. The first call of a traversal piggybacks the global halo width
 // (ghost slot count) as a fourth element, so the engine never spends an
 // extra collective on it. This reduction doubles as the driver loop's
-// termination test (nf == 0), replacing the scalar queue-size Allreduce.
-func (e *frontierEngine) reduceStats(ctx *core.Ctx, queue []uint32, muLocal uint64, dir Dir, withGhosts bool) ([3]uint64, error) {
-	g := e.g
-	mf := ctx.Pool.SumRangeU64(len(queue), func(i int) uint64 { return pushDeg(g, queue[i], dir) })
-	vals := [4]uint64{uint64(len(queue)), mf, muLocal, uint64(g.NGst)}
+// termination test (nf == 0), replacing the scalar queue-size Allreduce, and
+// its frontier sizes, summed over the levels, are the traversal's reach.
+func (e *frontierEngine) reduceStats(ctx *core.Ctx, nf int, mf, mu uint64, withGhosts bool) ([3]uint64, error) {
+	vals := [4]uint64{uint64(nf), mf, mu, uint64(e.g.NGst)}
 	n := 3
 	if withGhosts {
 		n = 4

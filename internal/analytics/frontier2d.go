@@ -385,23 +385,20 @@ func (r *bfsRunner) run2D(root uint32) (*BFSResult, error) {
 		queue = append(queue, root-l.OwnLo)
 	}
 	reached := uint64(0)
-	depth := -1
+	level := int32(0)
 
 	tr := ctx.Comm.Tracer()
 	gNf, err := comm.Allreduce(ctx.Comm, uint64(len(queue)), comm.OpSum)
 	if err != nil {
 		return nil, err
 	}
-	for level := int32(0); gNf != 0; level++ {
+	for ; gNf != 0; level++ {
 		mark := tr.Now()
 		frontier := len(queue)
 		for _, v := range queue {
 			status[v] = level
 		}
-		if frontier > 0 {
-			depth = int(level)
-		}
-		reached += uint64(frontier)
+		reached += gNf
 
 		colIDs, err := eng.expandColumn(ctx, queue, eng.denseExpand(gNf))
 		if err != nil {
@@ -435,7 +432,7 @@ func (r *bfsRunner) run2D(root uint32) (*BFSResult, error) {
 		tr.Span(SpanBFSLevel, mark, int64(frontier))
 	}
 	r.queue, r.next = queue, next
-	return r.finish(reached, depth, eng.stats)
+	return r.finish(reached, level, eng.stats), nil
 }
 
 // wcc2D computes weakly connected components on a 2D shard: the same

@@ -64,7 +64,7 @@ func buildHaloReference(ctx *core.Ctx, g *core.Graph, dirs Dirs) (sendVerts []ui
 	}
 	recvLids = make([]uint32, len(recvGids))
 	for i, gid := range recvGids {
-		recvLids[i] = g.MustLocalID(gid)
+		recvLids[i] = g.LocalID(gid)
 	}
 	return sendVerts, sendCounts, recvLids, recvSegs, nil
 }

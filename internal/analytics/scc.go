@@ -153,16 +153,21 @@ func trim(ctx *core.Ctx, g *core.Graph, comp []uint32) (uint64, error) {
 		// in-edge (u,v) lowers u's out-degree.
 		p := ctx.Size()
 		counts := make([]int, p)
-		var local []uint64 // packed decrements applied here
 		perDest := make([][]uint64, p)
+		dec := func(lid uint32, outBit uint64) {
+			if outBit == 1 {
+				outDeg[lid]--
+			} else {
+				inDeg[lid]--
+			}
+		}
 		push := func(u uint32, outBit uint64) {
-			msg := uint64(g.GlobalID(u))<<1 | outBit
 			if u < g.NLoc {
-				local = append(local, msg)
+				dec(u, outBit)
 				return
 			}
 			d := g.GhostOwner[u-g.NLoc]
-			perDest[d] = append(perDest[d], msg)
+			perDest[d] = append(perDest[d], uint64(g.GlobalID(u))<<1|outBit)
 		}
 		for _, v := range dead {
 			for _, u := range g.OutNeighbors(v) {
@@ -177,23 +182,20 @@ func trim(ctx *core.Ctx, g *core.Graph, comp []uint32) (uint64, error) {
 			counts[d] = len(perDest[d])
 			send = append(send, perDest[d]...)
 		}
-		recv, _, err := comm.Alltoallv(ctx.Comm, send, counts)
+		recv, recvCounts, err := comm.Alltoallv(ctx.Comm, send, counts)
 		if err != nil {
 			return 0, err
 		}
-		apply := func(msg uint64) {
-			lid := g.MustLocalID(uint32(msg >> 1))
-			if msg&1 == 1 {
-				outDeg[lid]--
-			} else {
-				inDeg[lid]--
+		for r, n := range recvCounts {
+			for _, msg := range recv[:n] {
+				gid := msg >> 1
+				lid := g.LocalID(uint32(gid))
+				if gid>>32 != 0 || lid == core.InvalidLocal || lid >= g.NLoc {
+					return 0, corruptFrom(ctx, r, "SCC trim decrement for vertex %d, which this rank does not own", gid)
+				}
+				dec(lid, msg&1)
 			}
-		}
-		for _, msg := range local {
-			apply(msg)
-		}
-		for _, msg := range recv {
-			apply(msg)
+			recv = recv[n:]
 		}
 		tr.Span(SpanSCCTrimRound, mark, int64(len(dead)))
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"testing"
@@ -274,6 +275,46 @@ func TestGhostExchange(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestGhostExchangeRejectsForgedRequest: rank 1 sends rank 0 a ghost
+// request by hand for a vertex rank 0 does not own — unknown to it, or
+// only its ghost. Rank 0 must fail with a corrupt-message CommError naming
+// rank 1 instead of panicking, and rank 1 must see the group abort in the
+// answer round.
+func TestGhostExchangeRejectsForgedRequest(t *testing.T) {
+	var path edge.List
+	for v := uint32(1); v < 40; v++ {
+		path.Push(v, v+1)
+	}
+	// Vertex-block over 64 vertices: rank 0 owns 0..31 and ghosts 32.
+	for _, gid := range []uint32{50, 1 << 20, 32} {
+		t.Run(fmt.Sprintf("gid=%d", gid), func(t *testing.T) {
+			trs := comm.NewLocalGroup(2)
+			errs := comm.RunOnAll([]*comm.Comm{comm.New(trs[0]), comm.New(trs[1])}, func(c *comm.Comm) error {
+				ctx := NewCtx(c, 1)
+				g, _, err := Build(ctx, ListSource{Edges: path}, partition.NewVertexBlock(64, 2))
+				if err != nil {
+					return err
+				}
+				if c.Rank() == 0 {
+					return GhostExchangeU32(ctx, g, make([]uint32, g.NTotal()))
+				}
+				if _, _, err := comm.Alltoallv(c, []uint32{gid}, []int{1, 0}); err != nil {
+					return err
+				}
+				_, _, err = comm.Alltoallv(c, []uint32{0}, []int{0, 1})
+				return err
+			})
+			var ce *comm.CommError
+			if !errors.As(errs[0], &ce) || ce.Kind != comm.KindCorrupt || ce.Peer != 1 {
+				t.Fatalf("rank 0 returned %v, want a corrupt-message CommError for peer 1", errs[0])
+			}
+			if comm.Classify(errs[1]) != comm.KindAborted {
+				t.Fatalf("forging rank: %v, want the group abort", errs[1])
+			}
+		})
+	}
 }
 
 func TestSpecAndPlantedSources(t *testing.T) {

@@ -69,13 +69,16 @@ func GhostExchangeU32(ctx *Ctx, g *Graph, state []uint32) error {
 		return err
 	}
 	// Answer with current owned values, in the order asked.
-	reply := make([]uint32, len(asked))
-	for i, gid := range asked {
-		lid := g.MustLocalID(gid)
-		if lid >= g.NLoc {
-			return fmt.Errorf("core: ghost request for vertex %d this rank does not own", gid)
+	reply := make([]uint32, 0, len(asked))
+	for r, n := range askedCounts {
+		for _, gid := range asked[len(reply):][:n] {
+			lid := g.LocalID(gid)
+			if lid == InvalidLocal || lid >= g.NLoc {
+				return &comm.CommError{Rank: ctx.Rank(), Peer: r, Kind: comm.KindCorrupt, Attempt: 1,
+					Err: fmt.Errorf("core: ghost request for vertex %d, which this rank does not own", gid)}
+			}
+			reply = append(reply, state[lid])
 		}
-		reply[i] = state[lid]
 	}
 	answers, _, err := comm.Alltoallv(ctx.Comm, reply, askedCounts)
 	if err != nil {

@@ -132,11 +132,6 @@ func (g *Graph) LocalID(gid uint32) uint32 {
 	return g.Map.GetOr(gid, InvalidLocal)
 }
 
-// MustLocalID returns the local id of gid, panicking if unknown; receive
-// loops use it because a miss there means the exchange routed a message to
-// the wrong rank.
-func (g *Graph) MustLocalID(gid uint32) uint32 { return g.Map.MustGet(gid) }
-
 // Validate checks the structural invariants of the shard; it is used by
 // tests and by the harness after construction. It is O(NTotal + MOut + MIn).
 func (g *Graph) Validate() error {

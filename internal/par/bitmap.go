@@ -1,120 +1,86 @@
 package par
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
 // Bitmap is a dense set over [0, n) backed by 64-bit words, the frontier
-// representation of the bottom-up traversal steps. The single-writer
-// methods (Set, ClearAll) follow the package's one-goroutine-drives rule;
-// SetAtomic is safe from concurrent pool workers.
+// representation of the bottom-up traversal steps. Its methods follow the
+// package's one-goroutine-drives rule; a parallel fill gives each pool
+// worker its own range of whole words of Words.
 type Bitmap struct {
 	words []uint64
-	n     int
 }
 
 // NewBitmap returns an empty bitmap over [0, n).
 func NewBitmap(n int) *Bitmap {
-	return &Bitmap{words: make([]uint64, BitmapWords(n)), n: n}
+	return &Bitmap{words: make([]uint64, BitmapWords(n))}
 }
 
 // BitmapWords returns the number of 64-bit words that hold n bits.
 func BitmapWords(n int) int { return (n + 63) / 64 }
 
-// Len returns the bit-universe size n.
-func (b *Bitmap) Len() int { return b.n }
-
-// Words exposes the backing words (length BitmapWords(Len())) for packing
-// into wire segments.
+// Words exposes the backing words (length BitmapWords(n)) for packing into
+// wire segments and for whole-word fills.
 func (b *Bitmap) Words() []uint64 { return b.words }
 
-// Set marks bit i. Not safe for concurrent writers; see SetAtomic.
+// Set marks bit i. Not safe for concurrent writers.
 func (b *Bitmap) Set(i uint32) { b.words[i>>6] |= 1 << (i & 63) }
-
-// SetAtomic marks bit i with an atomic OR, safe from concurrent pool
-// workers filling disjoint-or-overlapping bit sets.
-func (b *Bitmap) SetAtomic(i uint32) {
-	w := &b.words[i>>6]
-	mask := uint64(1) << (i & 63)
-	for {
-		old := atomic.LoadUint64(w)
-		if old&mask != 0 {
-			return
-		}
-		if atomic.CompareAndSwapUint64(w, old, old|mask) {
-			return
-		}
-	}
-}
 
 // Get reports whether bit i is set.
 func (b *Bitmap) Get(i uint32) bool { return b.words[i>>6]&(1<<(i&63)) != 0 }
 
-// ClearAll zeroes the bitmap, fanning the memset over the pool for large
-// maps (the per-step reset of a reused frontier bitmap).
-func (b *Bitmap) ClearAll(p *Pool) {
-	const parMin = 1 << 14 // words; below this a straight clear wins
-	w := b.words
-	if p == nil || p.Threads() == 1 || len(w) < parMin {
-		for i := range w {
-			w[i] = 0
-		}
-		return
-	}
-	p.For(len(w), func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			w[i] = 0
-		}
-	})
-}
-
-// Count returns the population count, fanning the word scan over the pool.
-func (b *Bitmap) Count(p *Pool) uint64 {
-	w := b.words
-	if p == nil || p.Threads() == 1 || len(w) < 1<<14 {
-		var c uint64
-		for _, x := range w {
-			c += uint64(bits.OnesCount64(x))
-		}
-		return c
-	}
-	return p.SumRangeU64(len(w), func(i int) uint64 {
-		return uint64(bits.OnesCount64(w[i]))
-	})
-}
-
-// PackBits fills words (length >= BitmapWords(n)) so bit i equals
-// member(i) for i in [0, n), splitting whole words across the pool: each
-// worker owns a disjoint word range, so no atomics are needed. Tail bits
-// of the last word are zero.
-func PackBits(p *Pool, words []uint64, n int, member func(i int) bool) {
-	nw := BitmapWords(n)
-	packWord := func(wi int) {
-		lo := wi * 64
-		hi := lo + 64
-		if hi > n {
-			hi = n
-		}
-		var w uint64
-		for i := lo; i < hi; i++ {
-			if member(i) {
-				w |= 1 << uint(i-lo)
-			}
-		}
-		words[wi] = w
-	}
-	if p == nil || p.Threads() == 1 || nw < 256 {
-		for wi := 0; wi < nw; wi++ {
-			packWord(wi)
-		}
-		return
-	}
-	p.For(nw, func(lo, hi, _ int) {
+// GatherBits packs the bits of src that idx names: bit i of dst is bit
+// idx[i] of src, for i in [0, len(idx)), and the pad bits of the last word
+// are zero. dst holds at least BitmapWords(len(idx)) words. The loop has no
+// branch per bit, and each pool worker writes whole words of dst, so large
+// gathers split without atomics.
+func GatherBits(p *Pool, dst, src []uint64, idx []uint32) {
+	nw := BitmapWords(len(idx))
+	pack := func(lo, hi, _ int) {
 		for wi := lo; wi < hi; wi++ {
-			packWord(wi)
+			var w uint64
+			seg := idx[wi*64 : min(wi*64+64, len(idx))]
+			for _, v := range seg {
+				w = w>>1 | src[v>>6]<<(^v&63)&(1<<63)
+			}
+			dst[wi] = w >> (64 - len(seg))
 		}
-	})
+	}
+	if p == nil || nw < 256 {
+		pack(0, nw, 0)
+		return
+	}
+	p.For(nw, pack)
+}
+
+// ScatterBits is the inverse of GatherBits: for every set bit i of src
+// below len(idx) it sets bit idx[i] of dst. Pad bits of src at or past
+// len(idx) are ignored, so a peer cannot reach past idx through them.
+func ScatterBits(dst, src []uint64, idx []uint32) {
+	for wi := range BitmapWords(len(idx)) {
+		for w := src[wi] & padMask(wi, len(idx)); w != 0; w &= w - 1 {
+			v := idx[wi*64+bits.TrailingZeros64(w)]
+			dst[v>>6] |= 1 << (v & 63)
+		}
+	}
+}
+
+// AppendSetBits appends idx[i] to out for every set bit i of src below
+// len(idx), in ascending i, ignoring pad bits as ScatterBits does.
+func AppendSetBits(out []uint32, src []uint64, idx []uint32) []uint32 {
+	for wi := range BitmapWords(len(idx)) {
+		for w := src[wi] & padMask(wi, len(idx)); w != 0; w &= w - 1 {
+			out = append(out, idx[wi*64+bits.TrailingZeros64(w)])
+		}
+	}
+	return out
+}
+
+// padMask keeps the bits of word wi that index [0, n).
+func padMask(wi, n int) uint64 {
+	if r := n - wi*64; r < 64 {
+		return 1<<r - 1
+	}
+	return ^uint64(0)
 }
 
 // ForEachSetBit invokes fn for every set bit index in words' first n bits,
@@ -137,14 +103,9 @@ func ForEachSetBit(words []uint64, n int, fn func(i int)) {
 
 // OnesCountWords returns the population count of words' first n bits.
 func OnesCountWords(words []uint64, n int) int {
-	nw := BitmapWords(n)
 	c := 0
-	for wi := 0; wi < nw; wi++ {
-		w := words[wi]
-		if wi == nw-1 && n%64 != 0 {
-			w &= (1 << uint(n%64)) - 1
-		}
-		c += bits.OnesCount64(w)
+	for wi := range BitmapWords(n) {
+		c += bits.OnesCount64(words[wi] & padMask(wi, n))
 	}
 	return c
 }

@@ -1,8 +1,9 @@
 package par
 
 import (
+	"fmt"
 	"math/rand"
-	"sync"
+	"slices"
 	"testing"
 )
 
@@ -21,66 +22,12 @@ func TestBitmapSetGetClear(t *testing.T) {
 				t.Fatalf("n=%d: bit %d = %v, want %v", n, i, got, want[uint32(i)])
 			}
 		}
-		if got := b.Count(nil); got != uint64(len(want)) {
+		if got := OnesCountWords(b.Words(), n); got != len(want) {
 			t.Fatalf("n=%d: count %d, want %d", n, got, len(want))
 		}
-		b.ClearAll(NewPool(4))
-		if got := b.Count(NewPool(4)); got != 0 {
+		clear(b.Words())
+		if got := OnesCountWords(b.Words(), n); got != 0 {
 			t.Fatalf("n=%d: count %d after clear, want 0", n, got)
-		}
-	}
-}
-
-func TestBitmapSetAtomicConcurrent(t *testing.T) {
-	const n = 1 << 12
-	b := NewBitmap(n)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += 2 { // overlapping ranges on purpose
-				b.SetAtomic(uint32(i))
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := b.Count(nil); got != n {
-		t.Fatalf("count %d, want %d", got, n)
-	}
-}
-
-func TestPackBitsMatchesSerial(t *testing.T) {
-	for _, n := range []int{0, 1, 64, 65, 300, 4096, 70000} {
-		member := func(i int) bool { return i%3 == 0 || i%7 == 2 }
-		ser := make([]uint64, BitmapWords(n))
-		PackBits(nil, ser, n, member)
-		parw := make([]uint64, BitmapWords(n))
-		PackBits(NewPool(4), parw, n, member)
-		for i := range ser {
-			if ser[i] != parw[i] {
-				t.Fatalf("n=%d: word %d differs: %x vs %x", n, i, ser[i], parw[i])
-			}
-		}
-		// Every set bit round-trips through ForEachSetBit.
-		got := 0
-		ForEachSetBit(ser, n, func(i int) {
-			if !member(i) {
-				t.Fatalf("n=%d: spurious bit %d", n, i)
-			}
-			got++
-		})
-		want := 0
-		for i := 0; i < n; i++ {
-			if member(i) {
-				want++
-			}
-		}
-		if got != want {
-			t.Fatalf("n=%d: visited %d bits, want %d", n, got, want)
-		}
-		if c := OnesCountWords(ser, n); c != want {
-			t.Fatalf("n=%d: OnesCountWords %d, want %d", n, c, want)
 		}
 	}
 }
@@ -90,5 +37,92 @@ func TestOnesCountWordsIgnoresTail(t *testing.T) {
 	words := []uint64{^uint64(0), ^uint64(0)}
 	if got := OnesCountWords(words, 70); got != 70 {
 		t.Fatalf("count %d, want 70", got)
+	}
+}
+
+// TestGatherScatterBitsMatchReference checks the halo bit helpers against a
+// bit-at-a-time reference over a packed layout like the frontier engine's:
+// word-aligned segments of assorted sizes — empty, under, at and over a
+// word, and one wide enough that GatherBits splits over the pool — drawn
+// from a universe whose size is not a multiple of 64. Gathered segments
+// must have zero pad bits whatever the staging held; scattered and
+// appended ones must ignore set pad bits. Run under -race, the 4-thread
+// pool checks that the split gather writes disjoint words.
+func TestGatherScatterBitsMatchReference(t *testing.T) {
+	const n = 64*400 + 37
+	sizes := []int{0, 1, 63, 64, 65, 0, 130, 300*64 + 5, 0}
+	for _, threads := range []int{1, 4} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("threads=%d/seed=%d", threads, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				src := NewBitmap(n)
+				for i := 0; i < n/3; i++ {
+					src.Set(uint32(rng.Intn(n)))
+				}
+				idxs := make([][]uint32, len(sizes))
+				offs, total := make([]int, len(sizes)), 0
+				for s, size := range sizes {
+					idxs[s] = make([]uint32, size)
+					for i := range idxs[s] {
+						idxs[s][i] = uint32(rng.Intn(n))
+					}
+					offs[s], total = total, total+BitmapWords(size)
+				}
+				packed := make([]uint64, total)
+				for i := range packed {
+					packed[i] = rng.Uint64() // stale staging
+				}
+				for s, idx := range idxs {
+					GatherBits(NewPool(threads), packed[offs[s]:], src.Words(), idx)
+				}
+				for s, idx := range idxs {
+					seg := packed[offs[s]:][:BitmapWords(len(idx))]
+					for i := 0; i < len(seg)*64; i++ {
+						got := seg[i>>6]>>(i&63)&1 == 1
+						want := i < len(idx) && src.Get(idx[i])
+						if got != want {
+							t.Fatalf("segment %d (%d bits): gathered bit %d = %v, want %v", s, len(idx), i, got, want)
+						}
+					}
+					// Set every pad bit, as a forging peer would.
+					if r := len(idx) % 64; r != 0 {
+						seg[len(seg)-1] |= ^uint64(0) << r
+					}
+				}
+				dst := NewBitmap(n)
+				var appended []uint32
+				for s, idx := range idxs {
+					seg := packed[offs[s]:]
+					ScatterBits(dst.Words(), seg, idx)
+					appended = AppendSetBits(appended, seg, idx)
+				}
+				want := NewBitmap(n)
+				var wantList []uint32
+				for _, idx := range idxs {
+					for _, v := range idx {
+						if src.Get(v) {
+							want.Set(v)
+							wantList = append(wantList, v)
+						}
+					}
+				}
+				if !slices.Equal(dst.Words(), want.Words()) {
+					t.Fatal("ScatterBits differs from the reference")
+				}
+				if !slices.Equal(appended, wantList) {
+					t.Fatalf("AppendSetBits gave %d indices, reference %d", len(appended), len(wantList))
+				}
+				visited := 0
+				ForEachSetBit(dst.Words(), n, func(i int) {
+					if !want.Get(uint32(i)) {
+						t.Fatalf("ForEachSetBit visited unset bit %d", i)
+					}
+					visited++
+				})
+				if c := OnesCountWords(dst.Words(), n); visited != c {
+					t.Fatalf("ForEachSetBit visited %d bits, OnesCountWords says %d", visited, c)
+				}
+			})
+		}
 	}
 }
