@@ -99,24 +99,37 @@ func (f *forgingTransport) Exchange(out [][]byte) ([][]byte, time.Duration, erro
 func (f *forgingTransport) Abort() { f.Transport.(interface{ Abort() }).Abort() }
 
 // runForged runs body on two in-process ranks over the vertex-block shards
-// of tg, rank 1 forging through forge, and returns each rank's error and
-// how many messages rank 1 forged.
+// of tg, rank 1 forging through forge; see runForgedGroup.
 func runForged(tg testGraph, forge func(round int, msg []byte) []byte, body func(ctx *core.Ctx, g *core.Graph) error) ([]error, int) {
-	trs := comm.NewLocalGroup(2)
-	ft := &forgingTransport{Transport: trs[1]}
-	comms := []*comm.Comm{comm.New(trs[0]), comm.New(ft)}
+	return runForgedGroup(tg, []func(int, []byte) []byte{nil, forge}, body)
+}
+
+// runForgedGroup runs body on one in-process rank per entry of forges over
+// the vertex-block shards of tg, rank r forging through forges[r] unless it
+// is nil, and returns each rank's error and how many messages were forged.
+func runForgedGroup(tg testGraph, forges []func(round int, msg []byte) []byte, body func(ctx *core.Ctx, g *core.Graph) error) ([]error, int) {
+	p := len(forges)
+	trs := comm.NewLocalGroup(p)
+	fts := make([]*forgingTransport, p)
+	comms := make([]*comm.Comm, p)
+	for r := range p {
+		fts[r] = &forgingTransport{Transport: trs[r]}
+		comms[r] = comm.New(fts[r])
+	}
 	errs := comm.RunOnAll(comms, func(c *comm.Comm) error {
 		ctx := core.NewCtx(c, 1)
-		g, _, err := core.Build(ctx, core.ListSource{Edges: tg.edges}, partition.NewVertexBlock(tg.n, 2))
+		g, _, err := core.Build(ctx, core.ListSource{Edges: tg.edges}, partition.NewVertexBlock(tg.n, p))
 		if err != nil {
 			return err
 		}
-		if c.Rank() == 1 {
-			ft.forge = forge // the kernel's rounds, not the build's
-		}
+		fts[c.Rank()].forge = forges[c.Rank()] // the kernel's rounds, not the build's
 		return body(ctx, g)
 	})
-	return errs, ft.forged
+	forged := 0
+	for _, ft := range fts {
+		forged += ft.forged
+	}
+	return errs, forged
 }
 
 // forgedPath is a 64-vertex graph whose vertex-block halves meet in one
@@ -132,15 +145,18 @@ func forgedPath() testGraph {
 }
 
 // wantCorruptFrom1 checks that rank 0 failed with a corrupt-message
-// CommError naming rank 1 and that rank 1 only saw the group abort.
+// CommError naming rank 1 and that every other rank at most saw the group
+// abort.
 func wantCorruptFrom1(t *testing.T, errs []error) {
 	t.Helper()
 	var ce *comm.CommError
 	if !errors.As(errs[0], &ce) || ce.Kind != comm.KindCorrupt || ce.Peer != 1 {
 		t.Fatalf("rank 0 returned %v, want a corrupt-message CommError for peer 1", errs[0])
 	}
-	if errs[1] != nil && comm.Classify(errs[1]) != comm.KindAborted {
-		t.Fatalf("forging rank: %v", errs[1])
+	for r, err := range errs[1:] {
+		if err != nil && comm.Classify(err) != comm.KindAborted {
+			t.Fatalf("rank %d: %v", r+1, err)
+		}
 	}
 	t.Log(errs[0])
 }
@@ -234,35 +250,46 @@ func TestBFSRejectsForgedRounds(t *testing.T) {
 	}
 }
 
-// TestSCCTrimRejectsForgedDecrements forges trim's first decrement round:
-// a degree decrement for a vertex the receiver does not own — unknown to
-// it, only its ghost, or a gid wider than 32 bits that truncates to one of
-// its own — fails the query with a corrupt-message CommError naming the
-// forger instead of panicking the rank.
+// TestSCCTrimRejectsForgedDecrements forges trim's first claim round (the
+// one after the halo's gid round) on forgedPath, where rank 1's honest
+// segment for rank 0 counts its 32 deaths and carries one claim: vertex
+// 31's out-degree (counter 1) down by 1. A zero count, a count beyond what
+// either counter of 31 has left (its in-degree is already 0, its
+// out-degree 1) or a slot past the one-vertex queue fails the query with a
+// corrupt-message CommError naming the forger instead of touching another
+// counter. A control word counting deaths whose claim it leaves out changes
+// nothing rank 0 acts on (31 is already trimmed), and every rank gets the
+// honest answer: all 64 vertices trimmed.
 func TestSCCTrimRejectsForgedDecrements(t *testing.T) {
 	tg := forgedPath()
+	died := ctlWord(32, ctlNone)
 	for _, f := range []struct {
-		name string
-		msg  uint64
+		name   string
+		seg    []uint64
+		honest bool
 	}{
-		{"unknown vertex", 50 << 1},
-		{"ghost vertex", 32<<1 | 1},
-		{"gid past 32 bits", (1<<32 | 5) << 1},
+		{"zero count", []uint64{died, 0<<1 | 1}, false},
+		{"out-count beyond the remaining out-degree", []uint64{died, 2<<1 | 1}, false},
+		{"in-count beyond the remaining in-degree", []uint64{died, 1 << 1}, false},
+		{"slot out of range", []uint64{died, 1<<32 | 1<<1 | 1}, false},
+		{"deaths without their claims", []uint64{ctlWord(40, ctlNone)}, true},
 	} {
 		t.Run(f.name, func(t *testing.T) {
-			errs, forged := runForged(tg, func(round int, _ []byte) []byte {
-				if round != 1 { // after the first round's death count
-					return nil
+			errs, forged := runForged(tg, forgeRound(1, f.seg...), func(ctx *core.Ctx, g *core.Graph) error {
+				res, err := LargestSCC(ctx, g)
+				if err != nil {
+					return err
 				}
-				return binary.LittleEndian.AppendUint64(nil, f.msg)
-			}, func(ctx *core.Ctx, g *core.Graph) error {
-				_, err := LargestSCC(ctx, g)
-				return err
+				trimmed, err := comm.Allreduce(ctx.Comm, res.Trimmed, comm.OpSum)
+				if err != nil {
+					return err
+				}
+				if res.Size != 0 || trimmed != uint64(tg.n) {
+					return fmt.Errorf("largest SCC of %d with %d trimmed, want 0 and %d", res.Size, trimmed, tg.n)
+				}
+				return nil
 			})
-			if forged == 0 {
-				t.Fatal("the forger never sent its forgery")
-			}
-			wantCorruptFrom1(t, errs)
+			wantForgeryOutcome(t, errs, forged, f.honest)
 		})
 	}
 }

@@ -113,12 +113,13 @@ func TestPageRankKillAndResumeInproc(t *testing.T) {
 		t.Fatalf("suspiciously few rounds in clean run: %d", total)
 	}
 
-	// Kill: a hard fault on rank 1 one round before the end. Rank 1 has run
-	// every prior round, so its snapshots for iterations 3, 6, 9 are all
-	// durable; other ranks may lag by a few rounds (inproc deposits are
+	// Kill: a hard fault on rank 1 in the last round, the final iteration's
+	// dangling-mass reduce (no refresh follows the last iteration). Rank 1
+	// has run every prior round, so its snapshots for iterations 3, 6, 9 are
+	// all durable; other ranks may lag by a few rounds (inproc deposits are
 	// buffered) but each holds a consistent prefix of the same snapshots.
 	store := newSnapStore()
-	sched := comm.FaultSchedule{Faults: []comm.Fault{{Rank: 1, Round: total - 1, Op: comm.FaultFatal}}}
+	sched := comm.FaultSchedule{Faults: []comm.Fault{{Rank: 1, Round: total, Op: comm.FaultFatal}}}
 	errs, _ := runScheduledRanks(t, p, sched, comm.RetryPolicy{}, prBody(store, nil, nil))
 	for r, err := range errs {
 		var ce *comm.CommError

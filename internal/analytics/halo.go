@@ -3,13 +3,15 @@
 // classes:
 //
 //   - PageRank-like (§III-D1): every vertex propagates a per-vertex value to
-//     its neighbors every iteration. PageRank, Label Propagation, and the
-//     coloring phases of WCC/SCC/k-core work this way, all built on the
-//     retained-queue Halo in this file.
+//     its neighbors every iteration. PageRank and Label Propagation refresh
+//     every ghost copy each iteration through the retained-queue Halo in
+//     this file; the colorings of WCC/SCC/k-core ship only the labels that
+//     improved, as claims on the same halo's slots (propagate.go).
 //   - BFS-like (§III-D2): a sparse frontier expands over adjacency lists;
 //     per-vertex updates happen at the owning rank. BFS, the traversal
-//     phases of WCC/SCC, Harmonic Centrality, and the k-core peel work this
-//     way, built on the frontier machinery in bfs.go.
+//     phases of WCC/SCC and Harmonic Centrality run on the frontier
+//     machinery in bfs.go; the k-core peel and SCC's trim ship aggregated
+//     degree decrements on the claim round of bucket.go (propagate.go).
 //
 // All functions must be called collectively by every rank of the graph's
 // group, like MPI routines.
@@ -130,6 +132,18 @@ func haloFor(ctx *core.Ctx, g *core.Graph, dirs Dirs) (h *Halo, built bool, err 
 	}
 	ctx.Plans.Store(dirs, h)
 	return h, true, nil
+}
+
+// withJobPlans returns ctx when it carries a plan cache, and otherwise a
+// copy with a cache of its own, so the kernels of one job build each halo
+// once.
+func withJobPlans(ctx *core.Ctx) *core.Ctx {
+	if ctx.Plans != nil {
+		return ctx
+	}
+	scoped := *ctx
+	scoped.Plans = core.NewPlans(nil)
+	return &scoped
 }
 
 // Dirs selects which adjacency directions a halo covers: a vertex's value
@@ -306,12 +320,15 @@ func Exchange[T comm.Scalar](ctx *core.Ctx, h *Halo, state []T) error {
 		}
 	}
 
-	recv, _, err := comm.AlltoallvInto(ctx.Comm, send, h.sendCounts, comm.ScratchAs[T](&h.recvScratch, nr), h.recvCounts)
+	recv, recvCounts, err := comm.AlltoallvInto(ctx.Comm, send, h.sendCounts, comm.ScratchAs[T](&h.recvScratch, nr), h.recvCounts)
 	if err != nil {
 		return err
 	}
-	if len(recv) != nr {
-		return fmt.Errorf("analytics: halo exchange received %d values, want %d", len(recv), nr)
+	h.recvCounts = recvCounts
+	for r, n := range recvCounts {
+		if n != h.recvSegs[r] {
+			return corruptFrom(ctx, r, "halo exchange: %d values from a peer whose queue here holds %d", n, h.recvSegs[r])
+		}
 	}
 	// Each ghost here has exactly one owner and arrives once per exchange,
 	// so the parallel scatter writes disjoint slots.

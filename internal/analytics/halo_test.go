@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/core"
+	"repro/internal/edge"
 	"repro/internal/gen"
 	"repro/internal/partition"
 )
@@ -67,6 +68,40 @@ func buildHaloReference(ctx *core.Ctx, g *core.Graph, dirs Dirs) (sendVerts []ui
 		recvLids[i] = g.LocalID(gid)
 	}
 	return sendVerts, sendCounts, recvLids, recvSegs, nil
+}
+
+// TestExchangeRejectsForgedSegments forges one halo Exchange at p = 3 on a
+// graph where rank 0 ghosts 20 vertices of each other rank: rank 1 sends
+// rank 0 one value too few and rank 2 one too many, so the total still
+// matches rank 0's queue. Rank 0 must fail with a corrupt-message CommError
+// naming rank 1, the first peer whose segment is off, instead of scattering
+// rank 2's values into rank 1's slots.
+func TestExchangeRejectsForgedSegments(t *testing.T) {
+	var el edge.List
+	for v := uint32(0); v < 60; v++ {
+		el.Push(v, (v+20)%60)
+	}
+	resize := func(delta int) func(int, []byte) []byte {
+		return func(round int, msg []byte) []byte {
+			if round != 1 { // after the halo's gid round
+				return nil
+			}
+			return append(slices.Clip(msg), 0, 0, 0, 0)[:len(msg)+4*delta]
+		}
+	}
+	errs, forged := runForgedGroup(testGraph{name: "ring", n: 60, edges: el},
+		[]func(int, []byte) []byte{nil, resize(-1), resize(1)},
+		func(ctx *core.Ctx, g *core.Graph) error {
+			h, err := BuildHalo(ctx, g, DirsBoth)
+			if err != nil {
+				return err
+			}
+			return Exchange(ctx, h, make([]uint32, g.NTotal()))
+		})
+	if forged != 2 {
+		t.Fatalf("%d forged segments sent, want 2", forged)
+	}
+	wantCorruptFrom1(t, errs)
 }
 
 // TestBuildHaloMatchesReference pins the halo's four retained slices,

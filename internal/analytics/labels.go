@@ -25,7 +25,9 @@ func aggregateLabelCounts(ctx *core.Ctx, g *core.Graph, labels []uint32, filter 
 // routeCounts ships (label, count) pairs to each label's owning rank and
 // returns the summed map on the owner. Pairs are packed as two parallel
 // streams of one uint64 each (label then count) to keep the exchange a
-// single typed Alltoallv.
+// single typed Alltoallv. A peer running the census on this graph sends
+// whole pairs, each a label this rank owns and a count in [1, NGlobal];
+// anything else fails the census as a corrupt message from that peer.
 func routeCounts(ctx *core.Ctx, g *core.Graph, local map[uint32]uint64) (map[uint32]uint64, error) {
 	p := ctx.Size()
 	counts := make([]int, p)
@@ -45,13 +47,25 @@ func routeCounts(ctx *core.Ctx, g *core.Graph, local map[uint32]uint64) (map[uin
 		send[offs[d]+1] = c
 		offs[d] += 2
 	}
-	recv, _, err := comm.Alltoallv(ctx.Comm, send, counts)
+	recv, recvCounts, err := comm.Alltoallv(ctx.Comm, send, counts)
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[uint32]uint64)
-	for i := 0; i+1 < len(recv); i += 2 {
-		out[uint32(recv[i])] += recv[i+1]
+	n := uint64(g.NGlobal)
+	for r, m := range recvCounts {
+		seg := recv[:m]
+		recv = recv[m:]
+		if m%2 != 0 {
+			return nil, corruptFrom(ctx, r, "label counts: %d words, not whole (label, count) pairs", m)
+		}
+		for i := 0; i < m; i += 2 {
+			label, c := seg[i], seg[i+1]
+			if label >= n || g.Part.Owner(uint32(label)) != ctx.Rank() || c == 0 || c > n {
+				return nil, corruptFrom(ctx, r, "label counts: %d vertices labelled %d, a label this rank does not own or a count a %d-vertex graph cannot have", c, label, n)
+			}
+			out[uint32(label)] += c
+		}
 	}
 	return out, nil
 }

@@ -113,15 +113,30 @@ func pageRank(ctx *core.Ctx, g *core.Graph, opts PageRankOptions, w *edgeWeights
 	}
 	// val[u] = pr[u]/div[u] for owned and ghost u, the value pulled across
 	// in-edges: one float per ghost and per edge-cut vertex on the wire.
+	// The same pass sums the dangling mass, pr over div == 0, the way
+	// Pool.SumRangeF64 does: one partial per pool block, added in thread
+	// order. A skipped term would add +0, so the sum is bit-identical to a
+	// separate pass at every thread count.
 	val := make([]float64, g.NTotal())
+	part := make([]float64, ctx.Pool.Threads())
+	var localDangling float64
 	refresh := func() error {
-		ctx.Pool.For(nloc, func(lo, hi, _ int) {
+		clear(part)
+		ctx.Pool.For(nloc, func(lo, hi, tid int) {
+			var s float64
 			for v := lo; v < hi; v++ {
 				if div[v] > 0 {
 					val[v] = pr[v] / div[v]
+				} else {
+					s += pr[v]
 				}
 			}
+			part[tid] += s
 		})
+		localDangling = 0
+		for _, s := range part {
+			localDangling += s
+		}
 		return Exchange(ctx, halo, val)
 	}
 	iters := 0
@@ -141,12 +156,6 @@ func pageRank(ctx *core.Ctx, g *core.Graph, opts PageRankOptions, w *edgeWeights
 	for it := iters; it < opts.Iterations; it++ {
 		mark := tr.Now()
 		// Global dangling mass (vertices with no out-edges leak rank).
-		localDangling := ctx.Pool.SumRangeF64(nloc, func(i int) float64 {
-			if div[i] == 0 {
-				return pr[i]
-			}
-			return 0
-		})
 		dangling, err := comm.Allreduce(ctx.Comm, localDangling, comm.OpSum)
 		if err != nil {
 			return nil, err
@@ -197,15 +206,18 @@ func pageRank(ctx *core.Ctx, g *core.Graph, opts PageRankOptions, w *edgeWeights
 			tr.Span(SpanPageRankIter, mark, int64(it))
 			break
 		}
-		if opts.RebuildQueues { // a plan-less context makes haloFor build afresh
-			solo := *ctx
-			solo.Plans = nil
-			if halo, _, err = haloFor(&solo, g, DirsOut); err != nil {
+		// The next iteration pulls these scores; after the last, nothing does.
+		if iters < opts.Iterations {
+			if opts.RebuildQueues { // a plan-less context makes haloFor build afresh
+				solo := *ctx
+				solo.Plans = nil
+				if halo, _, err = haloFor(&solo, g, DirsOut); err != nil {
+					return nil, err
+				}
+			}
+			if err := refresh(); err != nil {
 				return nil, err
 			}
-		}
-		if err := refresh(); err != nil {
-			return nil, err
 		}
 		if opts.Checkpoint.due(it + 1) {
 			if err := opts.Checkpoint.Sink(&Checkpoint{Analytic: analytic, Iter: it + 1, Rank: ctx.Rank(),

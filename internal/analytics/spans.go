@@ -17,12 +17,18 @@ const (
 	// SpanLabelPropIter wraps one Label Propagation round; arg is the
 	// iteration index.
 	SpanLabelPropIter = "labelprop/iter"
-	// SpanWCCColorRound wraps one min-label coloring round of WCC; arg is
-	// the round index.
+	// SpanWCCColorRound wraps one hop of WCC's min-label coloring; arg is
+	// the hop index.
 	SpanWCCColorRound = "wcc/color-round"
 	// SpanKCoreLevel wraps one 2^i threshold level of the approximate
 	// k-core peel; arg is the level number i.
 	SpanKCoreLevel = "kcore/level"
+	// SpanKCorePeelRound wraps one claim round of a k-core threshold peel;
+	// arg is the local death count of the round.
+	SpanKCorePeelRound = "kcore/peel-round"
+	// SpanColorHop wraps one hop of a coloring of KCoreApprox (a level's
+	// largest-component cut) or of SCC's decomposition; arg is the hop index.
+	SpanColorHop = "color/hop"
 	// SpanSSSPWeigh wraps Δ-stepping's per-query weight pass (w evaluated
 	// once per owned out-edge, summed for the default Δ); arg is the local
 	// out-edge count.

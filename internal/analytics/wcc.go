@@ -1,7 +1,7 @@
 package analytics
 
 import (
-	"sync/atomic"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/core"
@@ -52,16 +52,11 @@ func wcc(ctx *core.Ctx, g *core.Graph, multistep bool) (*WCCResult, error) {
 	if g.Is2D() {
 		return wcc2D(ctx, g, multistep)
 	}
-	// The coloring phase always needs the DirsBoth halo; fetching it up
+	// The coloring's claim round needs the DirsBoth halo; fetching it up
 	// front lets the BFS phase's adaptive engine find it in the plan cache
-	// for dense frontier exchanges instead of constructing its own. A
-	// one-shot caller has no cache, so the job brings one of its own.
-	if ctx.Plans == nil {
-		scoped := *ctx
-		scoped.Plans = core.NewPlans(nil)
-		ctx = &scoped
-	}
-	halo, _, err := haloFor(ctx, g, DirsBoth)
+	// for dense frontier exchanges instead of constructing its own.
+	ctx = withJobPlans(ctx)
+	rd, err := newClaimRound(ctx, g, "WCC")
 	if err != nil {
 		return nil, err
 	}
@@ -85,75 +80,24 @@ func wcc(ctx *core.Ctx, g *core.Graph, multistep bool) (*WCCResult, error) {
 		}
 	}
 
-	// Phase 2: minimum-label coloring over the unclaimed remainder.
-	// Claimed vertices hold the sentinel; a vertex claimed by BFS never
-	// neighbors an unclaimed one (BFS exhausted its component), so
-	// sentinels never propagate.
-	const claimed = ^uint32(0)
-	colors := make([]uint32, g.NTotal())
-	ctx.Pool.For(int(g.NTotal()), func(lo, hi, tid int) {
-		for v := lo; v < hi; v++ {
-			colors[v] = g.GlobalID(uint32(v))
-		}
-	})
+	// Phase 2: minimum-label coloring over the unclaimed remainder. A vertex
+	// claimed by BFS never neighbors an unclaimed one (BFS exhausted its
+	// component), so claimed vertices are inactive and every ghost's bound
+	// starts at its own id.
+	colors := slices.Clone(g.Unmap)
 	for v := uint32(0); v < g.NLoc; v++ {
 		if bfs.Levels[v] >= 0 {
-			colors[v] = claimed
+			colors[v] = ^colorMin
 		}
 	}
-	if err := Exchange(ctx, halo, colors); err != nil {
+	if err := newPropagation(g, rd).run(ctx, colors, Und, colorMin, g.NGlobal-1, SpanWCCColorRound); err != nil {
 		return nil, err
 	}
-	tr := ctx.Comm.Tracer()
-	for round := int64(0); ; round++ {
-		mark := tr.Now()
-		// In-place (Gauss-Seidel) min propagation: threads may read a
-		// neighbor's color while its owner thread lowers it. The relaxed
-		// atomics make the race well-defined; monotonicity makes any
-		// interleaving converge to the same fixed point.
-		changed := ctx.Pool.SumRangeU64(int(g.NLoc), func(i int) uint64 {
-			v := uint32(i)
-			c := atomic.LoadUint32(&colors[v])
-			if c == claimed {
-				return 0
-			}
-			old := c
-			for _, u := range g.OutNeighbors(v) {
-				if uc := atomic.LoadUint32(&colors[u]); uc < c {
-					c = uc
-				}
-			}
-			for _, u := range g.InNeighbors(v) {
-				if uc := atomic.LoadUint32(&colors[u]); uc < c {
-					c = uc
-				}
-			}
-			if c < old {
-				atomic.StoreUint32(&colors[v], c)
-				return 1
-			}
-			return 0
-		})
-		globalChanged, err := comm.Allreduce(ctx.Comm, changed, comm.OpSum)
-		if err != nil {
-			return nil, err
-		}
-		if globalChanged == 0 {
-			tr.Span(SpanWCCColorRound, mark, round)
-			break
-		}
-		if err := Exchange(ctx, halo, colors); err != nil {
-			return nil, err
-		}
-		tr.Span(SpanWCCColorRound, mark, round)
-	}
 
-	labels := make([]uint32, g.NLoc)
-	for v := uint32(0); v < g.NLoc; v++ {
-		if bfs.Levels[v] >= 0 {
+	labels := colors[:g.NLoc:g.NLoc]
+	for v, l := range bfs.Levels {
+		if l >= 0 {
 			labels[v] = root
-		} else {
-			labels[v] = colors[v]
 		}
 	}
 
