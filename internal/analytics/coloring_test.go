@@ -400,8 +400,9 @@ func wantForgeryOutcome(t *testing.T, errs []error, forged int, honest bool) {
 // 0 is a bare control word (rank 1's best label, 32, does not beat vertex
 // 31's bound); level 1 of KCoreApprox kills all of rank 1's 32 vertices and
 // takes 1 from vertex 31, which rank 0 has already peeled with 1 left. A
-// label past the graph, claims from a rank whose control word says it
-// claimed nothing, and a zero count or one above what the counter has left
+// label past the graph, a claim on a slot past the one-slot queue, claims
+// from a rank whose control word says it claimed nothing, and a zero count
+// or one above what the counter has left
 // fail the query with a corrupt-message CommError naming the forger. A
 // control word that announces claims or deaths it does not carry changes
 // nothing a rank acts on, and every rank gets the honest answer. A forger
@@ -443,6 +444,7 @@ func TestColoringRejectsForgedRounds(t *testing.T) {
 		honest bool
 	}{
 		{"label past the graph", wcc, []uint64{claimed(1), 64}, false},
+		{"claim past the queue", wcc, []uint64{claimed(1), 1<<32 | 5}, false},
 		{"label from a rank that claimed nothing", wcc, []uint64{claimed(0), 5}, false},
 		{"claims announced but not sent", wcc, []uint64{claimed(3)}, true},
 		{"zero decrement", kcore, []uint64{claimed(32), 0}, false},
@@ -478,6 +480,44 @@ func TestLabelCountsRejectForgedRounds(t *testing.T) {
 		t.Run(f.name, func(t *testing.T) {
 			errs, forged := runForged(tg, forgeRound(0, f.seg...), func(ctx *core.Ctx, g *core.Graph) error {
 				_, err := aggregateLabelCounts(ctx, g, make([]uint32, g.NLoc), nil)
+				return err
+			})
+			wantForgeryOutcome(t, errs, forged, false)
+		})
+	}
+}
+
+// TestTopCommunitiesRejectsForgedRounds forges TopCommunities' two rounds
+// after the halo's gid round and its ghost refresh. Every vertex carries
+// label 0, which rank 0 owns, so rank 1's honest quad segment for rank 0 is
+// the one record (0, 32, 8, 0) and its top-1 segment is empty. A quad
+// segment that is not whole records, a label past the graph or owned by
+// another rank, a vertex count above the graph's or a community with no
+// vertices, and a top-k segment longer than k records or naming a
+// community its sender does not own or with no vertices, fail the query
+// with a corrupt-message CommError naming the forger.
+func TestTopCommunitiesRejectsForgedRounds(t *testing.T) {
+	const quads, topK = 2, 3
+	tg := forgedPath()
+	for _, f := range []struct {
+		name  string
+		round int
+		seg   []uint64
+	}{
+		{"ragged quads", quads, []uint64{0, 32, 8}},
+		{"quad label past the graph", quads, []uint64{64, 1, 0, 0}},
+		{"quad label owned by another rank", quads, []uint64{40, 1, 0, 0}},
+		{"quad vertex count above the graph", quads, []uint64{0, 33, 8, 0}},
+		{"community with no vertices", quads, []uint64{0, 32, 8, 0, 5, 0, 0, 1}},
+		{"ragged top-k", topK, []uint64{40, 1, 0}},
+		{"top-k longer than k", topK, []uint64{40, 1, 0, 0, 41, 1, 0, 0}},
+		{"top-k label owned by the receiver", topK, []uint64{0, 32, 8, 0}},
+		{"top-k label past the graph", topK, []uint64{64, 1, 0, 0}},
+		{"top-k community with no vertices", topK, []uint64{40, 0, 0, 0}},
+	} {
+		t.Run(f.name, func(t *testing.T) {
+			errs, forged := runForged(tg, forgeRound(f.round, f.seg...), func(ctx *core.Ctx, g *core.Graph) error {
+				_, err := TopCommunities(ctx, g, make([]uint32, g.NLoc), 1)
 				return err
 			})
 			wantForgeryOutcome(t, errs, forged, false)

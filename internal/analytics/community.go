@@ -34,7 +34,10 @@ func TopCommunities(ctx *core.Ctx, g *core.Graph, labels []uint32, k int) ([]Com
 		return nil, err
 	}
 
-	type acc struct{ n, mIn, mCut uint64 }
+	type acc struct {
+		n, mIn, mCut uint64
+		from         int // on the label's owner: the first rank to report it
+	}
 	local := make(map[uint32]*acc)
 	get := func(l uint32) *acc {
 		a := local[l]
@@ -59,42 +62,34 @@ func TopCommunities(ctx *core.Ctx, g *core.Graph, labels []uint32, k int) ([]Com
 	}
 
 	// Route accumulators to each label's owner as (label, n, mIn, mCut)
-	// quads of uint64.
-	p := ctx.Size()
-	counts := make([]int, p)
-	for l := range local {
-		counts[g.Part.Owner(l)] += 4
-	}
-	offs := make([]int, p)
-	at := 0
-	for d := 0; d < p; d++ {
-		offs[d] = at
-		at += counts[d]
-	}
-	send := make([]uint64, at)
-	for l, a := range local {
-		d := g.Part.Owner(l)
-		send[offs[d]] = uint64(l)
-		send[offs[d]+1] = a.n
-		send[offs[d]+2] = a.mIn
-		send[offs[d]+3] = a.mCut
-		offs[d] += 4
-	}
-	recv, _, err := comm.Alltoallv(ctx.Comm, send, counts)
+	// quads. A record may honestly count no vertices (a label seen only
+	// across a cut edge), but some vertex carries every label, so each
+	// owned total counts 1 to NGlobal vertices.
+	n := uint64(g.NGlobal)
+	agg := make(map[uint32]*acc)
+	err = routeToOwners(ctx, g, "community stats", 4, local,
+		func(rec []uint64, a *acc) { rec[0], rec[1], rec[2] = a.n, a.mIn, a.mCut },
+		func(r int, l uint32, rec []uint64) error {
+			a := agg[l]
+			if a == nil {
+				a = &acc{from: r}
+				agg[l] = a
+			}
+			if rec[0] > n-a.n {
+				return corruptFrom(ctx, r, "community stats: %d more vertices in community %d, past the %d in the graph", rec[0], l, n)
+			}
+			a.n += rec[0]
+			a.mIn += rec[1]
+			a.mCut += rec[2]
+			return nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	agg := make(map[uint32]*acc)
-	for i := 0; i+3 < len(recv); i += 4 {
-		l := uint32(recv[i])
-		a := agg[l]
-		if a == nil {
-			a = &acc{}
-			agg[l] = a
+	for l, a := range agg {
+		if a.n == 0 {
+			return nil, corruptFrom(ctx, a.from, "community stats: community %d has no vertices", l)
 		}
-		a.n += recv[i+1]
-		a.mIn += recv[i+2]
-		a.mCut += recv[i+3]
 	}
 
 	// Local top-k candidates, then global re-rank of the gathered pool.
@@ -110,15 +105,25 @@ func TopCommunities(ctx *core.Ctx, g *core.Graph, labels []uint32, k int) ([]Com
 	for _, c := range cands {
 		flat = append(flat, uint64(c.Label), c.N, c.MIn, c.MCut)
 	}
-	all, _, err := comm.Allgatherv(ctx.Comm, flat)
+	all, counts, err := comm.Allgatherv(ctx.Comm, flat)
 	if err != nil {
 		return nil, err
 	}
+	// Each rank's segment is at most k of the communities it owns.
 	pool := make([]CommunityStat, 0, len(all)/4)
-	for i := 0; i+3 < len(all); i += 4 {
-		pool = append(pool, CommunityStat{
-			Label: uint32(all[i]), N: all[i+1], MIn: all[i+2], MCut: all[i+3],
-		})
+	for r, m := range counts {
+		seg := all[:m]
+		all = all[m:]
+		if m%4 != 0 || m > 4*k {
+			return nil, corruptFrom(ctx, r, "top communities: %d words, not at most %d whole (label, n, mIn, mCut) records", m, k)
+		}
+		for i := 0; i < m; i += 4 {
+			l, nv := seg[i], seg[i+1]
+			if l >= n || g.Part.Owner(uint32(l)) != r || nv == 0 || nv > n {
+				return nil, corruptFrom(ctx, r, "top communities: %d vertices in community %d, not a community of the sender's in a %d-vertex graph", nv, l, n)
+			}
+			pool = append(pool, CommunityStat{Label: uint32(l), N: nv, MIn: seg[i+2], MCut: seg[i+3]})
+		}
 	}
 	sortStats(pool)
 	if len(pool) > k {

@@ -13,19 +13,16 @@ import (
 )
 
 // runWithFault executes body on p ranks where rank 0's transport fails at
-// its failAt-th exchange, and requires: (a) the run returns an error, (b)
-// it finishes promptly (no deadlock), and (c) the injected fault is
+// its failAt-th round, and requires: (a) the run returns an error, (b) it
+// finishes promptly (no deadlock), and (c) the injected fault is
 // attributed.
 func runWithFault(t *testing.T, p int, failAt uint64, body func(ctx *core.Ctx) error) {
 	t.Helper()
+	fatal := comm.FaultSchedule{Faults: []comm.Fault{{Rank: 0, Round: failAt, Op: comm.FaultFatal}}}
 	trs := comm.NewLocalGroup(p)
 	comms := make([]*comm.Comm, p)
 	for r := range trs {
-		if r == 0 {
-			comms[r] = comm.New(comm.NewFaultyTransport(trs[r], failAt))
-		} else {
-			comms[r] = comm.New(trs[r])
-		}
+		comms[r] = comm.New(comm.NewScheduledTransport(trs[r], fatal))
 	}
 	done := make(chan error, 1)
 	go func() {
@@ -94,22 +91,9 @@ func faultBody(ctx *core.Ctx) error {
 }
 
 func TestFaultInjectionAcrossPhases(t *testing.T) {
-	// Count the total exchanges of a clean run, then inject a fault at a
+	// Count the total rounds of a clean run, then inject a fault at a
 	// spread of positions covering every phase.
-	var total uint64
-	trs := comm.NewLocalGroup(3)
-	comms := make([]*comm.Comm, 3)
-	counter := comm.NewFaultyTransport(trs[0], 0) // never fails, just counts
-	comms[0] = comm.New(counter)
-	for r := 1; r < 3; r++ {
-		comms[r] = comm.New(trs[r])
-	}
-	if err := comm.RunOn(comms, func(c *comm.Comm) error {
-		return faultBody(core.NewCtx(c, 1))
-	}); err != nil {
-		t.Fatalf("clean run failed: %v", err)
-	}
-	total = counter.Calls()
+	total := countCleanRounds(t, 3, faultBody)
 	if total < 20 {
 		t.Fatalf("suspiciously few exchanges in clean run: %d", total)
 	}
@@ -135,18 +119,69 @@ func TestFaultInjectionAcrossPhases(t *testing.T) {
 	wg.Wait()
 }
 
-func TestFaultDuringTCPNotRequired(t *testing.T) {
-	// The injector composes with any transport; spot-check it wraps the
-	// in-process one and counts calls.
-	trs := comm.NewLocalGroup(1)
-	f := comm.NewFaultyTransport(trs[0], 0)
-	c := comm.New(f)
-	for i := 0; i < 5; i++ {
-		if err := c.Barrier(); err != nil {
-			t.Fatal(err)
+// roundCounter counts the rounds its transport runs.
+type roundCounter struct {
+	comm.Transport
+	n uint64
+}
+
+func (c *roundCounter) Exchange(out [][]byte) ([][]byte, time.Duration, error) {
+	c.n++
+	return c.Transport.Exchange(out)
+}
+
+func (c *roundCounter) Abort() { c.Transport.(interface{ Abort() }).Abort() }
+
+// TestFaultRoundsMatchStats pins the round numbering the fault tests aim
+// by: a wrapper's count of transport rounds equals the Comm's Exchanges on
+// every rank, a FaultFatal at that count fails the last round, and one past
+// it never fires.
+func TestFaultRoundsMatchStats(t *testing.T) {
+	const p = 3
+	trs := comm.NewLocalGroup(p)
+	counters := make([]*roundCounter, p)
+	comms := make([]*comm.Comm, p)
+	for r := range trs {
+		counters[r] = &roundCounter{Transport: trs[r]}
+		comms[r] = comm.New(counters[r])
+	}
+	if err := comm.RunOn(comms, func(c *comm.Comm) error {
+		return faultBody(core.NewCtx(c, 1))
+	}); err != nil {
+		t.Fatalf("clean run failed: %v", err)
+	}
+	total := counters[0].n
+	for r, c := range comms {
+		if got := c.TakeStats().Exchanges; got != counters[r].n || got != total {
+			t.Fatalf("rank %d: stats count %d rounds, the wrapper %d, rank 0 %d", r, got, counters[r].n, total)
 		}
 	}
-	if f.Calls() != 5 {
-		t.Fatalf("Calls = %d, want 5", f.Calls())
+
+	run := func(round uint64) ([]error, *comm.ScheduledTransport) {
+		fatal := comm.FaultSchedule{Faults: []comm.Fault{{Rank: 0, Round: round, Op: comm.FaultFatal}}}
+		sts := make([]*comm.ScheduledTransport, p)
+		for r, tr := range comm.NewLocalGroup(p) {
+			sts[r] = comm.NewScheduledTransport(tr, fatal)
+			comms[r] = comm.New(sts[r])
+		}
+		return comm.RunOnAll(comms, func(c *comm.Comm) error {
+			return faultBody(core.NewCtx(c, 1))
+		}), sts[0]
+	}
+	errs, st := run(total)
+	if !errors.Is(errs[0], comm.ErrInjected) || st.Injected() != 1 {
+		t.Fatalf("fatal at round %d: rank 0 returned %v after %d injections, want ErrInjected from one", total, errs[0], st.Injected())
+	}
+	if got := comms[0].TakeStats().Exchanges; got != total {
+		t.Fatalf("fatal at round %d failed round %d, want the last", total, got)
+	}
+	errs, st = run(total + 1)
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("fatal at round %d: rank %d failed: %v", total+1, r, err)
+		}
+	}
+	if st.Injected() != 0 {
+		t.Fatalf("fatal at round %d fired on a %d-round run", total+1, total)
 	}
 }

@@ -59,19 +59,16 @@ func runScheduledRanks(t *testing.T, p int, s comm.FaultSchedule, rp comm.RetryP
 // fault-free run (every rank counts the same rounds — the model is SPMD).
 func countCleanRounds(t *testing.T, p int, body func(ctx *core.Ctx) error) uint64 {
 	t.Helper()
-	trs := comm.NewLocalGroup(p)
 	comms := make([]*comm.Comm, p)
-	counter := comm.NewFaultyTransport(trs[0], 0) // FailAt=0: count only
-	comms[0] = comm.New(counter)
-	for r := 1; r < p; r++ {
-		comms[r] = comm.New(trs[r])
+	for r, tr := range comm.NewLocalGroup(p) {
+		comms[r] = comm.New(tr)
 	}
 	if err := comm.RunOn(comms, func(c *comm.Comm) error {
 		return body(core.NewCtx(c, 1))
 	}); err != nil {
 		t.Fatalf("clean probe run failed: %v", err)
 	}
-	return counter.Calls()
+	return comms[0].TakeStats().Exchanges
 }
 
 func TestPageRankKillAndResumeInproc(t *testing.T) {

@@ -23,16 +23,41 @@ func aggregateLabelCounts(ctx *core.Ctx, g *core.Graph, labels []uint32, filter 
 }
 
 // routeCounts ships (label, count) pairs to each label's owning rank and
-// returns the summed map on the owner. Pairs are packed as two parallel
-// streams of one uint64 each (label then count) to keep the exchange a
-// single typed Alltoallv. A peer running the census on this graph sends
-// whole pairs, each a label this rank owns and a count in [1, NGlobal];
-// anything else fails the census as a corrupt message from that peer.
+// returns the summed map on the owner. A peer running the census on this
+// graph sends whole pairs, each a label this rank owns and a count in
+// [1, NGlobal]; anything else fails the census as a corrupt message from
+// that peer.
 func routeCounts(ctx *core.Ctx, g *core.Graph, local map[uint32]uint64) (map[uint32]uint64, error) {
+	out := make(map[uint32]uint64)
+	n := uint64(g.NGlobal)
+	err := routeToOwners(ctx, g, "label counts", 2, local,
+		func(rec []uint64, c uint64) { rec[0] = c },
+		func(from int, label uint32, rec []uint64) error {
+			if c := rec[0]; c == 0 || c > n {
+				return corruptFrom(ctx, from, "label counts: %d vertices labelled %d, a count a %d-vertex graph cannot have", c, label, n)
+			}
+			out[label] += rec[0]
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// routeToOwners ships one record of width uint64 words per entry of local
+// to the rank owning the entry's label under the graph's partitioner, in
+// one Alltoallv: the label, then the words put fills in. Every record this
+// rank receives reaches take with its sender, once the sender's segment has
+// proved to be whole records and the record's label one this rank owns;
+// anything else fails the round as a corrupt message from that sender, as
+// does an error from take.
+func routeToOwners[V any](ctx *core.Ctx, g *core.Graph, what string, width int, local map[uint32]V,
+	put func(rec []uint64, v V), take func(from int, label uint32, rec []uint64) error) error {
 	p := ctx.Size()
 	counts := make([]int, p)
 	for label := range local {
-		counts[g.Part.Owner(label)] += 2
+		counts[g.Part.Owner(label)] += width
 	}
 	offs := make([]int, p)
 	at := 0
@@ -41,33 +66,34 @@ func routeCounts(ctx *core.Ctx, g *core.Graph, local map[uint32]uint64) (map[uin
 		at += counts[d]
 	}
 	send := make([]uint64, at)
-	for label, c := range local {
+	for label, v := range local {
 		d := g.Part.Owner(label)
 		send[offs[d]] = uint64(label)
-		send[offs[d]+1] = c
-		offs[d] += 2
+		put(send[offs[d]+1:offs[d]+width], v)
+		offs[d] += width
 	}
 	recv, recvCounts, err := comm.Alltoallv(ctx.Comm, send, counts)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make(map[uint32]uint64)
 	n := uint64(g.NGlobal)
 	for r, m := range recvCounts {
 		seg := recv[:m]
 		recv = recv[m:]
-		if m%2 != 0 {
-			return nil, corruptFrom(ctx, r, "label counts: %d words, not whole (label, count) pairs", m)
+		if m%width != 0 {
+			return corruptFrom(ctx, r, "%s: %d words, not whole %d-word records", what, m, width)
 		}
-		for i := 0; i < m; i += 2 {
-			label, c := seg[i], seg[i+1]
-			if label >= n || g.Part.Owner(uint32(label)) != ctx.Rank() || c == 0 || c > n {
-				return nil, corruptFrom(ctx, r, "label counts: %d vertices labelled %d, a label this rank does not own or a count a %d-vertex graph cannot have", c, label, n)
+		for i := 0; i < m; i += width {
+			label := seg[i]
+			if label >= n || g.Part.Owner(uint32(label)) != ctx.Rank() {
+				return corruptFrom(ctx, r, "%s: label %d, which this rank does not own", what, label)
 			}
-			out[uint32(label)] += c
+			if err := take(r, uint32(label), seg[i+1:i+width]); err != nil {
+				return err
+			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // largestLabel finds the globally largest label by count (ties toward the

@@ -215,18 +215,13 @@ func TestHaloForStoresNothingOnCommError(t *testing.T) {
 	const p, victim = 3, 1
 	// The rounds a clean run spends building the graph; the next one is
 	// the gid Alltoallv of the first halo build.
-	clean := comm.NewLocalGroup(p)
-	counter := comm.NewFaultyTransport(clean[0], 0) // never fails, just counts
-	comms := []*comm.Comm{comm.New(counter), comm.New(clean[1]), comm.New(clean[2])}
-	if err := comm.RunOn(comms, func(c *comm.Comm) error {
-		_, err := planGraph(core.NewCtx(c, 1))
+	buildRounds := countCleanRounds(t, p, func(ctx *core.Ctx) error {
+		_, err := planGraph(ctx)
 		return err
-	}); err != nil {
-		t.Fatalf("clean build: %v", err)
-	}
-	buildRounds := counter.Calls()
+	})
 
 	schedule := comm.FaultSchedule{Faults: []comm.Fault{{Rank: victim, Round: buildRounds + 1, Op: comm.FaultFatal}}}
+	comms := make([]*comm.Comm, p)
 	for r, tr := range comm.NewLocalGroup(p) {
 		comms[r] = comm.New(comm.NewScheduledTransport(tr, schedule))
 	}

@@ -2,7 +2,6 @@ package comm
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -131,84 +130,4 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		fuzzCodecType[float32](t, data)
 		fuzzCodecType[float64](t, data)
 	})
-}
-
-// noBorrow wraps a transport and hides its BorrowReader capability, forcing
-// the communicator onto the owned-copy fallback path. Abort is forwarded so
-// failing ranks still wake their peers.
-type noBorrow struct{ Transport }
-
-func (n noBorrow) Abort() {
-	if a, ok := n.Transport.(aborter); ok {
-		a.Abort()
-	}
-}
-
-// TestCollectivesWithoutBorrow runs the collective suite over a transport
-// that does not expose borrowed reads, checking the fallback data path
-// produces the same results as the borrowed one.
-func TestCollectivesWithoutBorrow(t *testing.T) {
-	const p = 4
-	trs := NewLocalGroup(p)
-	comms := make([]*Comm, p)
-	for r := range trs {
-		comms[r] = New(noBorrow{trs[r]})
-		if comms[r].br != nil {
-			t.Fatal("noBorrow wrapper still advertises BorrowReader")
-		}
-	}
-	err := RunOn(comms, func(c *Comm) error {
-		rank, size := c.Rank(), c.Size()
-		send := make([]uint32, 3*size)
-		counts := make([]int, size)
-		for d := 0; d < size; d++ {
-			counts[d] = 3
-			for j := 0; j < 3; j++ {
-				send[3*d+j] = uint32(rank*100 + d*10 + j)
-			}
-		}
-		var recv []uint32
-		var recvCounts []int
-		for iter := 0; iter < 3; iter++ {
-			var err error
-			recv, recvCounts, err = AlltoallvInto(c, send, counts, recv, recvCounts)
-			if err != nil {
-				return err
-			}
-			for src := 0; src < size; src++ {
-				if recvCounts[src] != 3 {
-					return fmt.Errorf("recvCounts[%d] = %d, want 3", src, recvCounts[src])
-				}
-				for j := 0; j < 3; j++ {
-					if got, want := recv[3*src+j], uint32(src*100+rank*10+j); got != want {
-						return fmt.Errorf("recv[%d] = %d, want %d", 3*src+j, got, want)
-					}
-				}
-			}
-		}
-		all, err := Allgather(c, uint64(rank+1))
-		if err != nil {
-			return err
-		}
-		for i, v := range all {
-			if v != uint64(i+1) {
-				return fmt.Errorf("allgather[%d] = %d, want %d", i, v, i+1)
-			}
-		}
-		val, payload, winRank, err := MaxLoc(c, uint64(rank), uint64(rank*7))
-		if err != nil {
-			return err
-		}
-		if val != uint64(size-1) || winRank != size-1 || payload != uint64((size-1)*7) {
-			return fmt.Errorf("MaxLoc = (%d, %d, %d), want (%d, %d, %d)",
-				val, payload, winRank, size-1, (size-1)*7, size-1)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tr := range trs {
-		tr.Close()
-	}
 }

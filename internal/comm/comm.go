@@ -11,10 +11,7 @@ import (
 // breakdown the paper reports in Figure 3 (computation / communication /
 // idle). A Comm must be used from a single goroutine.
 type Comm struct {
-	tr Transport
-	// br is non-nil when tr supports zero-copy borrowed reads; detected
-	// once here so the hot path pays no type assertion per exchange.
-	br    BorrowReader
+	tr    Transport
 	stats Stats
 	mark  time.Time
 
@@ -25,7 +22,7 @@ type Comm struct {
 	outBufs [][]byte
 	outMsgs [][]byte
 
-	// In-flight exchange bookkeeping for the begin/end pair.
+	// In-flight round bookkeeping between Exchange and Release.
 	xstart   time.Time
 	xwait    time.Duration
 	xretries uint64
@@ -72,15 +69,7 @@ func (s Stats) Total() time.Duration { return s.Comp + s.CommT + s.Idle }
 
 // New wraps a transport in a communicator and starts its measurement clock.
 func New(tr Transport) *Comm {
-	c := &Comm{tr: tr, mark: time.Now()}
-	c.br, _ = tr.(BorrowReader)
-	// A wrapper's forwarding methods make it satisfy BorrowReader even
-	// when its wrapped transport (or its own configuration) cannot honor
-	// them; the gate reports whether the chain actually supports borrows.
-	if g, ok := tr.(BorrowGater); ok && !g.CanBorrow() {
-		c.br = nil
-	}
-	return c
+	return &Comm{tr: tr, mark: time.Now()}
 }
 
 // Rank returns this rank's id.
@@ -161,10 +150,10 @@ func (c *Comm) sendBuffers() [][]byte {
 }
 
 // beginExchange opens one transport round, attributing time since the last
-// collective to Comp. The returned messages are borrowed when the transport
-// supports it: the caller must finish reading them, then call endExchange
-// (with the same out and in) exactly once. On error the round is already
-// closed out and endExchange must not be called.
+// collective to Comp. The returned messages are borrowed: the caller must
+// finish reading them, then call endExchange (with the same out and in)
+// exactly once. On error the round is already closed out and endExchange
+// must not be called.
 //
 // Transient transport failures (a fault detected before the round was
 // consumed) are re-attempted under the installed RetryPolicy with
@@ -184,11 +173,7 @@ func (c *Comm) beginExchange(out [][]byte) ([][]byte, error) {
 	maxAttempts := c.retry.attempts()
 	attempt := 1
 	for {
-		if c.br != nil {
-			in, c.xwait, err = c.br.BeginBorrow(out)
-		} else {
-			in, c.xwait, err = c.tr.Exchange(out)
-		}
+		in, c.xwait, err = c.tr.Exchange(out)
 		if err == nil {
 			return in, nil
 		}
@@ -207,12 +192,8 @@ func (c *Comm) beginExchange(out [][]byte) ([][]byte, error) {
 // borrowed buffers (running the closing synchronization) and folds timing
 // and volume into the breakdown.
 func (c *Comm) endExchange(out, in [][]byte) error {
-	var err error
-	if c.br != nil {
-		var w time.Duration
-		w, err = c.br.EndBorrow()
-		c.xwait += w
-	}
+	w, err := c.tr.Release()
+	c.xwait += w
 	if err != nil {
 		c.settle(nil, nil)
 		return c.wrapErr(err, 1)
@@ -299,30 +280,6 @@ func (c *Comm) observe(out [][]byte, elapsed, wait time.Duration, sent, recvd ui
 	if c.trace != nil {
 		c.trace.Emit(c.cur.SpanName(), c.xmark, elapsed.Nanoseconds(), int64(sent))
 	}
-}
-
-// exchange runs one transport round and returns caller-owned messages
-// (copying out of borrowed buffers when the transport lends them). The
-// value-moving collectives use the begin/end pair directly to skip this
-// copy; exchange serves the small control-plane collectives.
-func (c *Comm) exchange(out [][]byte) ([][]byte, error) {
-	in, err := c.beginExchange(out)
-	if err != nil {
-		return nil, err
-	}
-	res := in
-	if c.br != nil {
-		res = make([][]byte, len(in))
-		for i, m := range in {
-			cp := make([]byte, len(m))
-			copy(cp, m)
-			res[i] = cp
-		}
-	}
-	if err := c.endExchange(out, in); err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // Barrier blocks until every rank has called Barrier.

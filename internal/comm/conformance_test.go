@@ -12,9 +12,9 @@ import (
 
 // Cross-transport conformance suite: one deterministic script exercises
 // every collective, and every transport the repo ships — the in-process
-// rendezvous group, the same group wrapped in FaultyTransport (which hides
-// BorrowReader, forcing the copying Exchange path), and the TCP full mesh —
-// must produce byte-identical results, the identical per-rank trace event
+// rendezvous group, the same group wrapped in a ScheduledTransport with an
+// empty schedule (the wrapper every fault test runs through), and the TCP
+// full mesh — must produce byte-identical results, the identical per-rank trace event
 // sequence, and identical per-collective counters (timing fields excluded).
 // The collectives' semantics and their observability output are transport
 // invariants; only clocks may differ.
@@ -33,17 +33,12 @@ func conformanceTransports() []conformanceTransport {
 				t.Fatal(err)
 			}
 		}},
-		{"faulty-wrapped", func(t *testing.T, size int, fn func(c *Comm) error) {
+		{"scheduled-wrapped", func(t *testing.T, size int, fn func(c *Comm) error) {
 			t.Helper()
-			// FailAt=0 never fires: the wrapper only serves to force the
-			// copying Exchange path (ForceCopy hides the BorrowReader
-			// capability), covering it on a borrow-capable transport.
 			trs := NewLocalGroup(size)
 			comms := make([]*Comm, size)
 			for r := range trs {
-				ft := NewFaultyTransport(trs[r], 0)
-				ft.ForceCopy = true
-				comms[r] = New(ft)
+				comms[r] = New(NewScheduledTransport(trs[r], FaultSchedule{}))
 			}
 			if err := RunOn(comms, fn); err != nil {
 				t.Fatal(err)

@@ -32,8 +32,8 @@ type localWorld struct {
 type LocalTransport struct {
 	w    *localWorld
 	rank int
-	// inViews is the retained header slice handed to BeginBorrow callers;
-	// its entries alias the senders' boards and are rewritten every round.
+	// inViews is the retained header slice Exchange returns; its entries
+	// alias the senders' boards and are rewritten every round.
 	inViews [][]byte
 }
 
@@ -100,38 +100,12 @@ func (t *LocalTransport) Abort() {
 	w.mu.Unlock()
 }
 
-// Exchange implements Transport. Message bytes are copied on receipt, so
-// callers may immediately reuse their send buffers, mirroring MPI_Alltoallv
-// semantics.
+// Exchange implements Transport: it publishes out, waits for every rank to
+// publish, and returns direct views of the senders' boards — no copy at
+// all. Between the two barriers all ranks only read the boards, so
+// concurrent borrowed reads are safe; Release's barrier keeps any rank from
+// republishing while a peer is still reading.
 func (t *LocalTransport) Exchange(out [][]byte) ([][]byte, time.Duration, error) {
-	// Publish our outgoing messages, wait for everyone to publish, then copy
-	// our column of the board: in[i] is sender i's message to us. The closing
-	// barrier keeps any rank from reusing or republishing its board while a
-	// peer is still copying.
-	views, wait, err := t.BeginBorrow(out)
-	if err != nil {
-		return nil, wait, err
-	}
-	in := make([][]byte, t.w.size)
-	for i, msg := range views {
-		cp := make([]byte, len(msg))
-		copy(cp, msg)
-		in[i] = cp
-	}
-	w2, err := t.EndBorrow()
-	wait += w2
-	if err != nil {
-		return nil, wait, err
-	}
-	return in, wait, nil
-}
-
-// BeginBorrow implements BorrowReader: it publishes out, waits for every
-// rank to publish, and returns direct views of the senders' boards — no
-// copy at all. Between the two barriers all ranks only read the boards, so
-// concurrent borrowed reads are safe; EndBorrow's barrier keeps any rank
-// from republishing while a peer is still reading.
-func (t *LocalTransport) BeginBorrow(out [][]byte) ([][]byte, time.Duration, error) {
 	w := t.w
 	if len(out) != w.size {
 		return nil, 0, fmt.Errorf("comm: Exchange with %d messages for %d ranks", len(out), w.size)
@@ -150,9 +124,9 @@ func (t *LocalTransport) BeginBorrow(out [][]byte) ([][]byte, time.Duration, err
 	return t.inViews, wait, nil
 }
 
-// EndBorrow implements BorrowReader: the closing barrier after which send
+// Release implements Transport: the closing barrier after which send
 // boards may be reused and borrowed views are dead.
-func (t *LocalTransport) EndBorrow() (time.Duration, error) {
+func (t *LocalTransport) Release() (time.Duration, error) {
 	return t.w.barrier()
 }
 

@@ -2,11 +2,65 @@ package comm
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 )
+
+// TestTracerCountsReadDuringCollectives reads every rank's Len and Dropped
+// from another goroutine while the ranks run traced collectives, as a
+// benchmark probe does while a resident cluster finishes a job: under
+// -race the counts must be safe to read at any time, and once the ranks
+// stop they must account for every round.
+func TestTracerCountsReadDuringCollectives(t *testing.T) {
+	const p, ring, rounds = 2, 64, 200
+	trs := make([]*obs.Tracer, p)
+	for r := range trs {
+		trs[r] = obs.NewTracer(r, ring, time.Now())
+	}
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, tr := range trs {
+				if tr.Len() > ring {
+					t.Errorf("rank %d holds %d events in a ring of %d", tr.Rank(), tr.Len(), ring)
+				}
+				_ = tr.Dropped()
+			}
+			runtime.Gosched()
+		}
+	}()
+	err := RunLocal(p, func(c *Comm) error {
+		c.SetTracer(trs[c.Rank()])
+		for i := 0; i < rounds; i++ {
+			if _, err := Allreduce(c, uint64(i), OpSum); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	close(stop)
+	reader.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, tr := range trs {
+		if tr.Len() != ring || tr.Dropped() != rounds-ring {
+			t.Errorf("rank %d: Len %d, Dropped %d after %d rounds, want %d and %d", r, tr.Len(), tr.Dropped(), rounds, ring, rounds-ring)
+		}
+	}
+}
 
 // TestTracedCollectivesZeroAlloc asserts that tracing ENABLED adds no
 // allocation to the steady-state collective path: emitting a span is a slot

@@ -1,12 +1,17 @@
 package comm
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/rng"
 )
+
+// ErrInjected is the error a scheduled FaultFatal produces: a hard fault,
+// not retryable.
+var ErrInjected = errors.New("comm: injected fault")
 
 // FaultOp enumerates the failure modes a FaultSchedule can inject. Each op
 // models a distinct real-world fabric pathology with deterministic,
@@ -158,20 +163,18 @@ type scheduledFault struct {
 }
 
 // ScheduledTransport wraps a transport and applies a FaultSchedule to its
-// rounds: the generalized, reproducible successor to FaultyTransport's
-// single hard fault. Drop and Delay fire before the wrapped round runs
-// (drops do not consume it, so a retrying Comm re-attempts the same logical
-// round); Truncate and Duplicate mutate the received view of one peer's
-// payload after a successful round; Fatal aborts the group.
+// rounds. Drop and Delay fire before the wrapped round runs (drops do not
+// consume it, so a retrying Comm re-attempts the same logical round);
+// Truncate and Duplicate mutate the received view of one peer's payload
+// after a successful round; Fatal aborts the group. With an empty schedule
+// it is a plain pass-through.
 //
-// The wrapped transport's BorrowReader capability is forwarded and the
-// schedule applies identically on both paths — fault tests exercise the
-// same zero-copy path production uses. Post-round mutations never touch the
+// The wrapped round is the one production runs, so fault tests exercise
+// the same zero-copy path. Post-round mutations never touch the
 // transport's (or senders') buffers: affected entries are replaced with
 // private corrupted copies.
 type ScheduledTransport struct {
 	tr     Transport
-	br     BorrowReader // nil when the wrapped transport cannot borrow
 	faults map[uint64][]*scheduledFault
 	round  uint64 // completed logical rounds
 
@@ -180,12 +183,7 @@ type ScheduledTransport struct {
 
 // NewScheduledTransport wraps tr with the faults s schedules for its rank.
 func NewScheduledTransport(tr Transport, s FaultSchedule) *ScheduledTransport {
-	t := &ScheduledTransport{tr: tr, faults: s.forRank(tr.Rank())}
-	t.br, _ = tr.(BorrowReader)
-	if g, ok := tr.(BorrowGater); ok && !g.CanBorrow() {
-		t.br = nil
-	}
-	return t
+	return &ScheduledTransport{tr: tr, faults: s.forRank(tr.Rank())}
 }
 
 // Rank implements Transport.
@@ -197,9 +195,6 @@ func (t *ScheduledTransport) Size() int { return t.tr.Size() }
 // Close implements Transport.
 func (t *ScheduledTransport) Close() error { return t.tr.Close() }
 
-// CanBorrow implements BorrowGater.
-func (t *ScheduledTransport) CanBorrow() bool { return t.br != nil }
-
 // Injected reports how many scheduled faults have fired.
 func (t *ScheduledTransport) Injected() uint64 { return t.injected.Load() }
 
@@ -210,31 +205,11 @@ func (t *ScheduledTransport) Abort() {
 	}
 }
 
-// Exchange implements Transport.
+// Exchange implements Transport, applying the schedule around one attempt
+// at logical round t.round+1. The round counter advances only once the
+// wrapped transport actually runs the round, so a dropped attempt and its
+// retries share a round number.
 func (t *ScheduledTransport) Exchange(out [][]byte) ([][]byte, time.Duration, error) {
-	return t.run(out, false)
-}
-
-// BeginBorrow implements BorrowReader.
-func (t *ScheduledTransport) BeginBorrow(out [][]byte) ([][]byte, time.Duration, error) {
-	if t.br == nil {
-		return nil, 0, fmt.Errorf("comm: BeginBorrow on a scheduled transport without borrow capability")
-	}
-	return t.run(out, true)
-}
-
-// EndBorrow implements BorrowReader.
-func (t *ScheduledTransport) EndBorrow() (time.Duration, error) {
-	if t.br == nil {
-		return 0, fmt.Errorf("comm: EndBorrow on a scheduled transport without borrow capability")
-	}
-	return t.br.EndBorrow()
-}
-
-// run applies the schedule around one attempt at logical round t.round+1.
-// The round counter advances only once the wrapped transport actually runs
-// the round, so a dropped attempt and its retries share a round number.
-func (t *ScheduledTransport) run(out [][]byte, borrow bool) ([][]byte, time.Duration, error) {
 	r := t.round + 1
 	pending := t.faults[r]
 	for _, f := range pending {
@@ -262,14 +237,7 @@ func (t *ScheduledTransport) run(out [][]byte, borrow bool) ([][]byte, time.Dura
 		}
 	}
 
-	var in [][]byte
-	var wait time.Duration
-	var err error
-	if borrow {
-		in, wait, err = t.br.BeginBorrow(out)
-	} else {
-		in, wait, err = t.tr.Exchange(out)
-	}
+	in, wait, err := t.tr.Exchange(out)
 	t.round = r
 	if err != nil {
 		return nil, wait, err
@@ -311,3 +279,6 @@ func (t *ScheduledTransport) run(out [][]byte, borrow bool) ([][]byte, time.Dura
 	}
 	return in, wait, nil
 }
+
+// Release implements Transport.
+func (t *ScheduledTransport) Release() (time.Duration, error) { return t.tr.Release() }

@@ -167,113 +167,3 @@ func TestRandomFaultScheduleDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// nonBorrowTransport strips the BorrowReader capability from a transport,
-// modeling a wrapped transport that only implements plain Exchange.
-type nonBorrowTransport struct {
-	tr Transport
-}
-
-func (n *nonBorrowTransport) Rank() int    { return n.tr.Rank() }
-func (n *nonBorrowTransport) Size() int    { return n.tr.Size() }
-func (n *nonBorrowTransport) Close() error { return n.tr.Close() }
-func (n *nonBorrowTransport) Exchange(out [][]byte) ([][]byte, time.Duration, error) {
-	return n.tr.Exchange(out)
-}
-func (n *nonBorrowTransport) Abort() {
-	if a, ok := n.tr.(aborter); ok {
-		a.Abort()
-	}
-}
-
-// TestFaultyTransportForwardsBorrowPath is the regression test for the bug
-// where wrapping a borrow-capable transport in FaultyTransport silently hid
-// BorrowReader and downgraded every collective to the copying path. It pins
-// which path actually ran in all three configurations.
-func TestFaultyTransportForwardsBorrowPath(t *testing.T) {
-	run := func(mk func(tr Transport) *FaultyTransport) []*FaultyTransport {
-		trs := NewLocalGroup(2)
-		fts := make([]*FaultyTransport, 2)
-		comms := make([]*Comm, 2)
-		for r := range trs {
-			fts[r] = mk(trs[r])
-			comms[r] = New(fts[r])
-		}
-		if err := RunOn(comms, func(c *Comm) error {
-			_, err := Allgather(c, uint64(c.Rank()))
-			return err
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return fts
-	}
-
-	// Borrow-capable wrapped transport: rounds must take the zero-copy path.
-	fts := run(func(tr Transport) *FaultyTransport { return NewFaultyTransport(tr, 0) })
-	for r, ft := range fts {
-		if ft.BorrowedRounds() == 0 || ft.CopiedRounds() != 0 {
-			t.Errorf("rank %d: borrowed=%d copied=%d, want all rounds borrowed",
-				r, ft.BorrowedRounds(), ft.CopiedRounds())
-		}
-	}
-
-	// ForceCopy pins the copying path even though the wrapped transport
-	// could borrow.
-	fts = run(func(tr Transport) *FaultyTransport {
-		ft := NewFaultyTransport(tr, 0)
-		ft.ForceCopy = true
-		return ft
-	})
-	for r, ft := range fts {
-		if ft.CopiedRounds() == 0 || ft.BorrowedRounds() != 0 {
-			t.Errorf("rank %d: borrowed=%d copied=%d, want all rounds copied (ForceCopy)",
-				r, ft.BorrowedRounds(), ft.CopiedRounds())
-		}
-	}
-
-	// A wrapped transport without BorrowReader: the wrapper must gate the
-	// capability off rather than advertise a broken borrow path.
-	fts = run(func(tr Transport) *FaultyTransport {
-		return NewFaultyTransport(&nonBorrowTransport{tr: tr}, 0)
-	})
-	for r, ft := range fts {
-		if ft.CanBorrow() {
-			t.Errorf("rank %d: CanBorrow() = true over a non-borrow transport", r)
-		}
-		if ft.CopiedRounds() == 0 || ft.BorrowedRounds() != 0 {
-			t.Errorf("rank %d: borrowed=%d copied=%d, want all rounds copied (no capability)",
-				r, ft.BorrowedRounds(), ft.CopiedRounds())
-		}
-	}
-}
-
-// TestScheduledTransportForwardsBorrowPath pins the same property for the
-// schedule-driven wrapper.
-func TestScheduledTransportForwardsBorrowPath(t *testing.T) {
-	trs := NewLocalGroup(2)
-	sts := make([]*ScheduledTransport, 2)
-	comms := make([]*Comm, 2)
-	for r := range trs {
-		sts[r] = NewScheduledTransport(trs[r], FaultSchedule{})
-		comms[r] = New(sts[r])
-	}
-	if err := RunOn(comms, func(c *Comm) error {
-		_, err := Allgather(c, uint64(c.Rank()))
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for r, st := range sts {
-		if !st.CanBorrow() {
-			t.Errorf("rank %d: scheduled transport over LocalTransport must borrow", r)
-		}
-	}
-
-	st := NewScheduledTransport(&nonBorrowTransport{tr: NewLocalGroup(1)[0]}, FaultSchedule{})
-	if st.CanBorrow() {
-		t.Error("scheduled transport over a non-borrow transport must not advertise borrows")
-	}
-	if _, _, err := st.BeginBorrow(nil); err == nil {
-		t.Error("BeginBorrow without capability must fail")
-	}
-}

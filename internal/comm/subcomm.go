@@ -17,14 +17,13 @@ import (
 // traversal engine does — all grid columns expand, then all grid rows
 // fold). Both transports already treat Exchange as a full-group rendezvous,
 // which makes this mapping exact: wire accounting, fault injection, and
-// borrow semantics all flow through unchanged.
+// borrowed views all flow through unchanged.
 type subTransport struct {
 	parent  Transport
-	br      BorrowReader // non-nil when the parent chain supports borrows
-	members []int        // global ranks, ascending; contains the parent rank
-	idx     int          // this rank's index within members
-	full    [][]byte     // scratch full-group out board
-	sub     [][]byte     // scratch member-indexed in view (borrow path)
+	members []int    // global ranks, ascending; contains the parent rank
+	idx     int      // this rank's index within members
+	full    [][]byte // scratch full-group out board
+	sub     [][]byte // scratch member-indexed in view
 }
 
 func newSubTransport(parent Transport, members []int) (*subTransport, error) {
@@ -45,20 +44,13 @@ func newSubTransport(parent Transport, members []int) (*subTransport, error) {
 	if idx < 0 {
 		return nil, fmt.Errorf("comm: rank %d not in sub-group %v", self, members)
 	}
-	s := &subTransport{
+	return &subTransport{
 		parent:  parent,
 		members: append([]int(nil), members...),
 		idx:     idx,
 		full:    make([][]byte, p),
 		sub:     make([][]byte, len(members)),
-	}
-	if br, ok := parent.(BorrowReader); ok {
-		s.br = br
-		if g, ok := parent.(BorrowGater); ok && !g.CanBorrow() {
-			s.br = nil
-		}
-	}
-	return s, nil
+	}, nil
 }
 
 // Rank implements Transport (the sub-group rank).
@@ -120,30 +112,11 @@ func (s *subTransport) Exchange(out [][]byte) ([][]byte, time.Duration, error) {
 	return s.gather(in), wait, nil
 }
 
-// BeginBorrow implements BorrowReader over the parent's borrow window.
-func (s *subTransport) BeginBorrow(out [][]byte) ([][]byte, time.Duration, error) {
-	if s.br == nil {
-		return nil, 0, fmt.Errorf("comm: sub-group parent transport does not support borrows")
-	}
-	full, err := s.spread(out)
-	if err != nil {
-		return nil, 0, err
-	}
-	in, wait, err := s.br.BeginBorrow(full)
-	if err != nil {
-		return nil, wait, s.wrap(err)
-	}
-	return s.gather(in), wait, nil
-}
-
-// EndBorrow implements BorrowReader.
-func (s *subTransport) EndBorrow() (time.Duration, error) {
-	wait, err := s.br.EndBorrow()
+// Release implements Transport by releasing the parent's round.
+func (s *subTransport) Release() (time.Duration, error) {
+	wait, err := s.parent.Release()
 	return wait, s.wrap(err)
 }
-
-// CanBorrow implements BorrowGater.
-func (s *subTransport) CanBorrow() bool { return s.br != nil }
 
 // Close implements Transport. The parent owns the underlying transport, so
 // closing a sub-group view is a no-op.

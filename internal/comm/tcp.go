@@ -37,10 +37,9 @@ type TCPTransport struct {
 	// resume.
 	frameDeadline time.Duration
 
-	// Retained receive storage for borrowed reads: inBufs holds one
-	// reusable payload buffer per peer, inViews the header slice handed to
-	// BeginBorrow callers. Reused only at the next BeginBorrow, which the
-	// borrow contract orders after EndBorrow.
+	// Retained receive storage: inBufs holds one reusable payload buffer
+	// per peer, inViews the header slice Exchange returns. Reused only at
+	// the next Exchange, which the round contract orders after Release.
 	inBufs  [][]byte
 	inViews [][]byte
 
@@ -230,49 +229,25 @@ func (t *TCPTransport) Size() int { return t.size }
 
 // Exchange implements Transport. Sends to all peers proceed concurrently
 // with receives from all peers, so large symmetric exchanges cannot
-// deadlock on full kernel buffers. The wait estimate is the time between
-// completing local sends and completing all receives — the portion spent
-// blocked on slower peers.
+// deadlock on full kernel buffers. Incoming payloads land in the
+// transport's retained per-peer buffers and the self slot aliases the
+// caller's own message — no steady-state allocation and no self copy. The
+// wait estimate is the time between completing local sends and completing
+// all receives — the portion spent blocked on slower peers.
 func (t *TCPTransport) Exchange(out [][]byte) ([][]byte, time.Duration, error) {
-	return t.exchange(out, false)
-}
-
-// BeginBorrow implements BorrowReader: the same frame exchange, but
-// incoming payloads land in the transport's retained per-peer buffers and
-// the self slot aliases the caller's own message — no steady-state
-// allocation and no self copy.
-func (t *TCPTransport) BeginBorrow(out [][]byte) ([][]byte, time.Duration, error) {
-	return t.exchange(out, true)
-}
-
-// EndBorrow implements BorrowReader. TCP receive buffers are private to
-// this transport, so no closing synchronization is needed; they stay valid
-// until the next BeginBorrow.
-func (t *TCPTransport) EndBorrow() (time.Duration, error) { return 0, nil }
-
-func (t *TCPTransport) exchange(out [][]byte, reuse bool) ([][]byte, time.Duration, error) {
 	if len(out) != t.size {
 		return nil, 0, fmt.Errorf("comm: Exchange with %d messages for %d ranks", len(out), t.size)
 	}
 	t.seq++
 	seq := t.seq
 
-	var in [][]byte
-	if reuse {
-		if t.inViews == nil {
-			t.inViews = make([][]byte, t.size)
-			t.inBufs = make([][]byte, t.size)
-		}
-		in = t.inViews
-		// Self-delivery is a borrowed alias of the caller's own message.
-		in[t.rank] = out[t.rank]
-	} else {
-		in = make([][]byte, t.size)
-		// Self-delivery does not touch the network.
-		self := make([]byte, len(out[t.rank]))
-		copy(self, out[t.rank])
-		in[t.rank] = self
+	if t.inViews == nil {
+		t.inViews = make([][]byte, t.size)
+		t.inBufs = make([][]byte, t.size)
 	}
+	in := t.inViews
+	// Self-delivery is a borrowed alias of the caller's own message.
+	in[t.rank] = out[t.rank]
 
 	var (
 		wg       sync.WaitGroup
@@ -310,15 +285,11 @@ func (t *TCPTransport) exchange(out [][]byte, reuse bool) ([][]byte, time.Durati
 
 		go func(peer int) { // receiver
 			defer wg.Done()
-			var buf []byte
-			if reuse {
-				buf = t.inBufs[peer]
-			}
 			conn := t.peers[peer]
 			if t.frameDeadline > 0 {
 				_ = conn.SetReadDeadline(time.Now().Add(t.frameDeadline))
 			}
-			payload, gotSeq, err := readFrame(conn, buf)
+			payload, gotSeq, err := readFrame(conn, t.inBufs[peer])
 			if err != nil {
 				fail(t.peerErr(peer, fmt.Errorf("recv from %d: %w", peer, err)))
 				return
@@ -328,9 +299,7 @@ func (t *TCPTransport) exchange(out [][]byte, reuse bool) ([][]byte, time.Durati
 					Err: fmt.Errorf("recv from %d: sequence %d, want %d", peer, gotSeq, seq)})
 				return
 			}
-			if reuse {
-				t.inBufs[peer] = payload
-			}
+			t.inBufs[peer] = payload
 			in[peer] = payload
 		}(peer)
 	}
@@ -353,6 +322,11 @@ func (t *TCPTransport) exchange(out [][]byte, reuse bool) ([][]byte, time.Durati
 	}
 	return in, wait, nil
 }
+
+// Release implements Transport. TCP receive buffers are private to this
+// transport, so no closing synchronization is needed; they stay valid until
+// the next Exchange.
+func (t *TCPTransport) Release() (time.Duration, error) { return 0, nil }
 
 // peerErr promotes a per-peer exchange failure to a peer-attributed
 // *CommError. Comm.wrapErr leaves an existing CommError intact, so the

@@ -9,7 +9,9 @@
 // its own OS process in a full mesh of TCP connections, demonstrating the
 // same analytics over a genuine distributed transport. Both serialize every
 // message to bytes, so communication volume and synchronization structure
-// are identical between the two.
+// are identical between the two. Every transport runs one kind of round, an
+// Exchange whose messages stay borrowed until Release; ScheduledTransport
+// wraps either one to inject faults into those same rounds.
 //
 // The programming model is SPMD exactly as with MPI: every rank executes
 // the same function, collectives are called collectively (every rank must
@@ -19,9 +21,23 @@ package comm
 
 import "time"
 
-// Transport moves byte messages between ranks. Implementations must ensure
-// Exchange acts as a synchronization point: no rank's Exchange returns until
-// every rank has contributed its messages for that round.
+// Transport moves byte messages between ranks, one round at a time. A round
+// is an Exchange followed by its Release, and Exchange is a synchronization
+// point: no rank's Exchange returns until every rank has contributed its
+// messages for that round.
+//
+// The round is zero-copy on both sides. The caller reads the received
+// messages in place (the in-process transport hands out direct views of the
+// senders' publish boards; the TCP transport hands out its retained receive
+// buffers), so collectives decode straight into typed result storage.
+// Contract:
+//   - The slices Exchange returns (and the header slice holding them) are
+//     transport-owned and valid only until Release returns.
+//   - out is borrowed by the transport for the same window: the caller
+//     must not mutate any out[i] until Release returns.
+//   - Release must be called exactly once after every successful Exchange
+//     (and not after a failed one); it completes the round's
+//     synchronization, so skipping it deadlocks the group.
 type Transport interface {
 	// Rank returns this transport's rank in [0, Size()).
 	Rank() int
@@ -32,49 +48,11 @@ type Transport interface {
 	// rank. len(out) must equal Size(). wait reports the portion of the
 	// call spent blocked waiting for other ranks (idle time at the
 	// synchronization point, as distinct from data-movement time).
-	//
-	// The returned slices are owned by the caller; the transport does not
-	// retain or reuse them. The caller likewise retains ownership of out
-	// once Exchange returns.
 	Exchange(out [][]byte) (in [][]byte, wait time.Duration, err error)
+	// Release ends the round the last successful Exchange opened; after it
+	// returns, the received views are dead and out may be reused.
+	Release() (wait time.Duration, err error)
 	// Close releases transport resources. After Close the transport must
 	// not be used.
 	Close() error
-}
-
-// BorrowReader is the optional zero-copy capability of a transport: an
-// exchange split into a begin/end pair whose incoming messages are borrowed
-// rather than owned. Between BeginBorrow and EndBorrow the caller may read
-// the returned slices in place (the in-process transport hands out direct
-// views of the senders' publish boards; the TCP transport hands out its
-// retained receive buffers), letting collectives decode straight into typed
-// result storage without the intermediate copy Exchange must make.
-//
-// Contract:
-//   - The slices returned by BeginBorrow (and the header slice holding
-//     them) are transport-owned and valid only until EndBorrow returns.
-//   - out is borrowed by the transport for the same window: the caller
-//     must not mutate any out[i] until EndBorrow returns.
-//   - EndBorrow must be called exactly once after every successful
-//     BeginBorrow (and not after a failed one); it completes the round's
-//     synchronization, so skipping it deadlocks the group.
-//
-// Comm detects the capability once at construction and uses it for every
-// collective; transports without it fall back to the copying Exchange path.
-// Wrapping transports (FaultyTransport, ScheduledTransport) forward the
-// capability explicitly so fault tests exercise the same zero-copy path
-// production uses, and declare via BorrowGater whether their chain actually
-// supports it.
-type BorrowReader interface {
-	BeginBorrow(out [][]byte) (in [][]byte, wait time.Duration, err error)
-	EndBorrow() (wait time.Duration, err error)
-}
-
-// BorrowGater refines BorrowReader for wrapping transports: a wrapper's
-// forwarding methods make it satisfy BorrowReader unconditionally, so
-// CanBorrow reports whether the wrapped chain really supports borrowed
-// reads (and whether the wrapper is configured to forward them). Comm
-// consults the gate once at construction.
-type BorrowGater interface {
-	CanBorrow() bool
 }

@@ -12,12 +12,16 @@
 // shared epoch so their timelines align in the exported trace.
 //
 // Events land in a fixed-capacity ring buffer, overwriting the oldest once
-// full (Dropped reports how many were lost). Emitting is a single slot
-// store — no locks, no allocation — which keeps the tracer cheap enough to
-// wrap every collective call and every analytic iteration.
+// full (Dropped reports how many were lost). Emitting is a slot store plus
+// an atomic store of the event count — no locks, no allocation — which
+// keeps the tracer cheap enough to wrap every collective call and every
+// analytic iteration.
 package obs
 
-import "time"
+import (
+	"sync/atomic"
+	"time"
+)
 
 // DefaultCapacity is the per-rank ring size used when a non-positive
 // capacity is requested: 64 Ki events (~3 MiB) holds several full
@@ -41,13 +45,17 @@ type Event struct {
 
 // Tracer records one rank's spans into a preallocated ring. All producer
 // methods are nil-safe no-ops, so a disabled tracer is a nil pointer and
-// costs one branch per call site. A Tracer must be written from a single
-// goroutine; reading (Events, Dropped) is safe once writes have quiesced.
+// costs one branch per call site. A Tracer is written and reset by its
+// owning rank's goroutine only, and Events reads it from that goroutine or
+// once its writes have quiesced; Len and Dropped may be called from any
+// goroutine at any time.
 type Tracer struct {
 	rank  int
 	epoch time.Time
 	buf   []Event
-	n     uint64 // total events ever emitted
+	// n counts the events ever emitted. Only the owner writes it (a load,
+	// then a store), so the atomic is there for Len and Dropped alone.
+	n atomic.Uint64
 }
 
 // NewTracer returns a tracer for the given rank whose timestamps count from
@@ -97,46 +105,47 @@ func (t *Tracer) Emit(name string, start, dur, arg int64) {
 }
 
 func (t *Tracer) emit(name string, start, dur, arg int64) {
-	t.buf[int(t.n%uint64(len(t.buf)))] = Event{Name: name, Start: start, Dur: dur, Arg: arg}
-	t.n++
+	n := t.n.Load()
+	t.buf[int(n%uint64(len(t.buf)))] = Event{Name: name, Start: start, Dur: dur, Arg: arg}
+	t.n.Store(n + 1)
 }
 
 // Len reports how many events are currently held (at most the capacity).
+// Safe to call from any goroutine.
 func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	if t.n < uint64(len(t.buf)) {
-		return int(t.n)
-	}
-	return len(t.buf)
+	return int(min(t.n.Load(), uint64(len(t.buf))))
 }
 
 // Dropped reports how many events were overwritten after the ring filled.
+// Safe to call from any goroutine.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	if c := uint64(len(t.buf)); t.n > c {
-		return t.n - c
+	if n, c := t.n.Load(), uint64(len(t.buf)); n > c {
+		return n - c
 	}
 	return 0
 }
 
 // Events returns the retained events oldest-first. The slice is a copy; the
-// tracer keeps recording into its ring.
+// tracer keeps recording into its ring. Call it from the owning goroutine,
+// or from another once the owner's writes have quiesced.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	c := uint64(len(t.buf))
-	if t.n <= c {
-		out := make([]Event, t.n)
-		copy(out, t.buf[:t.n])
+	n, c := t.n.Load(), uint64(len(t.buf))
+	if n <= c {
+		out := make([]Event, n)
+		copy(out, t.buf[:n])
 		return out
 	}
 	out := make([]Event, c)
-	idx := int(t.n % c)
+	idx := int(n % c)
 	copy(out, t.buf[idx:])
 	copy(out[int(c)-idx:], t.buf[:idx])
 	return out
@@ -147,7 +156,7 @@ func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
-	t.n = 0
+	t.n.Store(0)
 }
 
 // TraceSet groups the per-rank tracers of one in-process group under a

@@ -142,10 +142,8 @@ func assertIdentical(t *testing.T, views []RequestView, healthy [][]byte) {
 }
 
 // countingTransport counts a slot's transport rounds so fault schedules
-// can aim past the deterministic build prefix. It deliberately does not
-// forward the borrow capability: every collective then goes through
-// Exchange, one call per logical round — the same round numbering
-// ScheduledTransport uses.
+// can aim past the deterministic build prefix: one Exchange per logical
+// round, the same round numbering ScheduledTransport uses.
 type countingTransport struct {
 	tr comm.Transport
 	n  *atomic.Uint64
@@ -164,6 +162,8 @@ func (t *countingTransport) Exchange(out [][]byte) ([][]byte, time.Duration, err
 	t.n.Add(1)
 	return t.tr.Exchange(out)
 }
+
+func (t *countingTransport) Release() (time.Duration, error) { return t.tr.Release() }
 
 // buildRounds measures how many transport rounds generation zero spends
 // before the cluster reports ready (scan, partition, build, replicate,
