@@ -3,6 +3,7 @@ package analytics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/comm"
@@ -469,6 +470,30 @@ func TestKCoreMatchesSequential(t *testing.T) {
 			return nil
 		})
 	}
+
+	// A bound is 2^levels in 32 bits: 31 levels is the most that fits, and
+	// a level count outside [1, 31] is refused on every rank.
+	tg := makeTestGraphs(t)[4] // rmat
+	want := seq.CorenessUB(tg.ref, 31)
+	runConfigs(t, tg, func(ctx *core.Ctx, g *core.Graph) error {
+		res, err := KCoreApprox(ctx, g, 31)
+		if err != nil {
+			return err
+		}
+		global, err := core.Gather(ctx, g, res.CorenessUB)
+		if err != nil {
+			return err
+		}
+		if !slices.Equal(global, want) {
+			return fmt.Errorf("31 levels: coreness bounds %v, want %v", global, want)
+		}
+		for _, levels := range []int{-1, 0, 32} {
+			if _, err := KCoreApprox(ctx, g, levels); err == nil {
+				return fmt.Errorf("KCoreApprox accepted %d levels", levels)
+			}
+		}
+		return nil
+	})
 }
 
 func TestTopCommunitiesConsistent(t *testing.T) {

@@ -218,9 +218,9 @@ func (b *bucketStore) extract(k uint64, dst []uint32) []uint32 {
 	return dst
 }
 
-// claimRound is the one wire round of the bucketed kernels, exact k-core's
-// peel and Δ-stepping's light and heavy phases. A round is one AlltoallvInto
-// of 64-bit words: each peer's segment opens with a control word and goes on
+// claimRound is the one wire round of the peel, the colorings and
+// Δ-stepping's light and heavy phases. A round is one AlltoallvInto of
+// 64-bit words: each peer's segment opens with a control word and goes on
 // with claims, each naming its ghost by the slot in the owner's DirsBoth halo
 // queue for the sender, so the owner indexes the queue instead of hashing a
 // global id. What the kernels need to agree on after a round — is anyone

@@ -10,8 +10,9 @@
 //   - BFS-like (§III-D2): a sparse frontier expands over adjacency lists;
 //     per-vertex updates happen at the owning rank. BFS, the traversal
 //     phases of WCC/SCC and Harmonic Centrality run on the frontier
-//     machinery in bfs.go; the k-core peel and SCC's trim ship aggregated
-//     degree decrements on the claim round of bucket.go (propagate.go).
+//     machinery in bfs.go; exact k-core, the approximate k-core's
+//     threshold levels and SCC's trim are one peel that ships aggregated
+//     degree counts on the claim round of bucket.go (propagate.go).
 //
 // All functions must be called collectively by every rank of the graph's
 // group, like MPI routines.

@@ -356,6 +356,23 @@ func TestKCoreAllocationPin(t *testing.T) {
 func TestKCoreExactRejectsForgedRounds(t *testing.T) {
 	tg := kcoreGoldenGraphs(t)[1]
 	const peeledOne = uint64(1)<<32 | uint64(kcoreRest)
+	// Rank 0 opens at the least degree it owns, k0 (the forger reports
+	// none), and peels every vertex it owns at k0 before it reads the
+	// forged round; forger is rank 1's shard and halo.
+	deg := make([]uint32, tg.n)
+	for _, v := range tg.edges {
+		deg[v]++
+	}
+	owner, k0 := partition.NewRandom(tg.n, 2, 123), kcoreRest
+	for v, d := range deg {
+		if owner.Owner(uint32(v)) == 0 {
+			k0 = min(k0, d)
+		}
+	}
+	var forger struct {
+		g *core.Graph
+		h *Halo
+	}
 	forgeries := []struct {
 		name string
 		// round builds rank 1's segment for rank 0 given the number of slots
@@ -378,6 +395,25 @@ func TestKCoreExactRejectsForgedRounds(t *testing.T) {
 			return seg
 		}},
 		{"claims from a rank that peeled nothing", func(int) []uint64 { return []uint64{uint64(kcoreRest), 1} }},
+		// A peeled vertex's counter keeps counting, so k0+1 is more than any
+		// vertex peeled at k0 has left.
+		{"count on an already-peeled vertex beyond what it has left", func(int) []uint64 {
+			gm, err := forger.h.geometry()
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			seg := []uint64{peeledOne}
+			for gi, d := range forger.g.GhostOwner {
+				if d == 0 && deg[forger.g.Unmap[forger.g.NLoc+uint32(gi)]] == k0 {
+					seg = append(seg, uint64(gm.ghostSlot[gi])<<32|uint64(k0+1))
+				}
+			}
+			if len(seg) == 1 {
+				t.Error("no vertex of rank 0's least degree is a ghost on rank 1")
+			}
+			return seg
+		}},
 		{"no control word", func(int) []uint64 { return nil }},
 	}
 	for _, f := range forgeries {
@@ -399,6 +435,7 @@ func TestKCoreExactRejectsForgedRounds(t *testing.T) {
 				if err != nil {
 					return err
 				}
+				forger.g, forger.h = g, h
 				idle := []uint64{uint64(kcoreRest), uint64(kcoreRest)}
 				if _, _, err := comm.Alltoallv(c, idle, []int{1, 1}); err != nil {
 					return err

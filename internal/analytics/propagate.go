@@ -130,36 +130,58 @@ func (pr *propagation) push(labels, nbrs []uint32, l, flip uint32, stack []uint3
 	return stack
 }
 
-// slotPeel is the peel of KCoreApprox's levels and SCC's trim. An owned
-// vertex has 1<<shift counters (k-core: undirected degree; trim: in- and
-// out-degree) and dies once one falls below the threshold. A death takes one
-// from counter 0 of each out-neighbour and the last counter of each
-// in-neighbour: at once when owned, so deaths cascade to a local fixed
-// point, else as a pending count. A round ships each pending (ghost,
-// counter) as one packed claim, slot then count<<shift | counter; its
-// control word counts the sender's deaths since the last round and carries
-// 0 while the sender has live vertices, so the round with no death anywhere
-// ends the peel and says whether anything survived.
-type slotPeel struct {
-	g     *core.Graph
-	rd    *claimRound
-	shift uint32
-	// rem[v<<shift|c] is owned v's counter c. Deaths keep counting it down,
-	// so it never falls below the edges still to report, which is what an
-	// arriving count is checked against.
-	rem     []uint32
-	pend    []uint32 // (u-NLoc)<<shift|c: the count pending for ghost u's counter c
-	touched []uint32 // pend indexes holding a count
-	lids    []uint32 // touched's ghosts, to lay out the round
-	peeled  []bool
-	dead    []uint32 // deaths whose edges the cascade has yet to drop
-	live    int      // owned vertices alive
-	died    int      // deaths since the last round
+// kcoreRest is the level of an owned vertex still alive.
+const kcoreRest = ^uint32(0)
+
+// peel is the one peel of exact k-core, KCoreApprox's threshold levels and
+// SCC's trim. An owned vertex has an in-counter and an out-counter (k-core:
+// one undirected degree serving as both; trim: in- and out-degree) and dies
+// once one falls below the threshold. A death takes one from the in-counter
+// of each out-neighbour and the out-counter of each in-neighbour: at once
+// when owned, so deaths cascade to a local fixed point, else as a count
+// pending on the ghost. A round ships each pending (ghost, counter) as one
+// packed claim on the claim round of bucket.go, slot then
+// count<<split | counter; its control word counts the sender's deaths since
+// the last round and, when the sender had none, carries its least live
+// counter. The round with no death anywhere ends a run, and the least of
+// its control words is the least counter left anywhere.
+type peel struct {
+	g  *core.Graph
+	rd *claimRound
+	// rem[c][v] is owned v's counter c, rem[1] the same array as rem[0]
+	// when split is 0. Deaths keep counting a dead vertex's counters down,
+	// so a counter never falls below the edges still to report to it,
+	// which is what an arriving count is checked against. A ghost's entry
+	// counts down from 0, so owned and ghost neighbours take one path
+	// through peelRelax: it is minus the count pending for its owner.
+	rem   [2][]uint32
+	split uint32 // 1 when the two counters are separate (trim), else 0
+	// level[v] is the threshold less one at which owned v died, or
+	// kcoreRest while it lives: k-core's coreness, trim's dead flag.
+	level []uint32
+	// front lists the vertices a counter took below the threshold, the
+	// frontier at front[head:tail]; one whose two counters both fall is
+	// listed twice and dies once. The last scan's least live counter and
+	// the `seeds` vertices it parked at front[tail:] stay current until
+	// scanned drops.
+	front      []uint32
+	head, tail int
+	live       []uint32 // owned vertices no scan has seen dead yet
+	// floor is the threshold of the open run, or of the last one: a vertex
+	// whose least counter is below it is dead.
+	floor, scanMin uint32
+	seeds          int
+	scanned        bool
+	// touched lists the ghosts with a count pending, once per counter.
+	touched       []uint32
+	rounds        int    // rounds with a death anywhere
+	deaths, edges uint64 // this rank's deaths and the edge endpoints they reported
 }
 
-// newSlotPeel sizes a peel with 1<<shift counters per owned vertex, all
-// alive and zero. Collective when the claim round builds the halo.
-func newSlotPeel(ctx *core.Ctx, g *core.Graph, kernel string, shift uint32) (*slotPeel, error) {
+// newPeel sets up a peel over every owned vertex, alive, with its
+// undirected degree as its one counter, or with split 1 its in- and
+// out-degree. Collective when the claim round builds the halo.
+func newPeel(ctx *core.Ctx, g *core.Graph, kernel string, split uint32) (*peel, error) {
 	if g.MOut()+g.MIn() >= 1<<31 {
 		return nil, fmt.Errorf("analytics: %s counts in 32 bits; rank %d holds %d edge endpoints", kernel, ctx.Rank(), g.MOut()+g.MIn())
 	}
@@ -167,93 +189,163 @@ func newSlotPeel(ctx *core.Ctx, g *core.Graph, kernel string, shift uint32) (*sl
 	if err != nil {
 		return nil, err
 	}
-	s := &slotPeel{
-		g: g, rd: rd, shift: shift,
-		rem:    make([]uint32, g.NLoc<<shift),
-		pend:   make([]uint32, g.NGst<<shift),
-		peeled: make([]bool, g.NLoc),
-		dead:   make([]uint32, 0, g.NLoc),
-		live:   int(g.NLoc),
+	// One slot of slack on front and touched: see peelRelax.
+	s := &peel{
+		g: g, rd: rd, split: split,
+		level:   make([]uint32, g.NLoc),
+		live:    make([]uint32, g.NLoc),
+		front:   make([]uint32, int(g.NLoc)<<split+1),
+		touched: make([]uint32, 0, int(g.NGst)<<split+1),
+	}
+	for c := range split + 1 {
+		s.rem[c] = make([]uint32, g.NTotal())
+	}
+	s.rem[1] = s.rem[split] // one array for both counters unless split
+	for v := range g.NLoc {
+		s.rem[1][v] = uint32(g.OutDegree(v))
+		s.rem[0][v] += uint32(g.InDegree(v)) // the sum when rem[0] is rem[1]
+		s.level[v], s.live[v] = kcoreRest, v
 	}
 	return s, nil
 }
 
-// run peels at threshold k to the fixed point — every live vertex with a
-// counter below k dies, and so does every vertex the deaths take below k —
-// and reports whether any vertex survives anywhere. span names each round.
-func (s *slotPeel) run(ctx *core.Ctx, k uint64, span string) (survivors bool, err error) {
-	for v := range s.g.NLoc {
-		for c := uint32(0); c < 1<<s.shift && !s.peeled[v]; c++ {
-			if uint64(s.rem[v<<s.shift|c]) < k {
-				s.kill(v)
-			}
-		}
+// run kills every live vertex with a counter below `below`, and every
+// vertex the deaths take below it, and returns the least counter left
+// alive anywhere (ctlNone if none is). below 0 kills nothing: the run is
+// one round that only finds the least. span, if set, names each round.
+func (s *peel) run(ctx *core.Ctx, below uint32, span string) (least uint32, err error) {
+	// The seeds. A scan cached from the last run parked the vertices at
+	// its least counter: all that is below a threshold one past it.
+	if !s.scanned || uint64(s.scanMin)+1 < uint64(below) {
+		s.scan(below)
 	}
+	if s.scanMin < below {
+		s.tail += s.seeds
+		s.scanned = false
+	}
+	s.floor = below
+	k := below - 1 // a counter that reaches k has crossed
 	tr := ctx.Comm.Tracer()
 	for {
 		mark := tr.Now()
-		for i := 0; i < len(s.dead); i++ {
-			v := s.dead[i]
-			s.drop(s.g.OutNeighbors(v), 0, k)
-			s.drop(s.g.InNeighbors(v), 1<<s.shift-1, k)
-		}
-		s.dead = s.dead[:0]
-		least, died := ctlNone, s.died
-		if s.live > 0 {
-			least = 0
+		died := s.drain(k)
+		least = ctlNone
+		if died == 0 {
+			if !s.scanned {
+				s.scan(below)
+			}
+			least = s.scanMin
 		}
 		deaths, gLeast, err := s.round(ctx, ctlWord(died, least), k)
 		if err != nil {
-			return false, err
+			return 0, err
 		}
-		tr.Span(span, mark, int64(died))
+		if span != "" {
+			tr.Span(span, mark, int64(died))
+		}
 		if deaths == 0 {
-			return gLeast == 0, nil
+			return gLeast, nil
 		}
+		s.rounds++
 	}
 }
 
-func (s *slotPeel) kill(v uint32) {
-	s.peeled[v] = true
-	s.dead = append(s.dead, v)
-	s.live--
-	s.died++
-}
-
-// drop takes one from counter c of every neighbour in nbrs.
-func (s *slotPeel) drop(nbrs []uint32, c uint32, k uint64) {
-	nloc := s.g.NLoc
-	for _, u := range nbrs {
-		if u < nloc {
-			i := u<<s.shift | c
-			s.rem[i]--
-			if !s.peeled[u] && uint64(s.rem[i]) < k {
-				s.kill(u)
-			}
+// scan compacts live down to the vertices still alive — those at floor or
+// above — finds their least counter and parks behind the frontier the
+// vertices that have it, or, for a threshold more than one past it, every
+// vertex below the threshold. It runs on an empty frontier only.
+func (s *peel) scan(below uint32) {
+	in, live, seeds, floor := s.rem[0], s.live, s.front[s.tail:], s.floor
+	out := s.rem[1][:len(in)]
+	least, n, w := ctlNone, 0, 0
+	for _, v := range live {
+		x := in[v]
+		if y := out[v]; y < x { // not min: for k-core y is x, and this never jumps
+			x = y
+		}
+		if x < floor {
 			continue
 		}
-		j := (u-nloc)<<s.shift | c
-		if s.pend[j] == 0 {
-			s.touched = append(s.touched, j)
+		live[w] = v
+		w++
+		if x < least {
+			least, n = x, 0
 		}
-		s.pend[j]++
+		if x == least {
+			seeds[n] = v
+			n++
+		}
 	}
+	if uint64(least)+1 < uint64(below) {
+		n = 0
+		for _, v := range live[:w] {
+			if min(in[v], out[v]) < below {
+				seeds[n] = v
+				n++
+			}
+		}
+	}
+	s.live = live[:w]
+	s.scanMin, s.seeds, s.scanned = least, n, true
 }
 
-// round ships ctl and the pending counts, then applies the counts that
-// arrive at threshold k, checking each against what its counter has left.
-func (s *slotPeel) round(ctx *core.Ctx, ctl uint64, k uint64) (deaths uint64, least uint32, err error) {
-	g, rd, mask := s.g, s.rd, uint32(1)<<s.shift-1
-	s.lids = s.lids[:0]
-	for _, j := range s.touched {
-		s.lids = append(s.lids, g.NLoc+j>>s.shift)
+// drain kills the frontier at level k, cascade included, and returns the
+// deaths.
+func (s *peel) drain(k uint32) (died int) {
+	g := s.g
+	for ; s.head < s.tail; s.head++ {
+		v := s.front[s.head]
+		if s.level[v] != kcoreRest {
+			continue
+		}
+		s.level[v] = k
+		died++
+		// Out-neighbours lose an in-count, in-neighbours an out-count.
+		for c, nbrs := range [2][]uint32{g.OutNeighbors(v), g.InNeighbors(v)} {
+			t := s.touched
+			nd, nf := peelRelax(nbrs, s.rem[c], k, s.front[s.tail:], t[len(t):cap(t)])
+			s.tail, s.touched, s.edges = s.tail+nd, t[:len(t)+nf], s.edges+uint64(len(nbrs))
+		}
 	}
-	rd.open(ctx, ctl, s.lids, 0, false)
-	for i, j := range s.touched {
-		rd.put(s.lids[i], uint64(s.pend[j]<<s.shift|j&mask))
-		s.pend[j] = 0
+	s.deaths += uint64(died)
+	return died
+}
+
+// peelRelax takes one from every neighbour's counter in rem and returns
+// how many it appended to drop (owned counters that reached k: their
+// vertices join the frontier at once) and to first (ghosts that were at
+// 0). Whether a neighbour crosses is a coin flip in the dense tail, so
+// nothing branches on it: every visit stores the counter and the
+// neighbour's id at both cursors, and the cursors advance by 0/1 outcomes
+// read off 64-bit arithmetic on the 32-bit values.
+func peelRelax(nbrs, rem []uint32, k uint32, drop, first []uint32) (nd, nf int) {
+	for _, u := range nbrs {
+		x := rem[u] - 1
+		rem[u] = x
+		drop[nd] = u
+		nd += int((uint64(x^k) - 1) >> 63) // x == k
+		first[nf] = u
+		nf += int((uint64(x) + 1) >> 32) // x wrapped
 	}
-	s.touched, s.died = s.touched[:0], 0
+	return nd, nf
+}
+
+// round ships every peer ctl and the pending counts, puts the touched
+// ghosts back to 0, and applies the counts that arrive: each is checked
+// against what its counter has left, and a vertex whose counter it takes
+// from above k to k or below joins the frontier (a dead one is skipped
+// there).
+func (s *peel) round(ctx *core.Ctx, ctl uint64, k uint32) (deaths uint64, least uint32, err error) {
+	g, rd, split := s.g, s.rd, s.split
+	rd.open(ctx, ctl, s.touched, 0, false)
+	for _, u := range s.touched {
+		// A ghost listed twice has both counters pending: the first entry
+		// ships the in-count.
+		c := uint32((uint64(s.rem[0][u]) - 1) >> 63) // 1 once the in-count is 0
+		rd.put(u, uint64(-s.rem[c][u])<<split|uint64(c))
+		s.rem[c][u] = 0
+	}
+	s.touched = s.touched[:0]
 	if deaths, least, err = rd.exchange(ctx); err != nil {
 		return 0, 0, err
 	}
@@ -264,14 +356,17 @@ func (s *slotPeel) round(ctx *core.Ctx, ctl uint64, k uint64) (deaths uint64, le
 		}
 		for _, w := range seg.words {
 			v, x := seg.verts[w>>32], uint32(w)
-			i, n := v<<s.shift|x&mask, x>>s.shift
-			if n == 0 || n > s.rem[i] {
-				return 0, 0, rd.corrupt(ctx, r, "count of %d on counter %d of vertex %d with %d left", n, x&mask, g.GlobalID(v), s.rem[i])
+			c, n := x&split, x>>split
+			left := s.rem[c][v]
+			if n == 0 || n > left {
+				return 0, 0, rd.corrupt(ctx, r, "count of %d on counter %d of vertex %d with %d left", n, c, g.GlobalID(v), left)
 			}
-			s.rem[i] -= n
-			if !s.peeled[v] && uint64(s.rem[i]) < k {
-				s.kill(v)
+			s.rem[c][v] = left - n
+			if left > k && left-n <= k {
+				s.front[s.tail] = v
+				s.tail++
 			}
+			s.scanned = false
 		}
 	}
 	return deaths, least, nil

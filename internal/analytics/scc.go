@@ -113,28 +113,23 @@ func LargestSCC(ctx *core.Ctx, g *core.Graph) (*LargestSCCResult, error) {
 
 // trim assigns singleton SCCs to the vertices whose remaining in- or
 // out-degree falls to zero (Forward-Backward's standard preprocessing): a
-// slotPeel at threshold 1 whose counter 0 is the in-degree and counter 1 the
-// out-degree. It returns the owned vertices' SCC labels, unassigned for the
-// untrimmed, and this rank's count of trimmed vertices.
+// directed peel below 1. It returns the owned vertices' SCC labels,
+// unassigned for the untrimmed, and this rank's count of trimmed vertices.
 func trim(ctx *core.Ctx, g *core.Graph) ([]uint32, uint64, error) {
-	s, err := newSlotPeel(ctx, g, "SCC trim", 1)
+	s, err := newPeel(ctx, g, "SCC trim", 1)
 	if err != nil {
 		return nil, 0, err
-	}
-	for v := range g.NLoc {
-		s.rem[v<<1], s.rem[v<<1|1] = uint32(g.InDegree(v)), uint32(g.OutDegree(v))
 	}
 	if _, err := s.run(ctx, 1, SpanSCCTrimRound); err != nil {
 		return nil, 0, err
 	}
-	comp := make([]uint32, g.NLoc)
-	for v := range g.NLoc {
-		comp[v] = unassigned
-		if s.peeled[v] {
-			comp[v] = g.GlobalID(v)
+	comp := s.level // kcoreRest, alias unassigned, while alive
+	for v, l := range comp {
+		if l != unassigned {
+			comp[v] = g.GlobalID(uint32(v))
 		}
 	}
-	return comp, uint64(int(g.NLoc) - s.live), nil
+	return comp, s.deaths, nil
 }
 
 // fwbw claims the pivot's SCC — the pivot is the unassigned vertex with the

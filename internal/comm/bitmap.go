@@ -96,30 +96,3 @@ func AlltoallvBits(c *Comm, sendWords []uint64, sendBits []int, expectBits []int
 	}
 	return recv, sc.recvOffs, nil
 }
-
-// BitsFromList packs a sparse ascending-or-not index list into dst (length
-// >= par.BitmapWords(nbits)), zeroing dst first. Indices must lie in
-// [0, nbits).
-func BitsFromList(dst []uint64, idxs []uint32, nbits int) error {
-	nw := par.BitmapWords(nbits)
-	for i := 0; i < nw; i++ {
-		dst[i] = 0
-	}
-	for _, i := range idxs {
-		if int(i) >= nbits {
-			return fmt.Errorf("comm: bit index %d outside %d bits", i, nbits)
-		}
-		dst[i>>6] |= 1 << (i & 63)
-	}
-	return nil
-}
-
-// ListFromBits appends the set bit indices of words' first nbits bits to
-// dst in ascending order and returns the extended slice — the inverse of
-// BitsFromList up to index multiplicity and order.
-func ListFromBits(dst []uint32, words []uint64, nbits int) []uint32 {
-	par.ForEachSetBit(words, nbits, func(i int) {
-		dst = append(dst, uint32(i))
-	})
-	return dst
-}

@@ -1,62 +1,6 @@
 package comm
 
-import (
-	"math/rand"
-	"sort"
-	"testing"
-
-	"repro/internal/par"
-)
-
-// TestBitsRoundTripProperty pins the satellite requirement: sparse → dense
-// → sparse round-trips losslessly for arbitrary bit-universe sizes,
-// including ones that are not multiples of 64.
-func TestBitsRoundTripProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 200; trial++ {
-		nbits := rng.Intn(500)
-		if trial%5 == 0 {
-			nbits = 64*rng.Intn(8) + rng.Intn(3) // hug the word boundaries
-		}
-		// Random subset, deduplicated, arbitrary order.
-		set := make(map[uint32]bool)
-		var idxs []uint32
-		for i := 0; i < rng.Intn(nbits+1); i++ {
-			v := uint32(rng.Intn(nbits))
-			if !set[v] {
-				set[v] = true
-				idxs = append(idxs, v)
-			}
-		}
-		rng.Shuffle(len(idxs), func(i, j int) { idxs[i], idxs[j] = idxs[j], idxs[i] })
-
-		words := make([]uint64, par.BitmapWords(nbits))
-		if err := BitsFromList(words, idxs, nbits); err != nil {
-			t.Fatal(err)
-		}
-		back := ListFromBits(nil, words, nbits)
-		sorted := append([]uint32(nil), idxs...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		if len(back) != len(sorted) {
-			t.Fatalf("nbits=%d: round-trip returned %d indices, want %d", nbits, len(back), len(sorted))
-		}
-		for i := range back {
-			if back[i] != sorted[i] {
-				t.Fatalf("nbits=%d: index %d round-tripped to %d, want %d", nbits, i, back[i], sorted[i])
-			}
-		}
-	}
-}
-
-func TestBitsFromListRejectsOutOfRange(t *testing.T) {
-	words := make([]uint64, 2)
-	if err := BitsFromList(words, []uint32{70}, 70); err == nil {
-		t.Fatal("index == nbits accepted")
-	}
-	if err := BitsFromList(words, []uint32{69}, 70); err != nil {
-		t.Fatal(err)
-	}
-}
+import "testing"
 
 func TestBitSegmentOffsets(t *testing.T) {
 	offs, total := BitSegmentOffsets([]int{0, 1, 64, 65, 130})

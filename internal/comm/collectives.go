@@ -143,20 +143,6 @@ func AlltoallvInto[T Scalar](c *Comm, send []T, counts []int, recv []T, recvCoun
 	return recv, recvCounts, nil
 }
 
-// Alltoall sends send[r] to rank r and returns one element from each rank.
-// len(send) must equal Size().
-func Alltoall[T Scalar](c *Comm, send []T) ([]T, error) {
-	if len(send) != c.Size() {
-		return nil, fmt.Errorf("comm: Alltoall with %d elements for %d ranks", len(send), c.Size())
-	}
-	counts := make([]int, c.Size())
-	for i := range counts {
-		counts[i] = 1
-	}
-	recv, _, err := Alltoallv(c, send, counts)
-	return recv, err
-}
-
 // broadcastBuffers encodes vals once into the retained scratch and points
 // every off-rank slot of the header at that one buffer (the self slot never
 // ships; its unused encode buffer is the natural home for the shared

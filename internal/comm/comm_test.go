@@ -105,26 +105,6 @@ func TestAlltoallvCountMismatch(t *testing.T) {
 	}
 }
 
-func TestAlltoallFloat64(t *testing.T) {
-	runAll(t, func(c *Comm) error {
-		send := make([]float64, c.Size())
-		for d := range send {
-			send[d] = float64(c.Rank()) + float64(d)/10
-		}
-		recv, err := Alltoall(c, send)
-		if err != nil {
-			return err
-		}
-		for s, v := range recv {
-			want := float64(s) + float64(c.Rank())/10
-			if v != want {
-				return fmt.Errorf("rank %d: from %d got %v want %v", c.Rank(), s, v, want)
-			}
-		}
-		return nil
-	})
-}
-
 func TestAllgather(t *testing.T) {
 	runAll(t, func(c *Comm) error {
 		got, err := Allgather(c, int64(c.Rank()*7))
