@@ -2,6 +2,7 @@ package analytics
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/comm"
@@ -84,5 +85,60 @@ func TestExchangeZeroAlloc(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBFSAllocationPin bounds what one warm two-rank BFS allocates,
+// group-wide (MemStats is process-global: rank 0 measures between two
+// barriers), in forced push and in adaptive mode: 16 B per vertex slot —
+// the status array, the levels, the queues — and 32 B per sparse claim
+// shipped, for the claim round's staging, which grows to the widest sparse
+// level rather than holding a claim per ghost and queue slot from the start.
+func TestBFSAllocationPin(t *testing.T) {
+	tg := kcoreGoldenGraphs(t)[0]
+	for _, mode := range []core.TraversalMode{core.TraversePush, core.TraverseAdaptive} {
+		err := comm.RunLocal(2, func(c *comm.Comm) error {
+			ctx := core.NewCtx(c, 1)
+			ctx.Plans = core.NewPlans(nil)
+			ctx.Traverse.Mode = mode
+			g, err := buildShard(ctx, tg, partition.Random)
+			if err != nil {
+				return err
+			}
+			if _, err := BFS(ctx, g, 0, Forward); err != nil { // builds the halo, sizes the communicator's buffers
+				return err
+			}
+			var before, after runtime.MemStats
+			if c.Rank() == 0 {
+				runtime.ReadMemStats(&before)
+			}
+			if _, err := comm.Allreduce(c, uint64(0), comm.OpSum); err != nil {
+				return err
+			}
+			b, err := BFS(ctx, g, 0, Forward)
+			if err != nil {
+				return err
+			}
+			if _, err := comm.Allreduce(c, uint64(0), comm.OpSum); err != nil {
+				return err
+			}
+			if c.Rank() == 0 {
+				runtime.ReadMemStats(&after)
+			}
+			sum, err := comm.AllreduceSlice(c, []uint64{uint64(g.NTotal()), b.Traversal.SparseBytes / 8}, comm.OpSum)
+			if err != nil || c.Rank() != 0 {
+				return err
+			}
+			bytes, slots, claims := after.TotalAlloc-before.TotalAlloc, sum[0], sum[1]
+			limit := 16*slots + 32*claims + 16<<10
+			t.Logf("mode %d: allocated %d B for %d slots and %d sparse claims (limit %d B)", mode, bytes, slots, claims, limit)
+			if bytes > limit {
+				return fmt.Errorf("mode %d: BFS allocated %d B, over 16 B × %d slots + 32 B × %d claims + 16 KiB = %d", mode, bytes, slots, claims, limit)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }

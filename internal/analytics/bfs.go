@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/obs"
 )
@@ -100,6 +99,9 @@ func (r *bfsRunner) run(root uint32) (*BFSResult, error) {
 		return r.run2D(root)
 	}
 	eng.stats = obs.TraversalStats{}
+	if err := eng.ensureHalo(ctx); err != nil {
+		return nil, err
+	}
 	status := r.status
 	for i := range status {
 		status[i] = statusUnvisited
@@ -126,11 +128,6 @@ func (r *bfsRunner) run(root uint32) (*BFSResult, error) {
 		mark := tr.Now()
 		frontier := len(queue)
 		reached += glob[0]
-		if eng.planNeedsHalo(pl) {
-			if err := eng.ensureHalo(ctx); err != nil {
-				return nil, err
-			}
-		}
 		if pl.pull {
 			next, err = eng.pullStep(ctx, status, queue, next[:0], level, dir)
 			if err != nil {
@@ -142,8 +139,7 @@ func (r *bfsRunner) run(root uint32) (*BFSResult, error) {
 			if pl.dense {
 				arrived, err = eng.exchangeDenseClaims(ctx, send)
 			} else {
-				eng.noteSparse(len(send), 4)
-				arrived, err = exchangeFrontier(ctx, g, send, &eng.fsc)
+				arrived, err = eng.exchangeSparseClaims(ctx, send)
 			}
 			if err != nil {
 				return nil, err
@@ -233,78 +229,4 @@ func (e *frontierEngine) expand(ctx *core.Ctx, status []int32, queue, next []uin
 	}
 	e.sendStage = send
 	return next, send
-}
-
-// frontierScratch retains exchangeFrontier's staging buffers across the
-// rounds of one BFS-like loop, so steady-state frontier exchanges reuse
-// rather than reallocate them. Zero value is ready to use; the slice
-// returned by exchangeFrontier aliases the scratch and is valid until the
-// next call with the same scratch.
-type frontierScratch struct {
-	sendCounts []int
-	cur        []int
-	vsend      []uint32
-	recv       []uint32
-	recvCounts []int
-	lids       []uint32
-}
-
-// ownerSegments lays a send buffer out by owning rank for the p ranks of the
-// group: counts[d] is the length of rank d's segment — lead words, then width
-// per ghost in ghosts that d owns — cur[d] is where its first ghost goes, and
-// total the length of the whole buffer. counts and cur are reused when they
-// are large enough.
-func ownerSegments(g *core.Graph, p int, ghosts []uint32, lead, width int, counts, cur []int) (_, _ []int, total int) {
-	if cap(counts) < p {
-		counts, cur = make([]int, p), make([]int, p)
-	}
-	counts, cur = counts[:p], cur[:p]
-	for d := range counts {
-		counts[d] = lead
-	}
-	for _, u := range ghosts {
-		counts[g.GhostOwner[u-g.NLoc]] += width
-	}
-	for d, c := range counts {
-		cur[d] = total + lead
-		total += c
-	}
-	return counts, cur, total
-}
-
-// exchangeFrontier routes ghost local ids to their owning ranks (as global
-// ids, the only currency ranks share) and returns the owned local ids that
-// arrived here, multiplicity preserved. Callers deduplicate (or count)
-// against their own state arrays.
-func exchangeFrontier(ctx *core.Ctx, g *core.Graph, ghostLids []uint32, sc *frontierScratch) ([]uint32, error) {
-	sendCounts, cur, total := ownerSegments(g, ctx.Size(), ghostLids, 0, 1, sc.sendCounts, sc.cur)
-	sc.sendCounts, sc.cur = sendCounts, cur
-	if cap(sc.vsend) < total {
-		sc.vsend = make([]uint32, total)
-	}
-	vsend := sc.vsend[:total]
-	for _, u := range ghostLids {
-		d := g.GhostOwner[u-g.NLoc]
-		vsend[cur[d]] = g.GlobalID(u)
-		cur[d]++
-	}
-	recv, recvCounts, err := comm.AlltoallvInto(ctx.Comm, vsend, sendCounts, sc.recv, sc.recvCounts)
-	if err != nil {
-		return nil, err
-	}
-	sc.recv, sc.recvCounts = recv, recvCounts
-	if cap(sc.lids) < len(recv) {
-		sc.lids = make([]uint32, len(recv))
-	}
-	lids := sc.lids[:0]
-	for r, n := range recvCounts {
-		for _, gid := range recv[len(lids):][:n] {
-			lid := g.LocalID(gid)
-			if lid == core.InvalidLocal || lid >= g.NLoc {
-				return nil, corruptFrom(ctx, r, "frontier vertex %d arrived at a rank that does not own it", gid)
-			}
-			lids = append(lids, lid)
-		}
-	}
-	return lids, nil
 }

@@ -18,9 +18,9 @@ import (
 // equality on both layouts, from the transport-round counter.
 //
 // 1D: one stats reduce before level 0, then per level one frontier exchange
-// (sparse ids, dense claims or the ghost refresh) and one stats reduce, so
-// 1 + 2·levels; a traversal that needs the halo when the plan cache lacks it
-// adds the one gid round that builds it. The reach and depth come from the
+// (the sparse claim round, dense claims or the ghost refresh) and one stats
+// reduce, so 1 + 2·levels; a traversal whose plan cache lacks the halo adds
+// the one gid round that builds it. The reach and depth come from the
 // reduces every rank already holds, so nothing closes the traversal.
 //
 // 2D: one frontier reduce before level 0, then per level the column expand,
@@ -162,12 +162,16 @@ func wantCorruptFrom1(t *testing.T, errs []error) {
 }
 
 // TestBFSRejectsForgedRounds forges each field of BFS's receive paths on
-// the wire. A sparse frontier round that names a vertex the receiver does
-// not own — unknown to it, or only its ghost — fails the query with a
-// corrupt-message CommError naming the forger. Pad bits past a dense
-// segment's slot count, in claims or in the ghost refresh, carry nothing:
-// the receiver ignores them and every rank gets the honest levels. A
-// forger that sends well-formed but wrong claims is out of scope.
+// the wire. On forgedPath rank 1 reaches nothing rank 0 owns, so its honest
+// claim-round segments for rank 0 are bare control words, and the queue
+// between the ranks is one slot. Forging the level-0 claim round (transport
+// round 2, after the halo's gid round and the first stats reduce) with a
+// claim on a slot past the queue, a nonzero payload, the wide bit, or claims
+// under a zero count fails the query with a corrupt-message CommError naming
+// the forger. Pad bits past a dense segment's slot count, in claims or in
+// the ghost refresh, carry nothing: the receiver ignores them and every rank
+// gets the honest levels. A forger that sends well-formed but wrong claims
+// is out of scope.
 func TestBFSRejectsForgedRounds(t *testing.T) {
 	tg := forgedPath()
 	want := seq.BFS(tg.ref, 1, seq.Forward)
@@ -177,32 +181,26 @@ func TestBFSRejectsForgedRounds(t *testing.T) {
 			wantReached, wantDepth = wantReached+1, max(wantDepth, l)
 		}
 	}
-	gid := func(v uint32) func(int, []byte) []byte {
-		return func(round int, _ []byte) []byte {
-			if round != 1 { // the level-0 frontier exchange
-				return nil
-			}
-			return binary.LittleEndian.AppendUint32(nil, v)
-		}
-	}
-	// Every one-word message after the halo build is a dense segment for
-	// rank 0 (the stats reduces are three words, sparse claims at most one
-	// 32-bit id); keep its one real bit and set all the others.
+	// A dense segment for rank 0 is one word holding its one slot's bit, so
+	// it reads 0 or 1 (the stats reduces are wider, and the claim round's
+	// bare control word is larger); keep the real bit and set all the others.
 	padBits := func(round int, msg []byte) []byte {
-		if round < 2 || len(msg) != 8 {
+		if round < 2 || len(msg) != 8 || binary.LittleEndian.Uint64(msg) > 1 {
 			return nil
 		}
 		return binary.LittleEndian.AppendUint64(nil, binary.LittleEndian.Uint64(msg)|^uint64(1))
 	}
+	claimed := func(n int) uint64 { return ctlWord(n, ctlNone) }
 	forgeries := []struct {
 		name   string
 		mode   core.TraversalMode
 		forge  func(int, []byte) []byte
 		honest bool
 	}{
-		{"unknown vertex", core.TraversePush, gid(50), false},
-		{"vertex past the graph", core.TraversePush, gid(1 << 20), false},
-		{"ghost vertex", core.TraversePush, gid(32), false},
+		{"slot past the queue", core.TraversePush, forgeRound(2, claimed(1), 1<<32), false},
+		{"nonzero payload", core.TraversePush, forgeRound(2, claimed(1), 5), false},
+		{"wide claims", core.TraversePush, forgeRound(2, claimed(1)|ctlWide, 0, 0), false},
+		{"claims under a zero count", core.TraversePush, forgeRound(2, claimed(0), 0), false},
 		{"pad bits in dense claims", core.TraverseAdaptive, padBits, true},
 		{"pad bits in the ghost refresh", core.TraverseDense, padBits, true},
 	}

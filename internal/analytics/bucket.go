@@ -218,12 +218,12 @@ func (b *bucketStore) extract(k uint64, dst []uint32) []uint32 {
 	return dst
 }
 
-// claimRound is the one wire round of the peel, the colorings and
-// Δ-stepping's light and heavy phases. A round is one AlltoallvInto of
-// 64-bit words: each peer's segment opens with a control word and goes on
-// with claims, each naming its ghost by the slot in the owner's DirsBoth halo
-// queue for the sender, so the owner indexes the queue instead of hashing a
-// global id. What the kernels need to agree on after a round — is anyone
+// claimRound is the one wire round of the peel, the colorings, Δ-stepping's
+// light and heavy phases and BFS's sparse push levels. A round is one
+// AlltoallvInto of 64-bit words: each peer's segment opens with a control
+// word and goes on with claims, each naming its ghost by the slot in the
+// owner's DirsBoth halo queue for the sender, so the owner indexes the queue
+// instead of hashing a global id. What the kernels need to agree on after a round — is anyone
 // still working, which level or bucket is next — is a fold of the control
 // words, so they run no other collective per round.
 //
@@ -280,6 +280,29 @@ func newClaimRound(ctx *core.Ctx, g *core.Graph, kernel string) (*claimRound, er
 	}, nil
 }
 
+// ownerSegments lays a round's send buffer out by owning rank for the p ranks
+// of the group: counts[d] is the length of rank d's segment — its control
+// word, then width per ghost in ghosts that d owns — cur[d] is where its first
+// claim goes, and total the length of the whole buffer. counts and cur are
+// reused when they are large enough.
+func ownerSegments(g *core.Graph, p int, ghosts []uint32, width int, counts, cur []int) (_, _ []int, total int) {
+	if cap(counts) < p {
+		counts, cur = make([]int, p), make([]int, p)
+	}
+	counts, cur = counts[:p], cur[:p]
+	for d := range counts {
+		counts[d] = 1
+	}
+	for _, u := range ghosts {
+		counts[g.GhostOwner[u-g.NLoc]] += width
+	}
+	for d, c := range counts {
+		cur[d] = total + 1
+		total += c
+	}
+	return counts, cur, total
+}
+
 // open lays out a round: every owner's segment starts with ctl and has room
 // for one claim per ghost of ghosts it owns, which put then fills — payloads
 // at or above base, packed unless wide.
@@ -289,7 +312,7 @@ func (c *claimRound) open(ctx *core.Ctx, ctl uint64, ghosts []uint32, base uint6
 		width, ctl = 2, ctl|ctlWide
 	}
 	var total int
-	c.counts, c.cur, total = ownerSegments(c.g, ctx.Size(), ghosts, 1, width, c.counts, c.cur)
+	c.counts, c.cur, total = ownerSegments(c.g, ctx.Size(), ghosts, width, c.counts, c.cur)
 	if cap(c.send) < total {
 		c.send = make([]uint64, total)
 	}

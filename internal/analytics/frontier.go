@@ -21,10 +21,11 @@ import (
 //     is small; bottom-up pull over the reverse CSR (with a bitmap
 //     frontier) once mf > mu/switchAlpha; back to push when
 //     nf < n/switchBeta.
-//   - representation: push claims travel as the sparse Alltoallv of vertex
-//     ids while few, and as a dense 1-bit-per-halo-slot packed bitmap
-//     (comm.AlltoallvBits) once ids would cost more than the fixed-width
-//     bitmap. Pull steps always refresh ghost frontier bits densely.
+//   - representation: push claims travel on the claim round of bucket.go,
+//     one 64-bit owner-relative halo slot each, while few, and as a dense
+//     1-bit-per-halo-slot packed bitmap (comm.AlltoallvBits) once the claim
+//     words would cost more than the fixed-width bitmap. Pull steps always
+//     refresh ghost frontier bits densely.
 //
 // Correctness is representation-independent: levels, distances, and labels
 // are fixed points of monotone updates, and both representations deliver
@@ -47,26 +48,26 @@ const (
 // stepPlan is the strategy of one frontier step.
 type stepPlan struct {
 	pull  bool // bottom-up over the reverse CSR with a bitmap frontier
-	dense bool // frontier exchange ships packed bits, not an ID list
+	dense bool // frontier exchange ships packed bits, not claim words
 }
 
-// frontierEngine carries the state of one traversal: the DirsBoth halo and
-// its packed-segment geometry (looked up lazily, only if a dense step is
-// ever chosen — retained across traversals when ctx carries a plan cache),
-// the frontier bitmap, packed-word scratch, and the per-step counters.
+// frontierEngine carries the state of one traversal: the DirsBoth halo, its
+// packed-segment geometry and the claim round over them (fetched by the
+// runner's first traversal; the halo is retained across traversals when ctx
+// carries a plan cache), the frontier bitmap, packed-word scratch, and the
+// per-step counters.
 type frontierEngine struct {
 	g   *core.Graph
 	pol core.Traversal
 
-	halo      *Halo
-	*haloGeom // nil until ensureHalo
+	*haloGeom             // nil until ensureHalo
+	rd        *claimRound // over the halo: the sparse push levels' round
 
 	bits *par.Bitmap // frontier bitmap over NTotal (pull steps)
 
 	packScratch    []uint64 // packed words staging (both directions)
-	arrivedScratch []uint32 // retained arrivals list of the dense claim exchange
+	arrivedScratch []uint32 // retained arrivals list of the claim exchanges
 	bsc            comm.BitsScratch
-	fsc            frontierScratch
 
 	// Per-thread discovery staging of one step, the combined ghost-claim
 	// list of a push step and per-thread queue mass partials, retained
@@ -108,23 +109,17 @@ func (e *frontierEngine) plan(prev stepPlan, gNf, gMf, gMu uint64) stepPlan {
 		pl.dense = true
 		return pl
 	}
-	// Push representation: sparse ships 32 bits per claim, dense ships one
-	// bit per halo slot regardless of frontier size. mf bounds the claim
+	// Push representation: sparse ships a 64-bit word per claim, dense ships
+	// one bit per halo slot regardless of frontier size. mf bounds the claim
 	// count from above (each frontier edge yields at most one claim).
-	est := gMf
-	if est > e.gGhosts {
-		est = e.gGhosts
-	}
-	pl.dense = e.gGhosts > 0 && 32*est > e.gGhosts
+	pl.dense = 64*min(gMf, e.gGhosts) > e.gGhosts
 	return pl
 }
 
-// planNeedsHalo reports whether executing pl requires the retained halo.
-func (e *frontierEngine) planNeedsHalo(pl stepPlan) bool { return pl.pull || pl.dense }
-
-// ensureHalo fetches the DirsBoth halo and its packed-segment geometry on
-// first dense/pull use. Collective when the halo has to be built: the plan
-// that triggers it is identical on every rank, and so is the plan cache.
+// ensureHalo fetches the DirsBoth halo and its packed-segment geometry, and
+// lays the claim round over them, on the runner's first traversal.
+// Collective when the halo has to be built: the plan cache is identical on
+// every rank.
 func (e *frontierEngine) ensureHalo(ctx *core.Ctx) error {
 	if e.haloGeom != nil {
 		return nil
@@ -140,7 +135,10 @@ func (e *frontierEngine) ensureHalo(ctx *core.Ctx) error {
 	if err != nil {
 		return err
 	}
-	e.halo, e.haloGeom = h, gm
+	// The staging grows to the widest sparse level: a claim's worth per
+	// ghost up front costs a warm query more than its sparse levels ship.
+	e.haloGeom = gm
+	e.rd = &claimRound{kernel: "BFS", g: e.g, h: h, slot: gm.ghostSlot, offs: make([]int, ctx.Size())}
 	return nil
 }
 
@@ -204,13 +202,45 @@ func (e *frontierEngine) queueMass(ctx *core.Ctx, queue []uint32, dir Dir) (push
 	return out + in, out + in
 }
 
-// exchangeDenseClaims is the dense counterpart of exchangeFrontier: the
+// exchangeSparseClaims sends each claimed ghost lid to its owner on the
+// claim round, as its slot in the owner's halo queue with payload 0 under a
+// control word counting the claims, and returns the owned lids claimed by
+// remote ranks, multiplicity preserved (one per claiming rank). Callers
+// deduplicate against their own state arrays.
+func (e *frontierEngine) exchangeSparseClaims(ctx *core.Ctx, claims []uint32) ([]uint32, error) {
+	rd := e.rd
+	rd.open(ctx, ctlWord(len(claims), ctlNone), claims, 0, false)
+	for _, u := range claims {
+		rd.put(u, 0)
+	}
+	if _, _, err := rd.exchange(ctx); err != nil {
+		return nil, err
+	}
+	arrived := e.arrivedScratch[:0]
+	for r := range ctx.Size() {
+		seg := rd.claims(r)
+		if seg.wide {
+			return nil, rd.corrupt(ctx, r, "wide claims")
+		}
+		for _, w := range seg.words {
+			if uint32(w) != 0 {
+				return nil, rd.corrupt(ctx, r, "claim with payload %d", uint32(w))
+			}
+			arrived = append(arrived, seg.verts[w>>32])
+		}
+	}
+	e.arrivedScratch = arrived
+	e.stats.SparseExchanges++
+	e.stats.SparseBytes += 8 * uint64(len(claims))
+	return arrived, nil
+}
+
+// exchangeDenseClaims is the dense counterpart of exchangeSparseClaims: the
 // claimed ghost lids travel to their owners as one packed bit per halo
 // slot (the reverse direction of the halo), and the owned lids claimed by
-// remote ranks return, multiplicity preserved (one per claiming rank, the
-// same multiset the sparse exchange delivers).
+// remote ranks return, the same multiset the sparse exchange delivers.
 func (e *frontierEngine) exchangeDenseClaims(ctx *core.Ctx, claims []uint32) ([]uint32, error) {
-	g, h := e.g, e.halo
+	g, h := e.g, e.rd.h
 	words := e.words(e.recvWords)
 	for _, u := range claims {
 		gi := u - g.NLoc
@@ -230,7 +260,7 @@ func (e *frontierEngine) exchangeDenseClaims(ctx *core.Ctx, claims []uint32) ([]
 	e.arrivedScratch = arrived
 	e.stats.DenseExchanges++
 	dense := uint64(e.recvWords) * 8
-	sparse := uint64(len(claims)) * 4
+	sparse := uint64(len(claims)) * 8
 	e.stats.DenseBytes += dense
 	if sparse > dense {
 		e.stats.BytesSaved += sparse - dense
@@ -243,7 +273,7 @@ func (e *frontierEngine) exchangeDenseClaims(ctx *core.Ctx, claims []uint32) ([]
 // ghost bits — the per-step input of a bottom-up pull. The ghost bits must
 // be clear on entry.
 func (e *frontierEngine) refreshGhostBits(ctx *core.Ctx) error {
-	h, bits := e.halo, e.bits.Words()
+	h, bits := e.rd.h, e.bits.Words()
 	words := e.words(e.sendWords)
 	for r, n := range h.sendCounts {
 		par.GatherBits(ctx.Pool, words[e.sendWordOffs[r]:], bits, h.sendVerts[e.sendVertOff[r]:][:n])
@@ -383,10 +413,4 @@ func totalPullDeg(g *core.Graph, dir Dir) uint64 {
 		return g.MOut()
 	}
 	return g.MOut() + g.MIn()
-}
-
-// noteSparse records one sparse exchange of n elements of elemBytes each.
-func (e *frontierEngine) noteSparse(n, elemBytes int) {
-	e.stats.SparseExchanges++
-	e.stats.SparseBytes += uint64(n) * uint64(elemBytes)
 }

@@ -238,7 +238,8 @@ func BuildHalo(ctx *core.Ctx, g *core.Graph, dirs Dirs) (*Halo, error) {
 
 	// One-time global-id exchange; receivers convert to ghost local ids
 	// once and retain them (the paper's "replace global ids with local ids
-	// in vRecv" optimization).
+	// in vRecv" optimization). Each must be a ghost here that its sender
+	// owns, listed once: the claim rounds address ghosts by their slot.
 	gids := make([]uint32, total)
 	for i, v := range sendVerts {
 		gids[i] = g.GlobalID(v)
@@ -248,12 +249,21 @@ func BuildHalo(ctx *core.Ctx, g *core.Graph, dirs Dirs) (*Halo, error) {
 		return nil, err
 	}
 	recvLids := make([]uint32, len(recvGids))
-	for i, gid := range recvGids {
-		lid := g.LocalID(gid)
-		if lid == core.InvalidLocal || lid < g.NLoc {
-			return nil, fmt.Errorf("analytics: halo received vertex %d that is not a ghost here", gid)
+	listed := make([]bool, g.NGst)
+	i := 0
+	for r, n := range recvSegs {
+		for _, gid := range recvGids[i : i+n] {
+			lid := g.LocalID(gid)
+			switch {
+			case lid == core.InvalidLocal || lid < g.NLoc || int(g.GhostOwner[lid-g.NLoc]) != r:
+				return nil, corruptFrom(ctx, r, "halo received vertex %d, not a ghost here that the sender owns", gid)
+			case listed[lid-g.NLoc]:
+				return nil, corruptFrom(ctx, r, "halo received ghost %d twice", gid)
+			}
+			listed[lid-g.NLoc] = true
+			recvLids[i] = lid
+			i++
 		}
-		recvLids[i] = lid
 	}
 	return &Halo{
 		g:          g,

@@ -1,6 +1,7 @@
 package analytics
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"testing"
@@ -160,5 +161,50 @@ func TestBuildHaloMatchesReference(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestBuildHaloRejectsForgedGids forges the halo's one gid round, where
+// rank 1 lists for rank 0 the vertices whose values it will ship. On
+// forgedPath rank 1's honest list is vertex 32, rank 0's one ghost. A gid
+// rank 0 does not know, one it owns, a ghost listed twice — which would
+// leave another ghost without a slot of its own — and, at p = 3 with an
+// extra edge 2 -> 60, rank 0's ghost owned by rank 2, each fail the build
+// with a corrupt-message CommError naming the forger.
+func TestBuildHaloRejectsForgedGids(t *testing.T) {
+	gids := func(vs ...uint32) func(int, []byte) []byte {
+		return func(round int, _ []byte) []byte {
+			if round != 0 {
+				return nil
+			}
+			var b []byte
+			for _, v := range vs {
+				b = binary.LittleEndian.AppendUint32(b, v)
+			}
+			return b
+		}
+	}
+	third := forgedPath()
+	third.edges.Push(2, 60)
+	for _, f := range []struct {
+		name  string
+		tg    testGraph
+		p     int
+		forge func(int, []byte) []byte
+	}{
+		{"unknown gid", forgedPath(), 2, gids(50)},
+		{"owned gid", forgedPath(), 2, gids(5)},
+		{"ghost listed twice", forgedPath(), 2, gids(32, 32)},
+		{"ghost of a third rank", third, 3, gids(60)},
+	} {
+		t.Run(f.name, func(t *testing.T) {
+			forges := make([]func(int, []byte) []byte, f.p)
+			forges[1] = f.forge
+			errs, forged := runForgedGroup(f.tg, forges, func(ctx *core.Ctx, g *core.Graph) error {
+				_, err := BuildHalo(ctx, g, DirsBoth)
+				return err
+			})
+			wantForgeryOutcome(t, errs, forged, false)
+		})
 	}
 }

@@ -53,8 +53,8 @@ func wcc(ctx *core.Ctx, g *core.Graph, multistep bool) (*WCCResult, error) {
 		return wcc2D(ctx, g, multistep)
 	}
 	// The coloring's claim round needs the DirsBoth halo; fetching it up
-	// front lets the BFS phase's adaptive engine find it in the plan cache
-	// for dense frontier exchanges instead of constructing its own.
+	// front lets the BFS phase's engine find it in the plan cache for its
+	// frontier exchanges instead of constructing its own.
 	ctx = withJobPlans(ctx)
 	rd, err := newClaimRound(ctx, g, "WCC")
 	if err != nil {

@@ -27,7 +27,7 @@ type TraversalStats struct {
 	// representation over the sparse baseline on dense exchanges.
 	BytesSaved uint64 `json:"bytes_saved"`
 	// HaloBuilds counts retained-halo constructions the engine triggered
-	// (at most one per traversal; zero when the sparse path sufficed).
+	// (at most one per traversal; zero when the plan cache held the halo).
 	HaloBuilds uint64 `json:"halo_builds"`
 }
 
