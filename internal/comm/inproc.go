@@ -3,7 +3,9 @@ package comm
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -13,16 +15,22 @@ import (
 // the in-process analogue of an MPI job hanging on a crashed rank.
 var ErrAborted = errors.New("comm: group aborted by another rank")
 
+// spinWindow is how long a rank waiting at the in-process barrier polls
+// for the last arrival before it parks on the condition variable. A round
+// is two barriers, so a kernel with many short rounds pays a park/wake
+// cycle per barrier without it.
+const spinWindow = 200 * time.Microsecond
+
 // localWorld is the shared state of an in-process rank group: a
-// sense-reversing barrier plus one message board per rank.
+// generation-counting barrier plus one message board per rank.
 type localWorld struct {
 	size int
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	count   int
-	gen     uint64
-	aborted bool
+	count   int // arrivals in the current generation, guarded by mu
+	gen     atomic.Uint64
+	aborted atomic.Bool
 
 	boards [][][]byte // boards[sender][dest]
 }
@@ -64,27 +72,39 @@ func (t *LocalTransport) Size() int { return t.w.size }
 
 // barrier blocks until all ranks of the world have arrived and returns the
 // time spent blocked. It fails with ErrAborted if the group is aborted
-// before or while waiting.
+// before or while waiting. The last rank to arrive advances the generation
+// under the mutex; the others poll it for spinWindow, yielding between
+// polls, and only then park until the broadcast.
 func (w *localWorld) barrier() (time.Duration, error) {
 	start := time.Now()
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.aborted {
+	if w.aborted.Load() {
+		w.mu.Unlock()
 		return time.Since(start), ErrAborted
 	}
-	gen := w.gen
+	gen := w.gen.Load()
 	w.count++
 	if w.count == w.size {
 		w.count = 0
-		w.gen++
+		w.gen.Add(1)
 		w.cond.Broadcast()
-	} else {
-		for gen == w.gen && !w.aborted {
+		w.mu.Unlock()
+		return time.Since(start), nil
+	}
+	w.mu.Unlock()
+	waiting := func() bool { return w.gen.Load() == gen && !w.aborted.Load() }
+	for waiting() && time.Since(start) < spinWindow {
+		runtime.Gosched()
+	}
+	if waiting() {
+		w.mu.Lock()
+		for waiting() {
 			w.cond.Wait()
 		}
-		if w.aborted {
-			return time.Since(start), ErrAborted
-		}
+		w.mu.Unlock()
+	}
+	if w.aborted.Load() {
+		return time.Since(start), ErrAborted
 	}
 	return time.Since(start), nil
 }
@@ -95,7 +115,7 @@ func (w *localWorld) barrier() (time.Duration, error) {
 func (t *LocalTransport) Abort() {
 	w := t.w
 	w.mu.Lock()
-	w.aborted = true
+	w.aborted.Store(true)
 	w.cond.Broadcast()
 	w.mu.Unlock()
 }

@@ -144,10 +144,17 @@ func TestDialMeshBadRank(t *testing.T) {
 }
 
 func TestDialMeshTimeout(t *testing.T) {
-	addrs := reservePorts(t, 2)
-	// Only rank 1 dials; rank 0 never appears, so rank 1 must time out.
+	// Rank 1 never appears. Its reserved listener stays open, never
+	// accepting, for the whole test, so no concurrently running package can
+	// bind the port; rank 0 waits to accept rank 1 and must time out.
+	absent, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("reserve port: %v", err)
+	}
+	defer absent.Close()
+	addrs := []string{reservePorts(t, 1)[0], absent.Addr().String()}
 	start := time.Now()
-	_, err := DialMesh(1, addrs, 300*time.Millisecond)
+	_, err = DialMesh(0, addrs, 300*time.Millisecond)
 	if err == nil {
 		t.Fatal("mesh established without peer")
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -209,4 +210,123 @@ func TestKillValidationAndFullDegradation(t *testing.T) {
 	if !cl.Alive() {
 		t.Fatal("cluster died while one host still holds every shard")
 	}
+}
+
+// TestDeadClusterSubmitSkipsCache pins what a dead cluster answers: a query
+// whose result sits in the cache still fails with the cluster's terminal
+// error kind, because admission checks liveness before it probes the cache.
+func TestDeadClusterSubmitSkipsCache(t *testing.T) {
+	cfg := twoRankConfig()
+	cfg.Replicas = 1
+	cl, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	defer cl.Close() // terminal error expected; surfaced via the view below
+	s := NewScheduler(cl, chaosSchedConfig())
+	defer s.Close()
+	s.Start()
+	submit := func() RequestView {
+		t.Helper()
+		id, err := s.Submit(bfsJob(3), time.Now().Add(time.Minute))
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		return waitDone(t, s, id)
+	}
+	if v := submit(); v.State != StateDone {
+		t.Fatalf("first query: state %s (err %q), want done", v.State, v.Err)
+	}
+	if v := submit(); !v.Cached {
+		t.Fatal("repeat query on the live cluster missed the cache")
+	}
+	if err := cl.Kill(1); err != nil {
+		t.Fatalf("Kill(1): %v", err)
+	}
+	for start := time.Now(); cl.Alive(); {
+		if time.Since(start) > 30*time.Second {
+			t.Fatal("cluster never terminated after losing its only replica of shard 1")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if v := submit(); v.State != StateFailed || v.ErrKind != "shard-lost" || v.Cached {
+		t.Fatalf("query on the dead cluster: state %s kind %q cached %v, want failed/shard-lost", v.State, v.ErrKind, v.Cached)
+	}
+}
+
+// waitGoroutines polls until at most want goroutines are running and fails
+// with every goroutine's stack if that does not happen within 10 s.
+func waitGoroutines(t *testing.T, want int, when string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		n := runtime.NumGoroutine()
+		if n <= want {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("%s: %d goroutines, want <= %d\n%s", when, n, want, buf)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// steadyGoroutines returns the goroutine count once it has read the same
+// for 50 ms: an idle TCP rank parks with a frame reader running, and that
+// reader starts a moment after the rank's previous job returns.
+func steadyGoroutines() int {
+	n, same := runtime.NumGoroutine(), 0
+	for same < 10 {
+		time.Sleep(5 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
+}
+
+// TestGoroutinesReturnToBaseline: turning over a generation leaves no more
+// goroutines running than the first generation had, and Close leaves no
+// more than before NewCluster. Rank loops parked or spinning in a
+// collective, transport helpers and kill nudges all have to exit.
+func TestGoroutinesReturnToBaseline(t *testing.T) {
+	run := func(t *testing.T, cfg ClusterConfig) {
+		base := runtime.NumGoroutine()
+		cl, err := NewCluster(cfg)
+		if err != nil {
+			t.Fatalf("NewCluster: %v", err)
+		}
+		query := func() {
+			t.Helper()
+			if _, _, err := cl.Run(bfsJob(3)); err != nil {
+				t.Fatalf("query: %v", err)
+			}
+		}
+		query()
+		serving := steadyGoroutines()
+		if err := cl.Kill(1); err != nil {
+			t.Fatalf("Kill(1): %v", err)
+		}
+		for start := time.Now(); cl.Generation() < 1; {
+			if time.Since(start) > 30*time.Second {
+				t.Fatal("failover never completed")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		query()
+		waitGoroutines(t, serving, "after failover to generation 1")
+		if err := cl.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		waitGoroutines(t, base, "after Close")
+	}
+	t.Run("inproc", func(t *testing.T) { run(t, twoRankConfig()) })
+	t.Run("tcp", func(t *testing.T) {
+		cfg := twoRankConfig()
+		cfg.Transports = tcpFactory(t)
+		run(t, cfg)
+	})
 }

@@ -239,7 +239,9 @@ func (s *Scheduler) Start() {
 }
 
 // Submit admits one query. A cache hit returns an already-terminal request
-// without touching the queue or the cluster. Typed errors: ErrBadRequest
+// without touching the queue or the cluster; on a cluster that is no longer
+// alive every query, cached or not, returns an already-failed request
+// carrying the cluster's terminal error. Typed errors: ErrBadRequest
 // (invalid job), ErrQueueFull (admission queue at capacity), and
 // ErrShuttingDown (scheduler draining). deadline may be zero for "no
 // deadline".
@@ -248,24 +250,11 @@ func (s *Scheduler) Submit(job *analytics.Job, deadline time.Time) (string, erro
 	if err := job.Validate(s.cl.NumVertices()); err != nil {
 		return "", fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if res, ok := s.lookupCached(job); ok {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.closed {
-			s.stats.Rejected503++
-			return "", ErrShuttingDown
-		}
-		r := s.newRequestLocked(job, deadline)
-		r.state = StateDone
-		r.result = res
-		r.cached = true
-		r.finished = time.Now()
-		close(r.done)
-		s.stats.Submitted++
-		s.stats.Done++
-		s.stats.CacheHits++
-		s.retainLocked(r)
-		return r.id, nil
+	alive := s.cl.Alive()
+	var res *analytics.JobResult
+	cached := false
+	if alive {
+		res, cached = s.lookupCached(job)
 	}
 
 	s.mu.Lock()
@@ -273,6 +262,20 @@ func (s *Scheduler) Submit(job *analytics.Job, deadline time.Time) (string, erro
 	if s.closed {
 		s.stats.Rejected503++
 		return "", ErrShuttingDown
+	}
+	switch {
+	case !alive:
+		r := s.newRequestLocked(job, deadline)
+		s.stats.Submitted++
+		s.finishLocked(r, StateFailed, nil, s.cl.downErr())
+		return r.id, nil
+	case cached:
+		r := s.newRequestLocked(job, deadline)
+		r.cached = true
+		s.stats.Submitted++
+		s.stats.CacheHits++
+		s.finishLocked(r, StateDone, res, nil)
+		return r.id, nil
 	}
 	if len(s.queue) >= s.cfg.QueueCap {
 		s.stats.Rejected429++
