@@ -20,7 +20,7 @@
 //
 // Requests are admitted through a bounded queue (429 when full), run one
 // SPMD job at a time, coalesce pending same-analytic single-source queries
-// into one multi-source run, and answer repeats from an LRU result cache.
+// into one multi-source run, and answer repeats from a SIEVE result cache.
 // Mutation batches flow through the same serialized job stream, so reads
 // and writes are totally ordered; every acknowledged batch advances the
 // graph epoch, which keys the result cache. With -auto-compact n > 0 the

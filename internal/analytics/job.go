@@ -145,6 +145,10 @@ func (j *Job) Normalize() {
 // cluster unboundedly.
 const maxJobIterations = 10_000
 
+// maxJobWeight caps a job's max_weight at 2^32, so that a path length or a
+// vertex's out-weight sum over fewer than 2^32 edges fits in 64 bits.
+const maxJobWeight uint64 = 1 << 32
+
 // Validate checks the descriptor against a graph with n global vertices.
 func (j *Job) Validate(n uint32) error {
 	switch j.Analytic {
@@ -164,6 +168,9 @@ func (j *Job) Validate(n uint32) error {
 		if j.Iterations < 0 || j.Iterations > maxJobIterations {
 			return fmt.Errorf("analytics: %s job with %d iterations (max %d)", j.Analytic, j.Iterations, maxJobIterations)
 		}
+		if j.Analytic != JobLabelProp && !(j.Damping > 0 && j.Damping <= 1) {
+			return fmt.Errorf("analytics: %s damping %g outside (0, 1]", j.Analytic, j.Damping)
+		}
 	case JobWCC, JobKCore:
 	case JobMutate:
 		if len(j.Mutations) == 0 {
@@ -178,6 +185,9 @@ func (j *Job) Validate(n uint32) error {
 	case JobCompact, JobSnapshot:
 	default:
 		return fmt.Errorf("analytics: unknown analytic %q", j.Analytic)
+	}
+	if (j.Analytic == JobSSSP || j.Analytic == JobPageRankWeighted) && j.MaxWeight > maxJobWeight {
+		return fmt.Errorf("analytics: %s max_weight %d above %d", j.Analytic, j.MaxWeight, maxJobWeight)
 	}
 	if j.Analytic == JobBFS {
 		switch j.Dir {

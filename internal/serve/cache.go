@@ -32,25 +32,31 @@ func cacheKey(epoch uint64, j *analytics.Job) string {
 	return b.String()
 }
 
-// resultCache is a thread-safe LRU of job results with hit/miss/eviction
-// counters. A capacity of zero disables it (every lookup misses, every
-// insert is dropped).
+// resultCache is a thread-safe SIEVE cache of job results with
+// hit/miss/eviction counters. Entries stay in insertion order; a hit only
+// sets the entry's visited bit. Eviction walks a hand from the oldest entry
+// toward the newest, clearing the bits it passes, and evicts the first
+// entry not visited since, so a key read once leaves before a hot key. A
+// capacity of zero disables it (every lookup misses, every insert is
+// dropped).
 type resultCache struct {
 	mu        sync.Mutex
 	cap       int
-	order     *list.List               // front = most recent
+	order     *list.List               // front = newest insert
 	entries   map[string]*list.Element // value: *cacheEntry
+	hand      *list.Element            // next eviction candidate; nil = oldest
 	hits      uint64
 	misses    uint64
 	evictions uint64
 }
 
 type cacheEntry struct {
-	key string
-	res *analytics.JobResult
+	key     string
+	res     *analytics.JobResult
+	visited bool
 }
 
-// newResultCache returns an LRU holding up to capacity results.
+// newResultCache returns a SIEVE cache holding up to capacity results.
 func newResultCache(capacity int) *resultCache {
 	if capacity < 0 {
 		capacity = 0
@@ -62,7 +68,7 @@ func newResultCache(capacity int) *resultCache {
 	}
 }
 
-// Get returns the cached result for key, bumping its recency, and counts
+// Get returns the cached result for key, marking it visited, and counts
 // the hit or miss.
 func (c *resultCache) Get(key string) (*analytics.JobResult, bool) {
 	c.mu.Lock()
@@ -73,14 +79,16 @@ func (c *resultCache) Get(key string) (*analytics.JobResult, bool) {
 		return nil, false
 	}
 	c.hits++
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	e := el.Value.(*cacheEntry)
+	e.visited = true
+	return e.res, true
 }
 
 // Peek returns the cached result for key without touching the hit/miss
-// counters or recency. The dispatcher uses it to dedupe at dispatch time
-// (a requeued twin may have populated the cache since admission) without
-// skewing the admission-time cache statistics tests and dashboards pin.
+// counters or the visited bit. The dispatcher uses it to dedupe at dispatch
+// time (a requeued twin may have populated the cache since admission)
+// without skewing the admission-time cache statistics tests and dashboards
+// pin.
 func (c *resultCache) Peek(key string) (*analytics.JobResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -91,8 +99,8 @@ func (c *resultCache) Peek(key string) (*analytics.JobResult, bool) {
 	return el.Value.(*cacheEntry).res, true
 }
 
-// Put inserts (or refreshes) a result, evicting the least recently used
-// entry when over capacity.
+// Put inserts a result, first evicting one entry when the cache is full;
+// a present key has its result replaced and is marked visited.
 func (c *resultCache) Put(key string, res *analytics.JobResult) {
 	if c.cap == 0 {
 		return
@@ -100,17 +108,34 @@ func (c *resultCache) Put(key string, res *analytics.JobResult) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).res = res
-		c.order.MoveToFront(el)
+		e := el.Value.(*cacheEntry)
+		e.res, e.visited = res, true
 		return
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, res: res})
-	for c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
-		c.evictions++
+	if c.order.Len() >= c.cap {
+		c.evict()
 	}
+	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, res: res})
+}
+
+// evict moves the hand toward the newest entry, wrapping to the oldest,
+// clearing visited bits until it reaches an unvisited entry, removes that
+// entry and leaves the hand on its newer neighbour.
+func (c *resultCache) evict() {
+	el := c.hand
+	if el == nil {
+		el = c.order.Back()
+	}
+	for e := el.Value.(*cacheEntry); e.visited; e = el.Value.(*cacheEntry) {
+		e.visited = false
+		if el = el.Prev(); el == nil {
+			el = c.order.Back()
+		}
+	}
+	c.hand = el.Prev()
+	c.order.Remove(el)
+	delete(c.entries, el.Value.(*cacheEntry).key)
+	c.evictions++
 }
 
 // CacheStats is the counter snapshot exported through /v1/stats.

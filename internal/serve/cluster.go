@@ -17,7 +17,7 @@
 //     over surviving replicas when a host dies (see failover.go).
 //   - Scheduler: admission control (bounded queue, per-request deadlines,
 //     typed 429/503 rejections), request batching (pending same-analytic
-//     single-source queries coalesce into one multi-source run), an LRU
+//     single-source queries coalesce into one multi-source run), a SIEVE
 //     result cache keyed by (graph epoch, analytic, params), and requeue
 //     of jobs whose SPMD run died with a failed compute group.
 //   - Server: the HTTP/JSON front end (POST /v1/query, GET /v1/jobs/{id},

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -133,6 +134,41 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	if st.LastJob == nil || st.LastJob.SentMiB <= 0 {
 		t.Fatalf("stats last_job: %+v", st.LastJob)
+	}
+}
+
+// TestQueryRejectsOutOfRangeParameters: a damping outside (0, 1] or a
+// max_weight above 2^32 used to run and answer "done" with a wrong score (a
+// non-finite PageRank, a score above 1, a wrapped out-weight sum). Each is
+// a 400 naming the field; the range ends are accepted.
+func TestQueryRejectsOutOfRangeParameters(t *testing.T) {
+	_, _, ts := newTestServer(t, 2, SchedConfig{QueueCap: 16, BatchMax: 4, CacheCap: 16})
+	for _, tc := range []struct {
+		body  string
+		field string // "" = accepted
+	}{
+		{`{"analytic":"pagerank","damping":1e300,"iterations":2,"wait":true}`, "damping"},
+		{`{"analytic":"pagerank","damping":-5,"iterations":2,"wait":true}`, "damping"},
+		{`{"analytic":"pagerank","damping":1.0000001,"iterations":2,"wait":true}`, "damping"},
+		{`{"analytic":"wpagerank","damping":-0.5,"max_weight":4,"iterations":2,"wait":true}`, "damping"},
+		{`{"analytic":"wpagerank","max_weight":18446744073709551615,"iterations":2,"wait":true}`, "max_weight"},
+		{`{"analytic":"wpagerank","max_weight":4294967297,"iterations":2,"wait":true}`, "max_weight"},
+		{`{"analytic":"sssp","source":3,"max_weight":4294967297,"wait":true}`, "max_weight"},
+		{`{"analytic":"pagerank","damping":1,"iterations":2,"wait":true}`, ""},
+		{`{"analytic":"wpagerank","damping":1,"max_weight":4294967296,"iterations":2,"wait":true}`, ""},
+		{`{"analytic":"sssp","source":3,"max_weight":4294967296,"wait":true}`, ""},
+	} {
+		code, m := postQuery(t, ts, tc.body)
+		if tc.field == "" {
+			if code != http.StatusOK || m["state"] != string(StateDone) {
+				t.Errorf("%s: status %d body %v, want 200 done", tc.body, code, m)
+			}
+			continue
+		}
+		msg, _ := m["error"].(string)
+		if code != http.StatusBadRequest || !strings.Contains(msg, tc.field) {
+			t.Errorf("%s: status %d error %q, want 400 naming %s", tc.body, code, msg, tc.field)
+		}
 	}
 }
 

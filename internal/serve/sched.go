@@ -46,7 +46,7 @@ type SchedConfig struct {
 	// for all members. <= 0 selects 8; 1 disables batching. Bounded above
 	// by analytics.MaxSources.
 	BatchMax int
-	// CacheCap bounds the LRU result cache in entries; <= 0 disables
+	// CacheCap bounds the SIEVE result cache in entries; <= 0 disables
 	// caching. There is no implied default: DefaultSchedConfig sets 256.
 	CacheCap int
 	// Tracer, when non-nil, receives one SpanServeJob span per SPMD job

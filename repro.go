@@ -571,7 +571,10 @@ func (g *Graph) PageRankWeighted(opts PageRankOptions, w WeightFunc) ([]float64,
 // SSSPInf marks unreachable vertices in SSSP results.
 const SSSPInf = analytics.InfDistance
 
-// WeightFunc re-exports the synthetic edge-weight function type.
+// WeightFunc re-exports the synthetic edge-weight function type. The
+// weights are caller code and are not checked: the sum of a vertex's
+// out-edge weights (PageRankWeighted) and the length of every shortest path
+// (SSSP) must fit in 64 bits, or the answers are wrong.
 type WeightFunc = analytics.WeightFunc
 
 // HashWeights returns deterministic pseudo-random integer edge weights in
