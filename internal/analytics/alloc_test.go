@@ -1,6 +1,7 @@
 package analytics
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -88,12 +89,13 @@ func TestExchangeZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestBFSAllocationPin bounds what one warm two-rank BFS allocates,
-// group-wide (MemStats is process-global: rank 0 measures between two
-// barriers), in forced push and in adaptive mode: 16 B per vertex slot —
-// the status array, the levels, the queues — and 32 B per sparse claim
+// TestBFSAllocationPin bounds what the second two-rank BFS on a plan cache
+// allocates, group-wide (MemStats is process-global: rank 0 measures between
+// two barriers), in forced push and in adaptive mode: 16 B per vertex slot —
+// the levels, and queues that may still grow — and 32 B per sparse claim
 // shipped, for the claim round's staging, which grows to the widest sparse
 // level rather than holding a claim per ghost and queue slot from the start.
+// TestBFSRunnerWarmAllocationPin bounds the steady state after it.
 func TestBFSAllocationPin(t *testing.T) {
 	tg := kcoreGoldenGraphs(t)[0]
 	for _, mode := range []core.TraversalMode{core.TraversePush, core.TraverseAdaptive} {
@@ -136,6 +138,100 @@ func TestBFSAllocationPin(t *testing.T) {
 				return fmt.Errorf("mode %d: BFS allocated %d B, over 16 B × %d slots + 32 B × %d claims + 16 KiB = %d", mode, bytes, slots, claims, limit)
 			}
 			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// groupAllocBytes runs fn collectively and returns, on rank 0, the bytes
+// the whole group allocated during it: MemStats is process-global, so rank 0
+// reads it between two barriers while every rank runs fn.
+func groupAllocBytes(c *comm.Comm, fn func() error) (uint64, error) {
+	var before, after runtime.MemStats
+	if c.Rank() == 0 {
+		runtime.ReadMemStats(&before)
+	}
+	if _, err := comm.Allreduce(c, uint64(0), comm.OpSum); err != nil {
+		return 0, err
+	}
+	if err := fn(); err != nil {
+		return 0, err
+	}
+	if _, err := comm.Allreduce(c, uint64(0), comm.OpSum); err != nil {
+		return 0, err
+	}
+	if c.Rank() == 0 {
+		runtime.ReadMemStats(&after)
+	}
+	return after.TotalAlloc - before.TotalAlloc, nil
+}
+
+// TestBFSRunnerWarmAllocationPin bounds what a BFS-family call allocates,
+// group-wide, once its generation's runner is warm: its answers and nothing
+// the graph fixes. In every traversal mode the third BFS allocates at most
+// its levels, 4 B × ΣNLoc, plus 8 KiB; an 8-root MultiBFS at most eight
+// times that; an 8-source Harmonic job at most that per source. A runner
+// built per call pays its status array over NTotal and its queues again.
+func TestBFSRunnerWarmAllocationPin(t *testing.T) {
+	tg := kcoreGoldenGraphs(t)[0]
+	roots := batchRoots(tg.n, 8)
+	for _, mode := range []core.TraversalMode{core.TraversePush, core.TraverseDense, core.TraverseAdaptive} {
+		err := comm.RunLocal(2, func(c *comm.Comm) error {
+			ctx := core.NewCtx(c, 1)
+			ctx.Plans = core.NewPlans(nil)
+			ctx.Traverse.Mode = mode
+			g, err := buildShard(ctx, tg, partition.Random)
+			if err != nil {
+				return err
+			}
+			nloc, err := comm.Allreduce(c, uint64(g.NLoc), comm.OpSum)
+			if err != nil {
+				return err
+			}
+			per := 4*nloc + 8<<10
+			cases := []struct {
+				name  string
+				limit uint64
+				run   func() error
+			}{
+				{"bfs", per, func() error { _, err := BFS(ctx, g, 0, Forward); return err }},
+				{"multibfs8", 8 * per, func() error { _, err := MultiBFS(ctx, g, roots, Forward); return err }},
+				{"harmonic8", 8 * per, func() error {
+					_, err := Run(ctx, g, &Job{Analytic: JobHarmonic, Sources: roots})
+					return err
+				}},
+			}
+			var over []error // rank 0's; the ranks stay in lockstep to the end
+			for _, tc := range cases {
+				// The first call builds the halo and the runner, the second
+				// grows the queues and staging to this call's widest level.
+				for range 2 {
+					if err := tc.run(); err != nil {
+						return err
+					}
+				}
+				// MemStats also counts whatever other goroutines of the
+				// process allocate meanwhile: the least of three runs is
+				// the call's own.
+				bytes := ^uint64(0)
+				for range 3 {
+					b, err := groupAllocBytes(c, tc.run)
+					if err != nil {
+						return err
+					}
+					bytes = min(bytes, b)
+				}
+				if c.Rank() != 0 {
+					continue
+				}
+				t.Logf("mode %d %s: allocated %d B (limit %d B)", mode, tc.name, bytes, tc.limit)
+				if bytes > tc.limit {
+					over = append(over, fmt.Errorf("mode %d: warm %s allocated %d B, over %d B", mode, tc.name, bytes, tc.limit))
+				}
+			}
+			return errors.Join(over...)
 		})
 		if err != nil {
 			t.Fatal(err)

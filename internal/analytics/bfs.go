@@ -53,54 +53,76 @@ type BFSResult struct {
 // statistics. Levels are identical in every mode; the loop ends when the
 // global frontier empties.
 func BFS(ctx *core.Ctx, g *core.Graph, root uint32, dir Dir) (*BFSResult, error) {
-	return newBFSRunner(ctx, g, dir).run(root)
+	r, err := bfsRunnerFor(ctx, g)
+	if err != nil {
+		return nil, err
+	}
+	return r.run(ctx, root, dir)
 }
 
-// bfsRunner is the part of a BFS that does not depend on the root: the
-// traversal engine with everything it retains — on a 1D shard the frontier
-// engine (halo, frontier bitmap, exchange staging) and the whole graph's
-// pull edge mass, on a 2D shard the grid engine (row-span claim bitmap,
+// bfsRunner is the part of a BFS that depends on neither the root nor the
+// direction: the traversal engine with everything it retains — on a 1D
+// shard the frontier engine (halo geometry, claim round, frontier bitmap,
+// exchange staging), on a 2D shard the grid engine (row-span claim bitmap,
 // dense-fold width, scan and exchange staging) — and one status array and
-// queue pair that run resets rather than reallocates. BFS, Harmonic and
-// WCC's traversal phase use it for one root; a multi-source job (MultiBFS,
-// HarmonicTopK, a coalesced serve batch) runs its roots one after another
-// on one runner, so a batch of k costs at most k solo traversals and
-// allocates little more than one.
+// queue pair that run resets rather than reallocates. A 1D runner lives as
+// long as its DirsBoth halo plan (bfsRunnerFor), so every BFS-family call of
+// a generation — BFS, MultiBFS and coalesced batches, Harmonic, WCC's
+// traversal phase, LargestSCC's sweeps — runs on the same one and a warm
+// traversal allocates only its answer; a 2D runner lives for one call. A
+// multi-source job runs its roots one after another on one runner, so a
+// batch of k costs at most k solo traversals.
 type bfsRunner struct {
-	ctx *core.Ctx
-	g   *core.Graph
-	dir Dir
+	g *core.Graph
 
 	eng         *frontierEngine // 1D shards
 	grid        *grid2DEngine   // 2D shards, built by the first run2D
-	pullMass    uint64          // totalPullDeg: the unexplored pull edge mass before any root
 	status      []int32         // over owned and (1D) ghost vertices
 	queue, next []uint32        // current and next frontier, swapped per level
+	haloBuilt   bool            // the halo under eng was built for this runner's first run
 }
 
-func newBFSRunner(ctx *core.Ctx, g *core.Graph, dir Dir) *bfsRunner {
-	r := &bfsRunner{ctx: ctx, g: g, dir: dir}
-	if !g.Is2D() {
-		r.eng = newFrontierEngine(ctx, g)
-		r.pullMass = totalPullDeg(g, dir)
-		r.status = make([]int32, g.NTotal())
+// bfsRunnerFor returns g's BFS runner: on a 1D shard the one retained with
+// the DirsBoth halo plan, laid over the halo when first asked for; on a 2D
+// shard, which has no halo, a fresh one. One halo lookup per call,
+// collective when it builds. A nil ctx.Plans builds the halo, and with it
+// the runner, per call.
+func bfsRunnerFor(ctx *core.Ctx, g *core.Graph) (*bfsRunner, error) {
+	if g.Is2D() {
+		return &bfsRunner{g: g}, nil
 	}
-	return r
+	h, built, err := haloFor(ctx, g, DirsBoth)
+	if err != nil {
+		return nil, err
+	}
+	if h.bfs == nil {
+		gm, err := h.geometry()
+		if err != nil {
+			return nil, err
+		}
+		// The claim round's staging grows to the widest sparse level: a
+		// claim's worth per ghost up front costs more than sparse levels ship.
+		rd := &claimRound{kernel: "BFS", g: g, h: h, slot: gm.ghostSlot, offs: make([]int, ctx.Size())}
+		eng := &frontierEngine{g: g, haloGeom: gm, rd: rd, nGlobal: uint64(g.NGlobal)}
+		h.bfs = &bfsRunner{g: g, eng: eng, status: make([]int32, g.NTotal()), haloBuilt: built}
+	}
+	return h.bfs, nil
 }
 
-// run is one traversal from root. Collective; every rank passes the same
-// root. The result's Traversal counts this root's steps only.
-func (r *bfsRunner) run(root uint32) (*BFSResult, error) {
-	ctx, g, dir, eng := r.ctx, r.g, r.dir, r.eng
+// run is one traversal from root along dir, under ctx's traversal policy.
+// Collective; every rank passes the same root and direction. The result's
+// Traversal counts this root's steps only.
+func (r *bfsRunner) run(ctx *core.Ctx, root uint32, dir Dir) (*BFSResult, error) {
+	g, eng := r.g, r.eng
 	if root >= g.NGlobal {
 		return nil, fmt.Errorf("analytics: BFS root %d outside %d vertices", root, g.NGlobal)
 	}
 	if g.Is2D() {
-		return r.run2D(root)
+		return r.run2D(ctx, root, dir)
 	}
-	eng.stats = obs.TraversalStats{}
-	if err := eng.ensureHalo(ctx); err != nil {
-		return nil, err
+	eng.pol, eng.stats = ctx.Traverse, obs.TraversalStats{}
+	if r.haloBuilt {
+		eng.stats.HaloBuilds, r.haloBuilt = 1, false
 	}
 	status := r.status
 	for i := range status {
@@ -112,7 +134,7 @@ func (r *bfsRunner) run(root uint32) (*BFSResult, error) {
 		queue = append(queue, lid)
 	}
 	mf, mq := eng.queueMass(ctx, queue, dir)
-	muLocal := r.pullMass - mq
+	muLocal := totalPullDeg(g, dir) - mq
 	reached := uint64(0)
 	level := int32(0)
 

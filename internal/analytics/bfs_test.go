@@ -10,6 +10,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/edge"
+	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/seq"
 )
@@ -288,6 +289,69 @@ func TestSCCTrimRejectsForgedDecrements(t *testing.T) {
 				return nil
 			})
 			wantForgeryOutcome(t, errs, forged, f.honest)
+		})
+	}
+}
+
+// TestBFSRunnerHonorsJobPolicy runs BFS jobs under alternating traversal
+// policies on one warm plan cache. The generation's retained runner must run
+// each job under that job's policy, not under the policy of the job that
+// built it: every run's TraversalStats equal an uncached run's under the
+// same policy (HaloBuilds aside, which only the uncached run pays).
+func TestBFSRunnerHonorsJobPolicy(t *testing.T) {
+	tg := rmat4kGraph(t)
+	modes := []string{"adaptive", "push", "dense"}
+	orders := [][]string{
+		{"adaptive", "push", "dense", "adaptive"},
+		{"adaptive", "dense", "push", "adaptive"},
+	}
+	for _, p := range []int{2, 3} {
+		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
+			onBothTransports(t, p, func(ctx *core.Ctx) error {
+				g, err := buildShard(ctx, tg, partition.Random)
+				if err != nil {
+					return err
+				}
+				cold := map[string]obs.TraversalStats{}
+				for _, mode := range modes {
+					if ctx.Traverse.Mode, err = core.ParseTraversalMode(mode); err != nil {
+						return err
+					}
+					b, err := BFS(ctx, g, 0, Forward)
+					if err != nil {
+						return err
+					}
+					b.Traversal.HaloBuilds = 0
+					cold[mode] = b.Traversal
+				}
+				ctx.Traverse.Mode = core.TraverseAdaptive
+				for i, a := range modes {
+					for _, b := range modes[i+1:] {
+						if cold[a] == cold[b] {
+							return fmt.Errorf("policies %s and %s run the same steps here (%+v): the test cannot tell them apart", a, b, cold[a])
+						}
+					}
+				}
+				for _, order := range orders {
+					ctx.Plans = core.NewPlans(nil)
+					for i, mode := range order {
+						if _, err := Run(ctx, g, &Job{Analytic: JobBFS, Sources: []uint32{0}, Hybrid: mode}); err != nil {
+							return err
+						}
+						// The runner the job ran on holds its step counters.
+						r, err := bfsRunnerFor(ctx, g)
+						if err != nil {
+							return err
+						}
+						got := r.eng.stats
+						got.HaloBuilds = 0
+						if got != cold[mode] {
+							return fmt.Errorf("%v, job %d (%s) on a warm runner: %+v, uncached %+v", order, i, mode, got, cold[mode])
+						}
+					}
+				}
+				return nil
+			})
 		})
 	}
 }

@@ -51,17 +51,17 @@ type stepPlan struct {
 	dense bool // frontier exchange ships packed bits, not claim words
 }
 
-// frontierEngine carries the state of one traversal: the DirsBoth halo, its
-// packed-segment geometry and the claim round over them (fetched by the
-// runner's first traversal; the halo is retained across traversals when ctx
-// carries a plan cache), the frontier bitmap, packed-word scratch, and the
-// per-step counters.
+// frontierEngine carries a 1D runner's traversal state: the DirsBoth halo's
+// packed-segment geometry and the claim round over the halo (laid by
+// bfsRunnerFor), the frontier bitmap, packed-word scratch, and the per-step
+// counters. pol is the running traversal's policy, read from ctx.Traverse by
+// every run: a runner outlives the job that built it.
 type frontierEngine struct {
 	g   *core.Graph
 	pol core.Traversal
 
-	*haloGeom             // nil until ensureHalo
-	rd        *claimRound // over the halo: the sparse push levels' round
+	*haloGeom
+	rd *claimRound // over the halo: the sparse push levels' round
 
 	bits *par.Bitmap // frontier bitmap over NTotal (pull steps)
 
@@ -81,10 +81,6 @@ type frontierEngine struct {
 	nGlobal uint64
 
 	stats obs.TraversalStats
-}
-
-func newFrontierEngine(ctx *core.Ctx, g *core.Graph) *frontierEngine {
-	return &frontierEngine{g: g, pol: ctx.Traverse, nGlobal: uint64(g.NGlobal)}
 }
 
 // plan derives the next step's strategy from the globally reduced frontier
@@ -114,32 +110,6 @@ func (e *frontierEngine) plan(prev stepPlan, gNf, gMf, gMu uint64) stepPlan {
 	// count from above (each frontier edge yields at most one claim).
 	pl.dense = 64*min(gMf, e.gGhosts) > e.gGhosts
 	return pl
-}
-
-// ensureHalo fetches the DirsBoth halo and its packed-segment geometry, and
-// lays the claim round over them, on the runner's first traversal.
-// Collective when the halo has to be built: the plan cache is identical on
-// every rank.
-func (e *frontierEngine) ensureHalo(ctx *core.Ctx) error {
-	if e.haloGeom != nil {
-		return nil
-	}
-	h, built, err := haloFor(ctx, e.g, DirsBoth)
-	if err != nil {
-		return err
-	}
-	if built {
-		e.stats.HaloBuilds++
-	}
-	gm, err := h.geometry()
-	if err != nil {
-		return err
-	}
-	// The staging grows to the widest sparse level: a claim's worth per
-	// ghost up front costs a warm query more than its sparse levels ship.
-	e.haloGeom = gm
-	e.rd = &claimRound{kernel: "BFS", g: e.g, h: h, slot: gm.ghostSlot, offs: make([]int, ctx.Size())}
-	return nil
 }
 
 // ensureBits lazily allocates the frontier bitmap.

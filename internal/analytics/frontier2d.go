@@ -363,8 +363,8 @@ func (e *grid2DEngine) foldRow(ctx *core.Ctx, claims []uint32, dense bool) ([]ui
 // The engine — and with it the one dense-fold width reduction — is built on
 // the runner's first root. Levels are bit-identical to the 1D engine's in
 // every traversal mode.
-func (r *bfsRunner) run2D(root uint32) (*BFSResult, error) {
-	ctx, g, dir := r.ctx, r.g, r.dir
+func (r *bfsRunner) run2D(ctx *core.Ctx, root uint32, dir Dir) (*BFSResult, error) {
+	g := r.g
 	l := g.Grid
 	eng := r.grid
 	if eng == nil {

@@ -253,13 +253,16 @@ func TestGrid2DRunnerSharesEngine(t *testing.T) {
 		if ctx.Traverse.Mode == core.TraverseAdaptive {
 			shared = 1
 		}
-		r := newBFSRunner(ctx, g, Und)
+		r, err := bfsRunnerFor(ctx, g)
+		if err != nil {
+			return err
+		}
 		for s, root := range roots {
 			solo, soloCalls, soloBytes, err := measure(func() (*BFSResult, error) { return BFS(ctx, g, root, Und) })
 			if err != nil {
 				return err
 			}
-			got, calls, bytes, err := measure(func() (*BFSResult, error) { return r.run(root) })
+			got, calls, bytes, err := measure(func() (*BFSResult, error) { return r.run(ctx, root, Und) })
 			if err != nil {
 				return err
 			}

@@ -61,9 +61,12 @@ type Halo struct {
 	recvScratch []uint64
 	recvCounts  []int
 
-	// geom is the frontier engine's packed-segment geometry over these
-	// queues, derived on first dense/pull use and retained with them.
+	// geom is the packed-segment geometry over these queues, derived on
+	// first use by a claim round or the BFS runner and retained with them.
 	geom *haloGeom
+	// bfs is the BFS runner laid over these queues (bfsRunnerFor): its
+	// status array, queues and staging live as long as the plan does.
+	bfs *bfsRunner
 }
 
 // haloGeom is the bit-segment geometry of a DirsBoth halo: where each

@@ -15,16 +15,20 @@ import (
 // an Allreduce. The paper reports the single-vertex time because all-vertex
 // HC is linear in m per vertex.
 func Harmonic(ctx *core.Ctx, g *core.Graph, v uint32) (float64, error) {
-	return newBFSRunner(ctx, g, Backward).harmonic(v)
+	r, err := bfsRunnerFor(ctx, g)
+	if err != nil {
+		return 0, err
+	}
+	return r.harmonic(ctx, v)
 }
 
-// harmonic is Harmonic on a Backward runner; a multi-vertex job calls it
-// once per vertex on one runner.
-func (r *bfsRunner) harmonic(v uint32) (float64, error) {
-	ctx, g := r.ctx, r.g
+// harmonic is Harmonic on the runner; a multi-vertex job calls it once per
+// vertex on one runner.
+func (r *bfsRunner) harmonic(ctx *core.Ctx, v uint32) (float64, error) {
+	g := r.g
 	tr := ctx.Comm.Tracer()
 	mark := tr.Now()
-	bfs, err := r.run(v)
+	bfs, err := r.run(ctx, v, Backward)
 	if err != nil {
 		return 0, err
 	}
@@ -148,9 +152,12 @@ func HarmonicTopKCheckpointed(ctx *core.Ctx, g *core.Graph, k int, cc Checkpoint
 		start = rcp.Iter
 		scores = append(scores, rcp.F64...)
 	}
-	r := newBFSRunner(ctx, g, Backward)
+	r, err := bfsRunnerFor(ctx, g)
+	if err != nil {
+		return nil, err
+	}
 	for i := start; i < len(tops); i++ {
-		hc, err := r.harmonic(tops[i])
+		hc, err := r.harmonic(ctx, tops[i])
 		if err != nil {
 			return nil, err
 		}

@@ -371,9 +371,12 @@ func Run(ctx *core.Ctx, g *core.Graph, job *Job) (*JobResult, error) {
 		}
 	case JobHarmonic:
 		// One reverse BFS plus a scalar reduce per source, on one runner.
-		r := newBFSRunner(ctx, g, Backward)
+		r, err := bfsRunnerFor(ctx, g)
+		if err != nil {
+			return nil, err
+		}
 		for _, src := range job.Sources {
-			hc, err := r.harmonic(src)
+			hc, err := r.harmonic(ctx, src)
 			if err != nil {
 				return nil, err
 			}

@@ -10,13 +10,15 @@ import (
 // Multi-source variants of the two Graph500-style traversals. The serve
 // layer coalesces pending single-source queries into one of these runs.
 // A batch is the solo kernel once per source on one runner (bfsRunner on
-// either layout, ssspRunner), so what a batch buys is one dispatch, one
-// prologue — engine, halo lookup, pull edge mass, on a 2D shard the
-// dense-fold width reduction; for SSSP the weight pass, the Δ reduction and
-// the light/heavy split — and one retained scratch, and every source's
-// answer, schedule and wire volume are those of its solo run. The graph is
-// still swept once per source: sharing the sweep as well (a bit-parallel
-// MS-BFS) pays only at batch sizes the service does not see (DESIGN.md §5f).
+// either layout, ssspRunner), so what a batch buys is one dispatch and one
+// prologue — the halo lookup, on a 2D shard the engine and its dense-fold
+// width reduction; for SSSP the weight pass, the Δ reduction, the
+// light/heavy split and the scratch — and every source's answer, schedule
+// and wire volume are those of its solo run. A 1D BFS runner outlives the
+// job: it is retained with the generation's halo plan (bfsRunnerFor). The
+// graph is still swept once per source: sharing the sweep as well (a
+// bit-parallel MS-BFS) pays only at batch sizes the service does not see
+// (DESIGN.md §5f).
 
 // MaxSources bounds the sources of one multi-source request: Job.Validate,
 // checkRoots and the scheduler's batch cap all enforce it.
@@ -63,9 +65,12 @@ func MultiBFS(ctx *core.Ctx, g *core.Graph, roots []uint32, dir Dir) (*MultiBFSR
 	}
 	k := len(roots)
 	res := &MultiBFSResult{Levels: make([][]int32, k), Reached: make([]uint64, k), Depth: make([]int, k)}
-	r := newBFSRunner(ctx, g, dir)
+	r, err := bfsRunnerFor(ctx, g)
+	if err != nil {
+		return nil, err
+	}
 	for s, root := range roots {
-		b, err := r.run(root)
+		b, err := r.run(ctx, root, dir)
 		if err != nil {
 			return nil, err
 		}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/edge"
 	"repro/internal/obs"
 	"repro/internal/partition"
+	"repro/internal/seq"
 )
 
 // Plan-cache battery. A slot's kernel plans (retained halo queues and their
@@ -276,5 +277,98 @@ func TestStatsReportPlanCounters(t *testing.T) {
 	want := obs.PlanSnapshot{Builds: 1, Hits: 1, Resets: 1}
 	if st.Plans != want || cl.PlanStats() != want {
 		t.Fatalf("stats plans %+v (cluster %+v), want %+v", st.Plans, cl.PlanStats(), want)
+	}
+}
+
+// TestPlanBFSRunnerFollowsGeneration pins the lifetime of the BFS runner a
+// slot retains with its DirsBoth halo plan. A BFS before a mutate batch that
+// widens the source's reach, after the batch and after a compaction each
+// answers what the sequential oracle answers on that epoch's edge list, and
+// the first BFS of each plan generation builds the halo — and with it a cold
+// runner — on every slot, while a repeat reuses both. A failover generation
+// starts cold the same way.
+func TestPlanBFSRunnerFollowsGeneration(t *testing.T) {
+	const src = 3
+	for _, tc := range []struct {
+		name string
+		tf   func(*testing.T) TransportFactory
+	}{
+		{"inproc", func(*testing.T) TransportFactory { return nil }},
+		{"tcp", tcpFactory},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := ingestBase(t)
+			n := ingestSpec.NumVertices
+			cl := newIngestCluster(t, base, partition.Random, false, tc.tf(t))
+			job := normalized(analytics.Job{Analytic: analytics.JobBFS, Sources: []uint32{src}})
+			oracle := func(list edge.List) []byte {
+				levels := seq.BFS(seq.FromEdges(n, list), src, seq.Forward)
+				sum := analytics.SourceSummary{Source: src}
+				for _, l := range levels {
+					if l >= 0 {
+						sum.Reached++
+						sum.Depth = max(sum.Depth, int(l))
+					}
+				}
+				return (&analytics.JobResult{Analytic: analytics.JobBFS, Sources: []analytics.SourceSummary{sum}}).Canonical()
+			}
+			// check runs the BFS cold then warm: the first run on a fresh
+			// plan cache builds the DirsBoth halo on every slot, the repeat
+			// builds nothing, and both answer the oracle.
+			check := func(when string, list edge.List) {
+				t.Helper()
+				want := oracle(list)
+				start := slotPlanStats(cl)
+				for i, builds := range []uint64{1, 0} {
+					mark := slotPlanStats(cl)
+					if got := runDirect(t, cl, job); !bytes.Equal(got, want) {
+						t.Fatalf("%s, run %d: BFS answered %s, oracle %s", when, i, got, want)
+					}
+					if d := planDelta(t, cl, mark); d.Builds != builds {
+						t.Fatalf("%s, run %d: %+v, want %d plan builds", when, i, d, builds)
+					}
+				}
+				if d := planDelta(t, cl, start); d.Hits == 0 {
+					t.Fatalf("%s: the warm run hit no plan (%+v)", when, d)
+				}
+			}
+			check("before the batch", base)
+
+			// Edges from the source to every vertex it cannot reach.
+			reach := seq.BFS(seq.FromEdges(n, base), src, seq.Forward)
+			var batch edge.Batch
+			for v, l := range reach {
+				if l < 0 && len(batch) < 4 {
+					batch = append(batch, edge.Mutation{Op: edge.OpInsert, Src: src, Dst: uint32(v)})
+				}
+			}
+			if len(batch) == 0 {
+				t.Fatal("the source reaches every vertex: no batch can widen its reach")
+			}
+			mutated := batch.ApplyTo(base)
+			if bytes.Equal(oracle(mutated), oracle(base)) {
+				t.Fatal("the batch does not change the source's reach")
+			}
+			if _, _, err := cl.Run(&analytics.Job{Analytic: analytics.JobMutate, Mutations: batch}); err != nil {
+				t.Fatalf("mutate: %v", err)
+			}
+			check("after the batch", mutated)
+			if res, err := cl.Compact(); err != nil || !res.Compacted {
+				t.Fatalf("compact: %+v, %v", res, err)
+			}
+			check("after the compaction", mutated)
+
+			if err := cl.Kill(1); err != nil {
+				t.Fatalf("Kill: %v", err)
+			}
+			deadline := time.Now().Add(time.Minute)
+			for cl.Generation() == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("no failover generation after a minute")
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			check("after the failover", mutated)
+		})
 	}
 }
