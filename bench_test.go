@@ -3,7 +3,7 @@ package repro
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation (regenerating the experiment at a bench-friendly scale via the
 // harness package), plus the ablation benchmarks for the design choices
-// DESIGN.md §5 calls out. Run everything with:
+// DESIGN.md §3 lists. Run everything with:
 //
 //	go test -bench=. -benchmem
 //
@@ -179,7 +179,7 @@ func BenchmarkGraphConstruction(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §5) ---
+// --- Ablations (DESIGN.md §3) ---
 
 // BenchmarkAblationRetainedQueues compares the paper's retained send queues
 // against rebuilding them every iteration (§III-D1's optimization).

@@ -44,7 +44,7 @@ type Checkpoint struct {
 const ckptMagic = 0x47434B31
 
 // Encode serializes the checkpoint to the stable little-endian format
-// documented in DESIGN.md §5e.
+// documented in DESIGN.md §5.4.
 func (cp *Checkpoint) Encode() []byte {
 	n := 4 + 4 + 2 + len(cp.Analytic) + 8 + 4 + 4 + 4 + 8 + 8*len(cp.F64) + 8 + 4*len(cp.U32)
 	b := make([]byte, 0, n)

@@ -399,14 +399,16 @@ func wantForgeryOutcome(t *testing.T, errs []error, forged int, honest bool) {
 // coloring and of k-core's peel. Single-stage WCC's honest segment for rank
 // 0 is a bare control word (rank 1's best label, 32, does not beat vertex
 // 31's bound); level 1 of KCoreApprox kills all of rank 1's 32 vertices and
-// takes 1 from vertex 31, which rank 0 has already peeled with 1 left. A
-// label past the graph, a claim on a slot past the one-slot queue, claims
-// from a rank whose control word says it claimed nothing, and a zero count
-// or one above what the counter has left
-// fail the query with a corrupt-message CommError naming the forger. A
-// control word that announces claims or deaths it does not carry changes
-// nothing a rank acts on, and every rank gets the honest answer. A forger
-// that sends well-formed but wrong values is out of scope.
+// takes 1 from vertex 31, which rank 0 has already peeled with 1 left.
+// KCoreExact's first run only finds the least degree, so the forged round
+// reaches vertex 31 alive with 2 left, one of them its owned neighbour 30's.
+// A label past the graph, a claim on a slot past the one-slot queue, claims
+// from a rank whose control word says it claimed nothing, a zero count, and
+// a count above what the counter has left or above what its ghost
+// neighbours still owe it fail the query with a corrupt-message CommError
+// naming the forger. A control word that announces claims or deaths it does
+// not carry changes nothing a rank acts on, and every rank gets the honest
+// answer. A forger that sends well-formed but wrong values is out of scope.
 func TestColoringRejectsForgedRounds(t *testing.T) {
 	tg := forgedPath()
 	wantWCC := seq.WCC(tg.ref)
@@ -436,6 +438,21 @@ func TestColoringRejectsForgedRounds(t *testing.T) {
 		}
 		return nil
 	}
+	wantCore := seq.Coreness(tg.ref)
+	exact := func(ctx *core.Ctx, g *core.Graph) error {
+		res, err := KCoreExact(ctx, g)
+		if err != nil {
+			return err
+		}
+		global, err := core.Gather(ctx, g, res.Coreness)
+		if err != nil {
+			return err
+		}
+		if !slices.Equal(global, wantCore) {
+			return fmt.Errorf("coreness %v, want %v", global, wantCore)
+		}
+		return nil
+	}
 	claimed := func(n int) uint64 { return ctlWord(n, ctlNone) }
 	for _, f := range []struct {
 		name   string
@@ -450,6 +467,7 @@ func TestColoringRejectsForgedRounds(t *testing.T) {
 		{"zero decrement", kcore, []uint64{claimed(32), 0}, false},
 		{"decrement beyond the remaining degree", kcore, []uint64{claimed(32), 2}, false},
 		{"deaths without their claims", kcore, []uint64{claimed(40)}, true},
+		{"decrement beyond what the ghosts owe", exact, []uint64{claimed(32), 2}, false},
 	} {
 		t.Run(f.name, func(t *testing.T) {
 			errs, forged := runForged(tg, forgeRound(1, f.seg...), f.run)

@@ -18,7 +18,7 @@ import (
 // job: it is retained with the generation's halo plan (bfsRunnerFor). The
 // graph is still swept once per source: sharing the sweep as well (a
 // bit-parallel MS-BFS) pays only at batch sizes the service does not see
-// (DESIGN.md §5f).
+// (DESIGN.md §5.4, batch rows).
 
 // MaxSources bounds the sources of one multi-source request: Job.Validate,
 // checkRoots and the scheduler's batch cap all enforce it.

@@ -154,7 +154,12 @@ type peel struct {
 	// which is what an arriving count is checked against. A ghost's entry
 	// counts down from 0, so owned and ghost neighbours take one path
 	// through peelRelax: it is minus the count pending for its owner.
-	rem   [2][]uint32
+	rem [2][]uint32
+	// owed[c][v] is how many of owned v's edge endpoints behind counter c
+	// lead to a ghost and are still unreported: the most the ghosts' owners
+	// can take from it. A count above it would take an owned neighbour's
+	// share, and that neighbour's death would then wrap the counter.
+	owed  [2][]uint32
 	split uint32 // 1 when the two counters are separate (trim), else 0
 	// level[v] is the threshold less one at which owned v died, or
 	// kcoreRest while it lives: k-core's coreness, trim's dead flag.
@@ -198,12 +203,21 @@ func newPeel(ctx *core.Ctx, g *core.Graph, kernel string, split uint32) (*peel, 
 		touched: make([]uint32, 0, int(g.NGst)<<split+1),
 	}
 	for c := range split + 1 {
-		s.rem[c] = make([]uint32, g.NTotal())
+		s.rem[c], s.owed[c] = make([]uint32, g.NTotal()), make([]uint32, g.NLoc)
 	}
-	s.rem[1] = s.rem[split] // one array for both counters unless split
+	s.rem[1], s.owed[1] = s.rem[split], s.owed[split] // one array each unless split
+	nloc := uint64(g.NLoc)
 	for v := range g.NLoc {
-		s.rem[1][v] = uint32(g.OutDegree(v))
-		s.rem[0][v] += uint32(g.InDegree(v)) // the sum when rem[0] is rem[1]
+		// In-neighbours' deaths count down counter 0, out-neighbours' counter
+		// 1: the sums when the two are one.
+		for c, nbrs := range [2][]uint32{g.InNeighbors(v), g.OutNeighbors(v)} {
+			ghosts := uint32(0)
+			for _, u := range nbrs {
+				ghosts += uint32((nloc - 1 - uint64(u)) >> 63) // u >= NLoc
+			}
+			s.rem[c][v] += uint32(len(nbrs))
+			s.owed[c][v] += ghosts
+		}
 		s.level[v], s.live[v] = kcoreRest, v
 	}
 	return s, nil
@@ -332,9 +346,9 @@ func peelRelax(nbrs, rem []uint32, k uint32, drop, first []uint32) (nd, nf int) 
 
 // round ships every peer ctl and the pending counts, puts the touched
 // ghosts back to 0, and applies the counts that arrive: each is checked
-// against what its counter has left, and a vertex whose counter it takes
-// from above k to k or below joins the frontier (a dead one is skipped
-// there).
+// against what its counter has left and what its ghosts still owe it, and
+// a vertex whose counter it takes from above k to k or below joins the
+// frontier (a dead one is skipped there).
 func (s *peel) round(ctx *core.Ctx, ctl uint64, k uint32) (deaths uint64, least uint32, err error) {
 	g, rd, split := s.g, s.rd, s.split
 	rd.open(ctx, ctl, s.touched, 0, false)
@@ -357,11 +371,11 @@ func (s *peel) round(ctx *core.Ctx, ctl uint64, k uint32) (deaths uint64, least 
 		for _, w := range seg.words {
 			v, x := seg.verts[w>>32], uint32(w)
 			c, n := x&split, x>>split
-			left := s.rem[c][v]
-			if n == 0 || n > left {
-				return 0, 0, rd.corrupt(ctx, r, "count of %d on counter %d of vertex %d with %d left", n, c, g.GlobalID(v), left)
+			left, owed := s.rem[c][v], s.owed[c][v]
+			if n == 0 || n > min(left, owed) {
+				return 0, 0, rd.corrupt(ctx, r, "count of %d on counter %d of vertex %d with %d left, %d owed by ghosts", n, c, g.GlobalID(v), left, owed)
 			}
-			s.rem[c][v] = left - n
+			s.rem[c][v], s.owed[c][v] = left-n, owed-n
 			if left > k && left-n <= k {
 				s.front[s.tail] = v
 				s.tail++

@@ -10,7 +10,7 @@ import (
 	"repro/internal/partition"
 )
 
-// Ablations renders the DESIGN.md §5 design-choice comparisons as a table
+// Ablations renders the DESIGN.md §3 design-choice comparisons as a table
 // (the benchmark variants of the same comparisons live in bench_test.go):
 // retained vs rebuilt send queues, Multistep vs single-stage WCC, and raw
 // vs compressed adjacency, all on the Web Crawl stand-in at the largest

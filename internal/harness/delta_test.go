@@ -7,7 +7,7 @@ import "testing"
 // kernel at one fat bucket (Bellman-Ford rounds), so it shares Δ-stepping's
 // local light-chain cascade and once-per-sub-round ghost forwarding, and
 // ships no more than the thin auto width, whose extra rounds each carry a
-// control word (DESIGN.md §5h). What the auto width must keep buying is
+// control word (DESIGN.md §5.4). What the auto width must keep buying is
 // therefore pinned per extreme: fewer relaxed edges than the fat bucket,
 // which re-relaxes every improved vertex's whole adjacency, and no more
 // bytes than Δ=1, which pays a round — and a claim exchange — per distance

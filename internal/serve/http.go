@@ -19,8 +19,6 @@ type ServerConfig struct {
 	// DefaultTimeout caps a request's queue+run deadline when the client
 	// does not pass timeout_ms. <= 0 selects 30s.
 	DefaultTimeout time.Duration
-	// MaxTimeout bounds client-supplied timeouts. <= 0 selects 5m.
-	MaxTimeout time.Duration
 	// DefaultDelta is the Δ-stepping bucket width applied to SSSP queries
 	// that do not pass delta themselves. 0 keeps per-run auto selection
 	// (⌈4·mean weight / mean out-degree⌉).
@@ -32,10 +30,20 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
 	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 5 * time.Minute
-	}
 	return c
+}
+
+// maxTimeout bounds client-supplied timeouts.
+const maxTimeout = 5 * time.Minute
+
+// deadline is now plus the client's timeout_ms, at most maxTimeout, or
+// plus DefaultTimeout when the client passed none.
+func (s *Server) deadline(timeoutMS int64) time.Time {
+	timeout := s.cfg.DefaultTimeout
+	if timeoutMS > 0 {
+		timeout = min(time.Duration(timeoutMS)*time.Millisecond, maxTimeout)
+	}
+	return time.Now().Add(timeout)
 }
 
 // Server is the HTTP/JSON API over a scheduler: POST /v1/query submits a
@@ -120,14 +128,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if q.Job.Analytic == analytics.JobSSSP && q.Job.Delta == 0 {
 		q.Job.Delta = s.cfg.DefaultDelta
 	}
-	timeout := s.cfg.DefaultTimeout
-	if q.TimeoutMS > 0 {
-		timeout = time.Duration(q.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
-	}
-	deadline := time.Now().Add(timeout)
+	deadline := s.deadline(q.TimeoutMS)
 
 	id, err := s.sched.Submit(&q.Job, deadline)
 	if err != nil {
@@ -190,14 +191,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding mutation batch: %w", err))
 		return
 	}
-	timeout := s.cfg.DefaultTimeout
-	if q.TimeoutMS > 0 {
-		timeout = time.Duration(q.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
-	}
-	deadline := time.Now().Add(timeout)
+	deadline := s.deadline(q.TimeoutMS)
 	job := &analytics.Job{Analytic: analytics.JobMutate, Mutations: q.Mutations}
 	id, err := s.sched.Submit(job, deadline)
 	if err != nil {
