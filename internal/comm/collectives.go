@@ -59,11 +59,16 @@ func Alltoallv[T Scalar](c *Comm, send []T, counts []int) (recv []T, recvCounts 
 // AlltoallvInto is Alltoallv with caller-retained result storage: recv and
 // recvCounts are reused when their capacity suffices and reallocated
 // otherwise, so a loop that feeds each call's results back in allocates
-// nothing once warm. Three further copies are gone relative to the naive
-// path: the segment addressed to the caller's own rank skips the codec and
-// the transport entirely (one straight copy from send to recv), encode
-// buffers are retained on the Comm, and on borrowed-read transports the
-// incoming bytes are decoded in place rather than copied out first.
+// nothing once warm. Each payload is copied once, by its receiver's
+// decode: the segment addressed to the caller's own rank skips the codec
+// and the transport entirely (one straight copy from send to recv), the
+// other segments ship as views of send itself (see wire), and on
+// borrowed-read transports the incoming bytes are decoded in place rather
+// than copied out first.
+//
+// recv must not overlap send: peers may still be reading this rank's send
+// while it decodes into recv. The call returns only after the round's
+// Release, so send may change again as soon as it returns.
 func AlltoallvInto[T Scalar](c *Comm, send []T, counts []int, recv []T, recvCounts []int) ([]T, []int, error) {
 	size := c.Size()
 	self := c.Rank()
@@ -85,8 +90,7 @@ func AlltoallvInto[T Scalar](c *Comm, send []T, counts []int, recv []T, recvCoun
 			// transport; it is copied straight into recv below.
 			selfLo, selfHi = pos, pos+n
 		} else {
-			c.outBufs[r] = encodeInto(c.outBufs[r][:0], send[pos:pos+n])
-			out[r] = c.outBufs[r]
+			out[r] = wire(c, r, send[pos:pos+n])
 		}
 		pos += n
 	}
@@ -143,20 +147,41 @@ func AlltoallvInto[T Scalar](c *Comm, send []T, counts []int, recv []T, recvCoun
 	return recv, recvCounts, nil
 }
 
-// broadcastBuffers encodes vals once into the retained scratch and points
-// every off-rank slot of the header at that one buffer (the self slot never
-// ships; its unused encode buffer is the natural home for the shared
-// message).
-func broadcastBuffers[T Scalar](c *Comm, vals []T) [][]byte {
+// wire returns vals as the message for destination slot r. Where the bulk
+// codec holds, the memory layout of vals already is the wire format, so the
+// message is a view of vals itself: the transport borrows the caller's
+// memory until Release and no payload stays on the Comm. The portable codec
+// encodes into the retained buffer outBufs[r] instead.
+func wire[T Scalar](c *Comm, r int, vals []T) []byte {
+	if bulkCodec {
+		return asBytes(vals)
+	}
+	c.outBufs[r] = encodeInto(c.outBufs[r][:0], vals)
+	return c.outBufs[r]
+}
+
+// broadcast returns the round's message header with every off-rank slot
+// pointing at the one message msg; the self slot never ships.
+func broadcast(c *Comm, msg []byte) [][]byte {
 	self := c.Rank()
 	out := c.sendBuffers()
-	c.outBufs[self] = encodeInto(c.outBufs[self][:0], vals)
 	for r := range out {
 		if r != self {
-			out[r] = c.outBufs[self]
+			out[r] = msg
 		}
 	}
 	return out
+}
+
+// encoded encodes vals into the retained self-slot buffer, which the self
+// slot never ships. It is the message of the collectives whose values are a
+// few words, often on the caller's stack (Allgather, MaxLoc,
+// AllreduceSlice): a view of them would make them escape, allocating per
+// call.
+func encoded[T Scalar](c *Comm, vals []T) []byte {
+	self := c.Rank()
+	c.outBufs[self] = encodeInto(c.outBufs[self][:0], vals)
+	return c.outBufs[self]
 }
 
 // Allgather distributes each rank's value to every rank; the result is
@@ -167,7 +192,7 @@ func Allgather[T Scalar](c *Comm, v T) ([]T, error) {
 	c.enter(obs.CAllgather)
 	es := sizeOf[T]()
 	vv := [1]T{v}
-	out := broadcastBuffers(c, vv[:])
+	out := broadcast(c, encoded(c, vv[:]))
 	c.xself = uint64(es)
 	in, err := c.beginExchange(out)
 	if err != nil {
@@ -197,11 +222,16 @@ func Allgather[T Scalar](c *Comm, v T) ([]T, error) {
 // Allgatherv concatenates every rank's slice in rank order. counts reports
 // how many elements each rank contributed.
 func Allgatherv[T Scalar](c *Comm, vals []T) (all []T, counts []int, err error) {
+	c.enter(obs.CAllgatherv)
+	return allgatherv(c, broadcast(c, wire(c, c.Rank(), vals)), vals)
+}
+
+// allgatherv runs Allgatherv's round over out, whose off-rank slots hold
+// the message form of vals.
+func allgatherv[T Scalar](c *Comm, out [][]byte, vals []T) (all []T, counts []int, err error) {
 	size := c.Size()
 	self := c.Rank()
-	c.enter(obs.CAllgatherv)
 	es := sizeOf[T]()
-	out := broadcastBuffers(c, vals)
 	c.xself = uint64(len(vals) * es)
 	in, err := c.beginExchange(out)
 	if err != nil {
@@ -255,7 +285,7 @@ func Bcast[T Scalar](c *Comm, vals []T, root int) ([]T, error) {
 	c.enter(obs.CBcast)
 	var out [][]byte
 	if self == root {
-		out = broadcastBuffers(c, vals)
+		out = broadcast(c, wire(c, self, vals))
 		c.xself = uint64(len(vals) * sizeOf[T]())
 	} else {
 		out = c.sendBuffers()
@@ -306,7 +336,7 @@ func Allreduce[T Scalar](c *Comm, v T, op Op) (T, error) {
 // AllreduceSlice element-wise combines equal-length slices from every rank.
 func AllreduceSlice[T Scalar](c *Comm, vals []T, op Op) ([]T, error) {
 	c.enter(obs.CAllreduce)
-	all, counts, err := Allgatherv(c, vals)
+	all, counts, err := allgatherv(c, broadcast(c, encoded(c, vals)), vals)
 	if err != nil {
 		return nil, err
 	}
@@ -357,16 +387,9 @@ func MaxLoc[T Scalar](c *Comm, v T, payload uint64) (maxVal T, maxPayload uint64
 	c.enter(obs.CMaxLoc)
 	es := sizeOf[T]()
 	vv := [1]T{v}
-	out := c.sendBuffers()
+	c.outBufs[self] = binary.LittleEndian.AppendUint64(encoded(c, vv[:]), payload)
+	out := broadcast(c, c.outBufs[self])
 	c.xself = uint64(es + 8)
-	buf := encodeInto(c.outBufs[self][:0], vv[:])
-	buf = binary.LittleEndian.AppendUint64(buf, payload)
-	c.outBufs[self] = buf
-	for r := range out {
-		if r != self {
-			out[r] = buf
-		}
-	}
 	in, err := c.beginExchange(out)
 	if err != nil {
 		var z T

@@ -15,10 +15,12 @@ type Comm struct {
 	stats Stats
 	mark  time.Time
 
-	// Retained collective scratch (steady-state zero allocation): outBufs
-	// are the per-destination encode buffers, outMsgs is the header slice
-	// handed to the transport each round. Both are reused across every
-	// collective on this communicator.
+	// Retained collective scratch (steady-state zero allocation): outMsgs
+	// is the header slice handed to the transport each round. outBufs are
+	// per-destination encode buffers, used only by the portable codec and,
+	// in the self slot, by the collectives of a few words (see encoded);
+	// where the bulk codec holds, other payloads ship as views of the
+	// caller's memory and stay here no longer than their round.
 	outBufs [][]byte
 	outMsgs [][]byte
 
@@ -69,7 +71,8 @@ func (s Stats) Total() time.Duration { return s.Comp + s.CommT + s.Idle }
 
 // New wraps a transport in a communicator and starts its measurement clock.
 func New(tr Transport) *Comm {
-	return &Comm{tr: tr, mark: time.Now()}
+	size := tr.Size()
+	return &Comm{tr: tr, mark: time.Now(), outBufs: make([][]byte, size), outMsgs: make([][]byte, size)}
 }
 
 // Rank returns this rank's id.
@@ -133,19 +136,11 @@ func (c *Comm) TakeStats() Stats {
 	return c.stats
 }
 
-// sendBuffers returns the retained message-header slice, cleared, sized to
-// the group. Collectives encode into c.outBufs[r] (via encodeInto on the
-// truncated buffer, storing the possibly-grown result back) and point the
-// header at it; slots left nil send nothing.
+// sendBuffers returns the retained message-header slice, cleared.
+// Collectives point the header at each slot's message (see wire, broadcast
+// and encoded); slots left nil send nothing.
 func (c *Comm) sendBuffers() [][]byte {
-	size := c.Size()
-	if len(c.outMsgs) != size {
-		c.outBufs = make([][]byte, size)
-		c.outMsgs = make([][]byte, size)
-	}
-	for i := range c.outMsgs {
-		c.outMsgs[i] = nil
-	}
+	clear(c.outMsgs)
 	return c.outMsgs
 }
 
@@ -190,7 +185,10 @@ func (c *Comm) beginExchange(out [][]byte) ([][]byte, error) {
 
 // endExchange completes the round opened by beginExchange: it releases
 // borrowed buffers (running the closing synchronization) and folds timing
-// and volume into the breakdown.
+// and volume into the breakdown. A released round also drops its message
+// headers, which may view the caller's memory, so none of it stays
+// reachable from the Comm. A failed Release leaves them: a peer of an
+// aborted round may still be reading them.
 func (c *Comm) endExchange(out, in [][]byte) error {
 	w, err := c.tr.Release()
 	c.xwait += w
@@ -199,6 +197,7 @@ func (c *Comm) endExchange(out, in [][]byte) error {
 		return c.wrapErr(err, 1)
 	}
 	c.settle(out, in)
+	clear(c.outMsgs)
 	return nil
 }
 

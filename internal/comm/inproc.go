@@ -124,7 +124,8 @@ func (t *LocalTransport) Abort() {
 // publish, and returns direct views of the senders' boards — no copy at
 // all. Between the two barriers all ranks only read the boards, so
 // concurrent borrowed reads are safe; Release's barrier keeps any rank from
-// republishing while a peer is still reading.
+// republishing, or from returning to a caller who then changes the memory
+// its messages view, while a peer is still reading.
 func (t *LocalTransport) Exchange(out [][]byte) ([][]byte, time.Duration, error) {
 	w := t.w
 	if len(out) != w.size {

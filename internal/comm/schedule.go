@@ -171,8 +171,9 @@ type scheduledFault struct {
 //
 // The wrapped round is the one production runs, so fault tests exercise
 // the same zero-copy path. Post-round mutations never touch the
-// transport's (or senders') buffers: affected entries are replaced with
-// private corrupted copies.
+// transport's buffers or the senders' messages, which may be a collective
+// caller's own memory: affected entries are replaced with private corrupted
+// copies.
 type ScheduledTransport struct {
 	tr     Transport
 	faults map[uint64][]*scheduledFault

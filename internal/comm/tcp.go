@@ -231,7 +231,9 @@ func (t *TCPTransport) Size() int { return t.size }
 // with receives from all peers, so large symmetric exchanges cannot
 // deadlock on full kernel buffers. Incoming payloads land in the
 // transport's retained per-peer buffers and the self slot aliases the
-// caller's own message — no steady-state allocation and no self copy. The
+// caller's own message — no steady-state allocation and no self copy.
+// Exchange returns only after every send has been written, so out is never
+// read after it returns and Release needs no closing synchronization. The
 // wait estimate is the time between completing local sends and completing
 // all receives — the portion spent blocked on slower peers.
 func (t *TCPTransport) Exchange(out [][]byte) ([][]byte, time.Duration, error) {

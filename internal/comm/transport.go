@@ -26,15 +26,22 @@ import "time"
 // point: no rank's Exchange returns until every rank has contributed its
 // messages for that round.
 //
-// The round is zero-copy on both sides. The caller reads the received
-// messages in place (the in-process transport hands out direct views of the
-// senders' publish boards; the TCP transport hands out its retained receive
-// buffers), so collectives decode straight into typed result storage.
+// The round is zero-copy on both sides. Where the bulk codec holds, the
+// messages a collective sends are views of its caller's memory, with no
+// encode copy. The receiver reads the messages in place (the in-process
+// transport hands out direct views of the senders' messages; the TCP
+// transport hands out its retained receive buffers), so collectives decode
+// straight into typed result storage, and that decode is the one copy a
+// payload costs in process.
 // Contract:
 //   - The slices Exchange returns (and the header slice holding them) are
 //     transport-owned and valid only until Release returns.
 //   - out is borrowed by the transport for the same window: the caller
 //     must not mutate any out[i] until Release returns.
+//   - A transport never writes into out[i], not even after Release: the
+//     collectives hand it views of their callers' memory (the send slice
+//     of an Alltoallv, the values of a Bcast), so a message it must alter
+//     is replaced by a private copy.
 //   - Release must be called exactly once after every successful Exchange
 //     (and not after a failed one); it completes the round's
 //     synchronization, so skipping it deadlocks the group.

@@ -112,13 +112,11 @@ func Build(ctx *Ctx, src EdgeSource, pt partition.Partitioner) (*Graph, Timings,
 	}
 	tm.Exchange = time.Since(start)
 
-	// Stage 3 — Convert: relabel and build the task-local CSRs. Conversion
-	// failures (misrouted edges) are likewise agreed collectively.
+	// Stage 3 — Convert: relabel and build the task-local CSRs. The
+	// shuffles delivered only pairs whose first endpoint is owned here, so
+	// conversion cannot fail.
 	start = time.Now()
-	g, convErr := convert(ctx, outPairs, inPairs, pt, n, m)
-	if err := collectiveErr(ctx, convErr); err != nil {
-		return nil, tm, err
-	}
+	g := convert(ctx, outPairs, inPairs, pt, n, m)
 	if err := ctx.Comm.Barrier(); err != nil {
 		return nil, tm, err
 	}
@@ -203,17 +201,55 @@ func exchangeEdges(ctx *Ctx, chunk edge.List, pt partition.Partitioner, reversed
 	for d, c := range counts {
 		wordCounts[d] = int(2 * c)
 	}
-	recv, _, err := comm.Alltoallv(ctx.Comm, sendBuf, wordCounts)
+	recv, recvCounts, err := comm.Alltoallv(ctx.Comm, sendBuf, wordCounts)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkShuffle(ctx, recv, recvCounts, pt); err != nil {
 		return nil, err
 	}
 	return edge.List(recv), nil
 }
 
+// checkShuffle validates what the peers' shuffle segments delivered before
+// conversion trusts it: each segment holds whole pairs, both ids of every
+// pair name vertices of the graph, and the first id, the endpoint the pair
+// was routed by, is owned here. A segment that fails is a corrupt message
+// from its sender. The cost is a compare per word and an owner lookup per
+// pair; this rank's own segment is left unchecked, since it routed it.
+func checkShuffle(ctx *Ctx, recv []uint32, recvCounts []int, pt partition.Partitioner) error {
+	n, rank := pt.NumVertices(), ctx.Rank()
+	off := 0
+	for r, cnt := range recvCounts {
+		seg := recv[off : off+cnt]
+		off += cnt
+		if r == rank {
+			continue
+		}
+		if cnt%2 != 0 {
+			return corruptFrom(ctx, r, "core: edge shuffle segment of %d words from rank %d splits a pair", cnt, r)
+		}
+		var bad atomic.Uint64 // 1 + the index of a failing pair
+		ctx.Pool.For(cnt/2, func(lo, hi, _ int) {
+			for i := lo; i < hi; i++ {
+				if u := seg[2*i]; u >= n || seg[2*i+1] >= n || pt.Owner(u) != rank {
+					bad.Store(uint64(i) + 1)
+					return
+				}
+			}
+		})
+		if i := bad.Load(); i != 0 {
+			u, v := seg[2*i-2], seg[2*i-1]
+			return corruptFrom(ctx, r, "core: edge shuffle pair (%d, %d) from rank %d leaves the %d-vertex graph or starts at a vertex not owned here", u, v, r, n)
+		}
+	}
+	return nil
+}
+
 // convert builds the Table II structures from the exchanged pair lists.
 // outPairs holds (owned source, destination) pairs; inPairs holds
 // (owned destination, source) pairs. Both are in global ids.
-func convert(ctx *Ctx, outPairs, inPairs edge.List, pt partition.Partitioner, n uint32, m uint64) (*Graph, error) {
+func convert(ctx *Ctx, outPairs, inPairs edge.List, pt partition.Partitioner, n uint32, m uint64) *Graph {
 	rank := ctx.Rank()
 
 	owned := pt.Owned(rank)
@@ -258,44 +294,29 @@ func convert(ctx *Ctx, outPairs, inPairs edge.List, pt partition.Partitioner, n 
 		}
 	})
 
-	var err error
-	g.OutIdx, g.OutEdges, err = buildCSR(ctx, g, outPairs)
-	if err != nil {
-		return nil, fmt.Errorf("core: out CSR: %w", err)
-	}
-	g.InIdx, g.InEdges, err = buildCSR(ctx, g, inPairs)
-	if err != nil {
-		return nil, fmt.Errorf("core: in CSR: %w", err)
-	}
-	return g, nil
+	g.OutIdx, g.OutEdges = buildCSR(ctx, g, outPairs)
+	g.InIdx, g.InEdges = buildCSR(ctx, g, inPairs)
+	return g
 }
 
 // buildCSR turns (owned vertex, neighbor) global-id pairs into a local-id
 // CSR over owned vertices.
-func buildCSR(ctx *Ctx, g *Graph, pairs edge.List) ([]uint64, []uint32, error) {
+func buildCSR(ctx *Ctx, g *Graph, pairs edge.List) ([]uint64, []uint32) {
 	nloc := g.NLoc
 	nPairs := pairs.Len()
 
 	// Translate to local ids in place (both endpoints are registered) and
 	// count per-vertex degrees with one atomic add per edge.
 	deg := make([]uint32, nloc)
-	var misrouted atomic.Uint32
 	ctx.Pool.For(nPairs, func(lo, hi, tid int) {
 		for i := lo; i < hi; i++ {
 			src := g.Map.MustGet(pairs.Src(i))
-			if src >= nloc {
-				misrouted.Store(pairs.Src(i) + 1)
-				return
-			}
 			dst := g.Map.MustGet(pairs.Dst(i))
 			pairs[2*i] = src
 			pairs[2*i+1] = dst
 			atomic.AddUint32(&deg[src], 1)
 		}
 	})
-	if v := misrouted.Load(); v != 0 {
-		return nil, nil, fmt.Errorf("edge for unowned vertex %d arrived here", v-1)
-	}
 
 	deg64 := make([]uint64, nloc)
 	for i, d := range deg {
@@ -314,5 +335,5 @@ func buildCSR(ctx *Ctx, g *Graph, pairs edge.List) ([]uint64, []uint32, error) {
 			edges[pos] = pairs.Dst(i)
 		}
 	})
-	return idx, edges, nil
+	return idx, edges
 }

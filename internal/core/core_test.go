@@ -1,10 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/comm"
 	"repro/internal/edge"
@@ -313,6 +316,77 @@ func TestGhostExchangeRejectsForgedRequest(t *testing.T) {
 			if comm.Classify(errs[1]) != comm.KindAborted {
 				t.Fatalf("forging rank: %v, want the group abort", errs[1])
 			}
+		})
+	}
+}
+
+// shuffleForger rewrites the first message its rank sends rank 0 that is
+// longer than one word: in Build, the out-edge shuffle's segment (the
+// rounds before it are barriers and one-byte reduces).
+type shuffleForger struct {
+	comm.Transport
+	forge  func(msg []byte) []byte
+	forged bool
+}
+
+func (f *shuffleForger) Exchange(out [][]byte) ([][]byte, time.Duration, error) {
+	if !f.forged && len(out[0]) > 8 {
+		out[0] = f.forge(slices.Clone(out[0]))
+		f.forged = true
+	}
+	return f.Transport.Exchange(out)
+}
+
+func (f *shuffleForger) Abort() { f.Transport.(interface{ Abort() }).Abort() }
+
+// TestBuildRejectsForgedShuffle forges rank 1's out-edge shuffle segment
+// for rank 0. Over a vertex block of 64, rank 1 reads the edges (63-v, v)
+// and sends rank 0 the 31 whose source it owns, starting with (31, 32). A
+// destination or a source outside the graph, a source rank 1 owns itself,
+// and a segment with an odd word count each fail the build with a
+// corrupt-message CommError naming the forger, and the forger sees the
+// group abort.
+func TestBuildRejectsForgedShuffle(t *testing.T) {
+	var edges edge.List
+	for v := uint32(0); v < 63; v++ {
+		edges.Push(v, v+1)
+	}
+	for v := uint32(0); v < 63; v++ {
+		edges.Push(63-v, v)
+	}
+	setWord := func(i int, w uint32) func([]byte) []byte {
+		return func(msg []byte) []byte {
+			binary.LittleEndian.PutUint32(msg[4*i:], w)
+			return msg
+		}
+	}
+	for _, f := range []struct {
+		name  string
+		forge func([]byte) []byte
+	}{
+		{"destination outside the graph", setWord(1, 64)},
+		{"source outside the graph", setWord(0, 64)},
+		{"source the sender owns", setWord(0, 40)},
+		{"odd word count", func(msg []byte) []byte { return msg[:len(msg)-4] }},
+	} {
+		t.Run(f.name, func(t *testing.T) {
+			trs := comm.NewLocalGroup(2)
+			forger := &shuffleForger{Transport: trs[1], forge: f.forge}
+			errs := comm.RunOnAll([]*comm.Comm{comm.New(trs[0]), comm.New(forger)}, func(c *comm.Comm) error {
+				_, _, err := Build(NewCtx(c, 1), ListSource{Edges: edges}, partition.NewVertexBlock(64, 2))
+				return err
+			})
+			if !forger.forged {
+				t.Fatal("the forger never sent its forgery")
+			}
+			var ce *comm.CommError
+			if !errors.As(errs[0], &ce) || ce.Kind != comm.KindCorrupt || ce.Peer != 1 {
+				t.Fatalf("rank 0 returned %v, want a corrupt-message CommError for peer 1", errs[0])
+			}
+			if comm.Classify(errs[1]) != comm.KindAborted {
+				t.Fatalf("forging rank: %v, want the group abort", errs[1])
+			}
+			t.Log(errs[0])
 		})
 	}
 }

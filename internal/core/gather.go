@@ -74,8 +74,7 @@ func GhostExchangeU32(ctx *Ctx, g *Graph, state []uint32) error {
 		for _, gid := range asked[len(reply):][:n] {
 			lid := g.LocalID(gid)
 			if lid == InvalidLocal || lid >= g.NLoc {
-				return &comm.CommError{Rank: ctx.Rank(), Peer: r, Kind: comm.KindCorrupt, Attempt: 1,
-					Err: fmt.Errorf("core: ghost request for vertex %d, which this rank does not own", gid)}
+				return corruptFrom(ctx, r, "core: ghost request for vertex %d, which this rank does not own", gid)
 			}
 			reply = append(reply, state[lid])
 		}
@@ -91,4 +90,10 @@ func GhostExchangeU32(ctx *Ctx, g *Graph, state []uint32) error {
 		state[slotGhost[slot]] = val
 	}
 	return nil
+}
+
+// corruptFrom builds the rank-attributed CommError for a peer message that
+// no honest peer could have sent: fatal, not retryable.
+func corruptFrom(ctx *Ctx, peer int, format string, args ...any) error {
+	return &comm.CommError{Rank: ctx.Rank(), Peer: peer, Kind: comm.KindCorrupt, Attempt: 1, Err: fmt.Errorf(format, args...)}
 }
