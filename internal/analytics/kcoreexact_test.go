@@ -227,13 +227,16 @@ func TestKCoreExactGolden(t *testing.T) {
 					return err
 				}
 				d := core.NewDelta(g)
-				var stats core.ApplyStats
 				for bi, batch := range batches {
-					if stats, err = core.ApplyBatch(ctx, d, uint64(bi+1), batch); err != nil {
+					if err := d.Apply(uint64(bi+1), batch); err != nil {
 						return fmt.Errorf("batch %d: %w", bi, err)
 					}
 				}
-				mg, err := core.MergeDelta(d, stats.MGlobal)
+				mGlobal, err := comm.Allreduce(ctx.Comm, d.LiveOut(), comm.OpSum)
+				if err != nil {
+					return err
+				}
+				mg, err := core.MergeDelta(d, mGlobal)
 				if err != nil {
 					return err
 				}

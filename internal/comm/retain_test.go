@@ -8,10 +8,12 @@ import (
 
 // TestCommRetainsNoPayload pins that a collective leaves no payload on the
 // communicator: after an Alltoallv, an Allgatherv and a Bcast of 1 MiB per
-// peer, then the same of 4 KiB, no encode buffer holds 64 KiB and no
-// message header still views caller memory where the bulk codec ships
-// views, and every send slice is unchanged. The portable codec still encodes into the retained buffers;
-// there only the round trips are checked.
+// peer, then retainIdleFrames rounds of the same of 4 KiB, no TCP receive
+// buffer holds 64 KiB, no encode buffer holds 64 KiB and no message header
+// still views caller memory where the bulk codec ships views, and every
+// send slice is unchanged. The portable codec still encodes into the
+// retained buffers; there only the round trips and the receive buffers are
+// checked.
 func TestCommRetainsNoPayload(t *testing.T) {
 	const size = 3
 	for _, ct := range conformanceTransports() {
@@ -21,9 +23,19 @@ func TestCommRetainsNoPayload(t *testing.T) {
 				bulkCodec = bulk
 				defer func() { bulkCodec = saved }()
 				ct.run(t, size, func(c *Comm) error {
-					for _, perPeer := range []int{1 << 20, 4 << 10} {
-						if err := retainRound(c, perPeer/8); err != nil {
-							return fmt.Errorf("%d B per peer: %w", perPeer, err)
+					if err := retainRound(c, (1<<20)/8); err != nil {
+						return fmt.Errorf("1 MiB per peer: %w", err)
+					}
+					for range retainIdleFrames {
+						if err := retainRound(c, (4<<10)/8); err != nil {
+							return fmt.Errorf("4 KiB per peer: %w", err)
+						}
+					}
+					if tcp, ok := c.tr.(*TCPTransport); ok {
+						for r, b := range tcp.inBufs {
+							if cap(b) >= 64<<10 {
+								return fmt.Errorf("inBufs[%d] retains %d B", r, cap(b))
+							}
 						}
 					}
 					if !bulk {
@@ -96,4 +108,42 @@ func retainRound(c *Comm, n int) error {
 		return fmt.Errorf("a collective changed its send slice")
 	}
 	return nil
+}
+
+// TestTCPKeepsBufferAcrossSmallRounds pins that the small collectives a
+// kernel runs between its large rounds (a BFS level's frontier exchange and
+// Allreduces) do not cost the large rounds their receive buffer: after the
+// first 1 MiB Alltoallv over TCP, no later one allocates a new buffer.
+func TestTCPKeepsBufferAcrossSmallRounds(t *testing.T) {
+	const size, n = 3, (1 << 20) / 8
+	runTCPGroup(t, size, func(c *Comm) error {
+		tcp := c.tr.(*TCPTransport)
+		send := make([]uint64, n*size)
+		counts := make([]int, size)
+		for r := range counts {
+			counts[r] = n
+		}
+		bufs := make([]*byte, size)
+		for round := range 2 * retainIdleFrames {
+			if _, _, err := Alltoallv(c, send, counts); err != nil {
+				return err
+			}
+			for p, b := range tcp.inBufs {
+				if p == c.Rank() {
+					continue
+				}
+				if round == 0 {
+					bufs[p] = &b[:1][0]
+				} else if &b[:1][0] != bufs[p] {
+					return fmt.Errorf("round %d: a new receive buffer for peer %d", round, p)
+				}
+			}
+			for range 4 {
+				if _, err := Allreduce(c, uint64(round), OpSum); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
 }

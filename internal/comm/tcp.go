@@ -38,9 +38,12 @@ type TCPTransport struct {
 	frameDeadline time.Duration
 
 	// Retained receive storage: inBufs holds one reusable payload buffer
-	// per peer, inViews the header slice Exchange returns. Reused only at
+	// per peer (released when its frames stop needing it, see
+	// retainIdleFrames), inIdle the frames each peer's buffer has idled
+	// through, inViews the header slice Exchange returns. Reused only at
 	// the next Exchange, which the round contract orders after Release.
 	inBufs  [][]byte
+	inIdle  []int
 	inViews [][]byte
 
 	closeOnce sync.Once
@@ -246,6 +249,7 @@ func (t *TCPTransport) Exchange(out [][]byte) ([][]byte, time.Duration, error) {
 	if t.inViews == nil {
 		t.inViews = make([][]byte, t.size)
 		t.inBufs = make([][]byte, t.size)
+		t.inIdle = make([]int, t.size)
 	}
 	in := t.inViews
 	// Self-delivery is a borrowed alias of the caller's own message.
@@ -301,7 +305,7 @@ func (t *TCPTransport) Exchange(out [][]byte) ([][]byte, time.Duration, error) {
 					Err: fmt.Errorf("recv from %d: sequence %d, want %d", peer, gotSeq, seq)})
 				return
 			}
-			t.inBufs[peer] = payload
+			t.retain(peer, payload)
 			in[peer] = payload
 		}(peer)
 	}
@@ -360,6 +364,31 @@ func writeFrame(conn net.Conn, seq uint64, payload []byte) error {
 // corrupt or hostile length header can waste at most one chunk of memory
 // beyond the bytes that actually arrive, never the full advertised length.
 const frameAllocChunk = 1 << 20
+
+// retainSmall is the receive-buffer capacity a peer may keep whatever the
+// frames it carries; retainIdleFrames is how many frames in a row a larger
+// buffer may go without one that fills at least a quarter of it before it
+// is released. Small collectives between large rounds (a BFS level's
+// Allreduce, a PageRank iteration's residual) read into the large buffer
+// and keep it; a build's edge shuffle followed only by small rounds is not
+// held for the transport's life.
+const (
+	retainSmall      = 64 << 10
+	retainIdleFrames = 32
+)
+
+// retain keeps payload's storage as peer's receive buffer for the next
+// Exchange, or releases it once a large buffer has idled through
+// retainIdleFrames frames.
+func (t *TCPTransport) retain(peer int, payload []byte) {
+	if cap(payload) <= retainSmall || 4*len(payload) >= cap(payload) {
+		t.inIdle[peer] = 0
+	} else if t.inIdle[peer]++; t.inIdle[peer] >= retainIdleFrames {
+		t.inIdle[peer] = 0
+		payload = nil
+	}
+	t.inBufs[peer] = payload
+}
 
 // readFrame reads one length-framed message from r, receiving the payload
 // into buf when its capacity suffices and allocating (incrementally, see

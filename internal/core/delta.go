@@ -6,7 +6,7 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/comm"
+	"repro/internal/edge"
 	"repro/internal/par"
 	"repro/internal/vmap"
 )
@@ -14,9 +14,8 @@ import (
 // Delta is one rank's mutable overlay on top of an immutable base shard:
 // the streaming-ingest counterpart of the build-once CSR. Deleted base
 // edges are tombstoned by CSR position (a bitset over OutEdges/InEdges),
-// inserted edges accumulate per owned vertex as global-id adjacency, and
-// every applied routed record is appended to a versioned little-endian
-// delta log (deltalog.go). The logical adjacency of owned vertex v is
+// and inserted edges accumulate per owned vertex as global-id adjacency.
+// The logical adjacency of owned vertex v is
 //
 //	base CSR row of v  minus  tombstoned positions  plus  extra rows
 //
@@ -42,11 +41,7 @@ type Delta struct {
 	extraOut, extraIn   map[uint32][]uint32
 	extraOutN, extraInN uint64
 
-	log      []byte
-	lastID   uint64
-	batches  uint64
-	inserted uint64
-	deleted  uint64
+	lastID uint64
 }
 
 // NewDelta returns an empty overlay over base.
@@ -57,9 +52,6 @@ func NewDelta(base *Graph) *Delta {
 		extraIn:  make(map[uint32][]uint32),
 	}
 }
-
-// Base returns the immutable shard under the overlay.
-func (d *Delta) Base() *Graph { return d.base }
 
 // FastForward raises the replay watermark without applying anything. A
 // compaction swap replaces a shard's overlay with a fresh one over the new
@@ -76,14 +68,8 @@ func (d *Delta) Empty() bool {
 	return d.tombOutN == 0 && d.tombInN == 0 && d.extraOutN == 0 && d.extraInN == 0
 }
 
-// Batches returns the number of distinct batches applied.
-func (d *Delta) Batches() uint64 { return d.batches }
-
 // LastID returns the id of the most recently applied batch.
 func (d *Delta) LastID() uint64 { return d.lastID }
-
-// Log returns the encoded delta log (aliases internal storage).
-func (d *Delta) Log() []byte { return d.log }
 
 // LiveOut returns the rank-local live out-edge count under the overlay.
 func (d *Delta) LiveOut() uint64 { return d.base.MOut() - d.tombOutN + d.extraOutN }
@@ -91,35 +77,9 @@ func (d *Delta) LiveOut() uint64 { return d.base.MOut() - d.tombOutN + d.extraOu
 // LiveIn returns the rank-local live in-edge count under the overlay.
 func (d *Delta) LiveIn() uint64 { return d.base.MIn() - d.tombInN + d.extraInN }
 
-// DeltaStats summarizes one rank's overlay for service counters.
-type DeltaStats struct {
-	Batches  uint64 `json:"batches"`
-	Inserted uint64 `json:"inserted"`
-	Deleted  uint64 `json:"deleted"`
-	TombOut  uint64 `json:"tombstones_out"`
-	TombIn   uint64 `json:"tombstones_in"`
-	ExtraOut uint64 `json:"extra_out"`
-	ExtraIn  uint64 `json:"extra_in"`
-	LogBytes uint64 `json:"log_bytes"`
-}
-
-// Stats snapshots the overlay counters.
-func (d *Delta) Stats() DeltaStats {
-	return DeltaStats{
-		Batches:  d.batches,
-		Inserted: d.inserted,
-		Deleted:  d.deleted,
-		TombOut:  d.tombOutN,
-		TombIn:   d.tombInN,
-		ExtraOut: d.extraOutN,
-		ExtraIn:  d.extraInN,
-		LogBytes: uint64(len(d.log)),
-	}
-}
-
 // Clone deep-copies the overlay structures needed by MergeDelta, so a
 // background merge can run while new batches keep applying to the
-// original. The log is not copied (merging never reads it).
+// original.
 func (d *Delta) Clone() *Delta {
 	c := &Delta{
 		base:     d.base,
@@ -128,9 +88,6 @@ func (d *Delta) Clone() *Delta {
 		extraOut: make(map[uint32][]uint32, len(d.extraOut)),
 		extraIn:  make(map[uint32][]uint32, len(d.extraIn)),
 		lastID:   d.lastID,
-		batches:  d.batches,
-		inserted: d.inserted,
-		deleted:  d.deleted,
 	}
 	c.tombOut = append([]uint64(nil), d.tombOut...)
 	c.tombIn = append([]uint64(nil), d.tombIn...)
@@ -162,24 +119,43 @@ func (d *Delta) tombstones(out bool) []uint64 {
 	return d.tombIn
 }
 
-// applySide applies one routed record to one CSR side. For the out side
-// the owned endpoint is Src and the neighbor is Dst; the in side is the
-// mirror image. Neighbors are matched by global id so edges to vertices
-// the base shard has never seen (fresh ghosts) work uniformly.
-func (d *Delta) applySide(out bool, rec comm.MutationRecord) error {
-	b := d.base
-	ownedGid, nbrGid := rec.Src, rec.Dst
-	if !out {
-		ownedGid, nbrGid = rec.Dst, rec.Src
+// Apply applies one batch to the overlay: in batch order, each record
+// changes the out side if this shard owns its source and the in side if
+// it owns its destination. Every rank holds the whole batch (it travels in
+// the job broadcast), so nothing routes it, and every replica of a shard
+// applies the same records in the same order. A batch id at or below the
+// last applied id is a failover replay and is skipped whole.
+func (d *Delta) Apply(id uint64, batch edge.Batch) error {
+	if id <= d.lastID {
+		return nil
 	}
+	b := d.base
+	for _, m := range batch {
+		if b.Part.Owner(m.Src) == b.rank {
+			if err := d.applySide(true, m.Op, m.Src, m.Dst); err != nil {
+				return err
+			}
+		}
+		if b.Part.Owner(m.Dst) == b.rank {
+			if err := d.applySide(false, m.Op, m.Dst, m.Src); err != nil {
+				return err
+			}
+		}
+	}
+	d.lastID = id
+	return nil
+}
+
+// applySide applies one record to one CSR side of the owned vertex
+// ownedGid: its out side (neighbor nbrGid is the destination) or its in
+// side (nbrGid is the source). Neighbors are matched by global id so
+// edges to vertices the base shard has never seen (fresh ghosts) work
+// uniformly.
+func (d *Delta) applySide(out bool, op edge.Op, ownedGid, nbrGid uint32) error {
+	b := d.base
 	lid := b.LocalID(ownedGid)
 	if lid >= b.NLoc {
-		side := "in"
-		if out {
-			side = "out"
-		}
-		return fmt.Errorf("core: %s-side mutation for vertex %d routed to rank %d, owner is %d",
-			side, ownedGid, b.rank, b.Part.Owner(ownedGid))
+		return fmt.Errorf("core: vertex %d is owned by rank %d but not in its shard", ownedGid, b.rank)
 	}
 	idx, edges := b.InIdx, b.InEdges
 	extras := d.extraIn
@@ -204,19 +180,18 @@ func (d *Delta) applySide(out bool, rec comm.MutationRecord) error {
 		}
 	}
 
-	switch rec.Op {
-	case 1: // insert
+	switch op {
+	case edge.OpInsert:
 		if liveBase+liveExtra > 0 {
 			return nil
 		}
 		extras[lid] = append(row, nbrGid)
 		if out {
 			d.extraOutN++
-			d.inserted++
 		} else {
 			d.extraInN++
 		}
-	case 2: // delete
+	case edge.OpDelete:
 		if liveBase+liveExtra == 0 {
 			return nil
 		}
@@ -248,57 +223,9 @@ func (d *Delta) applySide(out bool, rec comm.MutationRecord) error {
 				d.extraInN -= uint64(liveExtra)
 			}
 		}
-		if out {
-			d.deleted++
-		}
 	default:
-		return fmt.Errorf("core: invalid mutation op %d", rec.Op)
+		return fmt.Errorf("core: invalid mutation op %d", op)
 	}
-	return nil
-}
-
-// checkSeqAscending rejects a routed record stream whose batch sequence
-// numbers do not strictly ascend.
-func checkSeqAscending(side string, recs []comm.MutationRecord) error {
-	for i := 1; i < len(recs); i++ {
-		if recs[i].Seq <= recs[i-1].Seq {
-			return fmt.Errorf("core: %s-side mutation seq %d after %d: misrouted exchange",
-				side, recs[i].Seq, recs[i-1].Seq)
-		}
-	}
-	return nil
-}
-
-// ApplyRouted applies one batch's routed records — out-side records whose
-// source this rank owns and in-side records whose destination it owns —
-// and appends them to the delta log. Records must arrive in ascending
-// batch sequence (the routing exchange guarantees it: chunks are
-// contiguous and segments concatenate in rank order). A batch id at or
-// below the last applied id is a failover replay and is skipped whole, so
-// every shard replica converges to exactly-once application per batch.
-func (d *Delta) ApplyRouted(id uint64, out, in []comm.MutationRecord) error {
-	if id <= d.lastID {
-		return nil
-	}
-	if err := checkSeqAscending("out", out); err != nil {
-		return err
-	}
-	if err := checkSeqAscending("in", in); err != nil {
-		return err
-	}
-	for _, rec := range out {
-		if err := d.applySide(true, rec); err != nil {
-			return err
-		}
-	}
-	for _, rec := range in {
-		if err := d.applySide(false, rec); err != nil {
-			return err
-		}
-	}
-	d.log = AppendDeltaFrame(d.log, id, out, in)
-	d.lastID = id
-	d.batches++
 	return nil
 }
 

@@ -134,16 +134,20 @@ func TestDeltaOverlayMatchesRebuild(t *testing.T) {
 						return err
 					}
 					d := NewDelta(g)
+					var merged *Graph
 					for bi, batch := range batches {
-						st, err := ApplyBatch(ctx, d, uint64(bi+1), batch)
-						if err != nil {
+						if err := d.Apply(uint64(bi+1), batch); err != nil {
 							return fmt.Errorf("batch %d: %w", bi, err)
 						}
-						oracle := oracles[bi]
-						if st.MGlobal != uint64(oracle.Len()) {
-							return fmt.Errorf("batch %d: MGlobal %d, oracle %d", bi, st.MGlobal, oracle.Len())
+						mGlobal, err := comm.Allreduce(c, d.LiveOut(), comm.OpSum)
+						if err != nil {
+							return err
 						}
-						merged, err := MergeDelta(d, st.MGlobal)
+						oracle := oracles[bi]
+						if mGlobal != uint64(oracle.Len()) {
+							return fmt.Errorf("batch %d: MGlobal %d, oracle %d", bi, mGlobal, oracle.Len())
+						}
+						merged, err = MergeDelta(d, mGlobal)
 						if err != nil {
 							return fmt.Errorf("batch %d: %w", bi, err)
 						}
@@ -165,21 +169,29 @@ func TestDeltaOverlayMatchesRebuild(t *testing.T) {
 							return fmt.Errorf("batch %d rebuilt: %w", bi, err)
 						}
 					}
-					// Replay of an already-applied batch id must be a no-op.
-					before := d.Stats()
-					if _, err := ApplyBatch(ctx, d, uint64(len(batches)), batches[len(batches)-1]); err != nil {
-						return err
-					}
-					if d.Stats() != before {
-						return fmt.Errorf("replayed batch changed overlay: %+v -> %+v", before, d.Stats())
-					}
-					// The delta log must decode back to exactly the applied frames.
-					frames, err := DecodeDeltaLog(d.Log())
+					// Replaying applied batch ids must be a no-op: the merged
+					// shard encodes to the same bytes. The replay runs newest
+					// first, since a batch is idempotent on its own and so is
+					// the whole schedule replayed in order.
+					before, err := EncodeShardState(merged, 0)
 					if err != nil {
 						return err
 					}
-					if len(frames) != len(batches) {
-						return fmt.Errorf("log has %d frames, want %d", len(frames), len(batches))
+					for bi := len(batches) - 1; bi >= 0; bi-- {
+						if err := d.Apply(uint64(bi+1), batches[bi]); err != nil {
+							return err
+						}
+					}
+					replayed, err := MergeDelta(d, merged.MGlobal)
+					if err != nil {
+						return err
+					}
+					after, err := EncodeShardState(replayed, 0)
+					if err != nil {
+						return err
+					}
+					if !bytes.Equal(before, after) {
+						return fmt.Errorf("replayed batch changed the merged shard")
 					}
 					return nil
 				})
@@ -702,8 +714,7 @@ func TestMergeDeltaMatchesReference(t *testing.T) {
 									var merged *Graph
 									var stats mergeStats
 									for id, batch := range batches {
-										out, in := FilterRouted(base.Part, r, batch)
-										if err := d.ApplyRouted(uint64(id+1), out, in); err != nil {
+										if err := d.Apply(uint64(id+1), batch); err != nil {
 											t.Fatal(err)
 										}
 										touched := len(d.extraOut) + len(d.extraIn) + int(d.tombOutN+d.tombInN)
@@ -800,8 +811,7 @@ func TestMergeDeltaCanonicalBaseFastPath(t *testing.T) {
 			t.Fatalf("rank %d: no ghost with a second in-side reference", r)
 		}
 		d := NewDelta(canon)
-		out, in := FilterRouted(canon.Part, r, edge.Batch{*del})
-		if err := d.ApplyRouted(1, out, in); err != nil {
+		if err := d.Apply(1, edge.Batch{*del}); err != nil {
 			t.Fatal(err)
 		}
 		if d.tombInN == 0 {
@@ -837,9 +847,9 @@ func fuzzMergeStream(shards []*Graph, data []byte) error {
 				return nil
 			}
 			id++
-			out, in := FilterRouted(g.Part, r, batch)
+			err := d.Apply(id, batch)
 			batch = batch[:0]
-			if err := d.ApplyRouted(id, out, in); err != nil {
+			if err != nil {
 				return err
 			}
 			merged, _, err := mergeBoth(d, id)
@@ -919,8 +929,7 @@ func BenchmarkMergeDelta(b *testing.B) {
 		g    *Graph
 	}{{"built", built}, {"canonical", canon}} {
 		d := NewDelta(base.g)
-		out, in := FilterRouted(base.g.Part, 0, batch)
-		if err := d.ApplyRouted(1, out, in); err != nil {
+		if err := d.Apply(1, batch); err != nil {
 			b.Fatal(err)
 		}
 		b.Run(base.name, func(b *testing.B) {

@@ -33,7 +33,7 @@ import (
 //	payloads, back to back, in section-table order
 //
 // Sections: partitioner blob, meta (rank, NGlobal, MGlobal, NLoc, NGst,
-// delta-log watermark), OutIdx, OutEdges, InIdx, InEdges, Unmap,
+// replay watermark), OutIdx, OutEdges, InIdx, InEdges, Unmap,
 // GhostOwner.
 
 const (
@@ -73,9 +73,9 @@ func ShardCRC(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 // SaveShard writes the rank's shard to w (v2, watermark 0).
 func SaveShard(w io.Writer, g *Graph) error { return SaveShardState(w, g, 0) }
 
-// SaveShardState writes the rank's shard to w with its delta-log replay
-// watermark (the id of the last mutation batch folded into this CSR), so a
-// reloaded shard resumes exactly-once ingest where the saved one stopped.
+// SaveShardState writes the rank's shard to w with its replay watermark
+// (the id of the last mutation batch folded into this CSR), so a reloaded
+// shard resumes exactly-once ingest where the saved one stopped.
 func SaveShardState(w io.Writer, g *Graph, watermark uint64) error {
 	enc, err := EncodeShardState(g, watermark)
 	if err != nil {
@@ -144,7 +144,7 @@ func LoadShard(r io.Reader) (*Graph, error) {
 	return g, err
 }
 
-// LoadShardState reads a shard plus its delta-log watermark.
+// LoadShardState reads a shard plus its replay watermark.
 func LoadShardState(r io.Reader) (*Graph, uint64, error) {
 	b, err := io.ReadAll(r)
 	if err != nil {

@@ -119,7 +119,7 @@ func TestLoadShardRejectsLyingCounts(t *testing.T) {
 }
 
 // TestShardWatermarkRoundTrip pins that SaveShardState carries the
-// delta-log replay watermark through the meta section.
+// replay watermark through the meta section.
 func TestShardWatermarkRoundTrip(t *testing.T) {
 	err := comm.RunLocal(2, func(c *comm.Comm) error {
 		ctx := NewCtx(c, 1)

@@ -1,14 +1,8 @@
 // Streaming edge mutations. A Batch is the unit of ingest: an ordered
-// sequence of insert/delete operations against the global edge list. The
-// binary codec mirrors the zero-copy conventions of the shard and
-// partitioner codecs (versioned header, little-endian fixed-width words)
-// so batches can travel through logs and wire frames without reshaping.
+// sequence of insert/delete operations against the global edge list.
 package edge
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // Op is a mutation operation. The zero value is invalid so that
 // uninitialized records are rejected by validation rather than silently
@@ -115,68 +109,5 @@ func (b Batch) ApplyTo(l List) List {
 	return out
 }
 
-// Binary batch codec. Layout (all little-endian):
-//
-//	u32 magic "GMUT"   u32 version   u32 count
-//	count × { u32 op, u32 src, u32 dst }
-const (
-	batchMagic   = 0x474d5554 // "GMUT"
-	batchVersion = 1
-	// MaxBatch bounds one ingest batch; it also caps decoder allocation so
-	// corrupt headers cannot demand absurd memory.
-	MaxBatch = 1 << 20
-	batchRec = 12
-)
-
-// EncodeBatch serializes a batch.
-func EncodeBatch(b Batch) ([]byte, error) {
-	if len(b) > MaxBatch {
-		return nil, fmt.Errorf("edge: batch of %d mutations exceeds limit %d", len(b), MaxBatch)
-	}
-	buf := make([]byte, 0, 12+batchRec*len(b))
-	buf = binary.LittleEndian.AppendUint32(buf, batchMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, batchVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b)))
-	for _, m := range b {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Op))
-		buf = binary.LittleEndian.AppendUint32(buf, m.Src)
-		buf = binary.LittleEndian.AppendUint32(buf, m.Dst)
-	}
-	return buf, nil
-}
-
-// DecodeBatch parses an encoded batch, rejecting truncated or corrupt
-// payloads with an error (never a panic).
-func DecodeBatch(buf []byte) (Batch, error) {
-	if len(buf) < 12 {
-		return nil, fmt.Errorf("edge: batch header truncated at %d bytes", len(buf))
-	}
-	if m := binary.LittleEndian.Uint32(buf[0:4]); m != batchMagic {
-		return nil, fmt.Errorf("edge: bad batch magic %#x", m)
-	}
-	if v := binary.LittleEndian.Uint32(buf[4:8]); v != batchVersion {
-		return nil, fmt.Errorf("edge: unsupported batch version %d", v)
-	}
-	n := binary.LittleEndian.Uint32(buf[8:12])
-	if n > MaxBatch {
-		return nil, fmt.Errorf("edge: batch count %d exceeds limit %d", n, MaxBatch)
-	}
-	body := buf[12:]
-	if len(body) != int(n)*batchRec {
-		return nil, fmt.Errorf("edge: batch body is %d bytes, want %d for %d mutations", len(body), int(n)*batchRec, n)
-	}
-	b := make(Batch, n)
-	for i := range b {
-		rec := body[i*batchRec:]
-		op := binary.LittleEndian.Uint32(rec[0:4])
-		if op > 0xff || !Op(op).Valid() {
-			return nil, fmt.Errorf("edge: mutation %d has invalid op word %#x", i, op)
-		}
-		b[i] = Mutation{
-			Op:  Op(op),
-			Src: binary.LittleEndian.Uint32(rec[4:8]),
-			Dst: binary.LittleEndian.Uint32(rec[8:12]),
-		}
-	}
-	return b, nil
-}
+// MaxBatch bounds one ingest batch.
+const MaxBatch = 1 << 20

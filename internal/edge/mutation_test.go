@@ -1,73 +1,6 @@
 package edge
 
-import (
-	"bytes"
-	"testing"
-)
-
-func TestBatchRoundTrip(t *testing.T) {
-	cases := []Batch{
-		nil,
-		{{Op: OpInsert, Src: 0, Dst: 0}},
-		{
-			{Op: OpInsert, Src: 1, Dst: 2},
-			{Op: OpDelete, Src: 2, Dst: 1},
-			{Op: OpInsert, Src: 1 << 30, Dst: ^uint32(0)},
-		},
-	}
-	for _, b := range cases {
-		buf, err := EncodeBatch(b)
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		got, err := DecodeBatch(buf)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if len(got) != len(b) {
-			t.Fatalf("round trip length %d, want %d", len(got), len(b))
-		}
-		for i := range b {
-			if got[i] != b[i] {
-				t.Fatalf("record %d: got %+v want %+v", i, got[i], b[i])
-			}
-		}
-		again, err := EncodeBatch(got)
-		if err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-		if !bytes.Equal(buf, again) {
-			t.Fatalf("re-encode is not a fixpoint")
-		}
-	}
-}
-
-func TestBatchDecodeRejects(t *testing.T) {
-	good, err := EncodeBatch(Batch{{Op: OpInsert, Src: 3, Dst: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := [][]byte{
-		nil,
-		good[:5],                             // truncated header
-		good[:len(good)-1],                   // truncated body
-		append(append([]byte{}, good...), 0), // trailing junk
-	}
-	corruptMagic := append([]byte{}, good...)
-	corruptMagic[0] ^= 0xff
-	bad = append(bad, corruptMagic)
-	badVersion := append([]byte{}, good...)
-	badVersion[4] = 99
-	bad = append(bad, badVersion)
-	badOp := append([]byte{}, good...)
-	badOp[12] = 7 // invalid op word
-	bad = append(bad, badOp)
-	for i, buf := range bad {
-		if _, err := DecodeBatch(buf); err == nil {
-			t.Errorf("case %d: corrupt batch decoded without error", i)
-		}
-	}
-}
+import "testing"
 
 func TestBatchValidate(t *testing.T) {
 	b := Batch{{Op: OpInsert, Src: 1, Dst: 9}}

@@ -177,7 +177,7 @@ type mutateRequest struct {
 // handleMutate admits one ingest batch. The batch is validated at
 // admission (op codes, endpoint bounds, batch size), ordered against
 // queries by the scheduler's serialized dispatch, and acknowledged only
-// after every shard applied its routed records; the response result
+// after every shard applied its records; the response result
 // carries the graph epoch the batch created.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {

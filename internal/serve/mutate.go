@@ -9,6 +9,7 @@ import (
 	"repro/internal/analytics"
 	"repro/internal/comm"
 	"repro/internal/core"
+	"repro/internal/edge"
 	"repro/internal/partition"
 )
 
@@ -25,10 +26,9 @@ import (
 // Exactly-once ingest: every mutate batch carries a cluster-assigned
 // ascending MutationID and every overlay keeps a replay watermark, so a
 // batch replayed by the scheduler after a group death (or applied to a
-// backup replica that already saw it) is skipped whole. Backup replicas on
-// the same host are kept current communication-free: the batch travels
-// whole in the job broadcast and core.FilterRouted computes exactly the
-// records the routing exchange would have delivered to that shard.
+// backup replica that already saw it) is skipped whole. The batch travels
+// whole in the job broadcast, so every replica — served or backup — applies
+// it with core.Delta.Apply, and no exchange routes records to owners.
 
 // shardState is one replica of one shard: the packed base, its mutation
 // overlay, and at most one cached materialization of base+overlay.
@@ -145,9 +145,9 @@ func (st *shardState) swapReady(version uint64) bool {
 	if version == 0 || st.versionLocked() != version || st.compactV == version {
 		return false
 	}
-	// A shard that received no records from the applied batches has an
-	// overlay of empty frames: nothing to merge, compaction is just the
-	// overlay reset. Without this branch a sparse batch (records touching
+	// A shard none of whose vertices the applied batches touched has an
+	// empty overlay: nothing to merge, compaction is just the overlay
+	// reset. Without this branch a sparse batch (records touching
 	// only some shards) could never complete a full swap.
 	return st.delta.Empty() || st.merged != nil
 }
@@ -169,15 +169,8 @@ func (st *shardState) swap(version uint64) {
 	st.delta = d
 }
 
-// overlayStats snapshots the overlay counters.
-func (st *shardState) overlayStats() core.DeltaStats {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.delta.Stats()
-}
-
 // backupRef pairs an unserved backup replica with the shard index it
-// backs, which FilterRouted needs to filter the broadcast batch.
+// backs, which names its replica file in a snapshot.
 type backupRef struct {
 	shard int
 	st    *shardState
@@ -193,51 +186,51 @@ type slotState struct {
 	backups []backupRef
 }
 
-// applyMutation applies one already-routed batch to a shard replica,
-// invalidating the cached materialization only if the batch was new (a
-// replay is skipped whole by the overlay's watermark).
-func applyMutation(st *shardState, id uint64, out, in []comm.MutationRecord, mGlobal uint64) error {
+// apply applies one batch to the replica's overlay, invalidating the
+// cached materialization only if the batch was new (a replay is skipped
+// whole by the overlay's watermark), and returns the rank-local live edge
+// counts of the two CSR sides. A non-nil mGlobal (a backup's, which the
+// group has already agreed on) is recorded in the same critical section,
+// so no materialization pairs the new overlay with the old count.
+func (st *shardState) apply(id uint64, batch edge.Batch, mGlobal *uint64) (liveOut, liveIn uint64, err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	before := st.versionLocked()
-	if err := st.delta.ApplyRouted(id, out, in); err != nil {
-		return err
+	if err := st.delta.Apply(id, batch); err != nil {
+		return 0, 0, err
 	}
 	if st.versionLocked() != before {
 		st.merged = nil
 	}
-	st.mGlobal = mGlobal
-	return nil
+	if mGlobal != nil {
+		st.mGlobal = *mGlobal
+	}
+	return st.delta.LiveOut(), st.delta.LiveIn(), nil
 }
 
-// runMutate is the rank-side ingest step: route the broadcast batch to
-// owners (two Alltoallv exchanges, like the construction shuffles), apply
-// to the served replica, agree on the new global edge count (the
-// reduction doubles as the all-slots-applied barrier — rank 0 acknowledges
-// success only after it), then filter-apply to the host's unserved
-// backups. Rank 0 advances the epoch before responding, so a query
-// admitted after the ack can never hit a pre-mutation cache entry.
+// setMGlobal records the global live edge count the group agreed on.
+func (st *shardState) setMGlobal(m uint64) {
+	st.mu.Lock()
+	st.mGlobal = m
+	st.mu.Unlock()
+}
+
+// runMutate is the rank-side ingest step: apply the broadcast batch to the
+// served replica, agree on the new global edge count (the reduction
+// doubles as the all-slots-applied barrier — rank 0 acknowledges success
+// only after it), then apply it to the host's unserved backups. Rank 0
+// advances the epoch before responding, so a query admitted after the ack
+// can never hit a pre-mutation cache entry.
 func (cl *Cluster) runMutate(ctx *core.Ctx, sc *slotState, job *analytics.Job) (*analytics.JobResult, error) {
 	if job.MutationID == 0 {
 		return nil, fmt.Errorf("serve: mutate job has no mutation id")
 	}
 	st := sc.state
-	out, in, err := core.RouteMutations(ctx, st.part, job.Mutations)
+	liveOut, liveIn, err := st.apply(job.MutationID, job.Mutations, nil)
 	if err != nil {
 		return nil, err
 	}
-	// Apply, then reconcile the two CSR sides globally.
-	st.mu.Lock()
-	before := st.versionLocked()
-	applyErr := st.delta.ApplyRouted(job.MutationID, out, in)
-	if applyErr == nil && st.versionLocked() != before {
-		st.merged = nil
-	}
-	liveOut, liveIn := st.delta.LiveOut(), st.delta.LiveIn()
-	st.mu.Unlock()
-	if applyErr != nil {
-		return nil, applyErr
-	}
+	// Reconcile the two CSR sides globally.
 	mOut, err := comm.Allreduce(ctx.Comm, liveOut, comm.OpSum)
 	if err != nil {
 		return nil, err
@@ -249,12 +242,9 @@ func (cl *Cluster) runMutate(ctx *core.Ctx, sc *slotState, job *analytics.Job) (
 	if mOut != mIn {
 		return nil, fmt.Errorf("serve: overlay out/in edge counts diverged: %d vs %d", mOut, mIn)
 	}
-	st.mu.Lock()
-	st.mGlobal = mOut
-	st.mu.Unlock()
+	st.setMGlobal(mOut)
 	for _, b := range sc.backups {
-		fo, fi := core.FilterRouted(b.st.part, b.shard, job.Mutations)
-		if err := applyMutation(b.st, job.MutationID, fo, fi, mOut); err != nil {
+		if _, _, err := b.st.apply(job.MutationID, job.Mutations, &mOut); err != nil {
 			return nil, fmt.Errorf("serve: updating backup of shard %d: %w", b.shard, err)
 		}
 	}
@@ -364,7 +354,7 @@ func (cl *Cluster) Compact() (*analytics.JobResult, error) {
 	// lands between this read and the job's execution, every slot's version
 	// has moved past it and every slot skips — never a partial swap. Note a
 	// single shard's overlay content says nothing (a sparse batch may have
-	// routed it zero records); only version == 0 means nothing was ingested.
+	// touched none of its vertices); only version == 0 means nothing was ingested.
 	states[0].mu.Lock()
 	version := states[0].versionLocked()
 	states[0].mu.Unlock()

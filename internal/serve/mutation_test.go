@@ -3,10 +3,12 @@ package serve
 import (
 	"bytes"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/analytics"
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/edge"
 	"repro/internal/gen"
@@ -270,9 +272,9 @@ func TestServeDifferentialRebuildEquivalence(t *testing.T) {
 	}
 }
 
-// TestFailoverServesMutatedBackup pins the replica filter-apply path: after
+// TestFailoverServesMutatedBackup pins the backup apply path: after
 // streaming mutations, killing a host promotes its sibling's backup — which
-// was kept current without joining the routing exchanges — and every answer
+// was kept current by applying each broadcast batch — and every answer
 // stays byte-identical to the pre-failover mutated cluster.
 func TestFailoverServesMutatedBackup(t *testing.T) {
 	base := ingestBase(t)
@@ -357,6 +359,60 @@ func TestMutateReplayIsExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestMutateCollectives pins the transport rounds one mutate job costs
+// slot 0: the job broadcast, the two live-edge Allreduces (the ack
+// barrier) and the job's wire-volume Allreduce. The broadcast already
+// puts the whole batch on every rank, so applying it routes nothing.
+// Slot 0 is counted alone because it enters no round between jobs, while
+// the other slots wait for the next job inside the broadcast's.
+func TestMutateCollectives(t *testing.T) {
+	const mutateRounds = 4
+	base := ingestBase(t)
+	batches, _ := ingestSchedule(5, ingestSpec.NumVertices, base, 1, 40)
+	for _, tc := range []struct {
+		name string
+		tf   func(t *testing.T) TransportFactory
+	}{{"inproc", nil}, {"tcp", tcpFactory}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var rounds atomic.Uint64
+			cfg := ClusterConfig{
+				Ranks:       4,
+				Threads:     1,
+				Source:      core.ListSource{Edges: base},
+				Partition:   partition.Random,
+				Seed:        7,
+				Replicas:    2,
+				NumVertices: ingestSpec.NumVertices,
+				WrapTransport: func(gen uint64, slot int, tr comm.Transport) comm.Transport {
+					if slot != 0 {
+						return tr
+					}
+					return &countingTransport{tr: tr, n: &rounds}
+				},
+			}
+			if tc.tf != nil {
+				cfg.Transports = tc.tf(t)
+			}
+			cl, err := NewCluster(cfg)
+			if err != nil {
+				t.Fatalf("NewCluster: %v", err)
+			}
+			t.Cleanup(func() {
+				if err := cl.Close(); err != nil {
+					t.Errorf("Close: %v", err)
+				}
+			})
+			before := rounds.Load()
+			if _, _, err := cl.Run(&analytics.Job{Analytic: analytics.JobMutate, Mutations: batches[0]}); err != nil {
+				t.Fatalf("mutate: %v", err)
+			}
+			if got := rounds.Load() - before; got != mutateRounds {
+				t.Fatalf("one mutate job took %d transport rounds on slot 0, want %d", got, mutateRounds)
+			}
+		})
+	}
+}
+
 // TestCompactIsSkippedWhenRaced pins the version guard: a compact job
 // whose CompactVersion no longer matches the overlay version (a batch
 // landed after the merge) swaps nothing on any shard.
@@ -421,7 +477,10 @@ func TestCompactSwapsEveryShardOrNone(t *testing.T) {
 	// Materialize every shard but one whose overlay is non-empty.
 	skipped := false
 	for _, st := range states {
-		if ov := st.overlayStats(); !skipped && ov.TombOut+ov.TombIn+ov.ExtraOut+ov.ExtraIn > 0 {
+		st.mu.Lock()
+		empty := st.delta.Empty()
+		st.mu.Unlock()
+		if !skipped && !empty {
 			skipped = true
 			continue
 		}

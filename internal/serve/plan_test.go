@@ -185,9 +185,11 @@ func TestPlanResetIsLockstep(t *testing.T) {
 		t.Fatalf("mutate: %v", err)
 	}
 	for s, st := range states {
-		ov := st.overlayStats()
-		if touched := ov.ExtraOut+ov.ExtraIn > 0; touched != (s == 0) {
-			t.Fatalf("shard %d overlay %+v: the batch was meant to touch shard 0 only", s, ov)
+		st.mu.Lock()
+		touched := !st.delta.Empty()
+		st.mu.Unlock()
+		if touched != (s == 0) {
+			t.Fatalf("shard %d overlay touched=%v: the batch was meant to touch shard 0 only", s, touched)
 		}
 	}
 	if got := planDelta(t, cl, fresh); got.Resets != 1 || got.Builds != warm.Builds {

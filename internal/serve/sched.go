@@ -47,16 +47,11 @@ type SchedConfig struct {
 	// by analytics.MaxSources.
 	BatchMax int
 	// CacheCap bounds the SIEVE result cache in entries; <= 0 disables
-	// caching. There is no implied default: DefaultSchedConfig sets 256.
+	// caching.
 	CacheCap int
 	// Tracer, when non-nil, receives one SpanServeJob span per SPMD job
 	// from the dispatcher goroutine.
 	Tracer *obs.Tracer
-}
-
-// DefaultSchedConfig returns the serving defaults.
-func DefaultSchedConfig() SchedConfig {
-	return SchedConfig{QueueCap: 64, BatchMax: 8, CacheCap: 256}
 }
 
 // withDefaults normalizes the zero values.

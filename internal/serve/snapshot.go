@@ -25,8 +25,8 @@ import (
 // swallowed into the job's result (Persisted=false plus a reason): a full
 // disk must never kill the compute group.
 //
-// Replica files of one shard are byte-identical by construction — backup
-// overlays apply exactly the records the routing exchange delivered, and
+// Replica files of one shard are byte-identical by construction — every
+// replica applies the same broadcast batches in the same order, and
 // MergeDelta's output is canonical — so the manifest carries one digest
 // per shard and the accumulator cross-checks every host's bytes against
 // it, turning replica divergence into a failed (not silently wrong)

@@ -1,6 +1,6 @@
 // Package store is the persistent packed shard store: after a build (or a
 // compaction epoch swap) every rank's relabeled CSR, ghost tables, and
-// delta-log watermark are written as checksummed v2 shard files (the
+// replay watermark are written as checksummed v2 shard files (the
 // core.SaveShardState layout), and a sealed manifest makes the shard set
 // self-describing — graph epoch, watermark, partitioner, replica
 // placement, and one digest per shard (replica files of the same shard at
@@ -65,7 +65,7 @@ type ShardEntry struct {
 // Manifest describes one complete, consistent shard set.
 type Manifest struct {
 	// Epoch is the graph epoch the shard set captures; Watermark is the
-	// delta-log replay watermark every shard was saved at (uniform: batches
+	// replay watermark every shard was saved at (uniform: batches
 	// are collective).
 	Epoch     uint64
 	Watermark uint64
