@@ -40,7 +40,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -135,9 +134,9 @@ func main() {
 		defer r.Close()
 		src = r
 	case *rmat != "":
-		spec, err := parseRMAT(*rmat)
+		spec, err := gen.ParseRMAT(*rmat)
 		if err != nil {
-			fatal(err)
+			fatal(fmt.Errorf("-rmat: %w", err))
 		}
 		src = core.SpecSource{Spec: spec}
 	case bootFromStore:
@@ -220,21 +219,6 @@ func main() {
 		fatal(fmt.Errorf("cluster shutdown: %w", err))
 	}
 	fmt.Fprintln(os.Stderr, "graphd: bye")
-}
-
-// parseRMAT parses "n,m,seed".
-func parseRMAT(s string) (gen.Spec, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 3 {
-		return gen.Spec{}, fmt.Errorf("-rmat wants n,m,seed")
-	}
-	n, err1 := strconv.ParseUint(strings.TrimSpace(parts[0]), 10, 32)
-	m, err2 := strconv.ParseUint(strings.TrimSpace(parts[1]), 10, 64)
-	seed, err3 := strconv.ParseUint(strings.TrimSpace(parts[2]), 10, 64)
-	if err1 != nil || err2 != nil || err3 != nil {
-		return gen.Spec{}, fmt.Errorf("-rmat wants numeric n,m,seed")
-	}
-	return gen.Spec{Kind: gen.RMAT, NumVertices: uint32(n), NumEdges: m, Seed: seed}, nil
 }
 
 func fatal(err error) {

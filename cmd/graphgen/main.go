@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/edge"
@@ -37,6 +38,10 @@ func main() {
 	if *out == "" {
 		fmt.Fprintln(os.Stderr, "graphgen: -out is required")
 		flag.Usage()
+		os.Exit(2)
+	}
+	if *n >= math.MaxUint32 {
+		fmt.Fprintf(os.Stderr, "graphgen: -n %d: vertex count must be below 2^32-1\n", *n)
 		os.Exit(2)
 	}
 	edges := *m

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
@@ -104,17 +103,11 @@ func main() {
 		defer r.Close()
 		src = r
 	case *rmat != "":
-		parts := strings.Split(*rmat, ",")
-		if len(parts) != 3 {
-			fatal(fmt.Errorf("-rmat wants n,m,seed"))
+		spec, err := gen.ParseRMAT(*rmat)
+		if err != nil {
+			fatal(fmt.Errorf("-rmat: %w", err))
 		}
-		n, err1 := strconv.ParseUint(parts[0], 10, 32)
-		m, err2 := strconv.ParseUint(parts[1], 10, 64)
-		seed, err3 := strconv.ParseUint(parts[2], 10, 64)
-		if err1 != nil || err2 != nil || err3 != nil {
-			fatal(fmt.Errorf("-rmat wants numeric n,m,seed"))
-		}
-		src = core.SpecSource{Spec: gen.Spec{Kind: gen.RMAT, NumVertices: uint32(n), NumEdges: m, Seed: seed}}
+		src = core.SpecSource{Spec: spec}
 	default:
 		fatal(fmt.Errorf("one of -file or -rmat is required"))
 	}

@@ -12,6 +12,10 @@ package gen
 
 import (
 	"fmt"
+	"runtime"
+	"strconv"
+	"strings"
+	"sync"
 
 	"repro/internal/edge"
 	"repro/internal/rng"
@@ -71,9 +75,18 @@ func (s Spec) Validate() error {
 	if s.NumVertices == ^uint32(0) {
 		return fmt.Errorf("gen: vertex count reserves the sentinel id")
 	}
+	if s.Kind != RMAT {
+		return nil
+	}
 	d := s.withDefaults()
-	sum := d.A + d.B + d.C + d.D
-	if s.Kind == RMAT && (sum < 0.999 || sum > 1.001) {
+	// Each probability in [0, 1] (which also rules out NaN and ±Inf) makes
+	// the cumulative thresholds a draw is counted against monotone.
+	for _, p := range [4]float64{d.A, d.B, d.C, d.D} {
+		if !(p >= 0 && p <= 1) {
+			return fmt.Errorf("gen: R-MAT probability %v outside [0,1]", p)
+		}
+	}
+	if sum := d.A + d.B + d.C + d.D; sum < 0.999 || sum > 1.001 {
 		return fmt.Errorf("gen: R-MAT probabilities sum to %v", sum)
 	}
 	return nil
@@ -100,12 +113,14 @@ func (s Spec) Generate(lo, hi uint64) (edge.List, error) {
 		return nil, fmt.Errorf("gen: chunk [%d,%d) outside %d edges", lo, hi, s.NumEdges)
 	}
 	s = s.withDefaults()
-	out := edge.Make(int(hi - lo))
-	for i := lo; i < hi; i++ {
-		src, dst := s.edge(i)
-		out.Push(src, dst)
+	if s.Kind == ER {
+		n := uint64(s.NumVertices)
+		return fill(lo, hi, func(i uint64) (src, dst uint32) {
+			x := rng.NewXoshiro256(s.Seed, i)
+			return uint32(x.Uint64n(n)), uint32(x.Uint64n(n))
+		}), nil
 	}
-	return out, nil
+	return fill(lo, hi, s.rmat().edge), nil
 }
 
 // GenerateAll produces the complete edge list.
@@ -113,44 +128,89 @@ func (s Spec) GenerateAll() (edge.List, error) {
 	return s.Generate(0, s.NumEdges)
 }
 
-// edge derives edge i deterministically from (Seed, i).
-func (s Spec) edge(i uint64) (src, dst uint32) {
-	x := rng.NewXoshiro256(s.Seed, i)
-	n := uint64(s.NumVertices)
-	switch s.Kind {
-	case ER:
-		return uint32(x.Uint64n(n)), uint32(x.Uint64n(n))
-	default: // RMAT
-		lvl := s.scale()
-		for {
-			u, v := s.rmatOnce(x, lvl)
-			if uint64(u) < n && uint64(v) < n {
-				return u, v
-			}
-			// Rejection keeps the distribution over the valid corner
-			// unskewed when NumVertices is not a power of two.
+// rmatParams is an R-MAT spec reduced to what a draw needs: the recursion
+// depth and the cumulative quadrant thresholds A, A+B and A+B+C.
+type rmatParams struct {
+	seed       uint64
+	n          uint32
+	lvl        uint
+	t1, t2, t3 float64
+}
+
+// rmat reduces a defaulted spec to its R-MAT parameters.
+func (s Spec) rmat() rmatParams {
+	return rmatParams{seed: s.Seed, n: s.NumVertices, lvl: s.scale(),
+		t1: s.A, t2: s.A + s.B, t3: s.A + s.B + s.C}
+}
+
+// edge derives R-MAT edge i deterministically from (seed, i).
+func (r rmatParams) edge(i uint64) (src, dst uint32) {
+	x := rng.NewXoshiro256(r.seed, i)
+	for {
+		// Each level's draw picks a quadrant: the number of thresholds it
+		// reaches. The thresholds are monotone (Validate rejects negative
+		// probabilities), so the count is exactly the quadrant a chain of
+		// draw < A, < A+B, < A+B+C tests would pick, without the branches.
+		// Quadrant 1 sets v's bit, 2 sets u's, 3 both. The & 31 never
+		// changes l (lvl <= 32); it spares the oversized-shift check.
+		var u, v uint32
+		for l := uint(0); l < r.lvl; l++ {
+			f := x.Float64()
+			q := b2u(f >= r.t1) + b2u(f >= r.t2) + b2u(f >= r.t3)
+			v |= (q & 1) << (l & 31)
+			u |= (q >> 1) << (l & 31)
 		}
+		if u < r.n && v < r.n {
+			return u, v
+		}
+		// Rejection keeps the distribution over the valid corner unskewed
+		// when NumVertices is not a power of two.
 	}
 }
 
-// rmatOnce draws one R-MAT edge in the 2^lvl × 2^lvl matrix.
-func (s Spec) rmatOnce(x *rng.Xoshiro256, lvl uint) (src, dst uint32) {
-	var u, v uint32
-	for l := uint(0); l < lvl; l++ {
-		r := x.Float64()
-		switch {
-		case r < s.A:
-			// top-left: no bits set
-		case r < s.A+s.B:
-			v |= 1 << l
-		case r < s.A+s.B+s.C:
-			u |= 1 << l
-		default:
-			u |= 1 << l
-			v |= 1 << l
-		}
+func b2u(b bool) uint32 {
+	if b {
+		return 1
 	}
-	return u, v
+	return 0
+}
+
+// minChunk is the fewest edges one goroutine of a fill is given: below it
+// starting the goroutine costs more than generating the edges.
+const minChunk = 1 << 14
+
+// fill allocates the list for edges [lo, hi) once and writes edge i's
+// endpoints, edgeAt(i), in place. Above minChunk edges per goroutine the
+// range is split with ChunkRange over GOMAXPROCS goroutines, each writing
+// its own disjoint slice; since edge i depends on i alone, the list is the
+// same however it is split.
+func fill(lo, hi uint64, edgeAt func(i uint64) (src, dst uint32)) edge.List {
+	m := hi - lo
+	out := make(edge.List, 2*m)
+	workers := int(min(uint64(runtime.GOMAXPROCS(0)), m/minChunk))
+	if workers <= 1 {
+		fillRange(out, lo, edgeAt)
+		return out
+	}
+	var wg sync.WaitGroup
+	for w := range workers {
+		a, b := ChunkRange(m, w, workers)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fillRange(out[2*a:2*b], lo+a, edgeAt)
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// fillRange writes edges first, first+1, ... into out, two words each.
+func fillRange(out []uint32, first uint64, edgeAt func(i uint64) (src, dst uint32)) {
+	for k := 0; k+1 < len(out); k += 2 {
+		out[k], out[k+1] = edgeAt(first)
+		first++
+	}
 }
 
 // ChunkRange splits m edges into nranks contiguous chunks and returns the
@@ -171,4 +231,21 @@ func ChunkRange(m uint64, rank, nranks int) (lo, hi uint64) {
 // degree skew. scaleN is the vertex count to use.
 func WCLike(scaleN uint32, seed uint64) Spec {
 	return Spec{Kind: RMAT, NumVertices: scaleN, NumEdges: uint64(scaleN) * 36, Seed: seed}
+}
+
+// ParseRMAT parses the "n,m,seed" form the commands take for a synthetic
+// R-MAT input with the Graph500 quadrant probabilities, and validates it.
+func ParseRMAT(text string) (Spec, error) {
+	parts := strings.Split(text, ",")
+	if len(parts) != 3 {
+		return Spec{}, fmt.Errorf("gen: R-MAT spec %q: want n,m,seed", text)
+	}
+	n, err1 := strconv.ParseUint(strings.TrimSpace(parts[0]), 10, 32)
+	m, err2 := strconv.ParseUint(strings.TrimSpace(parts[1]), 10, 64)
+	seed, err3 := strconv.ParseUint(strings.TrimSpace(parts[2]), 10, 64)
+	if err1 != nil || err2 != nil || err3 != nil {
+		return Spec{}, fmt.Errorf("gen: R-MAT spec %q: want numeric n,m,seed", text)
+	}
+	s := Spec{Kind: RMAT, NumVertices: uint32(n), NumEdges: m, Seed: seed}
+	return s, s.Validate()
 }

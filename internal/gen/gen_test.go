@@ -113,6 +113,52 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBadProbabilities pins the probability checks: NaN
+// fails every comparison, so a sum test alone accepts it, and a negative
+// probability can still sum to 1.
+func TestValidateRejectsBadProbabilities(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name       string
+		a, b, c, d float64
+	}{
+		{"nan", nan, 0.19, 0.19, 0.05},
+		{"nan-d", 0.57, 0.19, 0.19, nan},
+		{"+inf", inf, 0.19, 0.19, 0.05},
+		{"-inf", 0.57, -inf, 0.19, 0.05},
+		{"inf-inf", inf, -inf, 0.5, 0.5},
+		{"negative", 0.9, -0.2, 0.25, 0.05},
+		{"negative-d", 0.6, 0.3, 0.3, -0.2},
+		{"above-one", 1.2, -0.1, -0.05, -0.05},
+	} {
+		s := Spec{Kind: RMAT, NumVertices: 16, NumEdges: 8, A: tc.a, B: tc.b, C: tc.c, D: tc.d}
+		if err := s.Validate(); err == nil {
+			t.Errorf("%s: probabilities (%v, %v, %v, %v) accepted", tc.name, tc.a, tc.b, tc.c, tc.d)
+		}
+	}
+	for _, p := range []float64{nan, inf, -inf, -0.1, 1.1} {
+		s := PlantedSpec{NumVertices: 10, NumEdges: 5, NumCommunities: 2, IntraProb: p}
+		if err := s.Validate(); err == nil {
+			t.Errorf("planted IntraProb %v accepted", p)
+		}
+	}
+}
+
+func TestParseRMAT(t *testing.T) {
+	s, err := ParseRMAT(" 4096, 32768 ,9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Spec{Kind: RMAT, NumVertices: 4096, NumEdges: 32768, Seed: 9}); s != want {
+		t.Fatalf("ParseRMAT = %+v, want %+v", s, want)
+	}
+	for _, bad := range []string{"", "4096,32768", "4096,32768,9,1", "x,1,2", "4294967296,1,2", "4294967295,1,2", "0,1,2", "1,-1,2"} {
+		if _, err := ParseRMAT(bad); err == nil {
+			t.Errorf("ParseRMAT(%q) accepted", bad)
+		}
+	}
+}
+
 func TestERDegreesRoughlyUniform(t *testing.T) {
 	spec := Spec{Kind: ER, NumVertices: 1000, NumEdges: 100000, Seed: 11}
 	l, _ := spec.GenerateAll()
@@ -258,9 +304,10 @@ func TestPlantedValidate(t *testing.T) {
 
 func BenchmarkRMATGenerate(b *testing.B) {
 	spec := Spec{Kind: RMAT, NumVertices: 1 << 16, NumEdges: 1 << 20, Seed: 1}
+	r := spec.withDefaults().rmat()
 	b.SetBytes(8)
 	for i := 0; i < b.N; i++ {
-		spec.edge(uint64(i))
+		r.edge(uint64(i))
 	}
 }
 

@@ -32,7 +32,7 @@ func (s PlantedSpec) Validate() error {
 	if uint32(s.NumCommunities) > s.NumVertices {
 		return fmt.Errorf("gen: more communities (%d) than vertices (%d)", s.NumCommunities, s.NumVertices)
 	}
-	if s.IntraProb < 0 || s.IntraProb > 1 {
+	if !(s.IntraProb >= 0 && s.IntraProb <= 1) { // also rejects NaN
 		return fmt.Errorf("gen: IntraProb %v outside [0,1]", s.IntraProb)
 	}
 	return nil
@@ -88,24 +88,19 @@ func (s PlantedSpec) Generate(lo, hi uint64) (edge.List, error) {
 	}
 	b := s.Boundaries()
 	n := uint64(s.NumVertices)
-	out := edge.Make(int(hi - lo))
-	for i := lo; i < hi; i++ {
+	return fill(lo, hi, func(i uint64) (src, dst uint32) {
 		x := rng.NewXoshiro256(s.Seed, i)
-		src := uint32(x.Uint64n(n))
-		var dst uint32
-		if x.Float64() < s.IntraProb {
-			c := CommunityOf(b, src)
-			span := uint64(b[c+1] - b[c])
-			if span == 0 {
-				span = 1
-			}
-			dst = b[c] + uint32(x.Uint64n(span))
-		} else {
-			dst = uint32(x.Uint64n(n))
+		src = uint32(x.Uint64n(n))
+		if x.Float64() >= s.IntraProb {
+			return src, uint32(x.Uint64n(n))
 		}
-		out.Push(src, dst)
-	}
-	return out, nil
+		c := CommunityOf(b, src)
+		span := uint64(b[c+1] - b[c])
+		if span == 0 {
+			span = 1
+		}
+		return src, b[c] + uint32(x.Uint64n(span))
+	}), nil
 }
 
 // GenerateAll produces the complete edge list.

@@ -61,38 +61,37 @@ func Mix64(x uint64) uint64 {
 // Xoshiro256 implements the xoshiro256** 1.0 generator of Blackman and
 // Vigna. The zero value is invalid; construct with NewXoshiro256.
 type Xoshiro256 struct {
-	s [4]uint64
+	s0, s1, s2, s3 uint64
 }
 
 // NewXoshiro256 returns a generator for the given seed and stream number.
 // Distinct (seed, stream) pairs yield statistically independent sequences;
 // the state is expanded from the pair with SplitMix64, as recommended by the
-// xoshiro authors.
-func NewXoshiro256(seed, stream uint64) *Xoshiro256 {
-	sm := NewSplitMix64(seed ^ Mix64(stream))
-	var x Xoshiro256
-	for i := range x.s {
-		x.s[i] = sm.Next()
-	}
+// xoshiro authors. It returns the state by value, so a stream per edge or
+// per call stays on the caller's stack instead of costing a heap object.
+func NewXoshiro256(seed, stream uint64) Xoshiro256 {
+	sm := SplitMix64{state: seed ^ Mix64(stream)}
+	x := Xoshiro256{sm.Next(), sm.Next(), sm.Next(), sm.Next()}
 	// Guard against the (astronomically unlikely) all-zero state, which is
 	// the one fixed point of the transition function.
-	if x.s[0]|x.s[1]|x.s[2]|x.s[3] == 0 {
-		x.s[0] = 0x9e3779b97f4a7c15
+	if x.s0|x.s1|x.s2|x.s3 == 0 {
+		x.s0 = 0x9e3779b97f4a7c15
 	}
-	return &x
+	return x
 }
 
-// Next returns the next pseudo-random 64-bit value.
+// Next returns the next pseudo-random 64-bit value. It updates the four
+// state words in place, which keeps it cheap enough for the compiler to
+// inline into a caller's loop.
 func (x *Xoshiro256) Next() uint64 {
-	s := &x.s
-	result := bits.RotateLeft64(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = bits.RotateLeft64(s[3], 45)
+	result := bits.RotateLeft64(x.s1*5, 7) * 9
+	t := x.s1 << 17
+	x.s2 ^= x.s0
+	x.s3 ^= x.s1
+	x.s1 ^= x.s2
+	x.s0 ^= x.s3
+	x.s2 ^= t
+	x.s3 = bits.RotateLeft64(x.s3, 45)
 	return result
 }
 

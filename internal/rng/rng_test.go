@@ -142,7 +142,8 @@ func TestUint64nPanicsOnZero(t *testing.T) {
 			t.Fatal("Uint64n(0) did not panic")
 		}
 	}()
-	NewXoshiro256(1, 0).Uint64n(0)
+	x := NewXoshiro256(1, 0)
+	x.Uint64n(0)
 }
 
 func TestPermIsPermutation(t *testing.T) {

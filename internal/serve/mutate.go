@@ -103,7 +103,8 @@ func (st *shardState) serveGraph() (*core.Graph, error) {
 // materialize merges base+overlay into a cached graph. The merge runs
 // outside st.mu on a deep-copied overlay snapshot, so ingest keeps
 // applying while a background compaction merges; the result is stored
-// only if no batch landed in between (a newer batch will re-materialize).
+// only if no batch landed and no edge count was agreed in between (a newer
+// batch or count will re-materialize).
 func (st *shardState) materialize() error {
 	st.mergeMu.Lock()
 	defer st.mergeMu.Unlock()
@@ -123,7 +124,7 @@ func (st *shardState) materialize() error {
 		return err
 	}
 	st.mu.Lock()
-	if st.versionLocked() == v && st.merged == nil {
+	if st.versionLocked() == v && st.mGlobal == m && st.merged == nil {
 		st.merged = g
 		st.meter.merges.Add(1)
 		st.meter.nanos.Add(uint64(time.Since(start)))
@@ -203,7 +204,7 @@ func (st *shardState) apply(id uint64, batch edge.Batch, mGlobal *uint64) (liveO
 		st.merged = nil
 	}
 	if mGlobal != nil {
-		st.mGlobal = *mGlobal
+		st.setMGlobalLocked(*mGlobal)
 	}
 	return st.delta.LiveOut(), st.delta.LiveIn(), nil
 }
@@ -211,8 +212,19 @@ func (st *shardState) apply(id uint64, batch edge.Batch, mGlobal *uint64) (liveO
 // setMGlobal records the global live edge count the group agreed on.
 func (st *shardState) setMGlobal(m uint64) {
 	st.mu.Lock()
-	st.mGlobal = m
+	st.setMGlobalLocked(m)
 	st.mu.Unlock()
+}
+
+// setMGlobalLocked records m and drops a cached merge that carries another
+// count: one a background materialization stored between this batch's
+// apply and the agreement, which paired the new overlay with the old
+// count. Caller holds st.mu.
+func (st *shardState) setMGlobalLocked(m uint64) {
+	st.mGlobal = m
+	if st.merged != nil && st.merged.MGlobal != m {
+		st.merged = nil
+	}
 }
 
 // runMutate is the rank-side ingest step: apply the broadcast batch to the

@@ -578,3 +578,73 @@ func TestAutoCompaction(t *testing.T) {
 		t.Fatalf("NumEdges %d, oracle %d", got, want)
 	}
 }
+
+// TestMutateNeverCachesStaleEdgeCount pins the edge count a cached merge
+// carries. A mutate applies its batch, then releases the replica for the
+// two Allreduces that agree on the new global edge count; a background
+// materialization in that gap merges the new overlay with the old count.
+// Such a merge must never outlive the agreement, or compaction promotes it
+// to the base and a snapshot writes its stale count into the shard file.
+func TestMutateNeverCachesStaleEdgeCount(t *testing.T) {
+	base := ingestBase(t)
+	cl := newIngestCluster(t, base, partition.Random, false, nil)
+	states, err := cl.servedStates()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			for _, st := range states {
+				if err := st.materialize(); err != nil {
+					done <- err
+					return
+				}
+			}
+		}
+	}()
+
+	rng := rand.New(rand.NewSource(13))
+	n := int(ingestSpec.NumVertices)
+	stale := 0
+	for b := 0; b < 300; b++ {
+		batch := make(edge.Batch, 5)
+		for i := range batch {
+			op := edge.OpInsert
+			if rng.Intn(3) == 0 {
+				op = edge.OpDelete
+			}
+			batch[i] = edge.Mutation{Op: op, Src: uint32(rng.Intn(n)), Dst: uint32(rng.Intn(n))}
+		}
+		if _, _, err := cl.Run(&analytics.Job{Analytic: analytics.JobMutate, Mutations: batch}); err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+		agreed := cl.NumEdges()
+		for s, st := range states {
+			st.mu.Lock()
+			if st.merged != nil && st.merged.MGlobal != agreed {
+				if stale == 0 {
+					t.Errorf("batch %d: shard %d caches a merge of %d edges, the group agreed on %d",
+						b, s, st.merged.MGlobal, agreed)
+				}
+				stale++
+			}
+			st.mu.Unlock()
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatalf("materialize: %v", err)
+	}
+	if stale > 0 {
+		t.Fatalf("%d stale cached merges over 300 batches", stale)
+	}
+}
