@@ -46,7 +46,14 @@ func main() {
 	}
 	edges := *m
 	if edges == 0 {
-		edges = uint64(float64(*n) * *degree)
+		// Negated comparisons also catch NaN (0 × +Inf is one); the bound
+		// keeps the conversion to an edge count exact.
+		e := float64(*n) * *degree
+		if !(*degree >= 0) || !(e <= gen.MaxEdges) {
+			fmt.Fprintf(os.Stderr, "graphgen: -degree %v: want a finite degree >= 0 with n*degree at most %d\n", *degree, uint64(gen.MaxEdges))
+			os.Exit(2)
+		}
+		edges = uint64(e)
 	}
 	var list edge.List
 	var err error

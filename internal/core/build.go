@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -10,7 +11,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/par"
 	"repro/internal/partition"
-	"repro/internal/vmap"
 )
 
 // Timings records the per-rank duration of the three construction stages
@@ -141,66 +141,49 @@ func Build(ctx *Ctx, src EdgeSource, pt partition.Partitioner) (*Graph, Timings,
 // the rank owning its source (or its destination when reversed is set, with
 // the pair flipped so the owned endpoint comes first). The returned flat
 // pair list is this rank's share.
+//
+// A counting pass computes each edge's owner once, keeps it for the fill,
+// and counts per thread per destination. Destination d's segment then holds
+// thread 0's pairs for d, then thread 1's, ..., each thread's in chunk
+// order: exactly the chunk order, so the send buffer is the same at any
+// thread count, and each thread fills its share through its own cursors.
 func exchangeEdges(ctx *Ctx, chunk edge.List, pt partition.Partitioner, reversed bool) (edge.List, error) {
 	p := ctx.Size()
-	nEdges := chunk.Len()
-	nt := ctx.Pool.Threads()
-
-	key := func(i int) uint32 {
-		if reversed {
-			return chunk.Dst(i)
-		}
-		return chunk.Src(i)
+	owner := make([]int32, chunk.Len())
+	first := 0 // the word of a raw edge that routes it
+	if reversed {
+		first = 1
 	}
-
-	// Counting pass: per-thread per-destination counts, then reduce.
-	perThread := make([][]uint64, nt)
-	for t := range perThread {
-		perThread[t] = make([]uint64, p)
-	}
-	ctx.Pool.For(nEdges, func(lo, hi, tid int) {
-		counts := perThread[tid]
+	cursors := make([][]uint64, ctx.Pool.Threads())
+	ctx.Pool.For(chunk.Len(), func(lo, hi, tid int) {
+		counts := make([]uint64, p)
 		for i := lo; i < hi; i++ {
-			counts[pt.Owner(key(i))]++
+			d := pt.Owner(chunk[2*i+first])
+			owner[i] = int32(d)
+			counts[d]++
 		}
+		cursors[tid] = counts
 	})
-	counts := make([]uint64, p)
-	for _, tc := range perThread {
-		for d, c := range tc {
-			counts[d] += c
-		}
-	}
-	offsets, totalPairs := par.ExclusivePrefixSum(counts)
-
-	// Fill pass via thread-local queues (Algorithm 3): offsets are in
-	// pairs; each pair scatters as two words.
-	sendBuf := make([]uint32, 2*totalPairs)
-	type pair struct{ a, b uint32 }
-	shared := par.NewShared(offsets, func(dest int, base uint64, items []pair) {
-		at := 2 * base
-		for _, it := range items {
-			sendBuf[at] = it.a
-			sendBuf[at+1] = it.b
-			at += 2
-		}
-	})
-	ctx.Pool.Run(func(tid int) {
-		lo, hi := par.ThreadRange(nEdges, nt, tid)
-		buf := shared.Buf(512)
-		for i := lo; i < hi; i++ {
-			u, v := chunk.Src(i), chunk.Dst(i)
-			if reversed {
-				u, v = v, u
-			}
-			buf.Push(pt.Owner(u), pair{u, v})
-		}
-		buf.Flush()
-	})
-
 	wordCounts := make([]int, p)
-	for d, c := range counts {
-		wordCounts[d] = int(2 * c)
+	total := uint64(0)
+	for d := range wordCounts {
+		start := total
+		for _, c := range cursors {
+			if c != nil {
+				c[d], total = total, total+c[d]
+			}
+		}
+		wordCounts[d] = int(2 * (total - start))
 	}
+	sendBuf := make([]uint32, 2*total)
+	ctx.Pool.For(chunk.Len(), func(lo, hi, tid int) {
+		c := cursors[tid]
+		for i := lo; i < hi; i++ {
+			at := 2 * c[owner[i]]
+			c[owner[i]]++
+			sendBuf[at], sendBuf[at+1] = chunk[2*i+first], chunk[2*i+1-first]
+		}
+	})
 	recv, recvCounts, err := comm.Alltoallv(ctx.Comm, sendBuf, wordCounts)
 	if err != nil {
 		return nil, err
@@ -248,31 +231,33 @@ func checkShuffle(ctx *Ctx, recv []uint32, recvCounts []int, pt partition.Partit
 
 // convert builds the Table II structures from the exchanged pair lists.
 // outPairs holds (owned source, destination) pairs; inPairs holds
-// (owned destination, source) pairs. Both are in global ids.
+// (owned destination, source) pairs. Both are in global ids; convert
+// rewrites them to local ids in place.
 func convert(ctx *Ctx, outPairs, inPairs edge.List, pt partition.Partitioner, n uint32, m uint64) *Graph {
 	rank := ctx.Rank()
 
-	owned := pt.Owned(rank)
-	nloc := uint32(len(owned))
-
-	// Relabel owned vertices to [0, nloc) in ascending global order, then
-	// discover ghosts in order of first appearance.
-	vm := vmap.New(int(nloc) * 2)
-	unmap := make([]uint32, nloc, nloc+nloc/4+16)
-	for i, gid := range owned {
-		vm.Put(gid, uint32(i))
-		unmap[i] = gid
+	// Relabel through a dense table lid[gid] (4n bytes, dropped on return):
+	// owned vertices take [0, nloc) in ascending global order, ghosts the
+	// next ids in order of first appearance as a pair's second id, out
+	// pairs before in pairs. Every id indexes it in bounds: the Read stage
+	// checked this rank's ids against n and checkShuffle the peers'.
+	unmap := slices.Clip(pt.Owned(rank)) // appending ghosts must not write into the partitioner's slice
+	nloc := uint32(len(unmap))
+	lid := make([]uint32, n)
+	for i := range lid {
+		lid[i] = InvalidLocal
 	}
-	discover := func(pairs edge.List) {
-		for i := 0; i < pairs.Len(); i++ {
-			w := pairs.Dst(i)
-			if _, inserted := vm.PutIfAbsent(w, uint32(len(unmap))); inserted {
+	for i, gid := range unmap {
+		lid[gid] = uint32(i)
+	}
+	for _, pairs := range [2]edge.List{outPairs, inPairs} {
+		for i := 1; i < len(pairs); i += 2 {
+			if w := pairs[i]; lid[w] == InvalidLocal {
+				lid[w] = uint32(len(unmap))
 				unmap = append(unmap, w)
 			}
 		}
 	}
-	discover(outPairs)
-	discover(inPairs)
 	ngst := uint32(len(unmap)) - nloc
 
 	g := &Graph{
@@ -281,7 +266,7 @@ func convert(ctx *Ctx, outPairs, inPairs edge.List, pt partition.Partitioner, n 
 		NLoc:    nloc,
 		NGst:    ngst,
 		Unmap:   unmap,
-		Map:     vm,
+		Map:     mapOf(unmap),
 		Part:    pt,
 		rank:    rank,
 	}
@@ -294,45 +279,55 @@ func convert(ctx *Ctx, outPairs, inPairs edge.List, pt partition.Partitioner, n 
 		}
 	})
 
-	g.OutIdx, g.OutEdges = buildCSR(ctx, g, outPairs)
-	g.InIdx, g.InEdges = buildCSR(ctx, g, inPairs)
+	g.OutIdx, g.OutEdges = buildCSR(ctx, lid, nloc, outPairs)
+	g.InIdx, g.InEdges = buildCSR(ctx, lid, nloc, inPairs)
 	return g
 }
 
-// buildCSR turns (owned vertex, neighbor) global-id pairs into a local-id
-// CSR over owned vertices.
-func buildCSR(ctx *Ctx, g *Graph, pairs edge.List) ([]uint64, []uint32) {
-	nloc := g.NLoc
+// buildCSR rewrites (owned vertex, neighbor) global-id pairs to local ids
+// through lid and counting-sorts them into a CSR over owned vertices. Each
+// of k threads counts its contiguous share of the pairs per row; a row
+// then takes thread 0's entries, then thread 1's, ..., each in pair order,
+// so every row lists its neighbors in arrival order at any thread count.
+// k stops at one row table per four pairs a row holds on average, which
+// keeps the tables (4 bytes per row each) under an eighth of the pairs'
+// bytes once there is more than one.
+func buildCSR(ctx *Ctx, lid []uint32, nloc uint32, pairs edge.List) ([]uint64, []uint32) {
 	nPairs := pairs.Len()
-
-	// Translate to local ids in place (both endpoints are registered) and
-	// count per-vertex degrees with one atomic add per edge.
-	deg := make([]uint32, nloc)
-	ctx.Pool.For(nPairs, func(lo, hi, tid int) {
-		for i := lo; i < hi; i++ {
-			src := g.Map.MustGet(pairs.Src(i))
-			dst := g.Map.MustGet(pairs.Dst(i))
-			pairs[2*i] = src
-			pairs[2*i+1] = dst
-			atomic.AddUint32(&deg[src], 1)
-		}
-	})
-
-	deg64 := make([]uint64, nloc)
-	for i, d := range deg {
-		deg64[i] = uint64(d)
+	k := max(1, min(ctx.Pool.Threads(), nPairs/(4*int(nloc)+1)))
+	split := func(body func(lo, hi, tid int)) {
+		ctx.Pool.Run(func(tid int) {
+			if tid < k {
+				lo, hi := par.ThreadRange(nPairs, k, tid)
+				body(lo, hi, tid)
+			}
+		})
 	}
-	idx, total := ctx.Pool.PrefixSumParallel(deg64)
-	edges := make([]uint32, total)
-
-	// Scatter with per-vertex atomic cursors.
-	cursor := make([]uint64, nloc)
-	copy(cursor, idx[:nloc])
-	ctx.Pool.For(nPairs, func(lo, hi, tid int) {
+	cursors := make([][]uint32, k) // per-row counts, then in-row write positions
+	split(func(lo, hi, tid int) {
+		counts := make([]uint32, nloc)
 		for i := lo; i < hi; i++ {
-			src := pairs.Src(i)
-			pos := atomic.AddUint64(&cursor[src], 1) - 1
-			edges[pos] = pairs.Dst(i)
+			u := lid[pairs[2*i]]
+			pairs[2*i], pairs[2*i+1] = u, lid[pairs[2*i+1]]
+			counts[u]++
+		}
+		cursors[tid] = counts
+	})
+	idx := make([]uint64, nloc+1)
+	for v := range nloc {
+		at := uint32(0) // rows are counted in 32 bits: a degree stays below 2^32
+		for _, c := range cursors {
+			c[v], at = at, at+c[v]
+		}
+		idx[v+1] = idx[v] + uint64(at)
+	}
+	edges := make([]uint32, nPairs)
+	split(func(lo, hi, tid int) {
+		c := cursors[tid]
+		for i := lo; i < hi; i++ {
+			u := pairs[2*i]
+			edges[idx[u]+uint64(c[u])] = pairs[2*i+1]
+			c[u]++
 		}
 	})
 	return idx, edges

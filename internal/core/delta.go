@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/edge"
 	"repro/internal/par"
-	"repro/internal/vmap"
 )
 
 // Delta is one rank's mutable overlay on top of an immutable base shard:
@@ -454,10 +453,7 @@ func mergeDelta(d *Delta, mGlobal uint64) (*Graph, mergeStats, error) {
 				g.GhostOwner[k] = int32(b.Part.Owner(gid))
 			}
 		}
-		g.Map = vmap.New(len(g.Unmap))
-		for lid, gid := range g.Unmap {
-			g.Map.Put(gid, uint32(lid))
-		}
+		g.Map = mapOf(g.Unmap)
 		m.stats.mapPuts = len(g.Unmap)
 	}
 	if err := g.Validate(); err != nil {
@@ -467,12 +463,13 @@ func mergeDelta(d *Delta, mGlobal uint64) (*Graph, mergeStats, error) {
 }
 
 // CanonicalizeAdjacency sorts every owned vertex's out- and in-neighbor
-// row by neighbor global id, in place. Build order (parallel scatter) and
-// merge order both vanish under this ordering, so two shards holding the
-// same logical graph expose bitwise-identical traversal order — the
-// property the differential rebuild-equivalence battery relies on for
-// analytics whose floating-point results are sensitive to within-row
-// summation order (PageRank variants). Ghost numbering is left as it is.
+// row by neighbor global id, in place: the order MergeDelta writes. A built
+// shard lists each row in input order, which depends on the edge list, not
+// on the graph; after the sort, two shards holding the same logical graph
+// expose bitwise-identical traversal order — the property the differential
+// rebuild-equivalence battery relies on for analytics whose floating-point
+// results are sensitive to within-row summation order (PageRank variants).
+// Ghost numbering is left as it is.
 func CanonicalizeAdjacency(g *Graph) {
 	m := &merger{b: g, nb: g.NTotal()}
 	for v := uint32(0); v < g.NLoc; v++ {

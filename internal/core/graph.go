@@ -14,12 +14,13 @@ const InvalidLocal = ^uint32(0)
 // state of the paper's Table II. Local vertices are relabeled to
 // [0, NLoc) in ascending global-id order; ghost vertices (endpoints of
 // local edges owned by other ranks) occupy [NLoc, NLoc+NGst) in order of
-// first appearance: during conversion for a built shard (whatever order the
-// parallel scatter left the edges in), and for a shard out of MergeDelta in
-// a scan of the out rows, then the in rows, vertex by vertex with each row
-// sorted by neighbor global id — a rule that depends on the logical graph
-// alone. Per-vertex analytic state is then a flat (NLoc+NGst)-length array
-// instead of a hash map — the paper's central data-structure decision.
+// first appearance: for a built shard, as the second id of the exchanged
+// out pairs, then the in pairs, each list in input order at any thread
+// count; for a shard out of MergeDelta, in a scan of the out rows, then the
+// in rows, vertex by vertex with each row sorted by neighbor global id — a
+// rule that depends on the logical graph alone. Per-vertex analytic state
+// is then a flat (NLoc+NGst)-length array instead of a hash map — the
+// paper's central data-structure decision.
 type Graph struct {
 	// NGlobal and MGlobal are the global vertex and directed edge counts.
 	NGlobal uint32
@@ -75,6 +76,15 @@ type Graph struct {
 	// untouched rows without looking at them. It is not persisted: a loaded
 	// shard starts unknown.
 	rowsSorted bool
+}
+
+// mapOf builds a shard's global→local map from its Unmap.
+func mapOf(unmap []uint32) *vmap.Map {
+	m := vmap.New(len(unmap))
+	for lid, gid := range unmap {
+		m.Put(gid, uint32(lid))
+	}
+	return m
 }
 
 // Is2D reports whether the shard uses the 2D checkerboard layout. Analytics

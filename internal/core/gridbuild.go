@@ -10,7 +10,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/par"
 	"repro/internal/partition"
-	"repro/internal/vmap"
 )
 
 // GridLayout is the 2D checkerboard shard structure (Buluç & Madduri,
@@ -345,13 +344,10 @@ func convertGrid(ctx *Ctx, grid *GridLayout, fwdPairs, revPairs edge.List, gp *p
 		Grid:    grid,
 		rank:    rank,
 	}
-	vm := vmap.New(int(nloc) * 2)
-	for i := uint32(0); i < nloc; i++ {
-		gid := grid.OwnLo + i
-		g.Unmap[i] = gid
-		vm.Put(gid, i)
+	for i := range nloc {
+		g.Unmap[i] = grid.OwnLo + i
 	}
-	g.Map = vm
+	g.Map = mapOf(g.Unmap)
 	ownOff := int(grid.OwnLo - grid.ColLo)
 	g.OutIdx = make([]uint64, nloc+1)
 	g.InIdx = make([]uint64, nloc+1)

@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"repro/internal/partition"
-	"repro/internal/vmap"
 )
 
 // Shard serialization: a built Graph can be written per rank and reloaded
@@ -279,10 +278,7 @@ func loadShardV2(body []byte) (*Graph, uint64, error) {
 	}
 
 	// The global→local map is rebuilt from Unmap rather than stored.
-	g.Map = vmap.New(int(g.NTotal()))
-	for lid, gid := range g.Unmap {
-		g.Map.Put(gid, uint32(lid))
-	}
+	g.Map = mapOf(g.Unmap)
 	if err := g.Validate(); err != nil {
 		return nil, 0, fmt.Errorf("core: loaded shard invalid: %w", err)
 	}

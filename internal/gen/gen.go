@@ -67,6 +67,11 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
+// MaxEdges is the largest edge count a spec may declare: 2^40 edges, an
+// 8 TiB list, above the paper's 129-billion-edge crawl and far below the
+// count at which sizing a list overflows.
+const MaxEdges = 1 << 40
+
 // Validate reports whether the spec is generatable.
 func (s Spec) Validate() error {
 	if s.NumVertices == 0 {
@@ -74,6 +79,9 @@ func (s Spec) Validate() error {
 	}
 	if s.NumVertices == ^uint32(0) {
 		return fmt.Errorf("gen: vertex count reserves the sentinel id")
+	}
+	if s.NumEdges > MaxEdges {
+		return fmt.Errorf("gen: %d edges above the bound of 2^40", s.NumEdges)
 	}
 	if s.Kind != RMAT {
 		return nil

@@ -5,6 +5,8 @@ import (
 	"math"
 	"sort"
 	"testing"
+
+	"repro/internal/edge"
 )
 
 func TestChunkRangeCoversAll(t *testing.T) {
@@ -140,6 +142,46 @@ func TestValidateRejectsBadProbabilities(t *testing.T) {
 		s := PlantedSpec{NumVertices: 10, NumEdges: 5, NumCommunities: 2, IntraProb: p}
 		if err := s.Validate(); err == nil {
 			t.Errorf("planted IntraProb %v accepted", p)
+		}
+	}
+}
+
+// TestEdgeCountBound pins MaxEdges on both spec types (a count above it
+// once reached a makeslice panic) and the chunk checks of Generate; a
+// one-edge chunk at the very end of the largest spec generates without
+// sizing the whole list.
+func TestEdgeCountBound(t *testing.T) {
+	for _, m := range []uint64{MaxEdges, MaxEdges + 1, ^uint64(0)} {
+		specs := map[string]interface {
+			Validate() error
+			Generate(lo, hi uint64) (edge.List, error)
+		}{
+			"rmat":    Spec{Kind: RMAT, NumVertices: 100, NumEdges: m, Seed: 1},
+			"er":      Spec{Kind: ER, NumVertices: 100, NumEdges: m, Seed: 1},
+			"planted": PlantedSpec{NumVertices: 100, NumEdges: m, NumCommunities: 4, IntraProb: 0.5, Seed: 1},
+		}
+		for name, s := range specs {
+			err := s.Validate()
+			if m > MaxEdges {
+				if err == nil {
+					t.Errorf("%s: %d edges accepted", name, m)
+				}
+				if _, err := s.Generate(0, 1); err == nil {
+					t.Errorf("%s: Generate over %d edges accepted", name, m)
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("%s: %d edges rejected: %v", name, m, err)
+			}
+			if l, err := s.Generate(m-1, m); err != nil || l.Len() != 1 {
+				t.Errorf("%s: last edge: %d edges, %v", name, l.Len(), err)
+			}
+			for _, c := range [][2]uint64{{2, 1}, {m, m + 1}, {0, ^uint64(0)}} {
+				if _, err := s.Generate(c[0], c[1]); err == nil {
+					t.Errorf("%s: chunk [%d,%d) of %d edges accepted", name, c[0], c[1], m)
+				}
+			}
 		}
 	}
 }

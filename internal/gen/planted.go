@@ -35,6 +35,9 @@ func (s PlantedSpec) Validate() error {
 	if !(s.IntraProb >= 0 && s.IntraProb <= 1) { // also rejects NaN
 		return fmt.Errorf("gen: IntraProb %v outside [0,1]", s.IntraProb)
 	}
+	if s.NumEdges > MaxEdges {
+		return fmt.Errorf("gen: %d edges above the bound of 2^40", s.NumEdges)
+	}
 	return nil
 }
 

@@ -14,7 +14,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
+	"unsafe"
 
 	"repro/internal/edge"
 )
@@ -96,42 +98,25 @@ func (r *Reader) NumEdges() uint64 { return r.numEdges }
 func (r *Reader) Close() error { return r.f.Close() }
 
 // ReadChunk reads edges [lo, hi). Chunks are aligned to whole edges by
-// construction, so tasks never split a pair across a boundary.
+// construction, so tasks never split a pair across a boundary. The file's
+// bytes land directly in the returned list's memory, which is already the
+// list on a little-endian host; a big-endian host swaps each word in place.
 func (r *Reader) ReadChunk(lo, hi uint64) (edge.List, error) {
 	if lo > hi || hi > r.numEdges {
 		return nil, fmt.Errorf("gio: chunk [%d,%d) outside %d edges", lo, hi, r.numEdges)
 	}
-	nWords := (hi - lo) * 2
-	buf := make([]byte, nWords*4)
+	out := make(edge.List, 2*(hi-lo))
+	if len(out) == 0 {
+		return out, nil
+	}
+	buf := unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), 4*len(out))
 	if _, err := r.f.ReadAt(buf, int64(lo)*EdgeBytes); err != nil {
 		return nil, fmt.Errorf("gio: read chunk [%d,%d): %w", lo, hi, err)
 	}
-	out := make(edge.List, nWords)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(buf[4*i:])
+	if binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
+		for i, w := range out {
+			out[i] = bits.ReverseBytes32(w)
+		}
 	}
 	return out, nil
-}
-
-// ScanMaxVertex scans edges [lo, hi) and returns the maximum endpoint seen.
-// Ranks combine their chunk maxima with an Allreduce to size an un-headed
-// file's vertex set (the paper uses "vertex identifiers as given in the
-// original source", so n is 1 + the largest id).
-func (r *Reader) ScanMaxVertex(lo, hi uint64) (uint32, error) {
-	const batch = 1 << 16 // edges per read
-	var max uint32
-	for at := lo; at < hi; at += batch {
-		end := at + batch
-		if end > hi {
-			end = hi
-		}
-		chunk, err := r.ReadChunk(at, end)
-		if err != nil {
-			return 0, err
-		}
-		if m, ok := chunk.MaxVertex(); ok && m > max {
-			max = m
-		}
-	}
-	return max, nil
 }

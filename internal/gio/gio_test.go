@@ -141,34 +141,6 @@ func TestConcurrentChunkReads(t *testing.T) {
 	}
 }
 
-func TestScanMaxVertex(t *testing.T) {
-	var l edge.List
-	l.Push(1, 2)
-	l.Push(999999, 3)
-	l.Push(4, 777)
-	path := tempEdgeFile(t, l)
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	max, err := r.ScanMaxVertex(0, r.NumEdges())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if max != 999999 {
-		t.Fatalf("ScanMaxVertex = %d", max)
-	}
-	// Partial scan excluding the big vertex.
-	max, err = r.ScanMaxVertex(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if max != 777 {
-		t.Fatalf("partial ScanMaxVertex = %d", max)
-	}
-}
-
 func TestRaggedFileRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ragged.bin")
 	if err := os.WriteFile(path, []byte{1, 2, 3, 4, 5}, 0o644); err != nil {
