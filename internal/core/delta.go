@@ -36,7 +36,7 @@ type Delta struct {
 	tombOutN, tombInN uint64
 
 	// extraOut/extraIn map an owned local id to inserted neighbor global
-	// ids, in application order (MergeDelta sorts, so order is cosmetic).
+	// ids, ascending (MergeDelta merges them into the sorted base rows).
 	extraOut, extraIn   map[uint32][]uint32
 	extraOutN, extraInN uint64
 
@@ -184,7 +184,8 @@ func (d *Delta) applySide(out bool, op edge.Op, ownedGid, nbrGid uint32) error {
 		if liveBase+liveExtra > 0 {
 			return nil
 		}
-		extras[lid] = append(row, nbrGid)
+		i, _ := slices.BinarySearch(row, nbrGid)
+		extras[lid] = slices.Insert(row, i, nbrGid)
 		if out {
 			d.extraOutN++
 		} else {
@@ -245,16 +246,15 @@ func (d *Delta) applySide(out bool, op edge.Op, ownedGid, nbrGid uint32) error {
 // Allreduce of LiveOut, done by the caller because merging itself is
 // deliberately communication-free).
 //
-// The merge works in the base's local-id space rather than through global
-// ids: untouched rows are block-copied as base lids, inserted global ids
-// resolve through the base's map once per extra (a global id the base has
-// never seen gets a temporary id past NLoc+NGst), only rows the overlay
-// touched are re-sorted, and one array-indexed pass renumbers ghosts by the
-// rule above. When that renumbering is the identity the base's Unmap, Map
-// and GhostOwner are shared outright. A base whose rows are not known to
-// be in global-id order (fresh from Build or from a shard file) pays a
-// sortedness check of every row, and a sort of those that fail it, on each
-// merge until a compaction makes a merged shard the base.
+// One pass in the base's local-id space reads each base edge once and
+// stores each merged edge once, renumbered by the rule above as its row
+// becomes final; a touched row merges its extras, each resolved through
+// the base's map (an unseen global id gets a temporary id past NLoc+NGst).
+// An identity renumbering shares the base's Unmap, Map and GhostOwner. A
+// base not known to be in order (from Build or a shard file) is scanned
+// first and marked if it is; if not, every merged row is sorted before the
+// renumbering, on every merge until a compaction makes a merged shard the
+// base.
 func MergeDelta(d *Delta, mGlobal uint64) (*Graph, error) {
 	g, _, err := mergeDelta(d, mGlobal)
 	return g, err
@@ -265,6 +265,7 @@ func MergeDelta(d *Delta, mGlobal uint64) (*Graph, error) {
 type mergeStats struct {
 	rowsChecked int  // rows scanned for global-id order
 	rowsSorted  int  // rows that failed the scan and were sorted
+	written     int  // ids stored renumbered into the merged edge arrays
 	mapLookups  int  // probes of the base's map (one per extra)
 	mapPuts     int  // entries put into a rebuilt map
 	freshGhosts int  // inserted neighbors the base had never seen
@@ -279,8 +280,13 @@ type merger struct {
 	// resolution; fresh[k] has temporary id nb+k.
 	fresh   []uint32
 	freshID map[uint32]uint32
-	keys    []uint64 // row-sort scratch
-	stats   mergeStats
+	// newLid maps base and temporary ids to merged ids, InvalidLocal until
+	// first sight; seen lists the ids that became ghosts, in merged order.
+	newLid   []uint32
+	seen     []uint32
+	identity bool     // every ghost so far kept its base id
+	keys     []uint64 // row-sort scratch
+	stats    mergeStats
 }
 
 // lidOf resolves an inserted neighbor to a base local id, or to a
@@ -328,6 +334,70 @@ func (m *merger) sortRow(row []uint32) {
 	}
 }
 
+// inOrder scans one base side's rows for global-id order, up to a failure.
+func (m *merger) inOrder(idx []uint64, edges []uint32) bool {
+	for v := uint32(0); v < m.b.NLoc; v++ {
+		m.stats.rowsChecked++
+		for i := idx[v] + 1; i < idx[v+1]; i++ {
+			if m.b.Unmap[edges[i-1]] > m.b.Unmap[edges[i]] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// put stores src's ids into dst as merged ids (an id seen first becomes the
+// next ghost), or as they are while newLid is nil, and returns how many.
+func (m *merger) put(dst, src []uint32) uint64 {
+	newLid := m.newLid
+	if newLid == nil {
+		return uint64(copy(dst, src))
+	}
+	m.stats.written += len(src)
+	dst = dst[:len(src)]
+	for i, l := range src {
+		n := newLid[l]
+		if n == InvalidLocal {
+			n = m.b.NLoc + uint32(len(m.seen))
+			newLid[l] = n
+			m.seen = append(m.seen, l)
+			m.identity = m.identity && n == l
+		}
+		dst[i] = n
+	}
+	return uint64(len(src))
+}
+
+// mergeRow puts touched row [lo, hi) at out[pos:] and returns the new end:
+// each run of live base entries whole, split by binary search where an
+// extra (ex is ascending; never a live base neighbor) goes in, or, over a
+// base not in order (newLid nil), with the extras last for a later sort.
+func (m *merger) mergeRow(out []uint32, pos, lo, hi uint64, edges []uint32, tombs []uint64, ex []uint32) uint64 {
+	for i := lo; i <= hi; i++ {
+		j := i
+		for j < hi && !bitGet(tombs, j) {
+			j++
+		}
+		run := edges[i:j]
+		for ; len(ex) > 0; ex = ex[1:] {
+			k := len(run)
+			if m.newLid != nil {
+				k = sort.Search(len(run), func(k int) bool { return m.b.Unmap[run[k]] > ex[0] })
+			}
+			if k == len(run) && j < hi {
+				break // the extra goes after a later run
+			}
+			pos += m.put(out[pos:], run[:k])
+			pos += m.put(out[pos:], []uint32{m.lidOf(ex[0])})
+			run = run[k:]
+		}
+		pos += m.put(out[pos:], run)
+		i = j // a tombstone, or hi
+	}
+	return pos
+}
+
 // touchedRows returns, ascending and without repeats, the owned vertices
 // whose row on one side the overlay changed: those with extras and those
 // holding a tombstoned base position.
@@ -347,17 +417,15 @@ func touchedRows(idx []uint64, tombs []uint64, tombN uint64, extras map[uint32][
 	return slices.Compact(rows)
 }
 
-// side merges one CSR side in the base's id space: runs of untouched rows
-// are block copies with their index entries shifted, touched rows are the
-// live base entries plus resolved extras.
+// side merges one CSR side: runs of untouched rows are put whole with
+// their index entries shifted, touched rows are merged (mergeRow).
 func (m *merger) side(idx []uint64, edges []uint32, tombs []uint64, tombN uint64, extras map[uint32][]uint32, live uint64) ([]uint64, []uint32) {
-	b := m.b
-	newIdx := make([]uint64, b.NLoc+1)
+	newIdx := make([]uint64, m.b.NLoc+1)
 	out := make([]uint32, live)
 	pos := uint64(0)
 	copyRows := func(lo, hi uint32) {
 		shift := pos - idx[lo] // modular: pos may be below idx[lo]
-		pos += uint64(copy(out[pos:], edges[idx[lo]:idx[hi]]))
+		pos += m.put(out[pos:], edges[idx[lo]:idx[hi]])
 		for v := lo; v < hi; v++ {
 			newIdx[v+1] = idx[v+1] + shift
 		}
@@ -365,86 +433,67 @@ func (m *merger) side(idx []uint64, edges []uint32, tombs []uint64, tombN uint64
 	next := uint32(0)
 	for _, v := range touchedRows(idx, tombs, tombN, extras) {
 		copyRows(next, v)
-		start := pos
-		for i := idx[v]; i < idx[v+1]; i++ {
-			if !bitGet(tombs, i) {
-				out[pos] = edges[i]
-				pos++
-			}
-		}
-		for _, gid := range extras[v] {
-			out[pos] = m.lidOf(gid)
-			pos++
-		}
+		pos = m.mergeRow(out, pos, idx[v], idx[v+1], edges, tombs, extras[v])
 		newIdx[v+1] = pos
-		if b.rowsSorted {
-			m.sortRow(out[start:pos])
-		}
 		next = v + 1
 	}
-	copyRows(next, b.NLoc)
-	if !b.rowsSorted {
-		for v := uint32(0); v < b.NLoc; v++ {
-			m.sortRow(out[newIdx[v]:newIdx[v+1]])
-		}
-	}
+	copyRows(next, m.b.NLoc)
 	return newIdx, out
 }
 
 func mergeDelta(d *Delta, mGlobal uint64) (*Graph, mergeStats, error) {
 	b := d.base
 	nloc := b.NLoc
-	m := &merger{b: b, nb: b.NTotal()}
-	outIdx, outEdges := m.side(b.OutIdx, b.OutEdges, d.tombOut, d.tombOutN, d.extraOut, d.LiveOut())
-	inIdx, inEdges := m.side(b.InIdx, b.InEdges, d.tombIn, d.tombInN, d.extraIn, d.LiveIn())
-
-	// Renumber in place. newLid maps base and temporary ids to merged ids;
-	// seen lists the ghosts that got one, in merged-id order.
-	newLid := make([]uint32, int(m.nb)+len(m.fresh))
-	for i := range newLid {
-		newLid[i] = InvalidLocal
+	m := &merger{b: b, nb: b.NTotal(), identity: true}
+	sorted := b.rowsSorted.Load() || m.inOrder(b.OutIdx, b.OutEdges) && m.inOrder(b.InIdx, b.InEdges)
+	b.rowsSorted.Store(sorted)         // the base is immutable: a scan's verdict holds
+	extras := d.extraOutN + d.extraInN // bounds the temporary ids
+	newLid := make([]uint32, uint64(m.nb)+extras)
+	for v := range newLid {
+		newLid[v] = InvalidLocal
 	}
 	for v := uint32(0); v < nloc; v++ {
 		newLid[v] = v // owned ids map to themselves: no owned/ghost branch per edge
 	}
-	seen := make([]uint32, 0, int(b.NGst)+len(m.fresh))
-	identity := true
-	for _, edges := range [2][]uint32{outEdges, inEdges} {
-		for i, l := range edges {
-			n := newLid[l]
-			if n == InvalidLocal {
-				n = nloc + uint32(len(seen))
-				newLid[l] = n
-				seen = append(seen, l)
-				identity = identity && n == l
-			}
-			edges[i] = n
-		}
+	m.seen = make([]uint32, 0, uint64(b.NGst)+extras)
+	if sorted {
+		m.newLid = newLid
 	}
-	ngst := uint32(len(seen))
+	outIdx, outEdges := m.side(b.OutIdx, b.OutEdges, d.tombOut, d.tombOutN, d.extraOut, d.LiveOut())
+	inIdx, inEdges := m.side(b.InIdx, b.InEdges, d.tombIn, d.tombInN, d.extraIn, d.LiveIn())
+	if !sorted { // the sides hold base ids: sort each row, then renumber
+		for v := uint32(0); v < nloc; v++ {
+			m.sortRow(outEdges[outIdx[v]:outIdx[v+1]])
+			m.sortRow(inEdges[inIdx[v]:inIdx[v+1]])
+		}
+		m.newLid = newLid
+		m.put(outEdges, outEdges)
+		m.put(inEdges, inEdges)
+	}
+	ngst := uint32(len(m.seen))
 	m.stats.freshGhosts = len(m.fresh)
 
 	g := &Graph{
-		NGlobal:    b.NGlobal,
-		MGlobal:    mGlobal,
-		NLoc:       nloc,
-		NGst:       ngst,
-		OutIdx:     outIdx,
-		OutEdges:   outEdges,
-		InIdx:      inIdx,
-		InEdges:    inEdges,
-		Part:       b.Part,
-		rank:       b.rank,
-		rowsSorted: true,
+		NGlobal:  b.NGlobal,
+		MGlobal:  mGlobal,
+		NLoc:     nloc,
+		NGst:     ngst,
+		OutIdx:   outIdx,
+		OutEdges: outEdges,
+		InIdx:    inIdx,
+		InEdges:  inEdges,
+		Part:     b.Part,
+		rank:     b.rank,
 	}
-	if identity && ngst == b.NGst {
+	g.rowsSorted.Store(true)
+	if m.identity && ngst == b.NGst {
 		g.Unmap, g.Map, g.GhostOwner = b.Unmap, b.Map, b.GhostOwner
 		m.stats.sharedMap = true
 	} else {
 		g.Unmap = make([]uint32, nloc+ngst)
 		copy(g.Unmap, b.Unmap[:nloc])
 		g.GhostOwner = make([]int32, ngst)
-		for k, l := range seen {
+		for k, l := range m.seen {
 			gid := m.gidOf(l)
 			g.Unmap[nloc+uint32(k)] = gid
 			if l < m.nb {
@@ -476,5 +525,5 @@ func CanonicalizeAdjacency(g *Graph) {
 		m.sortRow(g.OutEdges[g.OutIdx[v]:g.OutIdx[v+1]])
 		m.sortRow(g.InEdges[g.InIdx[v]:g.InIdx[v+1]])
 	}
-	g.rowsSorted = true
+	g.rowsSorted.Store(true)
 }

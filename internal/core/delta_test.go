@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/comm"
@@ -390,7 +391,7 @@ func mergeBoth(d *Delta, mGlobal uint64) (*Graph, mergeStats, error) {
 	if !bytes.Equal(gotBytes, wantBytes) {
 		return nil, stats, fmt.Errorf("encoded shard bytes differ")
 	}
-	if !got.rowsSorted {
+	if !got.rowsSorted.Load() {
 		return nil, stats, fmt.Errorf("merged shard not marked as sorted")
 	}
 	baseAfter, err := EncodeShardState(d.base, 0)
@@ -719,10 +720,11 @@ func TestMergeDeltaMatchesReference(t *testing.T) {
 										}
 										touched := len(d.extraOut) + len(d.extraIn) + int(d.tombOutN+d.tombInN)
 										extras := int(d.extraOutN + d.extraInN)
+										sortedBase := d.base.rowsSorted.Load()
 										if merged, stats, err = mergeBoth(d, uint64(id)); err != nil {
 											t.Fatalf("rank %d base %d compact=%v batch %d: %v", r, bi, compactEach, id, err)
 										}
-										if d.base.rowsSorted {
+										if sortedBase {
 											if stats.rowsChecked > touched || stats.rowsSorted > len(d.extraOut)+len(d.extraIn) || stats.mapLookups != extras {
 												t.Fatalf("rank %d base %d batch %d: sorted base did %+v for %d touched rows, %d extras", r, bi, id, stats, touched, extras)
 											}
@@ -768,9 +770,12 @@ func TestMergeDeltaMatchesReference(t *testing.T) {
 }
 
 // TestMergeDeltaCanonicalBaseFastPath pins what a merge over a canonical
-// base costs when the overlay leaves the ghost numbering alone: an empty
-// overlay and a tombstone on a later copy of a ghost both share the base's
-// map outright, sort nothing and hash nothing.
+// base costs. When the overlay leaves the ghost numbering alone (an empty
+// overlay, a tombstone on a later copy of a ghost) the merge shares the
+// base's map outright, sorts nothing and hashes nothing. In every case it
+// is one pass: each live endpoint is stored exactly once, a batch of
+// inserts is merged into its rows without sorting one, and a base loaded
+// from its encoding is scanned for order by its first merge only.
 func TestMergeDeltaCanonicalBaseFastPath(t *testing.T) {
 	spec := gen.Spec{Kind: gen.RMAT, NumVertices: 128, NumEdges: 900, Seed: 17}
 	list, err := spec.GenerateAll()
@@ -786,7 +791,7 @@ func TestMergeDeltaCanonicalBaseFastPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats != (mergeStats{sharedMap: true}) {
+		if stats != (mergeStats{sharedMap: true, written: int(canon.MOut() + canon.MIn())}) {
 			t.Fatalf("rank %d: empty overlay over canonical base did %+v", r, stats)
 		}
 		if merged.Map != canon.Map || &merged.Unmap[0] != &canon.Unmap[0] {
@@ -820,9 +825,93 @@ func TestMergeDeltaCanonicalBaseFastPath(t *testing.T) {
 		if _, stats, err = mergeBoth(d, canon.MGlobal-1); err != nil {
 			t.Fatal(err)
 		}
-		if !stats.sharedMap || stats.rowsSorted != 0 || stats.mapLookups != 0 || stats.mapPuts != 0 || stats.rowsChecked > int(d.tombInN) {
+		if !stats.sharedMap || stats.rowsSorted != 0 || stats.mapLookups != 0 || stats.mapPuts != 0 || stats.rowsChecked > int(d.tombInN) ||
+			stats.written != int(d.LiveOut()+d.LiveIn()) {
 			t.Fatalf("rank %d: one tombstone over canonical base did %+v", r, stats)
 		}
+
+		rng := rand.New(rand.NewSource(int64(r)))
+		var ins edge.Batch
+		for len(ins) < 40 {
+			ins = append(ins, edge.Mutation{Op: edge.OpInsert, Src: uint32(rng.Intn(128)), Dst: uint32(rng.Intn(128))})
+		}
+		loaded := reloaded(t, canon)
+		for _, base := range []*Graph{g, canon, loaded, loaded} {
+			d := NewDelta(base)
+			if err := d.Apply(1, ins); err != nil {
+				t.Fatal(err)
+			}
+			if d.extraOutN == 0 || d.extraInN == 0 {
+				t.Fatalf("rank %d: the inserts added no edge on one side", r)
+			}
+			known := base.rowsSorted.Load()
+			if _, stats, err = mergeBoth(d, canon.MGlobal); err != nil {
+				t.Fatal(err)
+			}
+			if stats.written != int(d.LiveOut()+d.LiveIn()) || stats.mapLookups != int(d.extraOutN+d.extraInN) {
+				t.Fatalf("rank %d: inserts (base in order %v) did %+v", r, known, stats)
+			}
+			if !known && !base.rowsSorted.Load() {
+				continue // the built base: its rows are sorted on every merge
+			}
+			wantChecked := 0
+			if !known {
+				wantChecked = 2 * int(base.NLoc) // the loaded base's first merge scans every row
+			}
+			if stats.rowsSorted != 0 || stats.rowsChecked != wantChecked {
+				t.Fatalf("rank %d: inserts over a sorted base (scanned %v) did %+v", r, !known, stats)
+			}
+		}
+		if g.rowsSorted.Load() || !loaded.rowsSorted.Load() {
+			t.Fatalf("rank %d: marks after the merges: built %v, loaded %v; want false, true", r, g.rowsSorted.Load(), loaded.rowsSorted.Load())
+		}
+	}
+}
+
+// TestMergeDeltaConcurrentOverLoadedBase runs merges over one loaded base
+// from several goroutines at once: the first merges race to scan the base
+// and mark it in order, and every merge must still give the same shard.
+func TestMergeDeltaConcurrentOverLoadedBase(t *testing.T) {
+	spec := gen.Spec{Kind: gen.RMAT, NumVertices: 128, NumEdges: 900, Seed: 23}
+	list, err := spec.GenerateAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := buildShards(t, list, 128, 2, partition.Random)[0]
+	canon, err := MergeDelta(NewDelta(g), g.MGlobal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := reloaded(t, canon)
+	batch := edge.Batch{{Op: edge.OpInsert, Src: 3, Dst: 77}, {Op: edge.OpDelete, Src: list.Src(0), Dst: list.Dst(0)}}
+	encs := make([][]byte, 4)
+	var wg sync.WaitGroup
+	for i := range encs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			d := NewDelta(base)
+			if err := d.Apply(1, batch); err != nil {
+				t.Error(err)
+				return
+			}
+			merged, err := MergeDelta(d, canon.MGlobal)
+			if err == nil {
+				encs[i], err = EncodeShardState(merged, 0)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < len(encs); i++ {
+		if !bytes.Equal(encs[0], encs[i]) {
+			t.Fatalf("merge %d differs from merge 0", i)
+		}
+	}
+	if !base.rowsSorted.Load() {
+		t.Fatal("no merge marked the loaded base in order")
 	}
 }
 
@@ -901,7 +990,9 @@ func FuzzMergeDelta(f *testing.F) {
 
 // BenchmarkMergeDelta times one merge of a 256-record overlay on a rank
 // of the repository benchmark's graph (R-MAT, n = 2^16, m = 36 n, 2 ranks,
-// random partition), over a base as built and over a canonical one.
+// random partition), over a base as built, over a canonical one, and over
+// the canonical one decoded from its encoding (as a restart from the store
+// or a promoted backup holds it).
 func BenchmarkMergeDelta(b *testing.B) {
 	const n = 1 << 16
 	spec := gen.Spec{Kind: gen.RMAT, NumVertices: n, NumEdges: 36 * n, Seed: 1}
@@ -927,7 +1018,7 @@ func BenchmarkMergeDelta(b *testing.B) {
 	for _, base := range []struct {
 		name string
 		g    *Graph
-	}{{"built", built}, {"canonical", canon}} {
+	}{{"built", built}, {"canonical", canon}, {"loaded", reloaded(b, canon)}} {
 		d := NewDelta(base.g)
 		if err := d.Apply(1, batch); err != nil {
 			b.Fatal(err)

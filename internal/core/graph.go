@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/partition"
 	"repro/internal/vmap"
@@ -71,11 +72,11 @@ type Graph struct {
 	rank int
 
 	// rowsSorted records that every row is known to be in ascending
-	// neighbor-global-id order (the shard came out of MergeDelta or went
-	// through CanonicalizeAdjacency), which lets the next merge over it copy
-	// untouched rows without looking at them. It is not persisted: a loaded
-	// shard starts unknown.
-	rowsSorted bool
+	// neighbor-global-id order (the shard came out of MergeDelta or
+	// CanonicalizeAdjacency, or a merge's scan found it so), which lets the
+	// next merge over it copy untouched rows unread. Not persisted: a loaded
+	// shard starts unknown. Atomic: merges over one base may race.
+	rowsSorted atomic.Bool
 }
 
 // mapOf builds a shard's global→local map from its Unmap.
@@ -176,15 +177,23 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("core: ghost %d owned by this rank", gid)
 		}
 	}
-	for _, e := range g.OutEdges {
-		if e >= g.NTotal() {
-			return fmt.Errorf("core: out-edge endpoint %d out of range", e)
-		}
-	}
-	for _, e := range g.InEdges {
-		if e >= g.NTotal() {
-			return fmt.Errorf("core: in-edge endpoint %d out of range", e)
+	for i, edges := range [2][]uint32{g.OutEdges, g.InEdges} {
+		if e := maxID(edges); len(edges) > 0 && e >= g.NTotal() {
+			return fmt.Errorf("core: %s-edge endpoint %d out of range", [2]string{"out", "in"}[i], e)
 		}
 	}
 	return nil
+}
+
+// maxID returns the largest id in s (0 when s is empty); four branch-free
+// lanes keep Validate's bound on every merged shard at memory speed.
+func maxID(s []uint32) uint32 {
+	var m0, m1, m2, m3 uint32
+	for ; len(s) >= 4; s = s[4:] {
+		m0, m1, m2, m3 = max(m0, s[0]), max(m1, s[1]), max(m2, s[2]), max(m3, s[3])
+	}
+	for _, e := range s {
+		m0 = max(m0, e)
+	}
+	return max(m0, m1, m2, m3)
 }

@@ -51,6 +51,7 @@ type shardState struct {
 	merged   *core.Graph // materialization of base+delta at version, or nil
 	mGlobal  uint64      // global live edge count after the last batch
 	compactV uint64      // overlay version of the last completed swap
+	droppedV uint64      // overlay version whose merge a late edge count dropped
 }
 
 // mergeMeter counts the overlay merges whose result a replica kept, and
@@ -117,6 +118,9 @@ func (st *shardState) materialize() error {
 	v := st.versionLocked()
 	m := st.mGlobal
 	st.mu.Unlock()
+	if mergeHook != nil {
+		mergeHook()
+	}
 
 	start := time.Now()
 	g, err := core.MergeDelta(snap, m)
@@ -128,6 +132,8 @@ func (st *shardState) materialize() error {
 		st.merged = g
 		st.meter.merges.Add(1)
 		st.meter.nanos.Add(uint64(time.Since(start)))
+	} else if st.versionLocked() == v && st.mGlobal != m {
+		st.droppedV = v // the batch's count landed mid-merge: see swapReady
 	}
 	st.mu.Unlock()
 	return nil
@@ -139,18 +145,33 @@ func (st *shardState) materialize() error {
 // alone does not decide it — a background merge that snapshotted this
 // shard just before an in-flight batch reached it stores nothing, while a
 // peer merged just after the same batch is ready — so the slots agree on
-// readiness before any of them swaps (runCompact).
-func (st *shardState) swapReady(version uint64) bool {
+// readiness before any of them swaps (runCompact). A replica whose merge
+// at the version was dropped merges again here: the background merge
+// snapshotted the overlay before the slot recorded the batch's agreed edge
+// count, and was dropped when the count landed, after the merge stored its
+// result (setMGlobalLocked) or while it ran (materialize). The count is
+// settled by now — the compact job runs after the mutate on every slot —
+// and failing the swap instead could stop auto-compaction for good, since
+// the manager only retries a swap that a newer batch raced.
+func (st *shardState) swapReady(version uint64) (bool, error) {
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	if version == 0 || st.versionLocked() != version || st.compactV == version {
-		return false
-	}
+	at := version != 0 && st.versionLocked() == version && st.compactV != version
 	// A shard none of whose vertices the applied batches touched has an
 	// empty overlay: nothing to merge, compaction is just the overlay
 	// reset. Without this branch a sparse batch (records touching
 	// only some shards) could never complete a full swap.
-	return st.delta.Empty() || st.merged != nil
+	ready := at && (st.delta.Empty() || st.merged != nil)
+	redo := at && !ready && st.droppedV == version
+	st.mu.Unlock()
+	if !redo {
+		return ready, nil
+	}
+	if err := st.materialize(); err != nil {
+		return false, err
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.merged != nil, nil
 }
 
 // swap promotes the cached materialization to be the new base: the overlay
@@ -219,13 +240,23 @@ func (st *shardState) setMGlobal(m uint64) {
 // setMGlobalLocked records m and drops a cached merge that carries another
 // count: one a background materialization stored between this batch's
 // apply and the agreement, which paired the new overlay with the old
-// count. Caller holds st.mu.
+// count; swapReady merges again for a compaction at that version.
+// Caller holds st.mu.
 func (st *shardState) setMGlobalLocked(m uint64) {
 	st.mGlobal = m
 	if st.merged != nil && st.merged.MGlobal != m {
 		st.merged = nil
+		st.droppedV = st.versionLocked()
 	}
 }
+
+// agreeHook, when set, runs on every slot of a mutate just before the slot
+// records the agreed edge count; mergeHook, when set, runs in every merge
+// just after it snapshots the overlay. Tests delay one or the other.
+var (
+	agreeHook func(rank int)
+	mergeHook func()
+)
 
 // runMutate is the rank-side ingest step: apply the broadcast batch to the
 // served replica, agree on the new global edge count (the reduction
@@ -254,6 +285,9 @@ func (cl *Cluster) runMutate(ctx *core.Ctx, sc *slotState, job *analytics.Job) (
 	if mOut != mIn {
 		return nil, fmt.Errorf("serve: overlay out/in edge counts diverged: %d vs %d", mOut, mIn)
 	}
+	if agreeHook != nil {
+		agreeHook(ctx.Rank())
+	}
 	st.setMGlobal(mOut)
 	for _, b := range sc.backups {
 		if _, _, err := b.st.apply(job.MutationID, job.Mutations, &mOut); err != nil {
@@ -280,13 +314,17 @@ func (cl *Cluster) runMutate(ctx *core.Ctx, sc *slotState, job *analytics.Job) (
 // if all do does each promote its own — a compaction swaps every shard or,
 // when a mutate raced the merge on any of them, none.
 func (cl *Cluster) runCompact(ctx *core.Ctx, sc *slotState, job *analytics.Job) (*analytics.JobResult, error) {
+	ok, mergeErr := sc.state.swapReady(job.CompactVersion)
 	ready := uint64(0)
-	if sc.state.swapReady(job.CompactVersion) {
+	if ok {
 		ready = 1
 	}
 	total, err := comm.Allreduce(ctx.Comm, ready, comm.OpSum)
 	if err != nil {
 		return nil, err
+	}
+	if mergeErr != nil {
+		return nil, mergeErr // voted not ready: no slot swaps
 	}
 	full := total == uint64(cl.size)
 	swapped := uint64(0)

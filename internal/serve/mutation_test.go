@@ -579,6 +579,67 @@ func TestAutoCompaction(t *testing.T) {
 	}
 }
 
+// TestAutoCompactionSurvivesLateAgreement pins auto-compaction when one
+// slot records a batch's agreed edge count late. Rank 0 counts the batch
+// and nudges the compaction manager as soon as the count is agreed; the
+// manager's background merge of the lagging slot pairs the new overlay
+// with the old count and is dropped when the count lands, whether the
+// merge had stored its result by then or was still running. The swap must
+// not fail for it: the batch that spent the budget is the last one, so
+// nothing would nudge the manager again.
+func TestAutoCompactionSurvivesLateAgreement(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		mergeDelay time.Duration // past the late count: the merge straddles it
+	}{{"stored", 0}, {"in-flight", 60 * time.Millisecond}} {
+		t.Run(tc.name, func(t *testing.T) {
+			agreeHook = func(rank int) {
+				if rank == 1 {
+					time.Sleep(20 * time.Millisecond)
+				}
+			}
+			if tc.mergeDelay > 0 {
+				mergeHook = func() { time.Sleep(tc.mergeDelay) }
+			}
+			defer func() { agreeHook, mergeHook = nil, nil }()
+			base := ingestBase(t)
+			cl, err := NewCluster(ClusterConfig{
+				Ranks:       2,
+				Threads:     1,
+				Source:      core.ListSource{Edges: base},
+				Partition:   partition.Random,
+				Seed:        7,
+				Epoch:       1,
+				NumVertices: ingestSpec.NumVertices,
+				AutoCompact: 2,
+			})
+			if err != nil {
+				t.Fatalf("NewCluster: %v", err)
+			}
+			defer func() {
+				if err := cl.Close(); err != nil {
+					t.Errorf("Close: %v", err)
+				}
+			}()
+			s := NewScheduler(cl, chaosSchedConfig())
+			s.Start()
+			defer s.Close()
+			batches, oracles := ingestSchedule(5, ingestSpec.NumVertices, base, 2, 20)
+			mutateAll(t, cl, s, batches, oracles)
+			deadline := time.Now().Add(10 * time.Second)
+			for cl.IngestStats().Compactions == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("auto-compaction never ran")
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			if got, want := cl.NumEdges(), uint64(oracles[len(oracles)-1].Len()); got != want {
+				t.Fatalf("NumEdges %d, oracle %d", got, want)
+			}
+		})
+	}
+}
+
 // TestMutateNeverCachesStaleEdgeCount pins the edge count a cached merge
 // carries. A mutate applies its batch, then releases the replica for the
 // two Allreduces that agree on the new global edge count; a background
