@@ -45,8 +45,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/gen"
-	"repro/internal/gio"
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/serve"
@@ -122,26 +120,13 @@ func main() {
 		}
 	}
 
-	var src core.EdgeSource
-	switch {
-	case *file != "" && *rmat != "":
-		fatal(fmt.Errorf("-file and -rmat are mutually exclusive"))
-	case *file != "":
-		r, err := gio.Open(*file)
-		if err != nil {
-			fatal(err)
-		}
-		defer r.Close()
-		src = r
-	case *rmat != "":
-		spec, err := gen.ParseRMAT(*rmat)
-		if err != nil {
-			fatal(fmt.Errorf("-rmat: %w", err))
-		}
-		src = core.SpecSource{Spec: spec}
-	case bootFromStore:
-		// The store manifest supplies the graph; no edge source needed.
-	default:
+	// The store manifest supplies the graph when no edge source is named.
+	src, closeSrc, err := core.OpenSource(*file, *rmat)
+	if err != nil {
+		fatal(err)
+	}
+	defer closeSrc()
+	if src == nil && !bootFromStore {
 		fatal(fmt.Errorf("one of -file, -rmat, or a populated -store is required"))
 	}
 

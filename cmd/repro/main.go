@@ -6,6 +6,7 @@
 //	repro all                    # every experiment at default scale
 //	repro table4 fig3            # specific experiments
 //	repro -scale 4 -ranks 1,2,4,8,16 fig2
+//	repro -ranks 8 -partition rand -file crawl.bin endtoend
 //
 // Output is a text rendering of each table/figure; notes under each table
 // state the paper-reported values or shapes the measurement should be
@@ -18,9 +19,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
-	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/obs"
@@ -29,26 +28,21 @@ import (
 
 func main() {
 	var (
-		scale     = flag.Float64("scale", 1.0, "workload scale multiplier (1.0 = laptop defaults)")
-		ranks     = flag.String("ranks", "1,2,4,8", "comma-separated rank counts for scaling experiments")
-		threads   = flag.Int("threads", 1, "worker threads per rank")
-		seed      = flag.Uint64("seed", 0xC0FFEE, "workload seed")
-		tmp       = flag.String("tmpdir", "", "directory for temporary edge files")
-		trace     = flag.String("trace", "", "write a Chrome trace_event JSON of the run to this file (also prints a per-phase table)")
-		traceCap  = flag.Int("trace-cap", 0, "per-rank trace ring capacity in events (0 = default 64Ki)")
-		pprof     = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060) for the run's duration")
-		rtm       = flag.Bool("runtime-metrics", false, "dump a runtime/metrics snapshot to stderr after the run")
-		retries   = flag.Int("retries", 1, "max attempts per exchange on transient comm faults (1 = no retry)")
-		retryBase = flag.Duration("retry-base", time.Millisecond, "base backoff delay between retry attempts (with -retries > 1)")
-		hybrid    = flag.String("hybrid", "adaptive", "traversal policy for BFS-like analytics: adaptive, push (always-sparse baseline), dense")
-		delta     = flag.Uint64("delta", 0, "extra fixed Δ-stepping bucket width for the delta experiment's sweep (0 = sweep only one fat bucket, 1, auto, mean weight)")
-		part      = flag.String("partition", "", "override the single-graph experiments' partitioning ("+partition.KindUsage+"; empty = per-experiment default; partition-sweep experiments ignore it)")
+		scale    = flag.Float64("scale", 1.0, "workload scale multiplier (1.0 = laptop defaults)")
+		ranks    = flag.String("ranks", "1,2,4,8", "comma-separated rank counts for scaling experiments")
+		threads  = flag.Int("threads", 1, "worker threads per rank")
+		seed     = flag.Uint64("seed", 0xC0FFEE, "workload seed")
+		tmp      = flag.String("tmpdir", "", "directory for temporary edge files")
+		trace    = flag.String("trace", "", "write a Chrome trace_event JSON of the run to this file (also prints a per-phase table)")
+		traceCap = flag.Int("trace-cap", 0, "per-rank trace ring capacity in events (0 = default 64Ki)")
+		pprof    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060) for the run's duration")
+		rtm      = flag.Bool("runtime-metrics", false, "dump a runtime/metrics snapshot to stderr after the run")
+		hybrid   = flag.String("hybrid", "adaptive", "traversal policy for BFS-like analytics: adaptive, push (always-sparse baseline), dense")
+		delta    = flag.Uint64("delta", 0, "extra fixed Δ-stepping bucket width for the delta experiment's sweep (0 = sweep only one fat bucket, 1, auto, mean weight)")
+		part     = flag.String("partition", "", "override the single-graph experiments' partitioning ("+partition.KindUsage+"; empty = per-experiment default; partition-sweep experiments ignore it)")
+		file     = flag.String("file", "", "binary edge file for endtoend to read instead of generating WC-sim (endtoend only; left in place)")
 	)
 	flag.Parse()
-	if *retries < 1 {
-		fmt.Fprintln(os.Stderr, "repro: -retries must be >= 1 (1 = no retry)")
-		os.Exit(2)
-	}
 	// Fail fast on a bad traversal policy before any experiment spends time
 	// building graphs.
 	mode, err := core.ParseTraversalMode(*hybrid)
@@ -56,7 +50,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
 		os.Exit(2)
 	}
-	// Same ParseKind spec as tcprank/graphd/graphan: bad spellings fail
+	// Same ParseKind spec as tcprank/graphd: bad spellings fail
 	// fast with the full list of valid kinds before any graph is built.
 	var partOverride *partition.Kind
 	if *part != "" {
@@ -86,11 +80,7 @@ func main() {
 	cfg.Traverse = core.Traversal{Mode: mode}
 	cfg.Delta = *delta
 	cfg.Partition = partOverride
-	if *retries > 1 {
-		cfg.Retry = comm.DefaultRetryPolicy()
-		cfg.Retry.MaxAttempts = *retries
-		cfg.Retry.BaseDelay = *retryBase
-	}
+	cfg.File = *file
 	if *trace != "" {
 		cfg.Trace = obs.NewTraceSet(*traceCap)
 	}
@@ -128,6 +118,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "  %s\n", e.Key)
 		}
 		os.Exit(2)
+	}
+	for _, key := range keys {
+		if *file != "" && key != "endtoend" {
+			fmt.Fprintf(os.Stderr, "repro: -file applies only to endtoend, not %s\n", key)
+			os.Exit(2)
+		}
 	}
 	if len(keys) == 1 && keys[0] == "all" {
 		if err := harness.RunAll(cfg, os.Stdout); err != nil {

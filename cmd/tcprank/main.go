@@ -10,7 +10,7 @@
 //	tcprank -rank 1 -addrs 127.0.0.1:7070,127.0.0.1:7071 -file crawl.bin
 //
 // Either -file (shared filesystem) or -rmat n,m,seed (each rank generates
-// its chunk) selects the input.
+// its chunk) selects the input; naming both is an error.
 package main
 
 import (
@@ -24,8 +24,6 @@ import (
 	"repro/internal/analytics"
 	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/gen"
-	"repro/internal/gio"
 	"repro/internal/obs"
 	"repro/internal/partition"
 )
@@ -44,8 +42,6 @@ func main() {
 		pprof    = flag.String("pprof", "", "serve net/http/pprof on this address for the run's duration")
 		stats    = flag.Bool("stats", false, "print this rank's per-collective counters after the run")
 
-		retries   = flag.Int("retries", 1, "max attempts per exchange on transient comm faults (1 = no retry)")
-		retryBase = flag.Duration("retry-base", time.Millisecond, "base backoff delay between retry attempts")
 		deadline  = flag.Duration("exchange-deadline", 0, "per-frame read/write deadline on peer connections (0 = none)")
 		ckptEvery = flag.Int("ckpt-every", 0, "checkpoint PageRank state every K iterations (0 = off)")
 		ckptDir   = flag.String("ckpt-dir", "", "directory for per-rank checkpoint files (with -ckpt-every or -resume)")
@@ -64,13 +60,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tcprank: -rank and -addrs are required and must agree")
 		os.Exit(2)
 	}
-	// Fail fast on bad retry/checkpoint combinations before dialing the
-	// mesh: a misconfigured run must not cost a connect plus a graph build
-	// before erroring.
-	if *retries < 1 {
-		fmt.Fprintln(os.Stderr, "tcprank: -retries must be >= 1 (1 = no retry)")
-		os.Exit(2)
-	}
+	// Fail fast on bad checkpoint combinations before dialing the mesh: a
+	// misconfigured run must not cost a connect plus a graph build before
+	// erroring.
 	if *ckptEvery < 0 {
 		fmt.Fprintln(os.Stderr, "tcprank: -ckpt-every must be >= 0 (0 = off)")
 		os.Exit(2)
@@ -93,22 +85,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	var src core.EdgeSource
-	switch {
-	case *file != "":
-		r, err := gio.Open(*file)
-		if err != nil {
-			fatal(err)
-		}
-		defer r.Close()
-		src = r
-	case *rmat != "":
-		spec, err := gen.ParseRMAT(*rmat)
-		if err != nil {
-			fatal(fmt.Errorf("-rmat: %w", err))
-		}
-		src = core.SpecSource{Spec: spec}
-	default:
+	src, closeSrc, err := core.OpenSource(*file, *rmat)
+	if err != nil {
+		fatal(err)
+	}
+	defer closeSrc()
+	if src == nil {
 		fatal(fmt.Errorf("one of -file or -rmat is required"))
 	}
 
@@ -131,13 +113,6 @@ func main() {
 	}
 	c := comm.New(tr)
 	defer c.Close()
-	if *retries > 1 {
-		rp := comm.DefaultRetryPolicy()
-		rp.MaxAttempts = *retries
-		rp.BaseDelay = *retryBase
-		rp.Seed = uint64(*rank) + 1
-		c.SetRetryPolicy(rp)
-	}
 	var tracer *obs.Tracer
 	if *trace != "" {
 		tracer = obs.NewTracer(*rank, *traceCap, time.Now())

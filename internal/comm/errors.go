@@ -10,8 +10,9 @@ import (
 // ErrTransient marks a failure that did not consume the transport round:
 // the exchange may be re-attempted and, if the fault has cleared, completes
 // with the peers none the wiser (they simply wait longer at the rendezvous).
-// Injectors wrap it to signal "retry me"; real transports produce it for
-// errors detected before any peer could have observed the round.
+// Only the fault injector (ScheduledTransport) emits it, to signal "retry
+// me"; neither the in-process nor the TCP transport does, and Classify maps
+// a net timeout to KindTimeout, so RetryPolicy never fires on them.
 var ErrTransient = errors.New("comm: transient fault")
 
 // ErrKind classifies a communication failure for retry and reporting

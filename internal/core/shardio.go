@@ -136,8 +136,9 @@ func EncodeShardState(g *Graph, watermark uint64) ([]byte, error) {
 	return out, nil
 }
 
-// LoadShard reads a shard written by SaveShard (either version). The
-// global→local map is rebuilt from the unmap array rather than stored.
+// LoadShard reads a shard written by SaveShard (format v2; v1 is
+// rejected). The global→local map is rebuilt from the unmap array rather
+// than stored.
 func LoadShard(r io.Reader) (*Graph, error) {
 	g, _, err := LoadShardState(r)
 	return g, err

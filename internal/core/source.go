@@ -6,6 +6,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/edge"
 	"repro/internal/gen"
+	"repro/internal/gio"
 )
 
 // EdgeSource supplies chunks of a raw unsorted edge list — the paper's
@@ -41,6 +42,33 @@ func (s SpecSource) NumEdges() uint64 { return s.Spec.NumEdges }
 
 // ReadChunk implements EdgeSource.
 func (s SpecSource) ReadChunk(lo, hi uint64) (edge.List, error) { return s.Spec.Generate(lo, hi) }
+
+// OpenSource opens a command's input: the binary edge file, or the R-MAT
+// spec "n,m,seed" served as a SpecSource. Setting both is an error; setting
+// neither returns a nil source and no error, so each command words its own
+// "required" message. On success the returned close releases the file (a
+// no-op for the other cases) and is never nil.
+func OpenSource(file, rmat string) (EdgeSource, func() error, error) {
+	switch {
+	case file != "" && rmat != "":
+		return nil, nil, fmt.Errorf("-file and -rmat are mutually exclusive")
+	case file != "":
+		r, err := gio.Open(file)
+		if err != nil {
+			return nil, nil, err
+		}
+		return r, r.Close, nil
+	case rmat != "":
+		spec, err := gen.ParseRMAT(rmat)
+		if err != nil {
+			return nil, nil, fmt.Errorf("-rmat: %w", err)
+		}
+		return SpecSource{Spec: spec}, noClose, nil
+	}
+	return nil, noClose, nil
+}
+
+func noClose() error { return nil }
 
 // PlantedSource serves a planted-community generator spec.
 type PlantedSource struct{ Spec gen.PlantedSpec }

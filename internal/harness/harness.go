@@ -13,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/partition"
@@ -34,14 +33,14 @@ type Config struct {
 	// TmpDir hosts edge files for the I/O experiments; empty means the
 	// OS temp dir.
 	TmpDir string
+	// File, when set, is the binary edge file EndToEnd reads instead of
+	// generating WC-sim (the repro -file flag); n is scanned from it and
+	// the file is left in place.
+	File string
 	// Trace, when non-nil, collects a per-rank span timeline from every
 	// rank group the experiments spin up (comm collectives plus analytic
 	// iterations). Leave nil to run untraced at zero cost.
 	Trace *obs.TraceSet
-	// Retry is the comm-layer retry policy armed on every rank the
-	// experiments spin up; the zero value disables retries (a MaxAttempts
-	// of 1 or less means a single attempt per exchange).
-	Retry comm.RetryPolicy
 	// Traverse is the frontier policy armed on every rank; the zero value
 	// is the adaptive engine. The hybrid experiment overrides the mode per
 	// measurement cell.

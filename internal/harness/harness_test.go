@@ -2,9 +2,15 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/gen"
+	"repro/internal/gio"
 	"repro/internal/partition"
 )
 
@@ -165,5 +171,43 @@ func TestGeomean(t *testing.T) {
 	}
 	if geomean(nil) != 0 {
 		t.Fatal("empty geomean not 0")
+	}
+}
+
+// TestEndToEndReadsFile runs the end-to-end pipeline on a given edge file:
+// every stage row appears, the title carries the scanned n and the file's
+// m, and the caller's file is still there afterwards.
+func TestEndToEndReadsFile(t *testing.T) {
+	spec := gen.Spec{Kind: gen.RMAT, NumVertices: 512, NumEdges: 900, Seed: 5}
+	edges, err := spec.GenerateAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxV, _ := edges.MaxVertex()
+	path := filepath.Join(t.TempDir(), "crawl.bin")
+	if err := gio.WriteFile(path, edges); err != nil {
+		t.Fatal(err)
+	}
+	cfg := tinyConfig()
+	cfg.File = path
+	rep, err := EndToEnd(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("on crawl.bin (n=%d, m=900), 2 ranks", maxV+1)
+	if !strings.Contains(rep.Title, want) {
+		t.Fatalf("title %q, want it to contain %q", rep.Title, want)
+	}
+	var stages []string
+	for _, row := range rep.Rows {
+		stages = append(stages, row[0])
+	}
+	wantStages := []string{"Read (file I/O)", "Edge exchanges", "CSR conversion",
+		"PageRank", "Label Propagation", "WCC", "Harmonic Centrality", "k-core", "SCC", "TOTAL"}
+	if !slices.Equal(stages, wantStages) {
+		t.Fatalf("stages %q, want %q", stages, wantStages)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("input file gone after the run: %v", err)
 	}
 }

@@ -84,21 +84,25 @@ func (cfg Config) plantedSim() gen.PlantedSpec {
 }
 
 // buildGraph constructs the distributed graph SPMD-style and hands each
-// rank's shard to body. Timings are maxed over ranks into tm. When
-// cfg.Trace is non-nil every rank records its collective and analytic spans
-// into the set's per-rank tracers, and cfg.Retry (when enabled) arms every
-// rank's communicator against transient transport faults.
+// rank's shard to body. Timings are maxed over ranks into tm. An n of 0
+// scans the source for the vertex count (g.NGlobal carries it to body).
+// When cfg.Trace is non-nil every rank records its collective and analytic
+// spans into the set's per-rank tracers.
 func (cfg Config) buildGraph(p int, src core.EdgeSource, n uint32, kind partition.Kind,
 	body func(ctx *core.Ctx, g *core.Graph) error) (core.Timings, error) {
 	var tm core.Timings
 	cfg.Trace.Ensure(p)
 	err := comm.RunLocal(p, func(c *comm.Comm) error {
 		c.SetTracer(cfg.Trace.Rank(c.Rank()))
-		if cfg.Retry.MaxAttempts > 1 {
-			c.SetRetryPolicy(cfg.Retry)
-		}
 		ctx := core.NewCtx(c, cfg.Threads)
 		ctx.Traverse = cfg.Traverse
+		n := n
+		if n == 0 {
+			var err error
+			if n, err = core.ScanNumVertices(ctx, src); err != nil {
+				return err
+			}
+		}
 		pt, err := core.MakePartitioner(ctx, src, kind, n, cfg.Seed)
 		if err != nil {
 			return err

@@ -47,7 +47,7 @@ func (k Kind) String() string {
 }
 
 // KindUsage is the shared help text for the -partition flag registered by
-// every binary (repro, tcprank, graphd, graphan), so the accepted
+// every binary (repro, tcprank, graphd), so the accepted
 // spellings cannot drift between them.
 const KindUsage = "partitioning: np|vertex-block, mp|edge-block, rand|random, pulp, 2d|grid|checkerboard"
 

@@ -83,26 +83,6 @@ func NewCluster(ranks, threadsPerRank int) *Cluster {
 // Ranks returns the number of ranks.
 func (c *Cluster) Ranks() int { return len(c.comms) }
 
-// RetryPolicy re-exports the comm layer's retry policy: transient transport
-// failures are retried with exponential backoff and deterministic jitter
-// before surfacing as errors.
-type RetryPolicy = comm.RetryPolicy
-
-// DefaultRetryPolicy returns the comm layer's default policy (4 attempts,
-// 1ms base delay, exponential backoff capped at 50ms, 20% jitter).
-func DefaultRetryPolicy() RetryPolicy { return comm.DefaultRetryPolicy() }
-
-// SetRetryPolicy arms every rank's communicator with the given retry
-// policy. Call it before running analytics; the zero value disables
-// retries.
-func (c *Cluster) SetRetryPolicy(p RetryPolicy) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, cm := range c.comms {
-		cm.SetRetryPolicy(p)
-	}
-}
-
 // Checkpoint and CheckpointConfig re-export iteration-granular
 // checkpoint/restart for the iterative analytics (see PageRankOptions.
 // Checkpoint and LabelPropOptions.Checkpoint, and the analytics package's
