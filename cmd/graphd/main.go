@@ -70,7 +70,6 @@ func main() {
 		batchMax = flag.Int("batch-max", 8, "max single-source queries coalesced into one multi-source run (1 = no batching)")
 		cacheCap = flag.Int("cache-cap", 256, "result cache entries (0 = no caching)")
 		timeout  = flag.Duration("default-timeout", 30*time.Second, "per-request deadline when the client sends no timeout_ms")
-		delta    = flag.Uint64("delta", 0, "default Δ-stepping bucket width for SSSP queries that send no delta (0 = auto: ⌈4·mean weight / mean out-degree⌉, a thin bucket)")
 
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060)")
 	)
@@ -182,7 +181,7 @@ func main() {
 		CacheCap: *cacheCap,
 	})
 	sched.Start()
-	api := serve.NewServer(sched, serve.ServerConfig{DefaultTimeout: *timeout, DefaultDelta: *delta})
+	api := serve.NewServer(sched, serve.ServerConfig{DefaultTimeout: *timeout})
 
 	httpSrv := &http.Server{Addr: *addr, Handler: api}
 	errCh := make(chan error, 1)

@@ -43,7 +43,7 @@ func onBothTransports(t *testing.T, p int, body func(ctx *core.Ctx) error) {
 		return
 	}
 	t.Run("tcp", func(t *testing.T) {
-		errs, _ := runScheduledTCPRanks(t, p, comm.FaultSchedule{}, comm.RetryPolicy{}, body)
+		errs, _ := runScheduledTCPRanks(t, p, comm.FaultSchedule{}, body)
 		for r, err := range errs {
 			if err != nil {
 				t.Fatalf("rank %d: %v", r, err)

@@ -415,6 +415,6 @@ func (c *claimRound) corrupt(ctx *core.Ctx, peer int, format string, args ...any
 // corruptFrom is the typed failure of a receive path that read from peer's
 // segment what no rank running the same kernel on this graph sends.
 func corruptFrom(ctx *core.Ctx, peer int, format string, args ...any) error {
-	return &comm.CommError{Rank: ctx.Rank(), Peer: peer, Kind: comm.KindCorrupt, Attempt: 1,
+	return &comm.CommError{Rank: ctx.Rank(), Peer: peer, Kind: comm.KindCorrupt,
 		Err: fmt.Errorf("analytics: "+format, args...)}
 }

@@ -1,11 +1,11 @@
 package analytics
 
-// This file implements checkpoint/restart for the iterative (PageRank-like)
-// analytics: snapshot the per-rank vertex state every K iterations, and
-// resume a run from the last snapshot after the transport has been rebuilt
-// (Reconnect on a TCP mesh, or a fresh group). Because every analytic here
-// is deterministic, a resumed run finishes with results byte-identical to
-// an uninterrupted one — the property the checkpoint tests pin.
+// This file implements checkpoint/restart for PageRank and weighted
+// PageRank: snapshot each rank's owned scores every K iterations, and
+// resume a run from the last snapshot on a fresh group (a new TCP mesh, or
+// new in-process ranks). Because PageRank is deterministic, a resumed run
+// finishes with scores byte-identical to an uninterrupted one — the
+// property the checkpoint tests pin.
 
 import (
 	"encoding/binary"
@@ -18,12 +18,12 @@ import (
 )
 
 // Checkpoint is one rank's iteration-granular snapshot of an analytic's
-// restartable state. Only owned-vertex state is stored: ghost copies are
+// restartable state. Only owned-vertex scores are stored: ghost values are
 // re-derived on resume with one halo exchange, and all other loop state
-// (dangling mass, pulled values) is recomputed from the owned state.
+// (dangling mass, pulled values) is recomputed from the owned scores.
 type Checkpoint struct {
-	// Analytic names the algorithm the state belongs to ("pagerank",
-	// "wpagerank", "labelprop", "harmonic-topk"); resume validates it.
+	// Analytic names the algorithm the state belongs to ("pagerank" or
+	// "wpagerank"); resume validates it.
 	Analytic string
 	// Iter is the number of iterations fully completed at snapshot time;
 	// a resumed run continues with iteration Iter.
@@ -34,19 +34,18 @@ type Checkpoint struct {
 	Rank, Size int
 	// NLoc is the owned-vertex count, validated against the graph.
 	NLoc uint32
-	// F64 and U32 carry the per-analytic owned-vertex state (scores for
-	// PageRank and HC, labels for LP); unused slices stay empty.
+	// F64 holds the owned vertices' scores, NLoc of them.
 	F64 []float64
-	U32 []uint32
 }
 
 // ckptMagic begins every encoded checkpoint ("GCK1").
 const ckptMagic = 0x47434B31
 
 // Encode serializes the checkpoint to the stable little-endian format
-// documented in DESIGN.md §5.4.
+// documented in DESIGN.md §5.4. The format's trailing u32 section, which no
+// checkpoint fills any more, is written empty.
 func (cp *Checkpoint) Encode() []byte {
-	n := 4 + 4 + 2 + len(cp.Analytic) + 8 + 4 + 4 + 4 + 8 + 8*len(cp.F64) + 8 + 4*len(cp.U32)
+	n := 4 + 4 + 2 + len(cp.Analytic) + 8 + 4 + 4 + 4 + 8 + 8*len(cp.F64) + 8
 	b := make([]byte, 0, n)
 	b = binary.LittleEndian.AppendUint32(b, ckptMagic)
 	b = binary.LittleEndian.AppendUint32(b, 1) // version
@@ -60,16 +59,13 @@ func (cp *Checkpoint) Encode() []byte {
 	for _, v := range cp.F64 {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(cp.U32)))
-	for _, v := range cp.U32 {
-		b = binary.LittleEndian.AppendUint32(b, v)
-	}
-	return b
+	return binary.LittleEndian.AppendUint64(b, 0) // u32 section length
 }
 
 // DecodeCheckpoint parses an encoded checkpoint, validating structure and
 // bounds; it never panics or over-allocates on corrupt input (section
-// lengths are checked against the remaining bytes before allocation).
+// lengths are checked against the remaining bytes before allocation). A
+// non-empty u32 section is checked for length and skipped.
 func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	bad := func(what string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("analytics: corrupt checkpoint: %s", what)
@@ -111,10 +107,6 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	b = b[8:]
 	if nu > uint64(len(b))/4 {
 		return bad("u32 section overruns data")
-	}
-	cp.U32 = make([]uint32, nu)
-	for i := range cp.U32 {
-		cp.U32[i] = binary.LittleEndian.Uint32(b[4*i:])
 	}
 	if uint64(len(b)) != 4*nu {
 		return bad("trailing bytes")
@@ -167,33 +159,29 @@ func (cc CheckpointConfig) due(done int) bool {
 	return cc.snapshots() && done%cc.Every == 0
 }
 
-// validateResume checks a resume checkpoint against the running analytic
-// and shard.
-func (cc CheckpointConfig) validateResume(analytic string, rank, size int, nloc uint32) error {
+// validateResume checks a resume checkpoint against the running analytic,
+// its shard and its iteration count, then verifies with the group that
+// every rank is resuming from the same iteration — after a crash, ranks can
+// hold snapshots of different ages (a lagging rank dies before its latest
+// snapshot), and resuming from mixed iterations would silently diverge
+// instead of reproducing the uninterrupted run.
+func (cc CheckpointConfig) validateResume(ctx *core.Ctx, analytic string, nloc uint32, iterations int) error {
 	cp := cc.Resume
 	if cp.Analytic != analytic {
 		return fmt.Errorf("analytics: resuming %s from a %q checkpoint", analytic, cp.Analytic)
 	}
-	if cp.Rank != rank || cp.Size != size {
+	if cp.Rank != ctx.Rank() || cp.Size != ctx.Size() {
 		return fmt.Errorf("analytics: checkpoint belongs to rank %d of %d, not rank %d of %d",
-			cp.Rank, cp.Size, rank, size)
+			cp.Rank, cp.Size, ctx.Rank(), ctx.Size())
 	}
-	if cp.NLoc != nloc {
-		return fmt.Errorf("analytics: checkpoint has %d owned vertices, shard has %d", cp.NLoc, nloc)
+	if cp.NLoc != nloc || len(cp.F64) != int(nloc) {
+		return fmt.Errorf("analytics: checkpoint has %d owned vertices and %d scores, shard has %d vertices",
+			cp.NLoc, len(cp.F64), nloc)
 	}
-	return nil
-}
-
-// validateResumeCollective runs the local resume checks and then verifies
-// with the group that every rank is resuming from the same iteration —
-// after a crash, ranks can hold snapshots of different ages (a lagging rank
-// dies before its latest snapshot), and resuming from mixed iterations
-// would silently diverge instead of reproducing the uninterrupted run.
-func (cc CheckpointConfig) validateResumeCollective(ctx *core.Ctx, analytic string, nloc uint32) error {
-	if err := cc.validateResume(analytic, ctx.Rank(), ctx.Size(), nloc); err != nil {
-		return err
+	if cp.Iter < 0 || cp.Iter > iterations {
+		return fmt.Errorf("analytics: checkpoint at iteration %d, run has %d", cp.Iter, iterations)
 	}
-	it := float64(cc.Resume.Iter)
+	it := float64(cp.Iter)
 	lo, err := comm.Allreduce(ctx.Comm, it, comm.OpMin)
 	if err != nil {
 		return err
@@ -204,7 +192,7 @@ func (cc CheckpointConfig) validateResumeCollective(ctx *core.Ctx, analytic stri
 	}
 	if lo != hi {
 		return fmt.Errorf("analytics: rank %d resuming %s from iteration %d, but the group holds iterations %d..%d (resume from the newest iteration durable on every rank)",
-			ctx.Rank(), analytic, cc.Resume.Iter, int(lo), int(hi))
+			ctx.Rank(), analytic, cp.Iter, int(lo), int(hi))
 	}
 	return nil
 }

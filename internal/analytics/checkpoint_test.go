@@ -17,8 +17,7 @@ import (
 
 func checkpointsEqual(a, b *Checkpoint) bool {
 	if a.Analytic != b.Analytic || a.Iter != b.Iter || a.Rank != b.Rank ||
-		a.Size != b.Size || a.NLoc != b.NLoc ||
-		len(a.F64) != len(b.F64) || len(a.U32) != len(b.U32) {
+		a.Size != b.Size || a.NLoc != b.NLoc || len(a.F64) != len(b.F64) {
 		return false
 	}
 	for i := range a.F64 {
@@ -26,22 +25,25 @@ func checkpointsEqual(a, b *Checkpoint) bool {
 			return false
 		}
 	}
-	for i := range a.U32 {
-		if a.U32[i] != b.U32[i] {
-			return false
-		}
-	}
 	return true
+}
+
+// withU32 fills the empty trailing u32 section of an encoded checkpoint, as
+// the label-carrying checkpoints of earlier versions of the format did.
+func withU32(b []byte, vals ...uint32) []byte {
+	b = binary.LittleEndian.AppendUint64(b[:len(b)-8:len(b)-8], uint64(len(vals)))
+	for _, v := range vals {
+		b = binary.LittleEndian.AppendUint32(b, v)
+	}
+	return b
 }
 
 func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
 	cases := []*Checkpoint{
 		{Analytic: "pagerank", Iter: 7, Rank: 2, Size: 4, NLoc: 3,
 			F64: []float64{0.25, -1e300, math.Inf(1), math.NaN()}},
-		{Analytic: "labelprop", Iter: 1, Rank: 0, Size: 1, NLoc: 2,
-			U32: []uint32{0, 0xFFFFFFFF, 7}},
-		{Analytic: "harmonic-topk", Iter: 3, Rank: 1, Size: 2, NLoc: 128,
-			F64: []float64{1.5, 2.5, 3.5}, U32: []uint32{9, 8, 7, 6}},
+		{Analytic: "wpagerank", Iter: 3, Rank: 1, Size: 2, NLoc: 128,
+			F64: []float64{1.5, 2.5, 3.5}},
 		{Analytic: "", Iter: 0, Rank: 0, Size: 0, NLoc: 0},
 	}
 	for i, cp := range cases {
@@ -52,12 +54,21 @@ func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
 		if !checkpointsEqual(cp, got) {
 			t.Errorf("case %d: round trip mutated the checkpoint:\n%+v\nvs\n%+v", i, cp, got)
 		}
+		// A file whose u32 section is filled still decodes, to the same
+		// checkpoint.
+		got, err = DecodeCheckpoint(withU32(cp.Encode(), 9, 0xFFFFFFFF, 7))
+		if err != nil {
+			t.Fatalf("case %d with a u32 section: %v", i, err)
+		}
+		if !checkpointsEqual(cp, got) {
+			t.Errorf("case %d with a u32 section: decoded %+v, want %+v", i, got, cp)
+		}
 	}
 }
 
 func TestCheckpointDecodeCorrupt(t *testing.T) {
-	valid := (&Checkpoint{Analytic: "pagerank", Iter: 4, Rank: 1, Size: 2, NLoc: 3,
-		F64: []float64{1, 2, 3}, U32: []uint32{4, 5}}).Encode()
+	valid := withU32((&Checkpoint{Analytic: "pagerank", Iter: 4, Rank: 1, Size: 2, NLoc: 3,
+		F64: []float64{1, 2, 3}}).Encode(), 4, 5)
 
 	// Every strict prefix must fail cleanly (or be rejected as trailing-
 	// garbage-free truncation), never panic or succeed.
@@ -243,139 +254,6 @@ func TestPageRankCheckpointResumeProperty(t *testing.T) {
 	}
 }
 
-// TestLabelPropCheckpointResumeProperty is the same property for Label
-// Propagation (including the ghost-refresh exchange on resume).
-func TestLabelPropCheckpointResumeProperty(t *testing.T) {
-	const iters = 6
-	for _, tc := range []struct {
-		p    int
-		seed uint64
-	}{{2, 21}, {3, 22}, {4, 23}} {
-		tc := tc
-		t.Run(fmt.Sprintf("p=%d/seed=%d", tc.p, tc.seed), func(t *testing.T) {
-			golden := make(map[int][]uint32)
-			store := newSnapStore()
-			var mu sync.Mutex
-			opts := LabelPropOptions{Iterations: iters, RandomTies: true, TieSeed: 99}
-			runRanks(t, tc.p, func(ctx *core.Ctx) error {
-				g, err := buildCkptGraph(ctx, tc.seed)
-				if err != nil {
-					return err
-				}
-				o := opts
-				o.Checkpoint = CheckpointConfig{Every: 1, Sink: store.sink}
-				res, err := LabelProp(ctx, g, o)
-				if err != nil {
-					return err
-				}
-				mu.Lock()
-				golden[ctx.Rank()] = res.Labels
-				mu.Unlock()
-				return nil
-			})
-
-			for _, kill := range []int{1, 3, iters - 1} {
-				kill := kill
-				resumed := make(map[int][]uint32)
-				runRanks(t, tc.p, func(ctx *core.Ctx) error {
-					g, err := buildCkptGraph(ctx, tc.seed)
-					if err != nil {
-						return err
-					}
-					rcp := store.latest(ctx.Rank(), kill)
-					if rcp == nil || rcp.Iter != kill {
-						return fmt.Errorf("rank %d: no snapshot at iteration %d", ctx.Rank(), kill)
-					}
-					o := opts
-					o.Checkpoint = CheckpointConfig{Resume: rcp}
-					res, err := LabelProp(ctx, g, o)
-					if err != nil {
-						return err
-					}
-					mu.Lock()
-					resumed[ctx.Rank()] = res.Labels
-					mu.Unlock()
-					return nil
-				})
-				for r := 0; r < tc.p; r++ {
-					for v := range golden[r] {
-						if golden[r][v] != resumed[r][v] {
-							t.Fatalf("kill=%d rank %d vertex %d: resumed label %d != golden %d",
-								kill, r, v, resumed[r][v], golden[r][v])
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestHarmonicCheckpointResumeProperty is the property for the top-k
-// harmonic sweep, whose iteration unit is one completed source vertex.
-func TestHarmonicCheckpointResumeProperty(t *testing.T) {
-	const topk = 8
-	for _, tc := range []struct {
-		p    int
-		seed uint64
-	}{{2, 31}, {3, 32}} {
-		tc := tc
-		t.Run(fmt.Sprintf("p=%d/seed=%d", tc.p, tc.seed), func(t *testing.T) {
-			golden := make(map[int][]VertexScore)
-			store := newSnapStore()
-			var mu sync.Mutex
-			runRanks(t, tc.p, func(ctx *core.Ctx) error {
-				g, err := buildCkptGraph(ctx, tc.seed)
-				if err != nil {
-					return err
-				}
-				res, err := HarmonicTopKCheckpointed(ctx, g, topk, CheckpointConfig{Every: 1, Sink: store.sink})
-				if err != nil {
-					return err
-				}
-				mu.Lock()
-				golden[ctx.Rank()] = res
-				mu.Unlock()
-				return nil
-			})
-
-			for _, kill := range []int{1, topk / 2, topk - 1} {
-				kill := kill
-				resumed := make(map[int][]VertexScore)
-				runRanks(t, tc.p, func(ctx *core.Ctx) error {
-					g, err := buildCkptGraph(ctx, tc.seed)
-					if err != nil {
-						return err
-					}
-					rcp := store.latest(ctx.Rank(), kill)
-					if rcp == nil || rcp.Iter != kill {
-						return fmt.Errorf("rank %d: no snapshot at vertex %d", ctx.Rank(), kill)
-					}
-					res, err := HarmonicTopKCheckpointed(ctx, g, topk, CheckpointConfig{Resume: rcp})
-					if err != nil {
-						return err
-					}
-					mu.Lock()
-					resumed[ctx.Rank()] = res
-					mu.Unlock()
-					return nil
-				})
-				for r := 0; r < tc.p; r++ {
-					if len(golden[r]) != len(resumed[r]) {
-						t.Fatalf("kill=%d rank %d: %d vs %d entries", kill, r, len(golden[r]), len(resumed[r]))
-					}
-					for i := range golden[r] {
-						if golden[r][i].Vertex != resumed[r][i].Vertex ||
-							math.Float64bits(golden[r][i].Score) != math.Float64bits(resumed[r][i].Score) {
-							t.Fatalf("kill=%d rank %d entry %d: %+v != %+v",
-								kill, r, i, resumed[r][i], golden[r][i])
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestCheckpointResumeValidation pins the rejection paths: a snapshot from
 // the wrong analytic, rank, or shard shape must fail loudly, not corrupt a
 // run.
@@ -414,6 +292,35 @@ func TestCheckpointResumeValidation(t *testing.T) {
 		opts.Checkpoint = mk(func(cp *Checkpoint) { cp.NLoc++ })
 		if _, err := PageRank(ctx, g, opts); err == nil {
 			return errors.New("wrong-shape checkpoint accepted")
+		}
+		// The score section must cover every owned vertex: a short one
+		// would resume with its tail at the initial 1/n.
+		opts.Checkpoint = mk(func(cp *Checkpoint) { cp.F64 = cp.F64[:len(cp.F64)-1] })
+		if _, err := PageRank(ctx, g, opts); err == nil {
+			return errors.New("short score section accepted")
+		}
+		opts.Checkpoint = mk(func(cp *Checkpoint) { cp.F64 = append(cp.F64, 0) })
+		if _, err := PageRank(ctx, g, opts); err == nil {
+			return errors.New("long score section accepted")
+		}
+		// The iteration must lie in [0, Iterations]: past the end the
+		// snapshot would come back as the answer, and a decoded count of
+		// 2^63 or more is a negative int (here 2^64-1, which decodes to -1).
+		opts.Checkpoint = mk(func(cp *Checkpoint) { cp.Iter = opts.Iterations + 1 })
+		if _, err := PageRank(ctx, g, opts); err == nil {
+			return errors.New("checkpoint past the last iteration accepted")
+		}
+		opts.Checkpoint = mk(func(cp *Checkpoint) {
+			b := cp.Encode()
+			binary.LittleEndian.PutUint64(b[10+len(cp.Analytic):], math.MaxUint64)
+			dec, err := DecodeCheckpoint(b)
+			if err != nil {
+				panic(err)
+			}
+			*cp = *dec
+		})
+		if _, err := PageRank(ctx, g, opts); err == nil {
+			return errors.New("negative iteration accepted")
 		}
 		// Resumption is collective: ranks holding snapshots of different
 		// iterations must be rejected on every rank, not silently diverge.

@@ -215,7 +215,7 @@ func TestColoringKernelsGolden(t *testing.T) {
 							return nil
 						}
 						if tcp {
-							errs, _ := runScheduledTCPRanks(t, p, comm.FaultSchedule{}, comm.RetryPolicy{}, body)
+							errs, _ := runScheduledTCPRanks(t, p, comm.FaultSchedule{}, body)
 							for r, err := range errs {
 								if err != nil {
 									t.Fatalf("rank %d: %v", r, err)

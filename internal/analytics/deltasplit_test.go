@@ -200,7 +200,7 @@ func TestDeltaScheduleGolden(t *testing.T) {
 					}
 					t.Run(key+"/tcp", func(t *testing.T) {
 						per := make([]deltaSchedule, p)
-						errs, _ := runScheduledTCPRanks(t, p, comm.FaultSchedule{}, comm.RetryPolicy{}, func(ctx *core.Ctx) error {
+						errs, _ := runScheduledTCPRanks(t, p, comm.FaultSchedule{}, func(ctx *core.Ctx) error {
 							return deltaScheduleOf(ctx, tg, wt.w, delta, per)
 						})
 						for r, err := range errs {

@@ -206,7 +206,7 @@ func TestGrid2DMultiBFSMatches1DTCP(t *testing.T) {
 	tg := makeTestGraphs(t)[4] // rmat
 	roots := []uint32{0, tg.n - 1, tg.n / 2, 1}
 	for _, m := range grid2DModes {
-		errs, _ := runScheduledTCPRanks(t, 4, comm.FaultSchedule{}, comm.RetryPolicy{}, func(ctx *core.Ctx) error {
+		errs, _ := runScheduledTCPRanks(t, 4, comm.FaultSchedule{}, func(ctx *core.Ctx) error {
 			ctx.Traverse.Mode = m.mode
 			g1, g2, err := build1Dand2D(ctx, tg)
 			if err != nil {
@@ -334,7 +334,6 @@ func TestGrid2DRejectsUnsupportedAnalytics(t *testing.T) {
 		calls := map[string]func() error{
 			"SSSP":      func() error { _, err := SSSP(ctx, g, 0, UnitWeights); return err },
 			"SSSPDelta": func() error { _, err := SSSPDelta(ctx, g, 0, UnitWeights, 4); return err },
-			"MultiSSSP": func() error { _, err := MultiSSSP(ctx, g, []uint32{0, 1}, UnitWeights); return err },
 			"PageRank":  func() error { _, err := PageRank(ctx, g, DefaultPageRank()); return err },
 			"PageRankWeighted": func() error {
 				_, err := PageRankWeighted(ctx, g, DefaultPageRank(), UnitWeights)
@@ -407,7 +406,7 @@ func TestGrid2DTCPEquivalence(t *testing.T) {
 		{Analytic: JobBFS, Sources: []uint32{0, 1, 2}, Dir: "out"},
 		{Analytic: JobWCC},
 	}
-	errs, _ := runScheduledTCPRanks(t, 4, comm.FaultSchedule{}, comm.RetryPolicy{}, func(ctx *core.Ctx) error {
+	errs, _ := runScheduledTCPRanks(t, 4, comm.FaultSchedule{}, func(ctx *core.Ctx) error {
 		g1, g2, err := build1Dand2D(ctx, tg)
 		if err != nil {
 			return err

@@ -120,63 +120,21 @@ func TopDegree(ctx *core.Ctx, g *core.Graph, k int) ([]uint32, error) {
 // vertices, returning (vertex, score) pairs sorted by descending score on
 // every rank.
 func HarmonicTopK(ctx *core.Ctx, g *core.Graph, k int) ([]VertexScore, error) {
-	return HarmonicTopKCheckpointed(ctx, g, k, CheckpointConfig{})
-}
-
-// HarmonicTopKCheckpointed is HarmonicTopK with iteration-granular
-// checkpoint/resume: one "iteration" is one completed source vertex (the
-// outer loop of the top-k sweep). The candidate list is recomputed on
-// resume — it is a deterministic function of the graph — and validated
-// against the snapshot, so only the finished scores travel through the
-// checkpoint.
-func HarmonicTopKCheckpointed(ctx *core.Ctx, g *core.Graph, k int, cc CheckpointConfig) ([]VertexScore, error) {
 	tops, err := TopDegree(ctx, g, k)
 	if err != nil {
 		return nil, err
-	}
-	start := 0
-	scores := make([]float64, 0, len(tops))
-	if rcp := cc.Resume; rcp != nil {
-		if err := cc.validateResumeCollective(ctx, "harmonic-topk", g.NLoc); err != nil {
-			return nil, err
-		}
-		if rcp.Iter > len(tops) || rcp.Iter != len(rcp.F64) || len(rcp.U32) != len(tops) {
-			return nil, fmt.Errorf("analytics: harmonic checkpoint shape mismatch: iter %d, %d scores, %d of %d candidates",
-				rcp.Iter, len(rcp.F64), len(rcp.U32), len(tops))
-		}
-		for i, v := range rcp.U32 {
-			if tops[i] != v {
-				return nil, fmt.Errorf("analytics: harmonic checkpoint candidate %d is vertex %d, graph yields %d", i, v, tops[i])
-			}
-		}
-		start = rcp.Iter
-		scores = append(scores, rcp.F64...)
 	}
 	r, err := bfsRunnerFor(ctx, g)
 	if err != nil {
 		return nil, err
 	}
-	for i := start; i < len(tops); i++ {
-		hc, err := r.harmonic(ctx, tops[i])
+	out := make([]VertexScore, 0, len(tops))
+	for _, v := range tops {
+		hc, err := r.harmonic(ctx, v)
 		if err != nil {
 			return nil, err
 		}
-		scores = append(scores, hc)
-		if cc.due(i + 1) {
-			cp := &Checkpoint{
-				Analytic: "harmonic-topk", Iter: i + 1,
-				Rank: ctx.Rank(), Size: ctx.Size(), NLoc: g.NLoc,
-				F64: append([]float64(nil), scores...),
-				U32: append([]uint32(nil), tops...),
-			}
-			if err := cc.Sink(cp); err != nil {
-				return nil, err
-			}
-		}
-	}
-	out := make([]VertexScore, 0, len(tops))
-	for i, v := range tops {
-		out = append(out, VertexScore{Vertex: v, Score: scores[i]})
+		out = append(out, VertexScore{Vertex: v, Score: hc})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Score != out[j].Score {

@@ -304,7 +304,7 @@ func TestHybridCrossModeEquivalenceTCP(t *testing.T) {
 	spec := gen.Spec{Kind: gen.RMAT, NumVertices: 200, NumEdges: 1600, Seed: 5}
 	var mu sync.Mutex
 	failures := make(map[int]string)
-	errs, _ := runScheduledTCPRanks(t, p, comm.FaultSchedule{}, comm.RetryPolicy{}, func(ctx *core.Ctx) error {
+	errs, _ := runScheduledTCPRanks(t, p, comm.FaultSchedule{}, func(ctx *core.Ctx) error {
 		src := core.SpecSource{Spec: spec}
 		pt, err := core.MakePartitioner(ctx, src, partition.Random, spec.NumVertices, 123)
 		if err != nil {

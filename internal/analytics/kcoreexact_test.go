@@ -152,7 +152,7 @@ func kcoreRunGroup(t *testing.T, p int, tcp bool, body func(ctx *core.Ctx, per [
 	t.Helper()
 	per := make([]kcoreRun, p)
 	if tcp {
-		errs, _ := runScheduledTCPRanks(t, p, comm.FaultSchedule{}, comm.RetryPolicy{}, func(ctx *core.Ctx) error {
+		errs, _ := runScheduledTCPRanks(t, p, comm.FaultSchedule{}, func(ctx *core.Ctx) error {
 			return body(ctx, per)
 		})
 		for r, err := range errs {

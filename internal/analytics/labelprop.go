@@ -18,9 +18,6 @@ type LabelPropOptions struct {
 	RandomTies bool
 	// TieSeed seeds the random tie-breaking.
 	TieSeed uint64
-	// Checkpoint attaches iteration-granular snapshot/resume; the zero
-	// value runs without fault tolerance.
-	Checkpoint CheckpointConfig
 }
 
 // LabelPropResult carries the final labels of owned vertices.
@@ -57,23 +54,8 @@ func LabelProp(ctx *core.Ctx, g *core.Graph, opts LabelPropOptions) (*LabelPropR
 			labels[v] = g.GlobalID(uint32(v))
 		}
 	})
-	startIter := 0
-	if rcp := opts.Checkpoint.Resume; rcp != nil {
-		// Resume: owned labels come from the snapshot; ghost labels are
-		// refreshed from their owners with one halo exchange, restoring
-		// exactly the state the uninterrupted run had at this boundary.
-		if err := opts.Checkpoint.validateResumeCollective(ctx, "labelprop", g.NLoc); err != nil {
-			return nil, err
-		}
-		copy(labels[:g.NLoc], rcp.U32)
-		if err := Exchange(ctx, halo, labels); err != nil {
-			return nil, err
-		}
-		startIter = rcp.Iter
-	}
-
 	tr := ctx.Comm.Tracer()
-	for it := startIter; it < opts.Iterations; it++ {
+	for it := 0; it < opts.Iterations; it++ {
 		mark := tr.Now()
 		// The paper's main loop (Algorithm 1 lines 30-40): histogram each
 		// vertex's neighborhood in a per-thread hash map (lmap) and take
@@ -100,16 +82,6 @@ func LabelProp(ctx *core.Ctx, g *core.Graph, opts LabelPropOptions) (*LabelPropR
 		copy(labels[:g.NLoc], next)
 		if err := Exchange(ctx, halo, labels); err != nil {
 			return nil, err
-		}
-		if opts.Checkpoint.due(it + 1) {
-			cp := &Checkpoint{
-				Analytic: "labelprop", Iter: it + 1,
-				Rank: ctx.Rank(), Size: ctx.Size(), NLoc: g.NLoc,
-				U32: append([]uint32(nil), labels[:g.NLoc]...),
-			}
-			if err := opts.Checkpoint.Sink(cp); err != nil {
-				return nil, err
-			}
 		}
 		tr.Span(SpanLabelPropIter, mark, int64(it))
 	}

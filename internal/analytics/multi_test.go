@@ -62,7 +62,7 @@ func TestMultiSSSPMatchesSoloSSSP(t *testing.T) {
 			roots := multiRoots(tg.n)
 			w := HashWeights(42, 8)
 			runConfigs(t, tg, func(ctx *core.Ctx, g *core.Graph) error {
-				ms, err := MultiSSSP(ctx, g, roots, w)
+				runs, err := ssspRuns(ctx, g, roots, edgeWeights{fn: w}, 0)
 				if err != nil {
 					return err
 				}
@@ -71,13 +71,13 @@ func TestMultiSSSPMatchesSoloSSSP(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					if ms.Reached[s] != solo.Reached {
-						return fmt.Errorf("root %d: reached %d, solo %d", root, ms.Reached[s], solo.Reached)
+					if runs[s].Reached != solo.Reached {
+						return fmt.Errorf("root %d: reached %d, solo %d", root, runs[s].Reached, solo.Reached)
 					}
 					for v := range solo.Dist {
-						if ms.Dist[s][v] != solo.Dist[v] {
+						if runs[s].Dist[v] != solo.Dist[v] {
 							return fmt.Errorf("root %d: dist[%d] = %d, solo %d",
-								root, v, ms.Dist[s][v], solo.Dist[v])
+								root, v, runs[s].Dist[v], solo.Dist[v])
 						}
 					}
 				}
@@ -97,8 +97,11 @@ func TestMultiSourceValidation(t *testing.T) {
 			return fmt.Errorf("MultiBFS accepted out-of-range root")
 		}
 		big := make([]uint32, MaxSources+1)
-		if _, err := MultiSSSP(ctx, g, big, UnitWeights); err == nil {
-			return fmt.Errorf("MultiSSSP accepted %d sources", len(big))
+		if _, err := MultiBFS(ctx, g, big, Forward); err == nil {
+			return fmt.Errorf("MultiBFS accepted %d sources", len(big))
+		}
+		if _, err := ssspRuns(ctx, g, []uint32{0, g.NGlobal}, edgeWeights{fn: UnitWeights}, 0); err == nil {
+			return fmt.Errorf("ssspRuns accepted out-of-range root")
 		}
 		return nil
 	})

@@ -143,7 +143,7 @@ func pageRank(ctx *core.Ctx, g *core.Graph, opts PageRankOptions, w *edgeWeights
 	if rcp := opts.Checkpoint.Resume; rcp != nil {
 		// Owned scores come from the snapshot; the exchange below re-derives
 		// the ghost values the uninterrupted run held at this boundary.
-		if err := opts.Checkpoint.validateResumeCollective(ctx, analytic, g.NLoc); err != nil {
+		if err := opts.Checkpoint.validateResume(ctx, analytic, g.NLoc, opts.Iterations); err != nil {
 			return nil, err
 		}
 		copy(pr, rcp.F64)

@@ -211,7 +211,7 @@ func TestPageRankFamilyGolden(t *testing.T) {
 					}
 					body := func(ctx *core.Ctx) error { return prFamilyRunOn(ctx, tg, per) }
 					if tcp {
-						errs, _ := runScheduledTCPRanks(t, p, comm.FaultSchedule{}, comm.RetryPolicy{}, body)
+						errs, _ := runScheduledTCPRanks(t, p, comm.FaultSchedule{}, body)
 						for r, err := range errs {
 							if err != nil {
 								t.Fatalf("rank %d: %v", r, err)

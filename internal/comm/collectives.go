@@ -19,9 +19,9 @@ const (
 )
 
 // corruptErr builds the rank-attributed CommError for a peer payload that
-// failed validation (truncated or spliced in flight): fatal, not retryable.
+// failed validation (truncated or spliced in flight).
 func corruptErr(c *Comm, peer int, format string, args ...any) error {
-	return &CommError{Rank: c.Rank(), Peer: peer, Kind: KindCorrupt, Attempt: 1, Err: fmt.Errorf(format, args...)}
+	return &CommError{Rank: c.Rank(), Peer: peer, Kind: KindCorrupt, Err: fmt.Errorf(format, args...)}
 }
 
 // apply combines two values with op.

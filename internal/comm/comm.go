@@ -25,13 +25,8 @@ type Comm struct {
 	outMsgs [][]byte
 
 	// In-flight round bookkeeping between Exchange and Release.
-	xstart   time.Time
-	xwait    time.Duration
-	xretries uint64
-
-	// retry is the per-exchange retry policy; the zero value means a
-	// single attempt (no fault tolerance).
-	retry RetryPolicy
+	xstart time.Time
+	xwait  time.Duration
 
 	// Observability hooks, both nil by default (the zero-cost-disabled
 	// contract: every hot-path touch below is a nil check or a plain
@@ -60,10 +55,6 @@ type Stats struct {
 	BytesRecv uint64
 	// Exchanges counts transport rounds (each collective is one or more).
 	Exchanges uint64
-	// Retries counts re-attempted rounds: transient transport failures the
-	// retry policy absorbed before the round eventually committed (or gave
-	// up). Zero on a fault-free run.
-	Retries uint64
 }
 
 // Total returns the wall time covered by the breakdown.
@@ -148,13 +139,8 @@ func (c *Comm) sendBuffers() [][]byte {
 // collective to Comp. The returned messages are borrowed: the caller must
 // finish reading them, then call endExchange (with the same out and in)
 // exactly once. On error the round is already closed out and endExchange
-// must not be called.
-//
-// Transient transport failures (a fault detected before the round was
-// consumed) are re-attempted under the installed RetryPolicy with
-// exponential backoff; peers of a retrying rank simply wait longer at the
-// rendezvous, so retries never desynchronize the group. All failures
-// surface as rank-attributed *CommError values.
+// must not be called. Every failure surfaces as a rank-attributed
+// *CommError.
 func (c *Comm) beginExchange(out [][]byte) ([][]byte, error) {
 	start := time.Now()
 	c.stats.Comp += start.Sub(c.mark)
@@ -163,24 +149,13 @@ func (c *Comm) beginExchange(out [][]byte) ([][]byte, error) {
 		c.xmark = c.trace.Now()
 	}
 
-	var in [][]byte
-	var err error
-	maxAttempts := c.retry.attempts()
-	attempt := 1
-	for {
-		in, c.xwait, err = c.tr.Exchange(out)
-		if err == nil {
-			return in, nil
-		}
-		if attempt >= maxAttempts || !Retryable(err) {
-			break
-		}
-		c.xretries++
-		c.retry.backoff(attempt)
-		attempt++
+	in, wait, err := c.tr.Exchange(out)
+	c.xwait = wait
+	if err != nil {
+		c.settle(nil, nil)
+		return nil, c.wrapErr(err)
 	}
-	c.settle(nil, nil)
-	return nil, c.wrapErr(err, attempt)
+	return in, nil
 }
 
 // endExchange completes the round opened by beginExchange: it releases
@@ -194,16 +169,16 @@ func (c *Comm) endExchange(out, in [][]byte) error {
 	c.xwait += w
 	if err != nil {
 		c.settle(nil, nil)
-		return c.wrapErr(err, 1)
+		return c.wrapErr(err)
 	}
 	c.settle(out, in)
 	clear(c.outMsgs)
 	return nil
 }
 
-// wrapErr promotes err to a rank-attributed *CommError (leaving an existing
-// CommError intact), recording how many attempts the round consumed.
-func (c *Comm) wrapErr(err error, attempt int) error {
+// wrapErr promotes err to a rank-attributed *CommError, leaving an existing
+// CommError intact.
+func (c *Comm) wrapErr(err error) error {
 	if err == nil {
 		return nil
 	}
@@ -211,7 +186,7 @@ func (c *Comm) wrapErr(err error, attempt int) error {
 	if errors.As(err, &ce) {
 		return err
 	}
-	return &CommError{Rank: c.Rank(), Peer: -1, Kind: Classify(err), Attempt: attempt, Err: err}
+	return &CommError{Rank: c.Rank(), Peer: -1, Kind: Classify(err), Err: err}
 }
 
 // settle closes out the in-flight round's timing, and (on success, when out
@@ -229,7 +204,6 @@ func (c *Comm) settle(out, in [][]byte) {
 	c.stats.Idle += wait
 	c.stats.CommT += elapsed - wait
 	c.stats.Exchanges++
-	c.stats.Retries += c.xretries
 	c.mark = end
 	c.xwait = 0
 	self := c.Rank()
@@ -251,7 +225,6 @@ func (c *Comm) settle(out, in [][]byte) {
 	}
 	c.cur = obs.CNone
 	c.xself = 0
-	c.xretries = 0
 }
 
 // observe reports one settled round to the attached tracer and counters.
@@ -271,7 +244,6 @@ func (c *Comm) observe(out [][]byte, elapsed, wait time.Duration, sent, recvd ui
 			WireBytesIn:  recvd,
 			SelfBytes:    c.xself,
 			MaxMsgBytes:  maxMsg,
-			Retries:      c.xretries,
 			WaitNs:       wait.Nanoseconds(),
 			CommNs:       (elapsed - wait).Nanoseconds(),
 		})

@@ -9,18 +9,13 @@ import (
 	"repro/internal/rng"
 )
 
-// ErrInjected is the error a scheduled FaultFatal produces: a hard fault,
-// not retryable.
+// ErrInjected is the error a scheduled FaultFatal produces: a hard fault.
 var ErrInjected = errors.New("comm: injected fault")
 
 // FaultOp enumerates the failure modes a FaultSchedule can inject. Each op
 // models a distinct real-world fabric pathology with deterministic,
 // testable semantics:
 //
-//   - FaultDrop: the round fails before any peer could observe it (a NIC
-//     send that never left the host). Transient — a retrying Comm
-//     re-attempts the round and, once the fault clears, completes it with
-//     results identical to a fault-free run.
 //   - FaultDelay: the round is stalled for a fixed duration, then proceeds.
 //     Results are always identical; only timing (and deadline interplay)
 //     changes.
@@ -31,18 +26,17 @@ var ErrInjected = errors.New("comm: injected fault")
 //     one frame with a torn tail, as a retransmit-merge bug would produce.
 //     Detected by length validation like truncation.
 //   - FaultFatal: the round fails hard (ErrInjected), modeling a dead link.
-//     Not retryable; the group aborts.
+//     The group aborts.
 type FaultOp uint8
 
 const (
-	FaultDrop FaultOp = iota
-	FaultDelay
+	FaultDelay FaultOp = iota
 	FaultTruncate
 	FaultDuplicate
 	FaultFatal
 )
 
-var faultOpNames = [...]string{"drop", "delay", "truncate", "duplicate", "fatal"}
+var faultOpNames = [...]string{"delay", "truncate", "duplicate", "fatal"}
 
 // String returns the op's short name.
 func (op FaultOp) String() string {
@@ -53,9 +47,7 @@ func (op FaultOp) String() string {
 }
 
 // Fault is one scheduled injection: at the observing rank's Round-th
-// logical transport round, apply Op. Rounds are logical, not attempts: a
-// dropped round keeps its number across retries, so schedules stay aligned
-// with the SPMD round structure regardless of the retry policy.
+// transport round, apply Op.
 type Fault struct {
 	// Rank is the rank that observes the fault; -1 means every rank.
 	Rank int
@@ -66,10 +58,6 @@ type Fault struct {
 	// Peer selects whose incoming payload is affected (Truncate and
 	// Duplicate only).
 	Peer int
-	// Times is how many consecutive attempts a Drop fails before letting
-	// the round through; values below 1 mean 1. A Times at or above the
-	// retry policy's MaxAttempts makes the drop effectively fatal.
-	Times int
 	// Delay is the stall duration for FaultDelay.
 	Delay time.Duration
 }
@@ -93,31 +81,15 @@ func (s FaultSchedule) forRank(rank int) map[uint64][]*scheduledFault {
 			continue
 		}
 		f := f
-		if f.Times < 1 {
-			f.Times = 1
-		}
 		m[f.Round] = append(m[f.Round], &scheduledFault{Fault: f})
 	}
 	return m
 }
 
-// PartitionFaults models a network partition healing after `times`
-// attempts: every rank in ranks observes a drop at the given round that
-// fails `times` consecutive attempts. With a retry policy whose MaxAttempts
-// exceeds times, the partition heals and the run completes identically;
-// otherwise it is fatal on every partitioned rank.
-func PartitionFaults(ranks []int, round uint64, times int) []Fault {
-	out := make([]Fault, 0, len(ranks))
-	for _, r := range ranks {
-		out = append(out, Fault{Rank: r, Round: round, Op: FaultDrop, Times: times})
-	}
-	return out
-}
-
 // RandomFaultSchedule derives n faults from seed for a group of the given
-// size, with rounds drawn from [2, maxRound]. Drops dominate (they are the
-// recoverable case the retry layer exists for), with delays, truncations,
-// duplications, and the occasional multi-attempt drop mixed in. The same
+// size, with rounds drawn from [2, maxRound]. Delays dominate (the one op a
+// group absorbs), with truncations, duplications and fatal faults mixed in
+// so that a short schedule fails about as often as it completes. The same
 // (seed, size, maxRound, n) always yields the same schedule.
 func RandomFaultSchedule(seed uint64, size int, maxRound uint64, n int) FaultSchedule {
 	if maxRound < 2 {
@@ -136,20 +108,16 @@ func RandomFaultSchedule(seed uint64, size int, maxRound uint64, n int) FaultSch
 		}
 		switch next() % 8 {
 		case 0:
-			f.Op = FaultDelay
-			f.Delay = time.Duration(1+next()%5) * time.Millisecond
-		case 1:
 			f.Op = FaultTruncate
 			f.Peer = int(next() % uint64(size))
-		case 2:
+		case 1:
 			f.Op = FaultDuplicate
 			f.Peer = int(next() % uint64(size))
-		case 3:
-			f.Op = FaultDrop
-			f.Times = 2
+		case 2:
+			f.Op = FaultFatal
 		default:
-			f.Op = FaultDrop
-			f.Times = 1
+			f.Op = FaultDelay
+			f.Delay = time.Duration(1+next()%5) * time.Millisecond
 		}
 		s.Faults = append(s.Faults, f)
 	}
@@ -163,10 +131,9 @@ type scheduledFault struct {
 }
 
 // ScheduledTransport wraps a transport and applies a FaultSchedule to its
-// rounds. Drop and Delay fire before the wrapped round runs (drops do not
-// consume it, so a retrying Comm re-attempts the same logical round);
-// Truncate and Duplicate mutate the received view of one peer's payload
-// after a successful round; Fatal aborts the group. With an empty schedule
+// rounds. Delay and Fatal fire before the wrapped round runs; Truncate and
+// Duplicate mutate the received view of one peer's payload after a
+// successful round; Fatal aborts the group. With an empty schedule
 // it is a plain pass-through.
 //
 // The wrapped round is the one production runs, so fault tests exercise
@@ -177,7 +144,7 @@ type scheduledFault struct {
 type ScheduledTransport struct {
 	tr     Transport
 	faults map[uint64][]*scheduledFault
-	round  uint64 // completed logical rounds
+	round  uint64 // completed rounds
 
 	injected atomic.Uint64 // total faults fired, for observability/tests
 }
@@ -206,10 +173,8 @@ func (t *ScheduledTransport) Abort() {
 	}
 }
 
-// Exchange implements Transport, applying the schedule around one attempt
-// at logical round t.round+1. The round counter advances only once the
-// wrapped transport actually runs the round, so a dropped attempt and its
-// retries share a round number.
+// Exchange implements Transport, applying the schedule around round
+// t.round+1.
 func (t *ScheduledTransport) Exchange(out [][]byte) ([][]byte, time.Duration, error) {
 	r := t.round + 1
 	pending := t.faults[r]
@@ -220,13 +185,6 @@ func (t *ScheduledTransport) Exchange(out [][]byte) ([][]byte, time.Duration, er
 				f.fired++
 				t.injected.Add(1)
 				time.Sleep(f.Delay)
-			}
-		case FaultDrop:
-			if f.fired < f.Times {
-				f.fired++
-				t.injected.Add(1)
-				return nil, 0, fmt.Errorf("comm: scheduled drop at round %d (attempt %d of %d): %w",
-					r, f.fired, f.Times, ErrTransient)
 			}
 		case FaultFatal:
 			if f.fired == 0 {

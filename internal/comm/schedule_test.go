@@ -3,6 +3,8 @@ package comm
 import (
 	"errors"
 	"fmt"
+	"net"
+	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -30,7 +32,7 @@ func allgatherScript(rounds int) func(c *Comm) (int, error) {
 
 func TestScheduledTruncateDetectedAsCorrupt(t *testing.T) {
 	s := FaultSchedule{Faults: []Fault{{Rank: 0, Round: 2, Op: FaultTruncate, Peer: 1}}}
-	errs, sts := runScheduledLocal(2, s, DefaultRetryPolicy(), func(c *Comm) error {
+	errs, sts := runScheduledLocal(2, s, func(c *Comm) error {
 		_, err := allgatherScript(3)(c)
 		return err
 	})
@@ -51,7 +53,7 @@ func TestScheduledTruncateDetectedAsCorrupt(t *testing.T) {
 
 func TestScheduledDuplicateDetectedAsCorrupt(t *testing.T) {
 	s := FaultSchedule{Faults: []Fault{{Rank: 1, Round: 3, Op: FaultDuplicate, Peer: 0}}}
-	errs, _ := runScheduledLocal(2, s, DefaultRetryPolicy(), func(c *Comm) error {
+	errs, _ := runScheduledLocal(2, s, func(c *Comm) error {
 		_, err := allgatherScript(4)(c)
 		return err
 	})
@@ -63,7 +65,7 @@ func TestScheduledDuplicateDetectedAsCorrupt(t *testing.T) {
 
 func TestScheduledDelayIsTransparent(t *testing.T) {
 	s := FaultSchedule{Faults: []Fault{{Rank: 0, Round: 2, Op: FaultDelay, Delay: 2 * time.Millisecond}}}
-	errs, sts := runScheduledLocal(2, s, RetryPolicy{}, func(c *Comm) error {
+	errs, sts := runScheduledLocal(2, s, func(c *Comm) error {
 		_, err := allgatherScript(4)(c)
 		return err
 	})
@@ -79,7 +81,7 @@ func TestScheduledDelayIsTransparent(t *testing.T) {
 
 func TestScheduledFatalAbortsGroup(t *testing.T) {
 	s := FaultSchedule{Faults: []Fault{{Rank: 0, Round: 2, Op: FaultFatal}}}
-	errs, _ := runScheduledLocal(3, s, DefaultRetryPolicy(), func(c *Comm) error {
+	errs, _ := runScheduledLocal(3, s, func(c *Comm) error {
 		_, err := allgatherScript(4)(c)
 		return err
 	})
@@ -93,57 +95,6 @@ func TestScheduledFatalAbortsGroup(t *testing.T) {
 	for r := 1; r < 3; r++ {
 		if errs[r] == nil || !errors.As(errs[r], &ce) || ce.Kind != KindAborted {
 			t.Errorf("rank %d: want aborted CommError, got %v", r, errs[r])
-		}
-	}
-}
-
-func TestScheduleRoundsStayLogicalAcrossRetries(t *testing.T) {
-	// A drop at round 2 burns two attempts; the truncate scheduled for round
-	// 4 must still fire at the fourth *logical* round (the fourth Allgather),
-	// not drift earlier by counting attempts.
-	s := FaultSchedule{Faults: []Fault{
-		{Rank: 0, Round: 2, Op: FaultDrop, Times: 2},
-		{Rank: 0, Round: 4, Op: FaultTruncate, Peer: 1},
-	}}
-	rp := RetryPolicy{MaxAttempts: 4, BaseDelay: 50 * time.Microsecond}
-	done := make([]int, 2)
-	var mu sync.Mutex
-	errs, _ := runScheduledLocal(2, s, rp, func(c *Comm) error {
-		n, err := allgatherScript(5)(c)
-		mu.Lock()
-		done[c.Rank()] = n
-		mu.Unlock()
-		return err
-	})
-	var ce *CommError
-	if errs[0] == nil || !errors.As(errs[0], &ce) || ce.Kind != KindCorrupt {
-		t.Fatalf("rank 0: want corrupt CommError, got %v", errs[0])
-	}
-	if done[0] != 3 {
-		t.Errorf("rank 0 completed %d rounds before the truncate, want 3", done[0])
-	}
-}
-
-func TestPartitionFaultsHealWithRetries(t *testing.T) {
-	s := FaultSchedule{Faults: PartitionFaults([]int{0, 1}, 2, 2)}
-	rp := RetryPolicy{MaxAttempts: 4, BaseDelay: 50 * time.Microsecond}
-	errs, sts := runScheduledLocal(4, s, rp, func(c *Comm) error {
-		_, err := allgatherScript(4)(c)
-		return err
-	})
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	for r := 0; r < 2; r++ {
-		if sts[r].Injected() != 2 {
-			t.Errorf("partitioned rank %d injected = %d, want 2", r, sts[r].Injected())
-		}
-	}
-	for r := 2; r < 4; r++ {
-		if sts[r].Injected() != 0 {
-			t.Errorf("healthy rank %d injected = %d, want 0", r, sts[r].Injected())
 		}
 	}
 }
@@ -166,4 +117,56 @@ func TestRandomFaultScheduleDeterministic(t *testing.T) {
 			t.Errorf("fault round %d outside [2, 20]", f.Round)
 		}
 	}
+}
+
+func TestClassify(t *testing.T) {
+	cases := []struct {
+		err  error
+		want ErrKind
+	}{
+		{ErrAborted, KindAborted},
+		{os.ErrDeadlineExceeded, KindTimeout},
+		{&net.OpError{Op: "read", Err: os.ErrDeadlineExceeded}, KindTimeout},
+		{ErrInjected, KindFatal},
+		{errors.New("anything else"), KindFatal},
+		{&CommError{Kind: KindCorrupt}, KindCorrupt},
+	}
+	for _, c := range cases {
+		if got := Classify(c.err); got != c.want {
+			t.Errorf("Classify(%v) = %v, want %v", c.err, got, c.want)
+		}
+	}
+}
+
+// runScheduledLocal runs fn SPMD over size inproc ranks wrapped in
+// ScheduledTransports sharing one fault schedule. Per-rank errors are returned individually (unlike
+// RunOn's joined error) so tests can assert what every rank observed; a
+// failing rank aborts the group exactly as RunOn would.
+func runScheduledLocal(size int, s FaultSchedule, fn func(c *Comm) error) ([]error, []*ScheduledTransport) {
+	trs := NewLocalGroup(size)
+	sts := make([]*ScheduledTransport, size)
+	comms := make([]*Comm, size)
+	for r := range trs {
+		sts[r] = NewScheduledTransport(trs[r], s)
+		comms[r] = New(sts[r])
+	}
+	errs := make([]error, size)
+	var wg sync.WaitGroup
+	for r := range comms {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					errs[r] = fmt.Errorf("rank %d panicked: %v", r, p)
+				}
+				if errs[r] != nil {
+					sts[r].Abort()
+				}
+			}()
+			errs[r] = fn(comms[r])
+		}(r)
+	}
+	wg.Wait()
+	return errs, sts
 }

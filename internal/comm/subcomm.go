@@ -96,7 +96,7 @@ func (s *subTransport) wrap(err error) error {
 	if errors.As(err, &ce) {
 		return err
 	}
-	return &CommError{Rank: s.parent.Rank(), Peer: -1, Kind: Classify(err), Attempt: 1, Err: err}
+	return &CommError{Rank: s.parent.Rank(), Peer: -1, Kind: Classify(err), Err: err}
 }
 
 // Exchange implements Transport as one full-group parent round.
@@ -124,8 +124,8 @@ func (s *subTransport) Close() error { return nil }
 
 // Group bundles a rank's parent communicator with its row and column
 // sub-communicators over an r×c process grid (rank g sits at grid position
-// (g/c, g%c)). The sub-communicators share the parent's transport, tracer,
-// metrics, and retry policy: every sub-group round is a full-group round
+// (g/c, g%c)). The sub-communicators share the parent's transport, tracer
+// and metrics: every sub-group round is a full-group round
 // with nil slots for non-members, so obs counters and CommError attribution
 // keep working per sub-group with no transport changes.
 type Group struct {
@@ -179,8 +179,6 @@ func NewGroup(parent *Comm, rowRanks, colRanks []int) (*Group, error) {
 		RowRanks: append([]int(nil), rowRanks...),
 		ColRanks: append([]int(nil), colRanks...),
 	}
-	g.Row.SetRetryPolicy(parent.RetryPolicy())
-	g.Col.SetRetryPolicy(parent.RetryPolicy())
 	g.syncObs()
 	return g, nil
 }
@@ -210,8 +208,8 @@ func (g *Group) ResetStats() {
 	g.Col.ResetStats()
 }
 
-// TakeStats drains the group's combined breakdown. Byte, exchange, and
-// retry counters sum across the three communicators. The time breakdown
+// TakeStats drains the group's combined breakdown. Byte and exchange
+// counters sum across the three communicators. The time breakdown
 // needs care: the three clocks run over the same wall interval, and a
 // sub-group round's CommT+Idle window accrues as Comp on the parent's
 // clock, so the parent's Comp is reduced by the sub-communicators'
@@ -223,7 +221,6 @@ func (g *Group) TakeStats() Stats {
 		s.BytesSent += ss.BytesSent
 		s.BytesRecv += ss.BytesRecv
 		s.Exchanges += ss.Exchanges
-		s.Retries += ss.Retries
 		s.CommT += ss.CommT
 		s.Idle += ss.Idle
 		overlap := ss.CommT + ss.Idle

@@ -25,16 +25,13 @@ const maxFrameLen = 1 << 30
 type TCPTransport struct {
 	rank  int
 	size  int
-	addrs []string   // the mesh address list, retained for Reconnect
 	peers []net.Conn // indexed by rank; peers[rank] == nil
-	ln    net.Listener
 	seq   uint64
 
 	// frameDeadline, when positive, bounds every per-frame read and write:
 	// a peer that stalls longer surfaces a timeout error instead of
-	// hanging the rank forever. Timeouts are fatal at the round level (the
-	// round state is indeterminate); recovery is Reconnect + checkpoint
-	// resume.
+	// hanging the rank forever. Timeouts are fatal (the round state is
+	// indeterminate); recovery is a fresh mesh and a checkpoint resume.
 	frameDeadline time.Duration
 
 	// Retained receive storage: inBufs holds one reusable payload buffer
@@ -52,8 +49,9 @@ type TCPTransport struct {
 
 // DialMesh establishes the mesh. Ranks may start in any order: each rank
 // listens on addrs[rank], dials every lower rank (retrying until timeout),
-// and accepts connections from every higher rank. The returned transport is
-// ready for collectives on all ranks once every rank's DialMesh returns.
+// and accepts connections from every higher rank, then closes its listener.
+// The returned transport is ready for collectives on all ranks once every
+// rank's DialMesh returns.
 func DialMesh(rank int, addrs []string, timeout time.Duration) (*TCPTransport, error) {
 	size := len(addrs)
 	if rank < 0 || rank >= size {
@@ -63,20 +61,15 @@ func DialMesh(rank int, addrs []string, timeout time.Duration) (*TCPTransport, e
 		timeout = 30 * time.Second
 	}
 
-	t := &TCPTransport{
-		rank:  rank,
-		size:  size,
-		addrs: append([]string(nil), addrs...),
-		peers: make([]net.Conn, size),
-	}
+	t := &TCPTransport{rank: rank, size: size, peers: make([]net.Conn, size)}
 
 	ln, err := net.Listen("tcp", addrs[rank])
 	if err != nil {
 		return nil, fmt.Errorf("comm: rank %d listen %s: %w", rank, addrs[rank], err)
 	}
-	t.ln = ln
-
-	if err := t.establish(time.Now().Add(timeout)); err != nil {
+	err = t.establish(ln, addrs, time.Now().Add(timeout))
+	ln.Close()
+	if err != nil {
 		t.Close()
 		return nil, err
 	}
@@ -84,11 +77,9 @@ func DialMesh(rank int, addrs []string, timeout time.Duration) (*TCPTransport, e
 }
 
 // establish connects this rank to every peer: accept from higher ranks on
-// the retained listener, dial lower ranks (retrying while their listeners
-// come up). Peer slots must be nil on entry. Used by DialMesh and
-// Reconnect.
-func (t *TCPTransport) establish(deadline time.Time) error {
-	rank, size, addrs, ln := t.rank, t.size, t.addrs, t.ln
+// ln, dial lower ranks (retrying while their listeners come up).
+func (t *TCPTransport) establish(ln net.Listener, addrs []string, deadline time.Time) error {
+	rank, size := t.rank, t.size
 
 	var (
 		mu       sync.Mutex
@@ -187,31 +178,6 @@ func (t *TCPTransport) establish(deadline time.Time) error {
 	return firstErr
 }
 
-// Reconnect rebuilds every peer connection of an established mesh after a
-// failure: existing connections are closed, lower ranks are re-dialed, and
-// fresh connections from higher ranks are accepted on the retained
-// listener. Reconnect is collective — every rank of the mesh must call it
-// concurrently, exactly like DialMesh — and restarts the frame sequence,
-// so the group resumes with aligned rounds (resume application state from
-// a checkpoint). A transport that has been Closed cannot reconnect; dial a
-// fresh mesh instead.
-func (t *TCPTransport) Reconnect(timeout time.Duration) error {
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	for i, c := range t.peers {
-		if c != nil {
-			c.Close()
-			t.peers[i] = nil
-		}
-	}
-	t.seq = 0
-	if err := t.establish(time.Now().Add(timeout)); err != nil {
-		return fmt.Errorf("comm: rank %d reconnect: %w", t.rank, err)
-	}
-	return nil
-}
-
 // SetExchangeDeadline bounds every per-frame read and write of subsequent
 // exchanges; d <= 0 (the default) disables deadlines. A peer that stalls
 // longer than d surfaces a timeout error (CommError KindTimeout through the
@@ -301,7 +267,7 @@ func (t *TCPTransport) Exchange(out [][]byte) ([][]byte, time.Duration, error) {
 				return
 			}
 			if gotSeq != seq {
-				fail(&CommError{Rank: t.rank, Peer: peer, Kind: KindCorrupt, Attempt: 1,
+				fail(&CommError{Rank: t.rank, Peer: peer, Kind: KindCorrupt,
 					Err: fmt.Errorf("recv from %d: sequence %d, want %d", peer, gotSeq, seq)})
 				return
 			}
@@ -340,7 +306,7 @@ func (t *TCPTransport) Release() (time.Duration, error) { return 0, nil }
 // failover attribution majority-votes over these Peer fields to decide
 // which host died.
 func (t *TCPTransport) peerErr(peer int, err error) error {
-	return &CommError{Rank: t.rank, Peer: peer, Kind: Classify(err), Attempt: 1, Err: err}
+	return &CommError{Rank: t.rank, Peer: peer, Kind: Classify(err), Err: err}
 }
 
 func writeFrame(conn net.Conn, seq uint64, payload []byte) error {
@@ -434,14 +400,10 @@ func readFrame(r io.Reader, buf []byte) (payload []byte, seq uint64, err error) 
 	return payload, seq, nil
 }
 
-// Close tears down all connections and the listener. Peers blocked in
-// Exchange observe read errors, so Close doubles as the abort mechanism for
-// the TCP transport.
+// Close tears down all connections. Peers blocked in Exchange observe read
+// errors, so Close doubles as the abort mechanism for the TCP transport.
 func (t *TCPTransport) Close() error {
 	t.closeOnce.Do(func() {
-		if t.ln != nil {
-			t.closeErr = t.ln.Close()
-		}
 		for _, c := range t.peers {
 			if c != nil {
 				if err := c.Close(); err != nil && t.closeErr == nil {

@@ -93,7 +93,7 @@ func GhostExchangeU32(ctx *Ctx, g *Graph, state []uint32) error {
 }
 
 // corruptFrom builds the rank-attributed CommError for a peer message that
-// no honest peer could have sent: fatal, not retryable.
+// no honest peer could have sent.
 func corruptFrom(ctx *Ctx, peer int, format string, args ...any) error {
-	return &comm.CommError{Rank: ctx.Rank(), Peer: peer, Kind: comm.KindCorrupt, Attempt: 1, Err: fmt.Errorf(format, args...)}
+	return &comm.CommError{Rank: ctx.Rank(), Peer: peer, Kind: comm.KindCorrupt, Err: fmt.Errorf(format, args...)}
 }

@@ -122,18 +122,6 @@ func (g *Graph) OutDegree(v uint32) uint64 { return g.OutIdx[v+1] - g.OutIdx[v] 
 // InDegree returns the in-degree of owned vertex v.
 func (g *Graph) InDegree(v uint32) uint64 { return g.InIdx[v+1] - g.InIdx[v] }
 
-// IsLocal reports whether local id lid is an owned (non-ghost) vertex.
-func (g *Graph) IsLocal(lid uint32) bool { return lid < g.NLoc }
-
-// OwnerOf returns the rank owning local id lid (this rank for owned
-// vertices, the ghost's home rank otherwise) — the paper's gettask.
-func (g *Graph) OwnerOf(lid uint32) int {
-	if lid < g.NLoc {
-		return g.rank
-	}
-	return int(g.GhostOwner[lid-g.NLoc])
-}
-
 // GlobalID returns the global id of local id lid.
 func (g *Graph) GlobalID(lid uint32) uint32 { return g.Unmap[lid] }
 

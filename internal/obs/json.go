@@ -12,7 +12,6 @@ type CollectiveJSON struct {
 	WireInBytes  uint64  `json:"wire_in_bytes"`
 	SelfBytes    uint64  `json:"self_bytes,omitempty"`
 	MaxMsgBytes  uint64  `json:"max_msg_bytes,omitempty"`
-	Retries      uint64  `json:"retries,omitempty"`
 	WaitSeconds  float64 `json:"wait_seconds"`
 	CommSeconds  float64 `json:"comm_seconds"`
 }
@@ -26,7 +25,6 @@ func collectiveJSON(k Collective, s CollectiveStats) CollectiveJSON {
 		WireInBytes:  s.WireBytesIn,
 		SelfBytes:    s.SelfBytes,
 		MaxMsgBytes:  s.MaxMsgBytes,
-		Retries:      s.Retries,
 		WaitSeconds:  float64(s.WaitNs) / 1e9,
 		CommSeconds:  float64(s.CommNs) / 1e9,
 	}

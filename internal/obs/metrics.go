@@ -66,10 +66,6 @@ type CollectiveStats struct {
 	SelfBytes uint64
 	// MaxMsgBytes is the largest single off-rank message observed.
 	MaxMsgBytes uint64
-	// Retries counts transient transport failures absorbed by the retry
-	// policy before these rounds committed (or gave up); zero on a
-	// fault-free run.
-	Retries uint64
 	// WaitNs is time blocked at the synchronization point waiting for
 	// slower ranks; CommNs is the remaining in-collective time
 	// (serialization and transfer). Together they partition the rounds'
@@ -87,7 +83,6 @@ func (s *CollectiveStats) merge(o CollectiveStats) {
 	if o.MaxMsgBytes > s.MaxMsgBytes {
 		s.MaxMsgBytes = o.MaxMsgBytes
 	}
-	s.Retries += o.Retries
 	s.WaitNs += o.WaitNs
 	s.CommNs += o.CommNs
 }

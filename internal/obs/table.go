@@ -137,7 +137,7 @@ func WritePhaseTable(w io.Writer, tracers []*Tracer) error {
 // WriteMetricsTable renders per-collective counters (one rank per Metrics,
 // indexed by position) as an aligned text table, skipping all-zero kinds.
 func WriteMetricsTable(w io.Writer, mets []*Metrics) error {
-	rows := [][]string{{"Rank", "Collective", "Calls", "WireOut", "WireIn", "SelfBytes", "MaxMsg", "Retries", "Wait (s)", "Comm (s)"}}
+	rows := [][]string{{"Rank", "Collective", "Calls", "WireOut", "WireIn", "SelfBytes", "MaxMsg", "Wait (s)", "Comm (s)"}}
 	for rank, m := range mets {
 		if m == nil {
 			continue
@@ -156,7 +156,6 @@ func WriteMetricsTable(w io.Writer, mets []*Metrics) error {
 				fmt.Sprintf("%d", s.WireBytesIn),
 				fmt.Sprintf("%d", s.SelfBytes),
 				fmt.Sprintf("%d", s.MaxMsgBytes),
-				fmt.Sprintf("%d", s.Retries),
 				fmt.Sprintf("%.6f", float64(s.WaitNs)/1e9),
 				fmt.Sprintf("%.6f", float64(s.CommNs)/1e9),
 			})

@@ -528,7 +528,7 @@ func (e *generationError) Unwrap() []error {
 // Each slot carrying a CommError casts one vote: for the implicated peer's
 // host when the error names a peer (TCP attaches Peer to per-connection
 // failures), otherwise for the observing slot's own host (an injected or
-// local fatal). Aborted bystanders and transient kinds do not vote. The
+// local fatal). Aborted bystanders do not vote. The
 // majority wins; ties break to the lowest host so the outcome is
 // deterministic.
 func attributeFailure(err error, view *comm.Membership) (int, bool) {
@@ -545,7 +545,7 @@ func attributeFailure(err error, view *comm.Membership) (int, bool) {
 		if !errors.As(e, &ce) {
 			continue
 		}
-		if ce.Kind == comm.KindAborted || ce.Kind == comm.KindTransient {
+		if ce.Kind == comm.KindAborted {
 			continue
 		}
 		blamed := slot

@@ -19,10 +19,6 @@ type ServerConfig struct {
 	// DefaultTimeout caps a request's queue+run deadline when the client
 	// does not pass timeout_ms. <= 0 selects 30s.
 	DefaultTimeout time.Duration
-	// DefaultDelta is the Δ-stepping bucket width applied to SSSP queries
-	// that do not pass delta themselves. 0 keeps per-run auto selection
-	// (⌈4·mean weight / mean out-degree⌉).
-	DefaultDelta uint64
 }
 
 // withDefaults normalizes the zero values.
@@ -124,9 +120,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	if q.Source != nil {
 		q.Job.Sources = append(q.Job.Sources, *q.Source)
-	}
-	if q.Job.Analytic == analytics.JobSSSP && q.Job.Delta == 0 {
-		q.Job.Delta = s.cfg.DefaultDelta
 	}
 	deadline := s.deadline(q.TimeoutMS)
 
@@ -287,7 +280,6 @@ type lastJobJSON struct {
 	Rank0CompSec float64              `json:"rank0_comp_seconds"`
 	Rank0CommSec float64              `json:"rank0_comm_seconds"`
 	Rank0IdleSec float64              `json:"rank0_idle_seconds"`
-	Rank0Retries uint64               `json:"rank0_retries,omitempty"`
 	Collectives  []obs.CollectiveJSON `json:"collectives,omitempty"`
 }
 
@@ -320,7 +312,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Rank0CompSec: js.Rank0.Comp.Seconds(),
 			Rank0CommSec: js.Rank0.CommT.Seconds(),
 			Rank0IdleSec: js.Rank0.Idle.Seconds(),
-			Rank0Retries: js.Rank0.Retries,
 			Collectives:  obs.SnapshotJSON(js.Collectives),
 		}
 	}

@@ -84,8 +84,8 @@ func NewCluster(ranks, threadsPerRank int) *Cluster {
 func (c *Cluster) Ranks() int { return len(c.comms) }
 
 // Checkpoint and CheckpointConfig re-export iteration-granular
-// checkpoint/restart for the iterative analytics (see PageRankOptions.
-// Checkpoint and LabelPropOptions.Checkpoint, and the analytics package's
+// checkpoint/restart for PageRank and weighted PageRank (see
+// PageRankOptions.Checkpoint, and the analytics package's
 // WriteCheckpointFile/ReadCheckpointFile for a file-backed Sink).
 type (
 	Checkpoint       = analytics.Checkpoint
