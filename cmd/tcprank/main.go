@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"time"
 
@@ -193,8 +194,8 @@ func main() {
 		fatal(err)
 	}
 	if *rank == 0 {
-		fmt.Printf("rank 0: PageRank %d iters in %.3fs (max score %.3g); WCC in %.3fs: %d components, largest %d\n",
-			pr.Iterations, prTime.Seconds(), maxPR, wccTime.Seconds(), wcc.NumComponents, wcc.LargestSize)
+		fmt.Printf("rank 0: PageRank %d iters in %.3fs (max score %s); WCC in %.3fs: %d components, largest %d\n",
+			pr.Iterations, prTime.Seconds(), strconv.FormatFloat(maxPR, 'g', -1, 64), wccTime.Seconds(), wcc.NumComponents, wcc.LargestSize)
 	}
 	if *kcore {
 		// -kcore must agree across ranks (KCoreExact is collective), like

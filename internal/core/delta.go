@@ -250,11 +250,12 @@ func (d *Delta) applySide(out bool, op edge.Op, ownedGid, nbrGid uint32) error {
 // stores each merged edge once, renumbered by the rule above as its row
 // becomes final; a touched row merges its extras, each resolved through
 // the base's map (an unseen global id gets a temporary id past NLoc+NGst).
-// An identity renumbering shares the base's Unmap, Map and GhostOwner. A
-// base not known to be in order (from Build or a shard file) is scanned
-// first and marked if it is; if not, every merged row is sorted before the
-// renumbering, on every merge until a compaction makes a merged shard the
-// base.
+// An identity renumbering shares the base's Unmap, Map and GhostOwner. The
+// result is checked for what the merge derived (checkMerged), not
+// re-validated: what it copies from its base is trusted. A base not known
+// to be in order (from Build or a shard file) is scanned first and marked
+// if it is; if not, every merged row is sorted before the renumbering, on
+// every merge until a compaction makes a merged shard the base.
 func MergeDelta(d *Delta, mGlobal uint64) (*Graph, error) {
 	g, _, err := mergeDelta(d, mGlobal)
 	return g, err
@@ -505,10 +506,37 @@ func mergeDelta(d *Delta, mGlobal uint64) (*Graph, mergeStats, error) {
 		g.Map = mapOf(g.Unmap)
 		m.stats.mapPuts = len(g.Unmap)
 	}
-	if err := g.Validate(); err != nil {
+	if err := checkMerged(g); err != nil {
 		return nil, m.stats, fmt.Errorf("core: merged shard invalid: %w", err)
 	}
 	return g, m.stats, nil
+}
+
+// checkMerged verifies what the merge derived, as Validate would but without
+// re-deriving what it copied from its trusted base (owned ids, base ghosts'
+// owners, a shared map): the index arrays ascend and end at their edge
+// arrays' lengths, no ghost is owned here, and the map holds one entry per
+// local id (no global id got two). Edge endpoints are not scanned: put
+// numbers an id either as an owned id or as NLoc+len(seen), so every one
+// is below NTotal by construction; the merge battery's Validate checks it.
+func checkMerged(g *Graph) error {
+	for v := uint32(0); v < g.NLoc; v++ {
+		if g.OutIdx[v] > g.OutIdx[v+1] || g.InIdx[v] > g.InIdx[v+1] {
+			return fmt.Errorf("decreasing CSR index at %d", v)
+		}
+	}
+	if g.MOut() != uint64(len(g.OutEdges)) || g.MIn() != uint64(len(g.InEdges)) {
+		return fmt.Errorf("CSR ends %d/%d for %d/%d edges", g.MOut(), g.MIn(), len(g.OutEdges), len(g.InEdges))
+	}
+	for gi, owner := range g.GhostOwner {
+		if owner == int32(g.rank) {
+			return fmt.Errorf("ghost %d owned by this rank", g.Unmap[g.NLoc+uint32(gi)])
+		}
+	}
+	if g.Map.Len() != int(g.NTotal()) {
+		return fmt.Errorf("map has %d entries, want %d", g.Map.Len(), g.NTotal())
+	}
+	return nil
 }
 
 // CanonicalizeAdjacency sorts every owned vertex's out- and in-neighbor

@@ -284,7 +284,8 @@ func mergeDeltaReference(d *Delta, mGlobal uint64) (*Graph, error) {
 	}
 	discover := func(gids []uint32) {
 		for _, gid := range gids {
-			if _, inserted := vm.PutIfAbsent(gid, uint32(len(unmap))); inserted {
+			if _, ok := vm.Get(gid); !ok {
+				vm.Put(gid, uint32(len(unmap)))
 				unmap = append(unmap, gid)
 			}
 		}
@@ -335,8 +336,10 @@ func mergeDeltaReference(d *Delta, mGlobal uint64) (*Graph, error) {
 
 // mergeBoth runs the merge and its reference over one overlay and fails
 // unless every Graph field and the encoded shard bytes agree (the map by
-// content: its table layout is not part of a shard). It returns the merged
-// shard and the merge's work counters.
+// content: its table layout is not part of a shard), the merged shard
+// passes Validate (the merge checks only what it derives) and the base,
+// its map included, is unchanged. It returns the merged shard and the
+// merge's work counters.
 func mergeBoth(d *Delta, mGlobal uint64) (*Graph, mergeStats, error) {
 	baseBefore, err := EncodeShardState(d.base, 0)
 	if err != nil {
@@ -345,6 +348,9 @@ func mergeBoth(d *Delta, mGlobal uint64) (*Graph, mergeStats, error) {
 	got, stats, err := mergeDelta(d, mGlobal)
 	if err != nil {
 		return nil, stats, fmt.Errorf("merge: %w", err)
+	}
+	if err := got.Validate(); err != nil {
+		return nil, stats, fmt.Errorf("merged shard: %w", err)
 	}
 	want, err := mergeDeltaReference(d, mGlobal)
 	if err != nil {
@@ -400,6 +406,9 @@ func mergeBoth(d *Delta, mGlobal uint64) (*Graph, mergeStats, error) {
 	}
 	if !bytes.Equal(baseBefore, baseAfter) {
 		return nil, stats, fmt.Errorf("merge modified its base")
+	}
+	if err := d.base.Validate(); err != nil {
+		return nil, stats, fmt.Errorf("merge modified its base: %w", err)
 	}
 	return got, stats, nil
 }

@@ -55,14 +55,3 @@ func (l List) Validate(n uint32) error {
 	}
 	return nil
 }
-
-// Reversed returns a new list with every edge flipped — the transformation
-// the pipeline applies before the second exchange to build in-edge lists.
-func (l List) Reversed() List {
-	r := make(List, len(l))
-	for i := 0; i < l.Len(); i++ {
-		r[2*i] = l.Dst(i)
-		r[2*i+1] = l.Src(i)
-	}
-	return r
-}

@@ -1,9 +1,6 @@
 package edge
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestPushAndAccessors(t *testing.T) {
 	var l List
@@ -47,33 +44,5 @@ func TestValidate(t *testing.T) {
 	ragged := List{1, 2, 3}
 	if err := ragged.Validate(10); err == nil {
 		t.Fatal("ragged list accepted")
-	}
-}
-
-func TestReversed(t *testing.T) {
-	l := List{1, 2, 3, 4}
-	r := l.Reversed()
-	if r.Src(0) != 2 || r.Dst(0) != 1 || r.Src(1) != 4 || r.Dst(1) != 3 {
-		t.Fatalf("Reversed = %v", r)
-	}
-	// Double reversal is identity.
-	f := func(words []uint32) bool {
-		if len(words)%2 != 0 {
-			words = words[:len(words)-len(words)%2]
-		}
-		l := List(words)
-		rr := l.Reversed().Reversed()
-		if len(rr) != len(l) {
-			return false
-		}
-		for i := range l {
-			if rr[i] != l[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

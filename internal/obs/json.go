@@ -30,20 +30,10 @@ func collectiveJSON(k Collective, s CollectiveStats) CollectiveJSON {
 	}
 }
 
-// MetricsJSON renders a counter snapshot as one row per collective kind
+// SnapshotJSON renders a counter snapshot as one row per collective kind
 // with at least one call, ordered by kind, plus a trailing "total" row when
-// any kind is non-empty. Safe on a nil Metrics (returns nil). The receiver
-// is read directly, so callers must have quiesced the writing rank (the
-// serve layer snapshots rank-side between jobs for exactly this reason).
-func MetricsJSON(m *Metrics) []CollectiveJSON {
-	if m == nil {
-		return nil
-	}
-	return SnapshotJSON(m.Snapshot())
-}
-
-// SnapshotJSON is MetricsJSON over an already-taken snapshot, for callers
-// that copied the counters out on the owning goroutine.
+// any kind is non-empty. It reads a snapshot, not the live Metrics, so the
+// caller copies the counters out on the owning goroutine.
 func SnapshotJSON(snap [NumCollectives]CollectiveStats) []CollectiveJSON {
 	var rows []CollectiveJSON
 	var total CollectiveStats

@@ -2,18 +2,15 @@ package obs
 
 import "testing"
 
-func TestMetricsJSON(t *testing.T) {
-	if got := MetricsJSON(nil); got != nil {
-		t.Fatalf("nil metrics: %v", got)
-	}
+func TestSnapshotJSON(t *testing.T) {
 	m := NewMetrics()
-	if got := MetricsJSON(m); got != nil {
+	if got := SnapshotJSON(m.Snapshot()); got != nil {
 		t.Fatalf("empty metrics should render no rows, got %v", got)
 	}
 
 	m.Add(CBcast, CollectiveStats{Calls: 2, WireBytesOut: 100, WireBytesIn: 50, WaitNs: 2e9})
 	m.Add(CAlltoallv, CollectiveStats{Calls: 3, WireBytesOut: 900, WireBytesIn: 900, MaxMsgBytes: 300})
-	rows := MetricsJSON(m)
+	rows := SnapshotJSON(m.Snapshot())
 
 	// One row per active kind plus the trailing total; idle kinds skipped.
 	if len(rows) != 3 {

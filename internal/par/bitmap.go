@@ -100,12 +100,3 @@ func ForEachSetBit(words []uint64, n int, fn func(i int)) {
 		}
 	}
 }
-
-// OnesCountWords returns the population count of words' first n bits.
-func OnesCountWords(words []uint64, n int) int {
-	c := 0
-	for wi := range BitmapWords(n) {
-		c += bits.OnesCount64(words[wi] & padMask(wi, n))
-	}
-	return c
-}

@@ -75,32 +75,11 @@ func TestForVisitsAllIndices(t *testing.T) {
 	}
 }
 
-func TestForChunkedVisitsAllIndices(t *testing.T) {
-	for _, nw := range []int{1, 2, 4} {
-		for _, grain := range []int{1, 3, 64, 10000} {
-			p := NewPool(nw)
-			const n = 5000
-			marks := make([]atomic.Int32, n)
-			p.ForChunked(n, grain, func(lo, hi, tid int) {
-				for i := lo; i < hi; i++ {
-					marks[i].Add(1)
-				}
-			})
-			for i := range marks {
-				if got := marks[i].Load(); got != 1 {
-					t.Fatalf("nw=%d grain=%d: index %d visited %d times", nw, grain, i, got)
-				}
-			}
-		}
-	}
-}
-
 func TestForZeroAndNegative(t *testing.T) {
 	p := NewPool(4)
 	called := false
 	p.For(0, func(lo, hi, tid int) { called = true })
 	p.For(-5, func(lo, hi, tid int) { called = true })
-	p.ForChunked(0, 16, func(lo, hi, tid int) { called = true })
 	if called {
 		t.Fatal("body called for empty range")
 	}
@@ -115,25 +94,6 @@ func TestNewPoolDefaults(t *testing.T) {
 	}
 	if got := NewPool(5).Threads(); got != 5 {
 		t.Fatalf("Threads() = %d, want 5", got)
-	}
-}
-
-func TestReduceU64(t *testing.T) {
-	p := NewPool(4)
-	got := p.ReduceU64(func(tid int) uint64 { return uint64(tid + 1) },
-		func(a, b uint64) uint64 { return a + b })
-	if got != 1+2+3+4 {
-		t.Fatalf("ReduceU64 sum = %d", got)
-	}
-	gotMax := p.ReduceU64(func(tid int) uint64 { return uint64(tid) },
-		func(a, b uint64) uint64 {
-			if a > b {
-				return a
-			}
-			return b
-		})
-	if gotMax != 3 {
-		t.Fatalf("ReduceU64 max = %d", gotMax)
 	}
 }
 
@@ -164,10 +124,6 @@ func TestExclusivePrefixSum(t *testing.T) {
 		if offs[i] != want[i] {
 			t.Fatalf("offs=%v, want %v", offs, want)
 		}
-	}
-	offsI, totalI := ExclusivePrefixSumInt([]int{1, 1})
-	if totalI != 2 || offsI[2] != 2 || offsI[1] != 1 {
-		t.Fatalf("int variant wrong: %v %d", offsI, totalI)
 	}
 }
 

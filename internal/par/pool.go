@@ -10,7 +10,6 @@ package par
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // Pool executes loop bodies across a fixed number of worker goroutines.
@@ -56,8 +55,7 @@ func (p *Pool) Run(body func(tid int)) {
 // [lo, hi) it must process and the worker's thread id.
 //
 // Static blocks preserve the vertex-order locality that the paper's block
-// partitionings rely on; use ForChunked when iterations have very skewed
-// cost (e.g. high-degree vertices).
+// partitionings rely on.
 func (p *Pool) For(n int, body func(lo, hi, tid int)) {
 	if n <= 0 {
 		return
@@ -69,37 +67,6 @@ func (p *Pool) For(n int, body func(lo, hi, tid int)) {
 	p.Run(func(tid int) {
 		lo, hi := blockRange(n, p.n, tid)
 		if lo < hi {
-			body(lo, hi, tid)
-		}
-	})
-}
-
-// ForChunked executes body over [0, n) in dynamically scheduled chunks of
-// size grain. Workers pull chunks from a shared atomic counter, which
-// balances skewed per-iteration costs (the paper notes high-degree R-MAT
-// vertices cause imbalance under static scheduling).
-func (p *Pool) ForChunked(n, grain int, body func(lo, hi, tid int)) {
-	if n <= 0 {
-		return
-	}
-	if grain <= 0 {
-		grain = 1
-	}
-	if p.n == 1 || n <= grain {
-		body(0, n, 0)
-		return
-	}
-	var next atomic.Int64
-	p.Run(func(tid int) {
-		for {
-			lo := int(next.Add(int64(grain))) - grain
-			if lo >= n {
-				return
-			}
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
 			body(lo, hi, tid)
 		}
 	})
@@ -123,21 +90,6 @@ func blockRange(n, nw, tid int) (lo, hi int) {
 // Run that wants For's distribution (e.g. a fill pass mirroring a counting
 // pass) uses this.
 func ThreadRange(n, nw, tid int) (lo, hi int) { return blockRange(n, nw, tid) }
-
-// ReduceU64 runs body on every worker and returns the op-combination of the
-// per-worker results. op must be associative and commutative.
-func (p *Pool) ReduceU64(body func(tid int) uint64, op func(a, b uint64) uint64) uint64 {
-	if p.n == 1 {
-		return body(0)
-	}
-	partial := make([]uint64, p.n)
-	p.Run(func(tid int) { partial[tid] = body(tid) })
-	acc := partial[0]
-	for _, v := range partial[1:] {
-		acc = op(acc, v)
-	}
-	return acc
-}
 
 // SumRangeU64 computes the sum of f(i) for i in [0, n) in parallel.
 func (p *Pool) SumRangeU64(n int, f func(i int) uint64) uint64 {

@@ -14,16 +14,6 @@ func ExclusivePrefixSum(counts []uint64) (offsets []uint64, total uint64) {
 	return offsets, offsets[len(counts)]
 }
 
-// ExclusivePrefixSumInt is ExclusivePrefixSum for int counts, as used for
-// per-destination element counts handed to collectives.
-func ExclusivePrefixSumInt(counts []int) (offsets []int, total int) {
-	offsets = make([]int, len(counts)+1)
-	for i, c := range counts {
-		offsets[i+1] = offsets[i] + c
-	}
-	return offsets, offsets[len(counts)]
-}
-
 // PrefixSumParallel computes the exclusive prefix sums of counts in
 // parallel using the pool. It matches ExclusivePrefixSum but is worthwhile
 // when counts has millions of entries (e.g. per-vertex degrees during CSR

@@ -235,11 +235,7 @@ type Cluster struct {
 	generation atomic.Uint64
 	buildOK    atomic.Int64
 
-	// active meters concurrently in-flight Run calls; maxActive remembers
-	// the high-water mark (the "never two SPMD jobs at once" witness).
-	active    atomic.Int32
-	maxActive atomic.Int32
-	jobsRun   atomic.Uint64
+	jobsRun atomic.Uint64
 }
 
 // NewCluster builds the distributed graph once, SPMD-style, replicates
@@ -488,15 +484,6 @@ func (cl *Cluster) Run(job *analytics.Job) (*analytics.JobResult, JobStats, erro
 		// ordering responsibility.
 		job.MutationID = cl.NextMutationID()
 	}
-	n := cl.active.Add(1)
-	for {
-		max := cl.maxActive.Load()
-		if n <= max || cl.maxActive.CompareAndSwap(max, n) {
-			break
-		}
-	}
-	defer cl.active.Add(-1)
-
 	p := &pending{job: job, resp: make(chan outcome, 1)}
 	select {
 	case cl.submit <- p:
@@ -618,7 +605,3 @@ func (cl *Cluster) BuildTime() time.Duration { return cl.builtIn }
 
 // JobsRun counts completed SPMD jobs.
 func (cl *Cluster) JobsRun() uint64 { return cl.jobsRun.Load() }
-
-// MaxConcurrentJobs is the high-water mark of overlapping Run calls — the
-// single-SPMD-job-at-a-time witness the stress test asserts equals 1.
-func (cl *Cluster) MaxConcurrentJobs() int { return int(cl.maxActive.Load()) }

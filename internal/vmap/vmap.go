@@ -94,61 +94,12 @@ func (m *Map) Get(key uint32) (uint32, bool) {
 	}
 }
 
-// MustGet returns the value for key, panicking if absent. Graph code uses
-// it where a miss indicates a construction bug (a message arrived for a
-// vertex that was never registered as local or ghost).
-func (m *Map) MustGet(key uint32) uint32 {
-	v, ok := m.Get(key)
-	if !ok {
-		panic("vmap: missing key")
-	}
-	return v
-}
-
 // GetOr returns the value for key, or def if absent.
 func (m *Map) GetOr(key, def uint32) uint32 {
 	if v, ok := m.Get(key); ok {
 		return v
 	}
 	return def
-}
-
-// PutIfAbsent inserts key → val if key is not present and returns the value
-// now associated with key plus whether an insert happened. It is the
-// primitive behind ghost discovery: the first edge referencing an unowned
-// endpoint assigns it the next ghost id.
-func (m *Map) PutIfAbsent(key, val uint32) (uint32, bool) {
-	if key == Empty {
-		panic("vmap: reserved key")
-	}
-	if float64(m.n+1) > 0.7*float64(len(m.keys)) {
-		m.grow()
-	}
-	i := hash(key) & m.mask
-	for {
-		switch m.keys[i] {
-		case Empty:
-			m.keys[i] = key
-			m.vals[i] = val
-			m.n++
-			return val, true
-		case key:
-			return m.vals[i], false
-		}
-		i = (i + 1) & m.mask
-	}
-}
-
-// Range calls fn for every (key, value) pair until fn returns false.
-// Iteration order is unspecified.
-func (m *Map) Range(fn func(key, val uint32) bool) {
-	for i, k := range m.keys {
-		if k != Empty {
-			if !fn(k, m.vals[i]) {
-				return
-			}
-		}
-	}
 }
 
 func (m *Map) grow() {

@@ -58,35 +58,6 @@ func TestGrowthPreservesEntries(t *testing.T) {
 	}
 }
 
-func TestPutIfAbsent(t *testing.T) {
-	m := New(8)
-	v, inserted := m.PutIfAbsent(42, 7)
-	if !inserted || v != 7 {
-		t.Fatalf("first PutIfAbsent = %d,%v", v, inserted)
-	}
-	v, inserted = m.PutIfAbsent(42, 99)
-	if inserted || v != 7 {
-		t.Fatalf("second PutIfAbsent = %d,%v, want existing 7", v, inserted)
-	}
-	if m.Len() != 1 {
-		t.Fatalf("Len = %d", m.Len())
-	}
-}
-
-func TestMustGet(t *testing.T) {
-	m := New(4)
-	m.Put(1, 2)
-	if m.MustGet(1) != 2 {
-		t.Fatal("MustGet wrong value")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustGet on missing key did not panic")
-		}
-	}()
-	m.MustGet(3)
-}
-
 func TestReservedKeyPanics(t *testing.T) {
 	m := New(4)
 	defer func() {
@@ -95,36 +66,6 @@ func TestReservedKeyPanics(t *testing.T) {
 		}
 	}()
 	m.Put(Empty, 1)
-}
-
-func TestRange(t *testing.T) {
-	m := New(8)
-	want := map[uint32]uint32{1: 10, 2: 20, 3: 30}
-	for k, v := range want {
-		m.Put(k, v)
-	}
-	got := map[uint32]uint32{}
-	m.Range(func(k, v uint32) bool {
-		got[k] = v
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("Range visited %d entries, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("Range got[%d]=%d, want %d", k, got[k], v)
-		}
-	}
-	// Early stop.
-	visits := 0
-	m.Range(func(k, v uint32) bool {
-		visits++
-		return false
-	})
-	if visits != 1 {
-		t.Fatalf("Range after false return visited %d", visits)
-	}
 }
 
 func TestQuickAgainstBuiltinMap(t *testing.T) {
@@ -179,7 +120,7 @@ func TestAdversarialClusteredKeys(t *testing.T) {
 		m.Put(i, i^0xdead)
 	}
 	for i := uint32(0); i < n; i++ {
-		if v := m.MustGet(i); v != i^0xdead {
+		if v, ok := m.Get(i); !ok || v != i^0xdead {
 			t.Fatalf("clustered key %d wrong value %d", i, v)
 		}
 	}
