@@ -77,7 +77,7 @@ func main() {
 	cfg.Threads = *threads
 	cfg.Seed = *seed
 	cfg.TmpDir = *tmp
-	cfg.Traverse = core.Traversal{Mode: mode}
+	cfg.Traverse = mode
 	cfg.Delta = *delta
 	cfg.Partition = partOverride
 	cfg.File = *file

@@ -125,7 +125,7 @@ func main() {
 		c.SetMetrics(met)
 	}
 	ctx := core.NewCtx(c, *threads)
-	ctx.Traverse = core.Traversal{Mode: mode}
+	ctx.Traverse = mode
 
 	n, err := core.ScanNumVertices(ctx, src)
 	if err != nil {

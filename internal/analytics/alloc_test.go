@@ -102,7 +102,7 @@ func TestBFSAllocationPin(t *testing.T) {
 		err := comm.RunLocal(2, func(c *comm.Comm) error {
 			ctx := core.NewCtx(c, 1)
 			ctx.Plans = core.NewPlans(nil)
-			ctx.Traverse.Mode = mode
+			ctx.Traverse = mode
 			g, err := buildShard(ctx, tg, partition.Random)
 			if err != nil {
 				return err
@@ -171,7 +171,7 @@ func groupAllocBytes(c *comm.Comm, fn func() error) (uint64, error) {
 // TestBFSRunnerWarmAllocationPin bounds what a BFS-family call allocates,
 // group-wide, once its generation's runner is warm: its answers and nothing
 // the graph fixes. In every traversal mode the third BFS allocates at most
-// its levels, 4 B × ΣNLoc, plus 8 KiB; an 8-root MultiBFS at most eight
+// its levels, 4 B × ΣNLoc, plus 8 KiB; an 8-root bfs batch at most eight
 // times that; an 8-source Harmonic job at most that per source. A runner
 // built per call pays its status array over NTotal and its queues again.
 func TestBFSRunnerWarmAllocationPin(t *testing.T) {
@@ -181,7 +181,7 @@ func TestBFSRunnerWarmAllocationPin(t *testing.T) {
 		err := comm.RunLocal(2, func(c *comm.Comm) error {
 			ctx := core.NewCtx(c, 1)
 			ctx.Plans = core.NewPlans(nil)
-			ctx.Traverse.Mode = mode
+			ctx.Traverse = mode
 			g, err := buildShard(ctx, tg, partition.Random)
 			if err != nil {
 				return err
@@ -197,7 +197,7 @@ func TestBFSRunnerWarmAllocationPin(t *testing.T) {
 				run   func() error
 			}{
 				{"bfs", per, func() error { _, err := BFS(ctx, g, 0, Forward); return err }},
-				{"multibfs8", 8 * per, func() error { _, err := MultiBFS(ctx, g, roots, Forward); return err }},
+				{"multibfs8", 8 * per, func() error { _, err := multiBFS(ctx, g, roots, Forward); return err }},
 				{"harmonic8", 8 * per, func() error {
 					_, err := Run(ctx, g, &Job{Analytic: JobHarmonic, Sources: roots})
 					return err

@@ -128,7 +128,7 @@ func TestBatchBFSCostIsSumOfSolos(t *testing.T) {
 						return err
 					}
 					ctx.Comm.ResetStats()
-					mb, err := MultiBFS(ctx, g, roots, dir)
+					mb, err := multiBFS(ctx, g, roots, dir)
 					if err != nil {
 						return err
 					}
@@ -184,7 +184,7 @@ func TestBatchSSSPSharesPrologue(t *testing.T) {
 						return err
 					}
 					tr.Reset()
-					runs, err := ssspRuns(ctx, g, roots, edgeWeights{fn: w}, delta)
+					runs, err := multiSSSP(ctx, g, roots, edgeWeights{fn: w}, delta)
 					if err != nil {
 						return err
 					}
@@ -259,7 +259,7 @@ func TestBatchBFSAllocation(t *testing.T) {
 			return after.TotalAlloc - before.TotalAlloc, c.Barrier()
 		}
 		solo := func() error { _, err := BFS(ctx, g, roots[0], Forward); return err }
-		batch := func() error { _, err := MultiBFS(ctx, g, roots, Forward); return err }
+		batch := func() error { _, err := multiBFS(ctx, g, roots, Forward); return err }
 		// Warm the halo and the communicator's buffers with both shapes.
 		if err := solo(); err != nil {
 			return err

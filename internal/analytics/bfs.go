@@ -67,7 +67,7 @@ func BFS(ctx *core.Ctx, g *core.Graph, root uint32, dir Dir) (*BFSResult, error)
 // dense-fold width, scan and exchange staging) — and one status array and
 // queue pair that run resets rather than reallocates. A 1D runner lives as
 // long as its DirsBoth halo plan (bfsRunnerFor), so every BFS-family call of
-// a generation — BFS, MultiBFS and coalesced batches, Harmonic, WCC's
+// a generation — BFS, bfs jobs and their coalesced batches, Harmonic, WCC's
 // traversal phase, LargestSCC's sweeps — runs on the same one and a warm
 // traversal allocates only its answer; a 2D runner lives for one call. A
 // multi-source job runs its roots one after another on one runner, so a

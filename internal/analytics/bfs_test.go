@@ -62,7 +62,7 @@ func TestBFSCollectivesPerRoot(t *testing.T) {
 				}
 				levels := uint64(b.Depth + 1)
 				want := 1 + 3*levels
-				if ctx.Traverse.Mode == core.TraverseAdaptive {
+				if ctx.Traverse == core.TraverseAdaptive {
 					want += 1 + levels
 				}
 				if got := grp.TakeStats().Exchanges; got != want {
@@ -209,7 +209,7 @@ func TestBFSRejectsForgedRounds(t *testing.T) {
 		t.Run(f.name, func(t *testing.T) {
 			var dense [2]uint64
 			errs, forged := runForged(tg, f.forge, func(ctx *core.Ctx, g *core.Graph) error {
-				ctx.Traverse.Mode = f.mode
+				ctx.Traverse = f.mode
 				b, err := BFS(ctx, g, 1, Forward)
 				if err != nil {
 					return err
@@ -314,7 +314,7 @@ func TestBFSRunnerHonorsJobPolicy(t *testing.T) {
 				}
 				cold := map[string]obs.TraversalStats{}
 				for _, mode := range modes {
-					if ctx.Traverse.Mode, err = core.ParseTraversalMode(mode); err != nil {
+					if ctx.Traverse, err = core.ParseTraversalMode(mode); err != nil {
 						return err
 					}
 					b, err := BFS(ctx, g, 0, Forward)
@@ -324,7 +324,7 @@ func TestBFSRunnerHonorsJobPolicy(t *testing.T) {
 					b.Traversal.HaloBuilds = 0
 					cold[mode] = b.Traversal
 				}
-				ctx.Traverse.Mode = core.TraverseAdaptive
+				ctx.Traverse = core.TraverseAdaptive
 				for i, a := range modes {
 					for _, b := range modes[i+1:] {
 						if cold[a] == cold[b] {

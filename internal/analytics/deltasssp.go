@@ -141,37 +141,11 @@ func nextImproving(to []uint32, ws, dist []uint64, dv uint64, from int) int {
 // sub-round and every bucket's heavy phase is one claimRound, and the round's
 // control words pick the next bucket: no other collective runs per bucket.
 func SSSPDelta(ctx *core.Ctx, g *core.Graph, root uint32, w WeightFunc, delta uint64) (*SSSPResult, error) {
-	runs, err := ssspRuns(ctx, g, []uint32{root}, edgeWeights{fn: w}, delta)
+	r, err := newSSSPRunner(ctx, g, edgeWeights{fn: w}, delta)
 	if err != nil {
 		return nil, err
 	}
-	return runs[0], nil
-}
-
-// ssspRuns answers one SSSP job: a Δ-stepping run per root, in order, on
-// one runner — so the weight pass, the Δ reduction and the light/heavy
-// split are paid once per job, not once per root. Each result is what
-// SSSPDelta returns for that root alone, schedule counters included.
-func ssspRuns(ctx *core.Ctx, g *core.Graph, roots []uint32, w edgeWeights, delta uint64) ([]*SSSPResult, error) {
-	if err := require1D(g, "SSSP"); err != nil {
-		return nil, err
-	}
-	for _, root := range roots {
-		if root >= g.NGlobal {
-			return nil, fmt.Errorf("analytics: SSSP root %d outside %d vertices", root, g.NGlobal)
-		}
-	}
-	r, err := newSSSPRunner(ctx, g, w, delta)
-	if err != nil {
-		return nil, err
-	}
-	runs := make([]*SSSPResult, len(roots))
-	for s, root := range roots {
-		if runs[s], err = r.run(root); err != nil {
-			return nil, err
-		}
-	}
-	return runs, nil
+	return r.run(root)
 }
 
 // autoDelta is Meyer and Sanders' bucket width Θ(W̄/d̄) for mean weight
@@ -226,6 +200,9 @@ type ssspRunner struct {
 
 // newSSSPRunner runs the per-job prologue. Collective.
 func newSSSPRunner(ctx *core.Ctx, g *core.Graph, w edgeWeights, delta uint64) (*ssspRunner, error) {
+	if err := require1D(g, "SSSP"); err != nil {
+		return nil, err
+	}
 	rd, err := newClaimRound(ctx, g, "SSSP")
 	if err != nil {
 		return nil, err
@@ -301,6 +278,9 @@ func bucketGap(next, k uint64) uint32 {
 // group moves straight on.
 func (r *ssspRunner) run(root uint32) (*SSSPResult, error) {
 	ctx, g, split, bk, rd := r.ctx, r.g, r.split, r.bk, r.rd
+	if root >= g.NGlobal {
+		return nil, fmt.Errorf("analytics: SSSP root %d outside %d vertices", root, g.NGlobal)
+	}
 	dist, inFlight, settledAt := r.dist, r.inFlight, r.settledAt
 	bk.reset()
 	for v := range dist {

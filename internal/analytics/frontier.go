@@ -58,7 +58,7 @@ type stepPlan struct {
 // every run: a runner outlives the job that built it.
 type frontierEngine struct {
 	g   *core.Graph
-	pol core.Traversal
+	pol core.TraversalMode
 
 	*haloGeom
 	rd *claimRound // over the halo: the sparse push levels' round
@@ -87,7 +87,7 @@ type frontierEngine struct {
 // statistics. Every rank calls it with identical arguments, so the whole
 // group switches in lockstep.
 func (e *frontierEngine) plan(prev stepPlan, gNf, gMf, gMu uint64) stepPlan {
-	switch e.pol.Mode {
+	switch e.pol {
 	case core.TraversePush:
 		return stepPlan{}
 	case core.TraverseDense:

@@ -81,7 +81,7 @@ func atomicMinU32(addr *uint32, v uint32) {
 type grid2DEngine struct {
 	g   *core.Graph
 	l   *core.GridLayout
-	pol core.Traversal
+	pol core.TraversalMode
 
 	// rowSeen has one bit per row-span slot; a set bit means this rank
 	// already claimed that destination this run.
@@ -112,7 +112,7 @@ func newGrid2DEngine(ctx *core.Ctx, g *core.Graph) (*grid2DEngine, error) {
 	e := &grid2DEngine{g: g, l: l, pol: ctx.Traverse, nGlobal: uint64(g.NGlobal)}
 	e.rowSeen = make([]uint64, par.BitmapWords(int(l.RowSpan)))
 	e.claimPer = make([][]uint32, ctx.Pool.Threads())
-	if e.pol.Mode == core.TraverseAdaptive {
+	if e.pol == core.TraverseAdaptive {
 		// One collective fixes the dense-fold width for every run of the
 		// engine; the forced modes never consult it (pol is identical
 		// group-wide, so skipping the reduction stays in lockstep).
@@ -137,7 +137,7 @@ func (e *grid2DEngine) reset() {
 // already holds — whether the column expand ships packed bits. Sparse ships
 // 32 bits per frontier vertex; dense ships one bit per owned vertex.
 func (e *grid2DEngine) denseExpand(gNf uint64) bool {
-	switch e.pol.Mode {
+	switch e.pol {
 	case core.TraversePush:
 		return false
 	case core.TraverseDense:
@@ -149,7 +149,7 @@ func (e *grid2DEngine) denseExpand(gNf uint64) bool {
 // denseFold decides the fold representation, reducing the round's claim
 // count in adaptive mode (the forced modes spend no collective).
 func (e *grid2DEngine) denseFold(ctx *core.Ctx, localClaims int) (bool, error) {
-	switch e.pol.Mode {
+	switch e.pol {
 	case core.TraversePush:
 		return false, nil
 	case core.TraverseDense:

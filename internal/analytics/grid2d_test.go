@@ -55,7 +55,7 @@ func runGrid2DConfigs(t *testing.T, tg testGraph, body func(ctx *core.Ctx, g1, g
 			t.Run(fmt.Sprintf("%s/p=%d/%s", tg.name, p, m.name), func(t *testing.T) {
 				err := comm.RunLocal(p, func(c *comm.Comm) error {
 					ctx := core.NewCtx(c, 2)
-					ctx.Traverse.Mode = m.mode
+					ctx.Traverse = m.mode
 					g1, g2, err := build1Dand2D(ctx, tg)
 					if err != nil {
 						return err
@@ -143,16 +143,16 @@ func TestGrid2DWCCMatches1D(t *testing.T) {
 	}
 }
 
-// diffMultiBFSvsSolo pins a k-root MultiBFS on both layouts against solo BFS
+// diffBatchBFSvsSolo pins a k-root bfs batch on both layouts against solo BFS
 // calls: every source's gathered level array is byte-identical to its solo
 // run's on the 1D shard, and so are Reached and Depth.
-func diffMultiBFSvsSolo(ctx *core.Ctx, g1, g2 *core.Graph, roots []uint32) error {
+func diffBatchBFSvsSolo(ctx *core.Ctx, g1, g2 *core.Graph, roots []uint32) error {
 	for _, dir := range []Dir{Forward, Und} {
-		m1, err := MultiBFS(ctx, g1, roots, dir)
+		m1, err := multiBFS(ctx, g1, roots, dir)
 		if err != nil {
 			return fmt.Errorf("1d multibfs: %w", err)
 		}
-		m2, err := MultiBFS(ctx, g2, roots, dir)
+		m2, err := multiBFS(ctx, g2, roots, dir)
 		if err != nil {
 			return fmt.Errorf("2d multibfs: %w", err)
 		}
@@ -168,7 +168,7 @@ func diffMultiBFSvsSolo(ctx *core.Ctx, g1, g2 *core.Graph, roots []uint32) error
 			for _, got := range []struct {
 				layout string
 				g      *core.Graph
-				m      *MultiBFSResult
+				m      *multiBFSResult
 			}{{"1d", g1, m1}, {"2d", g2, m2}} {
 				if got.m.Reached[s] != solo.Reached || got.m.Depth[s] != solo.Depth {
 					return fmt.Errorf("dir=%v source %d: %s batch (reached=%d depth=%d) vs solo (reached=%d depth=%d)",
@@ -192,7 +192,7 @@ func TestGrid2DMultiBFSMatches1D(t *testing.T) {
 	for _, tg := range []testGraph{gs[4], gs[6]} { // rmat, multi
 		roots := []uint32{0, tg.n - 1, tg.n / 2, 1}
 		runGrid2DConfigs(t, tg, func(ctx *core.Ctx, g1, g2 *core.Graph) error {
-			return diffMultiBFSvsSolo(ctx, g1, g2, roots)
+			return diffBatchBFSvsSolo(ctx, g1, g2, roots)
 		})
 	}
 }
@@ -207,12 +207,12 @@ func TestGrid2DMultiBFSMatches1DTCP(t *testing.T) {
 	roots := []uint32{0, tg.n - 1, tg.n / 2, 1}
 	for _, m := range grid2DModes {
 		errs, _ := runScheduledTCPRanks(t, 4, comm.FaultSchedule{}, func(ctx *core.Ctx) error {
-			ctx.Traverse.Mode = m.mode
+			ctx.Traverse = m.mode
 			g1, g2, err := build1Dand2D(ctx, tg)
 			if err != nil {
 				return err
 			}
-			return diffMultiBFSvsSolo(ctx, g1, g2, roots)
+			return diffBatchBFSvsSolo(ctx, g1, g2, roots)
 		})
 		for r, err := range errs {
 			if err != nil {
@@ -250,7 +250,7 @@ func TestGrid2DRunnerSharesEngine(t *testing.T) {
 			return err
 		}
 		shared := uint64(0) // Allreduces a later root saves
-		if ctx.Traverse.Mode == core.TraverseAdaptive {
+		if ctx.Traverse == core.TraverseAdaptive {
 			shared = 1
 		}
 		r, err := bfsRunnerFor(ctx, g)

@@ -1,6 +1,7 @@
 package analytics
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 	"testing"
@@ -45,7 +46,7 @@ type hybridOutputs struct {
 }
 
 func hybridRun(ctx *core.Ctx, g *core.Graph, mode core.TraversalMode) (*hybridOutputs, error) {
-	ctx.Traverse.Mode = mode
+	ctx.Traverse = mode
 	out := &hybridOutputs{}
 
 	bf, err := BFS(ctx, g, 0, Forward)
@@ -77,7 +78,7 @@ func hybridRun(ctx *core.Ctx, g *core.Graph, mode core.TraversalMode) (*hybridOu
 		return nil, err
 	}
 	roots := []uint32{0, g.NGlobal / 2, g.NGlobal - 1}
-	mb, err := MultiBFS(ctx, g, roots, Forward)
+	mb, err := multiBFS(ctx, g, roots, Forward)
 	if err != nil {
 		return nil, err
 	}
@@ -210,7 +211,7 @@ func TestHybridForcedModesExerciseBothPaths(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		ctx.Traverse.Mode = core.TraversePush
+		ctx.Traverse = core.TraversePush
 		bp, err := BFS(ctx, g, 0, Forward)
 		if err != nil {
 			return err
@@ -221,7 +222,7 @@ func TestHybridForcedModesExerciseBothPaths(t *testing.T) {
 		if bp.Traversal.SparseExchanges == 0 {
 			return fmt.Errorf("push mode recorded no sparse exchanges")
 		}
-		ctx.Traverse.Mode = core.TraverseDense
+		ctx.Traverse = core.TraverseDense
 		bd, err := BFS(ctx, g, 0, Forward)
 		if err != nil {
 			return err
@@ -239,29 +240,32 @@ func TestHybridForcedModesExerciseBothPaths(t *testing.T) {
 	}
 }
 
-// TestJobHybridKnob pins the descriptor-level policy override: aliases
-// canonicalize, bad policies fail validation before any collective runs,
-// and Run applies the override for the job's duration only.
+// TestJobHybridKnob pins the descriptor-level policy override: the empty
+// policy normalizes to adaptive, every other name but the three modes (the
+// old aliases included) fails validation before any collective runs, and
+// Run applies the override for the job's duration only.
 func TestJobHybridKnob(t *testing.T) {
-	for in, want := range map[string]string{
-		"": "adaptive", "hybrid": "adaptive", "adaptive": "adaptive",
-		"sparse": "push", "off": "push", "push": "push",
-		"pull": "dense", "dense": "dense",
-	} {
+	for _, in := range []string{"", "adaptive", "push", "dense"} {
 		j := Job{Analytic: JobWCC, Hybrid: in}
 		j.Normalize()
-		if j.Hybrid != want {
+		if want := cmp.Or(in, "adaptive"); j.Hybrid != want {
 			t.Errorf("Normalize(%q) = %q, want %q", in, j.Hybrid, want)
 		}
+		if err := j.Validate(16); err != nil {
+			t.Errorf("policy %q rejected: %v", in, err)
+		}
 	}
-	bad := Job{Analytic: JobWCC, Hybrid: "bottomup"}
-	if err := bad.Validate(16); err == nil {
-		t.Fatal("bad hybrid policy accepted")
+	for _, in := range []string{"hybrid", "sparse", "off", "pull", "bottomup"} {
+		bad := Job{Analytic: JobWCC, Hybrid: in}
+		bad.Normalize()
+		if err := bad.Validate(16); err == nil {
+			t.Errorf("policy %q accepted", in)
+		}
 	}
 	spec := gen.Spec{Kind: gen.RMAT, NumVertices: 128, NumEdges: 1024, Seed: 3}
 	err := comm.RunLocal(1, func(c *comm.Comm) error {
 		ctx := core.NewCtx(c, 1)
-		ctx.Traverse = core.Traversal{Mode: core.TraversePush}
+		ctx.Traverse = core.TraversePush
 		src := core.SpecSource{Spec: spec}
 		pt, err := core.MakePartitioner(ctx, src, partition.VertexBlock, spec.NumVertices, 123)
 		if err != nil {
@@ -276,7 +280,7 @@ func TestJobHybridKnob(t *testing.T) {
 		if _, err := Run(ctx, g, job); err != nil {
 			return err
 		}
-		if ctx.Traverse != (core.Traversal{Mode: core.TraversePush}) {
+		if ctx.Traverse != (core.TraversePush) {
 			return fmt.Errorf("job override leaked into the context policy: %+v", ctx.Traverse)
 		}
 		// An empty policy keeps the process default rather than forcing

@@ -1,8 +1,10 @@
 package analytics
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/core"
@@ -19,7 +21,7 @@ type Job struct {
 	Analytic string `json:"analytic"`
 	// Sources are the query vertices for source-rooted analytics (BFS,
 	// SSSP, Harmonic). More than one source runs them one after another in
-	// one job (see multi.go). Ignored by whole-graph analytics.
+	// one job, on one runner (see Run).
 	Sources []uint32 `json:"sources,omitempty"`
 	// Dir selects BFS traversal direction: "out" (default), "in", "und".
 	Dir string `json:"dir,omitempty"`
@@ -43,12 +45,10 @@ type Job struct {
 	RandomTies bool   `json:"random_ties,omitempty"`
 	TieSeed    uint64 `json:"tie_seed,omitempty"`
 	// Hybrid selects the traversal engine policy for BFS-like analytics
-	// (bfs, harmonic, wcc): "adaptive" (default; also "" or "hybrid"),
-	// "push" (always top-down, always-sparse exchange; also "sparse", "off"),
-	// or "dense" (always bottom-up / dense exchange; also "pull"). Results
-	// are bit-identical across policies; only wire format and work order
-	// change. sssp, pagerank, wpagerank, labelprop and kcore have one wire
-	// format and ignore it.
+	// (bfs, harmonic, wcc): "adaptive" (the default), "push" (always
+	// top-down, always-sparse exchange) or "dense" (always bottom-up / dense
+	// exchange). Results are bit-identical across policies; only wire format
+	// and work order change.
 	Hybrid string `json:"hybrid,omitempty"`
 	// Mutations is the ingest batch of a JobMutate descriptor: the ordered
 	// edge inserts/deletes to route and apply. Ignored by analytics.
@@ -89,57 +89,9 @@ const (
 	JobSnapshot = "snapshot"
 )
 
-// Mutating reports whether the job is a serve-layer control job rather
-// than a read-only analytic (ingest, compaction, snapshot — snapshot
-// reads graph state but mutates the store). Mutating jobs are never
-// cached, never batched, and never answered from another job's result.
-func (j *Job) Mutating() bool {
-	return j.Analytic == JobMutate || j.Analytic == JobCompact || j.Analytic == JobSnapshot
-}
-
-// SourceRooted reports whether the analytic takes query vertices (and is
-// therefore batchable by source coalescing).
-func (j *Job) SourceRooted() bool {
-	switch j.Analytic {
-	case JobBFS, JobSSSP, JobHarmonic:
-		return true
-	}
-	return false
-}
-
-// Normalize fills parameter defaults in place so that equal queries have
-// equal descriptors (the cache-key and batch-compatibility requirement).
-func (j *Job) Normalize() {
-	if m, err := core.ParseTraversalMode(j.Hybrid); err == nil {
-		// Canonicalize policy aliases ("", "hybrid", "sparse", "pull", ...)
-		// so equal queries share a cache key; Validate rejects the rest.
-		switch m {
-		case core.TraversePush:
-			j.Hybrid = "push"
-		case core.TraverseDense:
-			j.Hybrid = "dense"
-		default:
-			j.Hybrid = "adaptive"
-		}
-	}
-	switch j.Analytic {
-	case JobBFS:
-		if j.Dir == "" {
-			j.Dir = "out"
-		}
-	case JobPageRank, JobPageRankWeighted:
-		if j.Iterations <= 0 {
-			j.Iterations = 10
-		}
-		if j.Damping == 0 {
-			j.Damping = 0.85
-		}
-	case JobLabelProp:
-		if j.Iterations <= 0 {
-			j.Iterations = 10
-		}
-	}
-}
+// MaxSources bounds the sources of one source-rooted job: Validate and the
+// scheduler's batch cap both enforce it.
+const MaxSources = 256
 
 // maxJobIterations caps iterative requests so one query cannot occupy the
 // cluster unboundedly.
@@ -149,69 +101,178 @@ const maxJobIterations = 10_000
 // vertex's out-weight sum over fewer than 2^32 edges fits in 64 bits.
 const maxJobWeight uint64 = 1 << 32
 
-// Validate checks the descriptor against a graph with n global vertices.
-func (j *Job) Validate(n uint32) error {
-	switch j.Analytic {
-	case JobBFS, JobSSSP, JobHarmonic:
-		if len(j.Sources) == 0 {
-			return fmt.Errorf("analytics: %s job needs at least one source", j.Analytic)
+// field is a set of Job parameters, one bit each. A parameter may span two
+// struct fields (the weights are MaxWeight and WeightSeed).
+type field uint16
+
+const (
+	fSources field = 1 << iota
+	fDir
+	fIterations
+	fDamping
+	fTolerance
+	fWeights // MaxWeight, WeightSeed
+	fDelta
+	fTies // RandomTies, TieSeed
+	fHybrid
+	fMutations // Mutations, MutationID
+	fCompactVersion
+	fSnapshotEpoch
+)
+
+// params declares each parameter once: how to clear it, its default (nil:
+// the zero value) and its check against a graph of n vertices (nil: any
+// value). A kind's row picks the parameters it reads; the rest are cleared.
+var params = []struct {
+	f     field
+	clear func(j *Job)
+	fill  func(j *Job)
+	check func(j *Job, n uint32) error
+}{
+	{fSources, func(j *Job) { j.Sources = nil }, nil, func(j *Job, n uint32) error {
+		if len(j.Sources) == 0 || len(j.Sources) > MaxSources {
+			return fmt.Errorf("analytics: %s job with %d sources (want 1 to %d)", j.Analytic, len(j.Sources), MaxSources)
 		}
-		if len(j.Sources) > MaxSources {
-			return fmt.Errorf("analytics: %s job with %d sources (max %d)", j.Analytic, len(j.Sources), MaxSources)
+		s := slices.Max(j.Sources)
+		return jobErr(s >= n, "%s source %d outside %d vertices", j.Analytic, s, n)
+	}},
+	{fDir, func(j *Job) { j.Dir = "" }, func(j *Job) { j.Dir = cmp.Or(j.Dir, "out") }, func(j *Job, _ uint32) error {
+		return jobErr(!slices.Contains([]string{"", "out", "in", "und"}, j.Dir), "bfs dir %q (want out, in, or und)", j.Dir)
+	}},
+	{fIterations, func(j *Job) { j.Iterations = 0 }, func(j *Job) { j.Iterations = cmp.Or(max(j.Iterations, 0), 10) }, func(j *Job, _ uint32) error {
+		return jobErr(j.Iterations < 0 || j.Iterations > maxJobIterations, "%s job with %d iterations (max %d)", j.Analytic, j.Iterations, maxJobIterations)
+	}},
+	{fDamping, func(j *Job) { j.Damping = 0 }, func(j *Job) { j.Damping = cmp.Or(j.Damping, 0.85) }, func(j *Job, _ uint32) error {
+		return jobErr(!(j.Damping > 0 && j.Damping <= 1), "%s damping %g outside (0, 1]", j.Analytic, j.Damping)
+	}},
+	{fTolerance, func(j *Job) { j.Tolerance = 0 }, nil, nil},
+	{fWeights, func(j *Job) { j.MaxWeight, j.WeightSeed = 0, 0 }, nil, func(j *Job, _ uint32) error {
+		return jobErr(j.MaxWeight > maxJobWeight, "%s max_weight %d above %d", j.Analytic, j.MaxWeight, maxJobWeight)
+	}},
+	{fDelta, func(j *Job) { j.Delta = 0 }, nil, nil},
+	{fTies, func(j *Job) { j.RandomTies, j.TieSeed = false, 0 }, nil, nil},
+	{fHybrid, func(j *Job) { j.Hybrid = "" }, func(j *Job) { j.Hybrid = cmp.Or(j.Hybrid, "adaptive") }, func(j *Job, _ uint32) error {
+		_, err := core.ParseTraversalMode(j.Hybrid)
+		return jobErr(err != nil, "%s job: %w", j.Analytic, err)
+	}},
+	{fMutations, func(j *Job) { j.Mutations, j.MutationID = nil, 0 }, nil, func(j *Job, n uint32) error {
+		if len(j.Mutations) == 0 || len(j.Mutations) > edge.MaxBatch {
+			return fmt.Errorf("analytics: mutate job with %d mutations (want 1 to %d)", len(j.Mutations), edge.MaxBatch)
 		}
-		for _, s := range j.Sources {
-			if s >= n {
-				return fmt.Errorf("analytics: %s source %d outside %d vertices", j.Analytic, s, n)
-			}
-		}
-	case JobPageRank, JobPageRankWeighted, JobLabelProp:
-		if j.Iterations < 0 || j.Iterations > maxJobIterations {
-			return fmt.Errorf("analytics: %s job with %d iterations (max %d)", j.Analytic, j.Iterations, maxJobIterations)
-		}
-		if j.Analytic != JobLabelProp && !(j.Damping > 0 && j.Damping <= 1) {
-			return fmt.Errorf("analytics: %s damping %g outside (0, 1]", j.Analytic, j.Damping)
-		}
-	case JobWCC, JobKCore:
-	case JobMutate:
-		if len(j.Mutations) == 0 {
-			return fmt.Errorf("analytics: mutate job with empty batch")
-		}
-		if len(j.Mutations) > edge.MaxBatch {
-			return fmt.Errorf("analytics: mutate job with %d mutations (max %d)", len(j.Mutations), edge.MaxBatch)
-		}
-		if err := j.Mutations.Validate(n); err != nil {
-			return err
-		}
-	case JobCompact, JobSnapshot:
-	default:
-		return fmt.Errorf("analytics: unknown analytic %q", j.Analytic)
-	}
-	if (j.Analytic == JobSSSP || j.Analytic == JobPageRankWeighted) && j.MaxWeight > maxJobWeight {
-		return fmt.Errorf("analytics: %s max_weight %d above %d", j.Analytic, j.MaxWeight, maxJobWeight)
-	}
-	if j.Analytic == JobBFS {
-		switch j.Dir {
-		case "", "out", "in", "und":
-		default:
-			return fmt.Errorf("analytics: bfs dir %q (want out, in, or und)", j.Dir)
-		}
-	}
-	if _, err := core.ParseTraversalMode(j.Hybrid); err != nil {
-		return fmt.Errorf("analytics: %s job: %w", j.Analytic, err)
+		return j.Mutations.Validate(n)
+	}},
+	{fCompactVersion, func(j *Job) { j.CompactVersion = 0 }, nil, nil},
+	{fSnapshotEpoch, func(j *Job) { j.SnapshotEpoch = 0 }, nil, nil},
+}
+
+// jobErr is a validation error when bad holds, nil otherwise.
+func jobErr(bad bool, format string, a ...any) error {
+	if bad {
+		return fmt.Errorf("analytics: "+format, a...)
 	}
 	return nil
 }
 
-// dir maps the descriptor's direction string onto the kernel enum.
-func (j *Job) dir() Dir {
-	switch j.Dir {
-	case "in":
-		return Backward
-	case "und":
-		return Und
-	}
-	return Forward
+// soloRun answers one source of a source-rooted job on the job's runner,
+// exactly as a job with that source alone would: its summary and the
+// rounds it took.
+type soloRun func(src uint32) (SourceSummary, int, error)
+
+// kind is one row of the job table.
+type kind struct {
+	// reads is the parameters the run reads; Normalize clears the others,
+	// so a normalized job names its answer.
+	reads field
+	// same is the parameters among reads that change the schedule and the
+	// wire format but never the answer (pinned by the cross-mode and
+	// cross-Δ suites); AnswerKey leaves them out.
+	same field
+	// mutating marks the serve-layer control jobs (ingest, compaction,
+	// snapshot): never cached, never batched, never run here.
+	mutating bool
+	// prologue, set for a source-rooted kind, builds the job's runner once
+	// and returns its per-source call. A batch is that call once per
+	// source, so it buys one dispatch and one prologue.
+	prologue func(ctx *core.Ctx, g *core.Graph, j *Job) (soloRun, error)
+	// run answers a whole-graph kind into res.
+	run func(ctx *core.Ctx, g *core.Graph, j *Job, res *JobResult) error
 }
+
+// kinds is the job table: one row per Job* name.
+var kinds = map[string]kind{
+	JobBFS:              {reads: fSources | fDir | fHybrid, same: fHybrid, prologue: bfsPrologue},
+	JobSSSP:             {reads: fSources | fWeights | fDelta, same: fDelta, prologue: ssspPrologue},
+	JobHarmonic:         {reads: fSources | fHybrid, same: fHybrid, prologue: harmonicPrologue},
+	JobPageRank:         {reads: fIterations | fDamping | fTolerance, run: runPageRank},
+	JobPageRankWeighted: {reads: fIterations | fDamping | fTolerance | fWeights, run: runPageRank},
+	JobLabelProp:        {reads: fIterations | fTies, run: runLabelProp},
+	JobWCC:              {reads: fHybrid, same: fHybrid, run: runWCC},
+	JobKCore:            {run: runKCore},
+	JobMutate:           {reads: fMutations, mutating: true},
+	JobCompact:          {reads: fCompactVersion, mutating: true},
+	JobSnapshot:         {reads: fSnapshotEpoch, mutating: true},
+}
+
+// Mutating reports whether the job is a serve-layer control job rather
+// than a read-only analytic. Mutating jobs are never cached, never
+// batched, and never answered from another job's result.
+func (j *Job) Mutating() bool { return kinds[j.Analytic].mutating }
+
+// SourceRooted reports whether the analytic takes query vertices (and is
+// therefore batchable by source coalescing).
+func (j *Job) SourceRooted() bool { return kinds[j.Analytic].prologue != nil }
+
+// Normalize fills the defaults of the parameters the job's kind reads and
+// clears the rest, in place, so that equal queries have equal descriptors.
+// An unknown analytic is left as it is for Validate to reject.
+func (j *Job) Normalize() {
+	k, ok := kinds[j.Analytic]
+	if !ok {
+		return
+	}
+	for _, p := range params {
+		if k.reads&p.f == 0 {
+			p.clear(j)
+		} else if p.fill != nil {
+			p.fill(j)
+		}
+	}
+}
+
+// AnswerKey identifies a normalized job's answer on a given graph: the job
+// without the parameters that never change its answer. Jobs with equal
+// keys have byte-identical Canonical results.
+func (j *Job) AnswerKey() string {
+	a := *j
+	same := kinds[j.Analytic].same
+	for _, p := range params {
+		if same&p.f != 0 {
+			p.clear(&a)
+		}
+	}
+	return fmt.Sprintf("%v", a)
+}
+
+// Validate checks the descriptor against a graph with n global vertices:
+// every parameter its kind reads. The others play no part in the run.
+func (j *Job) Validate(n uint32) error {
+	k, ok := kinds[j.Analytic]
+	if !ok {
+		return fmt.Errorf("analytics: unknown analytic %q", j.Analytic)
+	}
+	for _, p := range params {
+		if k.reads&p.f != 0 && p.check != nil {
+			if err := p.check(j, n); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// jobDirs maps a descriptor's direction onto the kernel enum; "out" and ""
+// are Forward, the zero Dir.
+var jobDirs = map[string]Dir{"in": Backward, "und": Und}
 
 // weights is the descriptor's edge weights as data: HashWeights(WeightSeed,
 // MaxWeight), which is unit weights at MaxWeight 0.
@@ -255,8 +316,9 @@ type JobResult struct {
 	// performed; for a multi-source SSSP job, the sum over its sources.
 	Iterations int `json:"iterations,omitempty"`
 	Rounds     int `json:"rounds,omitempty"`
-	// sourceRounds[i] is Sources[i]'s own share of Rounds (SSSP only), so
-	// that ForSource can hand a batch member the Rounds of its solo run.
+	// sourceRounds[i] is Sources[i]'s own share of Rounds (zero but for
+	// SSSP), so that ForSource can hand a batch member the Rounds of its
+	// solo run.
 	sourceRounds []int
 	// MaxScore is the global maximum PageRank score (plain or weighted).
 	MaxScore float64 `json:"max_score,omitempty"`
@@ -316,125 +378,153 @@ func (r *JobResult) Canonical() []byte {
 	return b
 }
 
-// Run dispatches a validated descriptor to its kernel. Must be called
-// collectively: every rank passes an identical job, and every rank returns
-// the identical global summary.
+// Run dispatches a validated descriptor through its kind's row. Must be
+// called collectively: every rank passes an identical job, and every rank
+// returns the identical global summary.
 func Run(ctx *core.Ctx, g *core.Graph, job *Job) (*JobResult, error) {
 	if err := job.Validate(g.NGlobal); err != nil {
 		return nil, err
 	}
-	if job.Mutating() {
+	k := kinds[job.Analytic]
+	if k.mutating {
 		// Ingest/compaction need shard overlay state, which only the serve
 		// layer holds; reaching Run means a dispatch bug.
 		return nil, fmt.Errorf("analytics: %s job cannot run as an analytic", job.Analytic)
 	}
-	// A non-empty job policy overrides the context's mode for this run
-	// (alpha/beta stay whatever the process configured; an empty field
-	// keeps the process default). Every rank decodes the same job, so the
-	// override is uniform.
-	saved := ctx.Traverse
-	if job.Hybrid != "" {
+	// A non-empty job policy overrides the context's mode for this run (an
+	// empty field keeps the process default). Every rank decodes the same
+	// job, so the override is uniform.
+	if k.reads&fHybrid != 0 && job.Hybrid != "" {
 		mode, err := core.ParseTraversalMode(job.Hybrid)
 		if err != nil {
 			return nil, err
 		}
-		ctx.Traverse.Mode = mode
+		saved := ctx.Traverse
+		ctx.Traverse = mode
+		defer func() { ctx.Traverse = saved }()
 	}
-	defer func() { ctx.Traverse = saved }()
 	res := &JobResult{Analytic: job.Analytic}
-	switch job.Analytic {
-	case JobBFS:
-		if len(job.Sources) == 1 {
-			b, err := BFS(ctx, g, job.Sources[0], job.dir())
-			if err != nil {
-				return nil, err
-			}
-			res.Sources = []SourceSummary{{Source: job.Sources[0], Reached: b.Reached, Depth: b.Depth}}
-		} else {
-			mb, err := MultiBFS(ctx, g, job.Sources, job.dir())
-			if err != nil {
-				return nil, err
-			}
-			for s, src := range job.Sources {
-				res.Sources = append(res.Sources, SourceSummary{Source: src, Reached: mb.Reached[s], Depth: mb.Depth[s]})
-			}
+	if k.prologue == nil {
+		if err := k.run(ctx, g, job, res); err != nil {
+			return nil, err
 		}
-	case JobSSSP:
-		runs, err := ssspRuns(ctx, g, job.Sources, job.weights(), job.Delta)
+		return res, nil
+	}
+	solo, err := k.prologue(ctx, g, job)
+	if err != nil {
+		return nil, err
+	}
+	for _, src := range job.Sources {
+		ss, rounds, err := solo(src)
 		if err != nil {
 			return nil, err
 		}
-		for s, ss := range runs {
-			res.Rounds += ss.Rounds
-			res.sourceRounds = append(res.sourceRounds, ss.Rounds)
-			res.Sources = append(res.Sources, SourceSummary{Source: job.Sources[s], Reached: ss.Reached})
-		}
-	case JobHarmonic:
-		// One reverse BFS plus a scalar reduce per source, on one runner.
-		r, err := bfsRunnerFor(ctx, g)
-		if err != nil {
-			return nil, err
-		}
-		for _, src := range job.Sources {
-			hc, err := r.harmonic(ctx, src)
-			if err != nil {
-				return nil, err
-			}
-			res.Sources = append(res.Sources, SourceSummary{Source: src, Score: hc})
-		}
-	case JobPageRank, JobPageRankWeighted:
-		// Plain PageRank, and weighted at max_weight 0, take the unit path.
-		var w *edgeWeights
-		if job.Analytic == JobPageRankWeighted && job.MaxWeight != 0 {
-			wt := job.weights()
-			w = &wt
-		}
-		pr, err := pageRank(ctx, g, PageRankOptions{
-			Iterations: job.Iterations, Damping: job.Damping, Tolerance: job.Tolerance,
-		}, w, nil)
-		if err != nil {
-			return nil, err
-		}
-		res.Iterations = pr.Iterations
-		var localMax float64
-		for _, s := range pr.Scores {
-			if s > localMax {
-				localMax = s
-			}
-		}
-		res.MaxScore, err = comm.Allreduce(ctx.Comm, localMax, comm.OpMax)
-		if err != nil {
-			return nil, err
-		}
-	case JobKCore:
-		kc, err := KCoreExact(ctx, g)
-		if err != nil {
-			return nil, err
-		}
-		res.Rounds = kc.Rounds
-		res.MaxCoreness = kc.MaxCore
-	case JobLabelProp:
-		lp, err := LabelProp(ctx, g, LabelPropOptions{
-			Iterations: job.Iterations, RandomTies: job.RandomTies, TieSeed: job.TieSeed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.Iterations = lp.Iterations
-		// Distinct-label count (not countRepresentatives: a community's
-		// namesake vertex may itself have adopted a different label).
-		sizes, err := SizeDistribution(ctx, g, lp.Labels)
-		if err != nil {
-			return nil, err
-		}
-		res.Communities = uint64(len(sizes))
-	case JobWCC:
-		wc, err := WCC(ctx, g)
-		if err != nil {
-			return nil, err
-		}
-		res.NumComponents = wc.NumComponents
-		res.LargestSize = wc.LargestSize
+		res.Sources = append(res.Sources, ss)
+		res.Rounds += rounds
+		res.sourceRounds = append(res.sourceRounds, rounds)
 	}
 	return res, nil
+}
+
+// bfsPrologue is the bfs row's: one BFS runner, one traversal per source.
+func bfsPrologue(ctx *core.Ctx, g *core.Graph, j *Job) (soloRun, error) {
+	r, err := bfsRunnerFor(ctx, g)
+	if err != nil {
+		return nil, err
+	}
+	dir := jobDirs[j.Dir]
+	return func(src uint32) (SourceSummary, int, error) {
+		b, err := r.run(ctx, src, dir)
+		if err != nil {
+			return SourceSummary{}, 0, err
+		}
+		return SourceSummary{Source: src, Reached: b.Reached, Depth: b.Depth}, 0, nil
+	}, nil
+}
+
+// harmonicPrologue is the harmonic row's: one BFS runner, one reverse BFS
+// plus a scalar reduce per source.
+func harmonicPrologue(ctx *core.Ctx, g *core.Graph, _ *Job) (soloRun, error) {
+	r, err := bfsRunnerFor(ctx, g)
+	if err != nil {
+		return nil, err
+	}
+	return func(src uint32) (SourceSummary, int, error) {
+		hc, err := r.harmonic(ctx, src)
+		return SourceSummary{Source: src, Score: hc}, 0, err
+	}, nil
+}
+
+// ssspPrologue is the sssp row's: the weight pass, the Δ reduction and the
+// light/heavy split once per job, then one Δ-stepping run per source.
+func ssspPrologue(ctx *core.Ctx, g *core.Graph, j *Job) (soloRun, error) {
+	r, err := newSSSPRunner(ctx, g, j.weights(), j.Delta)
+	if err != nil {
+		return nil, err
+	}
+	return func(src uint32) (SourceSummary, int, error) {
+		s, err := r.run(src)
+		if err != nil {
+			return SourceSummary{}, 0, err
+		}
+		return SourceSummary{Source: src, Reached: s.Reached}, s.Rounds, nil
+	}, nil
+}
+
+// runPageRank answers pagerank and wpagerank: plain PageRank, and weighted
+// at max_weight 0, take the unit path.
+func runPageRank(ctx *core.Ctx, g *core.Graph, j *Job, res *JobResult) error {
+	var w *edgeWeights
+	if j.Analytic == JobPageRankWeighted && j.MaxWeight != 0 {
+		wt := j.weights()
+		w = &wt
+	}
+	pr, err := pageRank(ctx, g, PageRankOptions{
+		Iterations: j.Iterations, Damping: j.Damping, Tolerance: j.Tolerance,
+	}, w, nil)
+	if err != nil {
+		return err
+	}
+	res.Iterations = pr.Iterations
+	var localMax float64
+	for _, s := range pr.Scores {
+		if s > localMax {
+			localMax = s
+		}
+	}
+	res.MaxScore, err = comm.Allreduce(ctx.Comm, localMax, comm.OpMax)
+	return err
+}
+
+func runLabelProp(ctx *core.Ctx, g *core.Graph, j *Job, res *JobResult) error {
+	lp, err := LabelProp(ctx, g, LabelPropOptions{
+		Iterations: j.Iterations, RandomTies: j.RandomTies, TieSeed: j.TieSeed,
+	})
+	if err != nil {
+		return err
+	}
+	res.Iterations = lp.Iterations
+	// Distinct-label count (not countRepresentatives: a community's
+	// namesake vertex may itself have adopted a different label).
+	sizes, err := SizeDistribution(ctx, g, lp.Labels)
+	res.Communities = uint64(len(sizes))
+	return err
+}
+
+func runWCC(ctx *core.Ctx, g *core.Graph, _ *Job, res *JobResult) error {
+	wc, err := WCC(ctx, g)
+	if err != nil {
+		return err
+	}
+	res.NumComponents, res.LargestSize = wc.NumComponents, wc.LargestSize
+	return nil
+}
+
+func runKCore(ctx *core.Ctx, g *core.Graph, _ *Job, res *JobResult) error {
+	kc, err := KCoreExact(ctx, g)
+	if err != nil {
+		return err
+	}
+	res.Rounds, res.MaxCoreness = kc.Rounds, kc.MaxCore
+	return nil
 }

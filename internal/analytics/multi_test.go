@@ -5,7 +5,56 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
+
+// multiBFSResult is one BFS answer per source of a batched run, levels
+// included: a JobResult keeps only each source's summary.
+type multiBFSResult struct {
+	// Levels[s][v] is the depth of owned local vertex v from source s, or
+	// -1 if unreachable.
+	Levels  [][]int32
+	Reached []uint64
+	Depth   []int
+	// Traversal sums the sources' step choices and wire volume.
+	Traversal obs.TraversalStats
+}
+
+// multiBFS runs the bfs row's runner loop — one runner from bfsRunnerFor,
+// then one traversal per root — and keeps every source's levels.
+func multiBFS(ctx *core.Ctx, g *core.Graph, roots []uint32, dir Dir) (*multiBFSResult, error) {
+	k := len(roots)
+	res := &multiBFSResult{Levels: make([][]int32, k), Reached: make([]uint64, k), Depth: make([]int, k)}
+	r, err := bfsRunnerFor(ctx, g)
+	if err != nil {
+		return nil, err
+	}
+	for s, root := range roots {
+		b, err := r.run(ctx, root, dir)
+		if err != nil {
+			return nil, err
+		}
+		res.Levels[s], res.Reached[s], res.Depth[s] = b.Levels, b.Reached, b.Depth
+		res.Traversal.Merge(b.Traversal)
+	}
+	return res, nil
+}
+
+// multiSSSP runs the sssp row's runner loop — one newSSSPRunner, then one
+// Δ-stepping run per root — and keeps every source's full result.
+func multiSSSP(ctx *core.Ctx, g *core.Graph, roots []uint32, w edgeWeights, delta uint64) ([]*SSSPResult, error) {
+	r, err := newSSSPRunner(ctx, g, w, delta)
+	if err != nil {
+		return nil, err
+	}
+	runs := make([]*SSSPResult, len(roots))
+	for s, root := range roots {
+		if runs[s], err = r.run(root); err != nil {
+			return nil, err
+		}
+	}
+	return runs, nil
+}
 
 // multiRoots picks a spread of roots (some shared, some distinct) for the
 // batched-vs-solo equivalence tests.
@@ -26,7 +75,7 @@ func TestMultiBFSMatchesSoloBFS(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/dir=%d", tg.name, dir), func(t *testing.T) {
 				roots := multiRoots(tg.n)
 				runConfigs(t, tg, func(ctx *core.Ctx, g *core.Graph) error {
-					mb, err := MultiBFS(ctx, g, roots, dir)
+					mb, err := multiBFS(ctx, g, roots, dir)
 					if err != nil {
 						return err
 					}
@@ -62,7 +111,7 @@ func TestMultiSSSPMatchesSoloSSSP(t *testing.T) {
 			roots := multiRoots(tg.n)
 			w := HashWeights(42, 8)
 			runConfigs(t, tg, func(ctx *core.Ctx, g *core.Graph) error {
-				runs, err := ssspRuns(ctx, g, roots, edgeWeights{fn: w}, 0)
+				runs, err := multiSSSP(ctx, g, roots, edgeWeights{fn: w}, 0)
 				if err != nil {
 					return err
 				}
@@ -87,21 +136,24 @@ func TestMultiSSSPMatchesSoloSSSP(t *testing.T) {
 	}
 }
 
+// TestMultiSourceValidation: a source-rooted job with no sources, too many,
+// or one outside the graph fails before any traversal runs.
 func TestMultiSourceValidation(t *testing.T) {
 	tg := makeTestGraphs(t)[0]
 	runConfigs(t, tg, func(ctx *core.Ctx, g *core.Graph) error {
-		if _, err := MultiBFS(ctx, g, nil, Forward); err == nil {
-			return fmt.Errorf("MultiBFS accepted empty roots")
+		for _, j := range []Job{
+			{Analytic: JobBFS},
+			{Analytic: JobBFS, Sources: []uint32{0, g.NGlobal}},
+			{Analytic: JobBFS, Sources: make([]uint32, MaxSources+1)},
+			{Analytic: JobSSSP, Sources: []uint32{0, g.NGlobal}},
+			{Analytic: JobHarmonic, Sources: []uint32{g.NGlobal}},
+		} {
+			if _, err := Run(ctx, g, &j); err == nil {
+				return fmt.Errorf("%s job with %d sources %v accepted", j.Analytic, len(j.Sources), j.Sources[:min(len(j.Sources), 2)])
+			}
 		}
-		if _, err := MultiBFS(ctx, g, []uint32{g.NGlobal}, Forward); err == nil {
-			return fmt.Errorf("MultiBFS accepted out-of-range root")
-		}
-		big := make([]uint32, MaxSources+1)
-		if _, err := MultiBFS(ctx, g, big, Forward); err == nil {
-			return fmt.Errorf("MultiBFS accepted %d sources", len(big))
-		}
-		if _, err := ssspRuns(ctx, g, []uint32{0, g.NGlobal}, edgeWeights{fn: UnitWeights}, 0); err == nil {
-			return fmt.Errorf("ssspRuns accepted out-of-range root")
+		if _, err := multiSSSP(ctx, g, []uint32{0, g.NGlobal}, edgeWeights{fn: UnitWeights}, 0); err == nil {
+			return fmt.Errorf("SSSP runner accepted out-of-range root")
 		}
 		return nil
 	})

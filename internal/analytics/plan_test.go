@@ -38,7 +38,7 @@ func TestPlansColdWarmNil(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		ctx.Traverse.Mode = core.TraverseDense
+		ctx.Traverse = core.TraverseDense
 		type run struct {
 			levels []int32
 			builds uint64
@@ -146,7 +146,7 @@ func TestPlansSharedAcrossKernels(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		ctx.Traverse.Mode = core.TraverseDense
+		ctx.Traverse = core.TraverseDense
 		type out struct {
 			pr, wpr []float64
 			dist    []uint64

@@ -37,22 +37,14 @@ const (
 	TraverseDense
 )
 
-// Traversal is the per-rank traversal policy. Every rank of a group must
-// hold an identical policy (like any other collective argument); the
-// engine's per-step decisions then derive from globally reduced values, so
-// all ranks switch direction and representation in lockstep.
-type Traversal struct {
-	Mode TraversalMode
-}
-
 // ParseTraversalMode maps the user-facing mode names onto the enum.
 func ParseTraversalMode(s string) (TraversalMode, error) {
 	switch s {
-	case "", "adaptive", "hybrid":
+	case "", "adaptive":
 		return TraverseAdaptive, nil
-	case "push", "sparse", "off":
+	case "push":
 		return TraversePush, nil
-	case "dense", "pull":
+	case "dense":
 		return TraverseDense, nil
 	}
 	return 0, fmt.Errorf("core: traversal mode %q (want adaptive, push, or dense)", s)
@@ -65,8 +57,11 @@ type Ctx struct {
 	Comm *comm.Comm
 	Pool *par.Pool
 	// Traverse is the frontier policy for BFS-like analytics; the zero
-	// value is the adaptive engine.
-	Traverse Traversal
+	// value is the adaptive engine. Every rank of a group must hold the same
+	// mode (like any other collective argument); the engine's per-step
+	// decisions then derive from globally reduced values, so all ranks
+	// switch direction and representation in lockstep.
+	Traverse TraversalMode
 	// Plans retains kernel plans (halo queues and geometry) across calls on
 	// this Ctx. nil — the default — makes every kernel build per call.
 	Plans *Plans

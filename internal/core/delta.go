@@ -232,7 +232,7 @@ func (d *Delta) applySide(out bool, op edge.Op, ownedGid, nbrGid uint32) error {
 // MergeDelta packs the overlay into a fresh *Graph in canonical form:
 //
 //   - every owned vertex's row is its live base entries plus its extras,
-//     sorted by neighbor global id (see CanonicalizeAdjacency);
+//     sorted by neighbor global id;
 //   - owned vertices keep [0, NLoc) in ascending global order, and ghosts
 //     take NLoc, NLoc+1, ... in order of first appearance in a scan of the
 //     merged out rows (vertex by vertex, each row in its sorted order)
@@ -537,21 +537,4 @@ func checkMerged(g *Graph) error {
 		return fmt.Errorf("map has %d entries, want %d", g.Map.Len(), g.NTotal())
 	}
 	return nil
-}
-
-// CanonicalizeAdjacency sorts every owned vertex's out- and in-neighbor
-// row by neighbor global id, in place: the order MergeDelta writes. A built
-// shard lists each row in input order, which depends on the edge list, not
-// on the graph; after the sort, two shards holding the same logical graph
-// expose bitwise-identical traversal order — the property the differential
-// rebuild-equivalence battery relies on for analytics whose floating-point
-// results are sensitive to within-row summation order (PageRank variants).
-// Ghost numbering is left as it is.
-func CanonicalizeAdjacency(g *Graph) {
-	m := &merger{b: g, nb: g.NTotal()}
-	for v := uint32(0); v < g.NLoc; v++ {
-		m.sortRow(g.OutEdges[g.OutIdx[v]:g.OutIdx[v+1]])
-		m.sortRow(g.InEdges[g.InIdx[v]:g.InIdx[v+1]])
-	}
-	g.rowsSorted.Store(true)
 }

@@ -228,7 +228,7 @@ func TestMergeDeltaEmptyIsIdentity(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		CanonicalizeAdjacency(g)
+		canonicalizeAdjacency(g)
 		if err := g.Validate(); err != nil {
 			return fmt.Errorf("canonicalized base invalid: %w", err)
 		}
@@ -715,7 +715,7 @@ func TestMergeDeltaMatchesReference(t *testing.T) {
 						hits := 0
 						for r := range shards {
 							sortedOnly := reloaded(t, shards[r])
-							CanonicalizeAdjacency(sortedOnly)
+							canonicalizeAdjacency(sortedOnly)
 							bases := []*Graph{reloaded(t, shards[r]), sortedOnly, canon[r]}
 							var final [][]byte
 							for bi, base := range bases {
@@ -1041,4 +1041,18 @@ func BenchmarkMergeDelta(b *testing.B) {
 			}
 		})
 	}
+}
+
+// canonicalizeAdjacency sorts every owned vertex's out- and in-neighbor
+// row by neighbor global id, in place: the order MergeDelta writes. A built
+// shard lists each row in input order, so only a (src, dst)-sorted edge
+// list builds sorted rows; this sorts the rows of any other build. Ghost
+// numbering is left as it is.
+func canonicalizeAdjacency(g *Graph) {
+	m := &merger{b: g, nb: g.NTotal()}
+	for v := uint32(0); v < g.NLoc; v++ {
+		m.sortRow(g.OutEdges[g.OutIdx[v]:g.OutIdx[v+1]])
+		m.sortRow(g.InEdges[g.InIdx[v]:g.InIdx[v+1]])
+	}
+	g.rowsSorted.Store(true)
 }

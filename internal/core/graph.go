@@ -72,10 +72,10 @@ type Graph struct {
 	rank int
 
 	// rowsSorted records that every row is known to be in ascending
-	// neighbor-global-id order (the shard came out of MergeDelta or
-	// CanonicalizeAdjacency, or a merge's scan found it so), which lets the
-	// next merge over it copy untouched rows unread. Not persisted: a loaded
-	// shard starts unknown. Atomic: merges over one base may race.
+	// neighbor-global-id order (the shard came out of MergeDelta, or a
+	// merge's scan found it so), which lets the next merge over it copy
+	// untouched rows unread. Not persisted: a loaded shard starts unknown.
+	// Atomic: merges over one base may race.
 	rowsSorted atomic.Bool
 }
 

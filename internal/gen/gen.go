@@ -234,13 +234,6 @@ func ChunkRange(m uint64, rank, nranks int) (lo, hi uint64) {
 	return lo, hi
 }
 
-// WCLike returns a Spec resembling the paper's Web Crawl at a reduced
-// scale: an R-MAT graph with the crawl's average degree of 36 and heavy
-// degree skew. scaleN is the vertex count to use.
-func WCLike(scaleN uint32, seed uint64) Spec {
-	return Spec{Kind: RMAT, NumVertices: scaleN, NumEdges: uint64(scaleN) * 36, Seed: seed}
-}
-
 // ParseRMAT parses the "n,m,seed" form the commands take for a synthetic
 // R-MAT input with the Graph500 quadrant probabilities, and validates it.
 func ParseRMAT(text string) (Spec, error) {

@@ -245,16 +245,6 @@ func TestRMATSkewedVsER(t *testing.T) {
 	}
 }
 
-func TestWCLike(t *testing.T) {
-	s := WCLike(1000, 1)
-	if s.NumEdges != 36000 || s.Kind != RMAT {
-		t.Fatalf("WCLike spec: %+v", s)
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if RMAT.String() != "R-MAT" || ER.String() != "Rand-ER" {
 		t.Fatal("Kind strings wrong")

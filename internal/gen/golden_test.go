@@ -36,7 +36,7 @@ var goldenSpecs = []struct {
 		"e4c9b4b19a98d9b726a49a1024051bb98f635015f773ac80bd248543d1ce245c"},
 	{"planted", PlantedSpec{NumVertices: 3000, NumEdges: 30000, NumCommunities: 17, IntraProb: 0.7, Seed: 9}, 30000,
 		"1c1c075bbf663b7bd953ab500eea4665384973ae4e47def862848db1e918d733"},
-	{"wclike", WCLike(5000, 2), 180000,
+	{"wclike", Spec{Kind: RMAT, NumVertices: 5000, NumEdges: 5000 * 36, Seed: 2}, 180000,
 		"4d0190a0ac42c3bed4a22ea14e09e7a92bdf040d4e0356fa1ba604b7bde6242c"},
 }
 

@@ -44,7 +44,7 @@ type Config struct {
 	// Traverse is the frontier policy armed on every rank; the zero value
 	// is the adaptive engine. The hybrid experiment overrides the mode per
 	// measurement cell.
-	Traverse core.Traversal
+	Traverse core.TraversalMode
 	// Delta, when non-zero, adds a fixed bucket-width variant to the delta
 	// experiment's Δ sweep (the sweep always runs Δ=1, auto, and 2·mean).
 	Delta uint64

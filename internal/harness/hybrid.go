@@ -63,7 +63,7 @@ func HybridRaw(cfg Config, p int, graphName string, spec gen.Spec, modeName stri
 	var mu sync.Mutex
 	err := cfg.buildForAnalytics(p, core.SpecSource{Spec: spec}, spec.NumVertices, cfg.pick(partition.VertexBlock),
 		func(ctx *core.Ctx, g *core.Graph) error {
-			ctx.Traverse.Mode = mode
+			ctx.Traverse = mode
 			var rm rankMeas
 			for i, a := range hybridAnalytics {
 				if err := ctx.Comm.Barrier(); err != nil {

@@ -2,34 +2,19 @@ package serve
 
 import (
 	"container/list"
-	"fmt"
-	"strings"
+	"strconv"
 	"sync"
 
 	"repro/internal/analytics"
 )
 
-// cacheKey builds the canonical result-cache key for a normalized job:
-// (graph epoch, analytic, every parameter, sources). Two requests that
-// would produce byte-identical answers on the same resident graph map to
-// the same key; anything else (different epoch after a reload, different
-// weights, different direction) must not collide. Job.Hybrid and Job.Delta
-// are deliberately absent: the traversal policy and the Δ-stepping bucket
-// width change wire format and work order but not the answer (pinned by
-// the cross-mode and cross-Δ equivalence suites), so requests differing
-// only in those knobs share a cached result.
+// cacheKey is the result-cache key of a normalized job: the graph epoch
+// and the job's AnswerKey. Two requests that would produce byte-identical
+// answers on the same resident graph map to the same key; a different epoch
+// (a reload or a mutation) or any parameter that changes the answer does
+// not collide.
 func cacheKey(epoch uint64, j *analytics.Job) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "e%d|%s|d=%s|it=%d|dmp=%g|tol=%g|w=%d.%d|t=%v.%d|s=",
-		epoch, j.Analytic, j.Dir, j.Iterations, j.Damping, j.Tolerance,
-		j.MaxWeight, j.WeightSeed, j.RandomTies, j.TieSeed)
-	for i, s := range j.Sources {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", s)
-	}
-	return b.String()
+	return "e" + strconv.FormatUint(epoch, 10) + "|" + j.AnswerKey()
 }
 
 // resultCache is a thread-safe SIEVE cache of job results with

@@ -74,12 +74,6 @@ type ClusterConfig struct {
 	// keep the original cluster's vertex count even when mutations deleted
 	// every edge touching the max vertex id.
 	NumVertices uint32
-	// Canonical, when set, sorts the built shards' rows by neighbor global
-	// id, the order MergeDelta always produces. A build is deterministic
-	// without it (rows in input order at any thread count), but only the
-	// sorted order is shared with a cluster that reached the same logical
-	// graph through mutations, so results are bitwise comparable with it.
-	Canonical bool
 	// AutoCompact, when positive, triggers a background compaction after
 	// every AutoCompact acknowledged mutation batches. 0 disables
 	// auto-compaction (compaction still available through Compact).

@@ -306,9 +306,6 @@ func (cl *Cluster) slotMain(cfg ClusterConfig, gen uint64, viewBytes []byte, c *
 		if err != nil {
 			return buildFail(err)
 		}
-		if cfg.Canonical {
-			core.CanonicalizeAdjacency(g)
-		}
 		backups, err := cl.replicateShards(ctx, g)
 		if err != nil {
 			return buildFail(fmt.Errorf("serve: replicating shard %d: %w", slot, err))

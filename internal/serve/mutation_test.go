@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,9 +21,10 @@ import (
 // analytic byte-identically to a cluster built from scratch from the
 // mutated edge list. Both clusters share the partitioner (Random and
 // VertexBlock depend only on (n, seed), not on the edge list, so the
-// shards line up) and the rebuilt cluster is built in canonical adjacency
-// order — the order merged overlays always have — so even summation-order-
-// sensitive kernels (PageRank, weighted PageRank) must match bitwise.
+// shards line up) and the rebuilt cluster reads the list in (src, dst)
+// order, so its rows are in the order merged overlays always have and even
+// summation-order-sensitive kernels (PageRank, weighted PageRank) must
+// match bitwise.
 
 // ingestSpec is the shared base graph for the ingest batteries.
 var ingestSpec = gen.Spec{Kind: gen.RMAT, NumVertices: 300, NumEdges: 2000, Seed: 41}
@@ -103,10 +105,31 @@ func ingestBase(t *testing.T) edge.List {
 	return base
 }
 
+// sortedEdges returns l's pairs in (src, dst) order. A build keeps each row
+// in input order, so a sorted list builds every row in the order a merge
+// writes: answers are then bitwise comparable with a mutated cluster's,
+// float sums included.
+func sortedEdges(l edge.List) edge.List {
+	keys := make([]uint64, l.Len())
+	for i := range keys {
+		keys[i] = uint64(l.Src(i))<<32 | uint64(l.Dst(i))
+	}
+	slices.Sort(keys)
+	out := make(edge.List, 0, len(l))
+	for _, k := range keys {
+		out.Push(uint32(k>>32), uint32(k))
+	}
+	return out
+}
+
 // newIngestCluster builds a cluster over an explicit edge list with the
-// shared ingest geometry.
-func newIngestCluster(t *testing.T, list edge.List, kind partition.Kind, canonical bool, transports TransportFactory) *Cluster {
+// shared ingest geometry; sorted builds it from the list in (src, dst)
+// order (see sortedEdges).
+func newIngestCluster(t *testing.T, list edge.List, kind partition.Kind, sorted bool, transports TransportFactory) *Cluster {
 	t.Helper()
+	if sorted {
+		list = sortedEdges(list)
+	}
 	cl, err := NewCluster(ClusterConfig{
 		Ranks:       4,
 		Threads:     1,
@@ -116,7 +139,6 @@ func newIngestCluster(t *testing.T, list edge.List, kind partition.Kind, canonic
 		Epoch:       1,
 		Replicas:    2,
 		NumVertices: ingestSpec.NumVertices,
-		Canonical:   canonical,
 		Transports:  transports,
 	})
 	if err != nil {

@@ -140,7 +140,7 @@ func denseQueries() []*analytics.Job {
 // the mutated edge list.
 func TestPlanResetIsLockstep(t *testing.T) {
 	base := ingestBase(t)
-	// Canonical adjacency order from the start: the untouched shards keep
+	// Sorted rows from the start: the untouched shards keep
 	// serving their base CSR, and float sums must add in the rebuilt
 	// cluster's order there too.
 	cl := newIngestCluster(t, base, partition.Random, true, nil)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"time"
 
@@ -562,21 +563,12 @@ func requeueable(err error) bool {
 	return errors.As(err, &ce)
 }
 
-// batchable reports whether b can join a's multi-source run: same
-// analytic, single source, and identical non-source parameters.
+// batchable reports whether b can join a's multi-source run: b has one
+// source, and the normalized jobs are equal apart from their sources.
 func batchable(a, b *analytics.Job) bool {
-	return b.Analytic == a.Analytic &&
-		len(b.Sources) == 1 &&
-		b.Dir == a.Dir &&
-		b.Iterations == a.Iterations &&
-		b.Damping == a.Damping &&
-		b.Tolerance == a.Tolerance &&
-		b.MaxWeight == a.MaxWeight &&
-		b.WeightSeed == a.WeightSeed &&
-		b.RandomTies == a.RandomTies &&
-		b.TieSeed == a.TieSeed &&
-		b.Delta == a.Delta && // one batch runs under one bucket width
-		b.Hybrid == a.Hybrid // canonicalized by Normalize, so aliases compare equal
+	x, y := *a, *b
+	x.Sources, y.Sources = nil, nil
+	return len(b.Sources) == 1 && reflect.DeepEqual(x, y)
 }
 
 // mergeBatch builds the SPMD job descriptor answering every member of the

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -419,6 +420,65 @@ func TestSchedulerDeltaSharesCacheEntry(t *testing.T) {
 	}
 	if v3 := waitDone(t, s, id3); v3.Cached {
 		t.Fatalf("different weight seed answered from cache")
+	}
+}
+
+// TestSchedulerUnreadFieldsShare pins that a field a kind does not read
+// changes neither its cache key nor its batch: Normalize zeroes it, so
+// such variants share one cache entry and coalesce into one job.
+func TestSchedulerUnreadFieldsShare(t *testing.T) {
+	cl := newTestCluster(t, 2, nil)
+	deadline := time.Now().Add(30 * time.Second)
+	submit := func(s *Scheduler, j analytics.Job) string {
+		t.Helper()
+		id, err := s.Submit(&j, deadline)
+		if err != nil {
+			t.Fatalf("submit %+v: %v", j, err)
+		}
+		return id
+	}
+
+	// Batching: three bfs queries differing only in fields bfs ignores,
+	// and two sssp queries differing only in a traversal policy.
+	b := NewScheduler(cl, SchedConfig{QueueCap: 16, BatchMax: 8, CacheCap: 0})
+	defer b.Close()
+	ids := []string{
+		submit(b, analytics.Job{Analytic: analytics.JobBFS, Sources: []uint32{5}}),
+		submit(b, analytics.Job{Analytic: analytics.JobBFS, Sources: []uint32{9}, Iterations: 7}),
+		submit(b, analytics.Job{Analytic: analytics.JobBFS, Sources: []uint32{42}, MaxWeight: 8, Tolerance: 0.1}),
+		submit(b, analytics.Job{Analytic: analytics.JobSSSP, Sources: []uint32{3}, MaxWeight: 8}),
+		submit(b, analytics.Job{Analytic: analytics.JobSSSP, Sources: []uint32{4}, MaxWeight: 8, Hybrid: "push"}),
+	}
+	b.Start()
+	for _, id := range ids {
+		if v := waitDone(t, b, id); v.State != StateDone {
+			t.Fatalf("query %s: state %s err %q", id, v.State, v.Err)
+		}
+	}
+	if st := b.Stats(); st.Batches != 2 || st.Coalesced != 3 {
+		t.Fatalf("unread-field variants did not coalesce: %+v", st)
+	}
+
+	// Caching: each variant repeats a cached answer.
+	c := NewScheduler(cl, SchedConfig{QueueCap: 16, BatchMax: 1, CacheCap: 32})
+	defer c.Close()
+	c.Start()
+	for _, pair := range [][2]analytics.Job{
+		{{Analytic: analytics.JobPageRank}, {Analytic: analytics.JobPageRank, Sources: []uint32{3}, Dir: "in"}},
+		{{Analytic: analytics.JobBFS, Sources: []uint32{5}}, {Analytic: analytics.JobBFS, Sources: []uint32{5}, Iterations: 3, WeightSeed: 2}},
+		{{Analytic: analytics.JobSSSP, Sources: []uint32{3}, MaxWeight: 8}, {Analytic: analytics.JobSSSP, Sources: []uint32{3}, MaxWeight: 8, Hybrid: "dense", RandomTies: true}},
+	} {
+		first := waitDone(t, c, submit(c, pair[0]))
+		again := waitDone(t, c, submit(c, pair[1]))
+		if first.State != StateDone || again.State != StateDone || !again.Cached {
+			t.Fatalf("%s variant: states %s/%s, cached %v", pair[0].Analytic, first.State, again.State, again.Cached)
+		}
+		if !bytes.Equal(first.Result.Canonical(), again.Result.Canonical()) {
+			t.Fatalf("%s variant answer %s, want %s", pair[0].Analytic, again.Result.Canonical(), first.Result.Canonical())
+		}
+	}
+	if st := c.Stats(); st.CacheHits != 3 {
+		t.Fatalf("cache hits %d, want 3: %+v", st.CacheHits, st)
 	}
 }
 

@@ -20,20 +20,25 @@ import (
 
 // newStoreCluster builds a cluster with a persistent shard store attached.
 // A zero-value cfgMod leaves the standard shape: the shared test graph,
-// canonical adjacency (so answers are byte-comparable across a
+// built from its edges in (src, dst) order so that its rows are in the
+// order a merge writes (answers are byte-comparable across a
 // snapshot/restart boundary).
 func newStoreCluster(t *testing.T, dir string, ranks, replicas int, mod func(*ClusterConfig)) *Cluster {
 	t.Helper()
+	edges, err := testSpec.GenerateAll()
+	if err != nil {
+		t.Fatalf("generating test graph: %v", err)
+	}
 	cfg := ClusterConfig{
-		Ranks:     ranks,
-		Threads:   2,
-		Source:    core.SpecSource{Spec: testSpec},
-		Partition: partition.Random,
-		Seed:      7,
-		Epoch:     1,
-		Canonical: true,
-		Replicas:  replicas,
-		StoreDir:  dir,
+		Ranks:       ranks,
+		Threads:     2,
+		Source:      core.ListSource{Edges: sortedEdges(edges)},
+		NumVertices: testSpec.NumVertices,
+		Partition:   partition.Random,
+		Seed:        7,
+		Epoch:       1,
+		Replicas:    replicas,
+		StoreDir:    dir,
 	}
 	if mod != nil {
 		mod(&cfg)
